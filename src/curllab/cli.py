@@ -12,8 +12,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .contact import adapted_metric, reeb_field, tight_form
 from .curlspec import eigenpairs
 from .dynamics import find_fixed_points, find_periodic_orbits, named_field

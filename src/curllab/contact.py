@@ -27,7 +27,6 @@ from .fields import (
     MetricField,
     _next_odd,
     exterior_d,
-    flat as lower_index,
     hodge,
     l2_inner,
     l2_norm,
@@ -451,7 +450,7 @@ def reeb_rescaled(u, metric: MetricField):
     eigenfield dual to alpha it is the Reeb flow of alpha, whose
     linearization preserves the kernel planes.
     """
-    from .fields import FieldJet, MetricJet, as_jet
+    from .fields import MetricJet, as_jet
 
     jet = as_jet(u)
     mjet = None if metric.is_flat else MetricJet(metric)

@@ -222,10 +222,6 @@ class CurlOperator:
         return B
 
     @cached_property
-    def _gram_is_identity(self) -> bool:
-        return self.metric.is_flat
-
-    @cached_property
     def _gram_scalar(self) -> float | None:
         """c such that G = c * I, or None if the Gram is not scalar."""
         if self.metric.is_flat:

@@ -18,7 +18,7 @@ linearized flow traces on the contact planes, via the crossing-form
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp

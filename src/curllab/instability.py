@@ -48,7 +48,7 @@ from .dynamics import (
     find_periodic_orbits,
 )
 from .errors import HasZerosError, NotContactError, StiffnessError
-from .fields import CollocationGrid, FourierField, MetricField, as_jet, sharp
+from .fields import CollocationGrid, MetricField, as_jet, sharp
 from scipy.integrate import solve_ivp
 
 # growth-exponent threshold separating exponential from algebraic growth

@@ -2,14 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curllab.errors import DegenerateMetricError, UnsupportedRankError
 from curllab.fields import (
+    METRIC_COMPONENTS,
     VOLUME,
     CollocationGrid,
     FieldJet,
     FourierField,
     MetricField,
+    MetricJet,
     codifferential,
     conformal_metric,
     contact_defect,
@@ -311,3 +315,138 @@ class TestFieldJet:
             dx[b] = h
             fd = (vec.eval(x + dx) - vec.eval(x - dx)) / (2 * h)
             np.testing.assert_allclose(jac[:, b], fd, atol=1e-7)
+
+
+def einsum_point_sum(coeffs, x):
+    """The einsum point evaluator the staged kernel replaced, as reference:
+    Re sum_m coeffs[..., m] e^{i m.x} over the last three axes."""
+    n = (coeffs.shape[-1] - 1) // 2
+    m = np.arange(-n, n + 1)
+    p1, p2, p3 = (np.exp(1j * m * xi) for xi in np.asarray(x, dtype=float))
+    return np.einsum("...ijk,i,j,k->...", coeffs, p1, p2, p3).real
+
+
+def summation_tol(coeffs):
+    """Bound on the rounding gap between two orders of one sum with the
+    same phase factors: L^3 eps sum |c| over the summed axes."""
+    L = coeffs.shape[-1]
+    return L**3 * np.finfo(float).eps * np.abs(coeffs).sum(axis=(-3, -2, -1))
+
+
+def hermitian_coeffs(ncomp, truncation, seed):
+    rng = np.random.default_rng(seed)
+    L = 2 * truncation + 1
+    c = rng.standard_normal((ncomp, L, L, L)) + 1j * rng.standard_normal((ncomp, L, L, L))
+    return 0.5 * (c + c[:, ::-1, ::-1, ::-1].conj())
+
+
+def perturbed_flat_metric(truncation, seed):
+    """Identity plus a symmetric perturbation small enough to stay SPD."""
+    c = hermitian_coeffs(6, truncation, seed)
+    c *= 0.2 / np.abs(c).sum(axis=(1, 2, 3)).max()
+    c[:3, truncation, truncation, truncation] += 1.0
+    return MetricField(FourierField("scalar", c[i:i + 1]) for i in range(6))
+
+
+truncations = st.integers(0, 6)
+seeds = st.integers(0, 2**32 - 1)
+# integrations run in the universal cover and never wrap positions
+cover_points = st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3)
+
+
+class TestPointKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(rank=st.sampled_from(["scalar", "one_form", "vector"]),
+           truncation=truncations, seed=seeds, x=cover_points)
+    def test_field_eval_matches_reference(self, rank, truncation, seed, x):
+        ncomp = 1 if rank == "scalar" else 3
+        field = FourierField(rank, hermitian_coeffs(ncomp, truncation, seed))
+        got = np.atleast_1d(field.eval(x))
+        expect = einsum_point_sum(field.coeffs, x)
+        assert np.all(np.abs(got - expect) <= summation_tol(field.coeffs))
+
+    @settings(max_examples=40, deadline=None)
+    @given(truncation=truncations, seed=seeds, x=cover_points)
+    def test_jet_matches_reference(self, truncation, seed, x):
+        field = FourierField("vector", hermitian_coeffs(3, truncation, seed))
+        m = np.arange(-truncation, truncation + 1)
+        grids = np.meshgrid(m, m, m, indexing="ij")
+        stacked = np.stack([field.coeffs] + [1j * mb * field.coeffs for mb in grids])
+        expect = einsum_point_sum(stacked, x)  # (4, 3): value, then d_b
+        tol = summation_tol(stacked)
+        jet = FieldJet(field)
+        val, jac = jet.value_and_jacobian(x)
+        assert np.all(np.abs(val - expect[0]) <= tol[0])
+        assert np.all(np.abs(jac - expect[1:].T) <= tol[1:].T)
+        assert np.all(np.abs(jet.value(x) - expect[0]) <= tol[0])
+
+    @settings(max_examples=30, deadline=None)
+    @given(truncation=truncations, seed=seeds, x=cover_points)
+    def test_metric_matches_reference(self, truncation, seed, x):
+        metric = perturbed_flat_metric(truncation, seed)
+        g, dg = MetricJet(metric).value_and_gradient(x)
+        g_eval = metric.eval(x)
+        m = np.arange(-truncation, truncation + 1)
+        grids = np.meshgrid(m, m, m, indexing="ij")
+        for comp, (i, j) in zip(metric.components, METRIC_COMPONENTS):
+            c = comp.coeffs[0]
+            stacked = np.stack([c] + [1j * mb * c for mb in grids])
+            expect = einsum_point_sum(stacked, x)
+            tol = summation_tol(stacked)
+            assert abs(g[i, j] - expect[0]) <= tol[0]
+            assert abs(g_eval[i, j] - expect[0]) <= tol[0]
+            assert np.all(np.abs(dg[:, i, j] - expect[1:]) <= tol[1:])
+
+    def test_constants(self):
+        scalar = FourierField.constant("scalar", [2.5])
+        form = FourierField.constant("one_form", [1.0, -2.0, 0.5])
+        for x in ([0.0, 0.0, 0.0], [1e3, -1e3, 3.0]):
+            assert scalar.eval(x) == 2.5
+            np.testing.assert_array_equal(form.eval(x), [1.0, -2.0, 0.5])
+            val, jac = FieldJet(form).value_and_jacobian(x)
+            np.testing.assert_array_equal(val, [1.0, -2.0, 0.5])
+            np.testing.assert_array_equal(jac, np.zeros((3, 3)))
+            g, dg = MetricJet(flat_metric()).value_and_gradient(x)
+            np.testing.assert_array_equal(g, np.eye(3))
+            np.testing.assert_array_equal(dg, np.zeros((3, 3, 3)))
+            np.testing.assert_array_equal(flat_metric().eval(x), np.eye(3))
+
+    def test_list_input_and_scalar_float(self, rng):
+        scalar = random_scalar(2, rng)
+        form = random_one_form(2, rng)
+        x = [0.3, -1.7, 250.0]
+        value = scalar.eval(x)
+        assert type(value) is float
+        assert value == scalar.eval(np.array(x))
+        np.testing.assert_array_equal(form.eval(x), form.eval(tuple(x)))
+        jet = FieldJet(FourierField("vector", form.coeffs, _validated=True))
+        for a, b in zip(jet.value_and_jacobian(x), jet.value_and_jacobian(np.array(x))):
+            np.testing.assert_array_equal(a, b)
+
+
+class TestMetricJet:
+    POINTS = [(0.1, 0.2, 0.3), (2.0, 5.5, 4.1), (-7.0, 13.0, 0.9)]
+
+    def test_matches_metric_eval(self, bumpy):
+        jet = MetricJet(bumpy)
+        for x in self.POINTS:
+            g, _ = jet.value_and_gradient(x)
+            np.testing.assert_allclose(g, bumpy.eval(x), rtol=0, atol=1e-14)
+
+    def test_gradient_matches_finite_differences(self, bumpy):
+        jet = MetricJet(bumpy)
+        h = 1e-6
+        for x in self.POINTS:
+            _, dg = jet.value_and_gradient(x)
+            for b in range(3):
+                dx = np.zeros(3)
+                dx[b] = h
+                fd = (bumpy.eval(np.add(x, dx)) - bumpy.eval(np.subtract(x, dx))) / (2 * h)
+                np.testing.assert_allclose(dg[b], fd, rtol=0, atol=1e-8)
+
+    def test_symmetric(self, bumpy):
+        g, dg = MetricJet(bumpy).value_and_gradient((1.3, 0.4, 2.2))
+        np.testing.assert_array_equal(g, g.T)
+        for b in range(3):
+            np.testing.assert_array_equal(dg[b], dg[b].T)
+        assert np.abs(dg).max() > 0  # the bumpy metric is not constant

@@ -92,6 +92,39 @@ class TestRunSweep:
             assert "mechanism" in report
             assert "certificate" in report or report["mechanism"] is None
 
+    def test_certificates_self_consistent_from_json(self, tmp_path):
+        """Every certificate of a certified sweep re-checks from its JSON."""
+        out = tmp_path / "certified.jsonl"
+        cfg = SweepConfig(
+            samples=1, truncation=2, seed=5, certify_pairs=True,
+            window={"interval": [0.9, 1.1]},
+            budget={"T_max": 6.0, "orbit_seeds": 2, "n_seeds": 2,
+                    "wkb_T": 20.0},
+            out_jsonl=str(out),
+        )
+        run_sweep(cfg)
+        lines = out.read_text().splitlines()
+        certs = [report["certificate"] for line in lines[1:]
+                 for report in json.loads(line)["pair_reports"]]
+        assert certs
+        for cert in certs:
+            assert cert["time_unit"] == "unit_mean_speed"
+            mechanism, witness = cert["mechanism"], cert["witness"]
+            exponent, tol = cert["exponent"], cert["tolerances"]
+            if mechanism == "positive_wkb_exponent":
+                assert exponent == witness["tail_slope"]
+                assert exponent > tol["wkb_threshold"]
+            elif mechanism == "saddle_fixed_point":
+                assert exponent == max(re for re, _ in witness["eigenvalues"])
+            elif mechanism == "hyperbolic_orbit":
+                mults = [abs(complex(re, im)) for re, im in witness["multipliers"]]
+                assert min(abs(m - 1.0) for m in mults) > tol["mult_tol"]
+                assert exponent == pytest.approx(
+                    np.log(max(mults)) / witness["period"], rel=1e-12)
+            else:
+                assert mechanism == "inconclusive" and witness is None
+        assert any(c["mechanism"] != "inconclusive" for c in certs)
+
 
 class TestReports:
     def test_jsonl_round_trip_byte_identical(self, tmp_path):
