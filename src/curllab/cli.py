@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .contact import adapted_metric, reeb_field, tight_form
-from .curlspec import eigenpairs
+from .curlspec import eigenpairs, parse_window
 from .dynamics import find_fixed_points, find_periodic_orbits, named_field
 from .fields import FourierField, MetricField, named_metric, sharp
 from .instability import CertifyBudget, certify
@@ -65,16 +65,23 @@ def _load_field(spec: str, metric: MetricField) -> FourierField:
     return named_field(spec)
 
 
-def _parse_window(args) -> dict:
-    if args.window is not None:
-        a, b = (float(v) for v in args.window.split(","))
-        return {"interval": [a, b]}
-    return {"count": args.count}
+def _window(text: str) -> dict:
+    """--window a,b as an interval window, checked by curlspec.parse_window."""
+    try:
+        a, b = (float(v) for v in text.split(","))
+        window = {"interval": [a, b]}
+        parse_window(window)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(
+            f"expected an interval a,b that excludes 0, got {text!r} ({err})"
+        ) from None
+    return window
 
 
 def cmd_spectrum(args) -> int:
     metric = _load_metric(args.metric)
-    pairs = eigenpairs(metric, args.truncation, _parse_window(args))
+    pairs = eigenpairs(metric, args.truncation,
+                       args.window or {"count": args.count})
     sidecar = Path(args.fields_dir) if args.fields_dir else None
     if sidecar:
         sidecar.mkdir(parents=True, exist_ok=True)
@@ -189,7 +196,8 @@ def cmd_genericity_sweep(args) -> int:
 
 def cmd_certify_all(args) -> int:
     metric = _load_metric(args.metric)
-    pairs = eigenpairs(metric, args.truncation, _parse_window(args))
+    pairs = eigenpairs(metric, args.truncation,
+                       args.window or {"count": args.count})
     budget = _budget_from_arg(args.budget)
     docs = []
     for pair in pairs:
@@ -212,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="metric file or name (flat, conformal(c), "
                         "random_cr(r,eps,seed))")
     p.add_argument("--truncation", type=int, required=True)
-    p.add_argument("--window", help="interval a,b excluding 0")
+    p.add_argument("--window", type=_window, help="interval a,b excluding 0")
     p.add_argument("--count", type=int, default=12,
                    help="number of eigenvalues nearest zero (used when no "
                         "--window is given)")
@@ -268,13 +276,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-jsonl")
     p.add_argument("--out-csv")
     p.add_argument("--threads", type=int, default=None,
-                   help="worker threads (default: CURLLAB_THREADS or 1)")
+                   help="worker threads (default: CURLLAB_THREADS or 1); "
+                        "with more than one, set OPENBLAS_NUM_THREADS=1 so "
+                        "BLAS threads do not oversubscribe the cores")
     p.set_defaults(func=cmd_genericity_sweep)
 
     p = sub.add_parser("certify-all", help="certify every pair in a window")
     p.add_argument("--metric", required=True)
     p.add_argument("--truncation", type=int, required=True)
-    p.add_argument("--window")
+    p.add_argument("--window", type=_window, help="interval a,b excluding 0")
     p.add_argument("--count", type=int, default=6)
     p.add_argument("--budget", default="fast")
     p.add_argument("--out")

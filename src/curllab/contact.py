@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import newton_zero
 from .errors import (
     FrameError,
     HasZerosError,
@@ -23,6 +24,7 @@ from .errors import (
 )
 from .fields import (
     CollocationGrid,
+    FieldJet,
     FourierField,
     MetricField,
     _next_odd,
@@ -174,7 +176,7 @@ def beltrami_to_reeb(
     # grid sampling can straddle an isolated zero; confirm with a Newton
     # probe from the slowest grid points before trusting the grid minimum
     probe = _newton_zero_probe(u, grid, speed)
-    if probe is not None and probe <= zero_tol:
+    if probe <= zero_tol:
         raise HasZerosError(probe, zero_tol)
 
     cap = grid.max_truncation
@@ -204,34 +206,21 @@ def beltrami_to_reeb(
 
 def _newton_zero_probe(u: FourierField, grid: CollocationGrid,
                        speed: np.ndarray, n_probes: int = 8,
-                       max_iter: int = 30) -> float | None:
+                       max_iter: int = 30) -> float:
     """Smallest |u| reachable by Newton from the slowest grid points.
 
-    Returns the best residual found, or None when every probe diverges;
-    used to catch zeros sitting between grid points.
+    Returns the best residual found; used to catch zeros sitting between
+    grid points.
     """
-    from .fields import FieldJet
-
     jet = FieldJet(u)
-    flat_order = np.argsort(speed, axis=None)[:n_probes]
-    best = None
-    for flat_idx in flat_order:
+    best = np.inf
+    for flat_idx in np.argsort(speed, axis=None)[:n_probes]:
         loc = np.unravel_index(flat_idx, speed.shape)
         x = np.array([grid.axis_points[i] for i in loc])
-        for _ in range(max_iter):
-            val, jac = jet.value_and_jacobian(x)
-            norm = np.linalg.norm(val)
-            if best is None or norm < best:
-                best = norm
-            if norm < 1e-13:
-                return best
-            try:
-                step = np.linalg.solve(jac, -val)
-            except np.linalg.LinAlgError:
-                break
-            if np.linalg.norm(step) > 1.5:
-                break
-            x = x + step
+        hit = newton_zero(jet, x, tol=1e-13, max_iter=max_iter, max_step=1.5)
+        best = min(best, hit.best)
+        if hit.converged:
+            break
     return best
 
 

@@ -17,6 +17,13 @@ Real coefficient coordinates are used throughout ("packed" vectors):
 one real degree of freedom per constant component and a (Re, Im) pair
 per half-lattice wavevector, scaled so the flat inner product is the
 Euclidean dot product.
+
+The eigenproblem B v = lambda G v is solved in one way: a dense
+generalized `eigh` of the full pencil, which returns every eigenpair, so
+a window never loses pairs. Its cost grows as dim^3 (dim 3993 at N = 5,
+6591 at N = 6). A solver that computes only part of the spectrum can
+replace it only if it also counts the eigenvalues in the window (by
+Sylvester inertia of B - sigma G at both ends) and fails when short.
 """
 
 from __future__ import annotations
@@ -41,8 +48,6 @@ from .fields import (
 GAP_TOL = 1e-6
 # eigenvalues below this fraction of the spectral radius are kernel modes
 KERNEL_TOL = 1e-6
-# dense diagonalization up to this truncation, shift-invert Krylov beyond
-DENSE_MAX_TRUNCATION = 5
 
 _SCALE = TAU ** 1.5
 _SQRT2 = np.sqrt(2.0)
@@ -223,12 +228,12 @@ class CurlOperator:
 
     @cached_property
     def _gram_scalar(self) -> float | None:
-        """c such that G = c * I, or None if the Gram is not scalar."""
-        if self.metric.is_flat:
-            return 1.0
-        if self.metric.is_conformally_flat:
-            return float(np.sqrt(self.metric.components[0].mode(0, 0, 0).real))
-        return None
+        """s such that G = s * I, or None if the Gram is not scalar.
+
+        For g = c I the weight sqrt(det g) g^{-1} is sqrt(c) I.
+        """
+        c = self.metric.constant_factor
+        return None if c is None else float(np.sqrt(c))
 
     @cached_property
     def gram_matrix(self) -> np.ndarray:
@@ -291,10 +296,7 @@ class CurlOperator:
         """Weighted L2 inner product on this operator's grid."""
         va = self.basis.pack(self._coerce(a).coeffs)
         vb = self.basis.pack(self._coerce(b).coeffs)
-        c = self._gram_scalar
-        if c is not None:
-            return float(c * va @ vb)
-        return float(va @ self.gram_matrix @ vb)
+        return float(va @ self._gram_mult(vb))
 
     def norm(self, a: FourierField) -> float:
         return float(np.sqrt(max(self.inner(a, a), 0.0)))
@@ -335,10 +337,7 @@ class CurlOperator:
     @cached_property
     def _closed_projector(self):
         C = self._closed_basis
-        if self._gram_scalar is not None:
-            GC = C * self._gram_scalar
-        else:
-            GC = self.gram_matrix @ C
+        GC = self._gram_mult(C)
         return C, GC, sla.cho_factor(C.T @ GC)
 
     def coexact_project(self, form: FourierField) -> FourierField:
@@ -356,10 +355,7 @@ class CurlOperator:
         """Weighted norm of the closed-form component of a packed vector."""
         C, GC, factor = self._closed_projector
         w = sla.cho_solve(factor, GC.T @ v)
-        proj = C @ w
-        if self._gram_scalar is not None:
-            return float(np.sqrt(max(self._gram_scalar * proj @ proj, 0.0)))
-        return float(np.sqrt(max(proj @ (self.gram_matrix @ proj), 0.0)))
+        return float(np.sqrt(max(self._weighted_sq(C @ w), 0.0)))
 
     def residual(self, form: FourierField, eigenvalue: float) -> float:
         """|| *d alpha - lambda alpha || / || alpha || in the weighted norm."""
@@ -418,28 +414,27 @@ def residual(metric: MetricField, form: FourierField, eigenvalue: float,
 # ---------------------------------------------------------------------------
 
 
-def _parse_window(window):
-    """Normalize a window spec: {"count": k} or {"interval": [a, b]}."""
-    if isinstance(window, dict):
-        if "count" in window:
-            k = int(window["count"])
-            if k < 1:
-                raise ValueError("count window must request at least one pair")
-            return ("count", k)
-        if "interval" in window:
-            a, b = (float(x) for x in window["interval"])
-            if a > b:
-                raise ValueError("empty interval window")
-            if a <= 0.0 <= b:
-                raise ValueError("window must exclude the kernel at 0")
-            return ("interval", a, b)
-        raise ValueError("window dict needs 'count' or 'interval'")
-    if isinstance(window, (tuple, list)):
-        if window[0] == "count":
-            return _parse_window({"count": window[1]})
-        if window[0] == "interval":
-            return _parse_window({"interval": window[1:3]})
-    raise ValueError(f"unrecognized window spec {window!r}")
+def parse_window(window) -> tuple:
+    """Validate a window spec: {"count": k} or {"interval": [a, b]}.
+
+    Returns ("count", k) or ("interval", a, b); raises ValueError on
+    anything else. The CLI checks --window with this function too.
+    """
+    if not isinstance(window, dict):
+        raise ValueError(f"unrecognized window spec {window!r}")
+    if "count" in window:
+        k = int(window["count"])
+        if k < 1:
+            raise ValueError("count window must request at least one pair")
+        return ("count", k)
+    if "interval" in window:
+        a, b = (float(x) for x in window["interval"])
+        if a > b:
+            raise ValueError("empty interval window")
+        if a <= 0.0 <= b:
+            raise ValueError("window must exclude the kernel at 0")
+        return ("interval", a, b)
+    raise ValueError("window dict needs 'count' or 'interval'")
 
 
 def _spectrum_order(vals: np.ndarray, tol: float) -> np.ndarray:
@@ -473,45 +468,12 @@ def _dense_spectrum(op: CurlOperator):
     return vals, vecs
 
 
-def _krylov_spectrum(op: CurlOperator, window, n_extra: int = 8):
-    """Shift-invert Lanczos around the window midpoint (interval windows)."""
-    import scipy.sparse.linalg as spla
-
-    kind = window[0]
-    if kind != "interval":
-        raise EigensolverError(
-            "the Krylov path needs an interval window; use the dense solver "
-            "for count windows"
-        )
-    a, b = window[1], window[2]
-    sigma = 0.5 * (a + b)
-    B = op.pairing_matrix
-    G = op.gram_matrix
-    lu = sla.lu_factor(B - sigma * G)
-    n = op.dim
-    OPinv = spla.LinearOperator((n, n), matvec=lambda x: sla.lu_solve(lu, x))
-    Gop = spla.LinearOperator((n, n), matvec=lambda x: G @ x)
-    k = min(n - 2, max(2 * n_extra, 16))
-    try:
-        vals, vecs = spla.eigsh(
-            spla.LinearOperator((n, n), matvec=lambda x: B @ x),
-            k=k, M=Gop, sigma=sigma, OPinv=OPinv, which="LM",
-        )
-    except spla.ArpackNoConvergence as err:
-        raise EigensolverError(
-            "shift-invert Lanczos did not converge",
-            diagnostics={"converged": len(err.eigenvalues), "requested": k},
-        ) from err
-    return vals, vecs
-
-
 def eigenpairs(
     metric: MetricField,
     truncation: int,
     window,
     *,
     operator: CurlOperator | None = None,
-    method: str = "auto",
     gap_tol: float = GAP_TOL,
     kernel_tol: float = KERNEL_TOL,
 ) -> list[EigenPair]:
@@ -521,17 +483,14 @@ def eigenpairs(
     (both signs) or all eigenvalues in a signed `interval` that excludes
     0. Pairs are sorted by |lambda| with positive sign first; clusters
     closer than gap_tol * max|lambda| are flagged through cluster ids.
+
+    The whole pencil is diagonalized densely at every truncation, so an
+    interval window returns every eigenvalue it holds and a count window
+    fails only when the truncation has fewer nonzero eigenvalues.
     """
-    window = _parse_window(window)
+    window = parse_window(window)
     op = operator or assemble(metric, truncation)
-    if method == "auto":
-        method = "dense" if truncation <= DENSE_MAX_TRUNCATION else "krylov"
-    if method == "dense":
-        vals, vecs = _dense_spectrum(op)
-    elif method == "krylov":
-        vals, vecs = _krylov_spectrum(op, window)
-    else:
-        raise ValueError(f"unknown eigensolver method {method!r}")
+    vals, vecs = _dense_spectrum(op)
 
     scale = np.abs(vals).max()
     keep = np.abs(vals) > max(kernel_tol * scale, 1e-300)

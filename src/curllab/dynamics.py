@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -184,8 +185,49 @@ class FixedPointRecord:
         }
 
 
-def _classify_fixed_point(jacobian: np.ndarray, eig_tol: float) -> tuple[str, bool]:
-    eigs = np.linalg.eigvals(jacobian)
+class NewtonZero(NamedTuple):
+    """Outcome of newton_zero: the last iterate, u and Du there, and the
+    smallest |u| met on the way."""
+
+    x: np.ndarray
+    value: np.ndarray
+    jacobian: np.ndarray
+    best: float
+    converged: bool
+
+
+def newton_zero(jet, x, *, tol: float, max_iter: int,
+                max_step: float = np.inf) -> NewtonZero:
+    """Newton iteration for a zero of a field jet, starting at x.
+
+    Stops when |u| <= tol (converged), after max_iter evaluations, when a
+    step is longer than max_step, or when six iterations have not cut |u|
+    by a factor 4 (Newton converges quadratically near a nondegenerate
+    zero, so a slower iteration is stalling). A singular Jacobian gives
+    the least-squares step. Never raises on non-convergence.
+    """
+    x = np.asarray(x, float)
+    best = np.inf
+    for it in range(max_iter):
+        val, jac = jet.value_and_jacobian(x)
+        norm = float(np.linalg.norm(val))
+        if it == 0:
+            initial = norm
+        best = min(best, norm)
+        converged = norm <= tol
+        if converged or it + 1 == max_iter or (it >= 6 and norm > 0.25 * initial):
+            break
+        try:
+            step = np.linalg.solve(jac, -val)
+        except np.linalg.LinAlgError:
+            step, *_ = np.linalg.lstsq(jac, -val, rcond=None)
+        if np.linalg.norm(step) > max_step:
+            break
+        x = x + step
+    return NewtonZero(x, val, jac, best, converged)
+
+
+def _classify_fixed_point(eigs: np.ndarray, eig_tol: float) -> tuple[str, bool]:
     nondeg = bool(np.abs(eigs).min() > eig_tol)
     if not nondeg:
         return "degenerate", False
@@ -234,35 +276,18 @@ def find_fixed_points(
 
     records: list[FixedPointRecord] = []
     for loc in seeds:
-        x = np.array([grid.axis_points[i] for i in loc])
-        converged = False
-        initial_norm = None
-        for it in range(max_newton):
-            val, jac = jet.value_and_jacobian(x)
-            norm = np.linalg.norm(val)
-            if initial_norm is None:
-                initial_norm = norm
-            if norm <= newton_tol:
-                converged = True
-                break
-            if it >= 6 and norm > 0.25 * initial_norm:
-                break  # stalling: Newton converges quadratically near a zero
-            try:
-                step = np.linalg.solve(jac, -val)
-            except np.linalg.LinAlgError:
-                step, *_ = np.linalg.lstsq(jac, -val, rcond=None)
-            if np.linalg.norm(step) > 1.0:
-                break
-            x = x + step
-        if not converged:
-            log.debug("fixed-point seed at %s discarded (no convergence)", x)
+        x0 = np.array([grid.axis_points[i] for i in loc])
+        hit = newton_zero(jet, x0, tol=newton_tol, max_iter=max_newton,
+                          max_step=1.0)
+        if not hit.converged:
+            log.debug("fixed-point seed at %s discarded (no convergence)", hit.x)
             continue
-        x = np.mod(x, TAU)
+        x = np.mod(hit.x, TAU)
         if any(torus_distance(x, r.location) < dedup_tol for r in records):
             continue
         val, jac = jet.value_and_jacobian(x)
         eigs = np.linalg.eigvals(jac)
-        classification, nondeg = _classify_fixed_point(jac, eig_tol)
+        classification, nondeg = _classify_fixed_point(eigs, eig_tol)
         records.append(
             FixedPointRecord(
                 location=x,
@@ -300,10 +325,6 @@ class PeriodicOrbitRecord:
     det_transverse: float
     cz_index: int | None = None
 
-    @property
-    def homology_class(self):
-        return self.winding
-
     def to_json_dict(self, include_trajectory: bool = False) -> dict:
         rec = {
             "seed": [float(v) for v in self.seed],
@@ -335,7 +356,13 @@ def _transverse_basis(u0: np.ndarray, contact_form=None, at=None):
 
         frame = ContactFrameEvaluator(contact_form)
         return frame.at(at)
-    n = u0 / np.linalg.norm(u0)
+    return _orthonormal_complement(u0)
+
+
+def _orthonormal_complement(v: np.ndarray):
+    """Orthonormal (e1, e2) spanning the plane perpendicular to v, with
+    (v, e1, e2) right-handed; e1 comes from the axis least aligned with v."""
+    n = v / np.linalg.norm(v)
     ref = np.eye(3)[int(np.argmin(np.abs(n)))]
     e1 = ref - n * (n @ ref)
     e1 /= np.linalg.norm(e1)

@@ -394,28 +394,21 @@ class MetricField:
         return self._components[0].truncation
 
     @property
-    def is_flat(self) -> bool:
-        for comp, (i, j) in zip(self._components, METRIC_COMPONENTS):
-            want = 1.0 if i == j else 0.0
-            c = comp.coeffs.copy()
-            n = comp.truncation
-            c[0, n, n, n] -= want
-            if np.abs(c).max() > 1e-14:
-                return False
-        return True
-
-    @property
-    def is_conformally_flat(self) -> bool:
-        """True when g = c^2 * identity for a constant c."""
-        diag = [self._components[i] for i in range(3)]
-        c0 = diag[0].mode(0, 0, 0)
+    def constant_factor(self) -> float | None:
+        """c when g = c * identity with c constant, else None."""
+        c0 = self._components[0].mode(0, 0, 0)
         for comp, (i, j) in zip(self._components, METRIC_COMPONENTS):
             c = comp.coeffs.copy()
             n = comp.truncation
             c[0, n, n, n] -= c0 if i == j else 0.0
             if np.abs(c).max() > 1e-14:
-                return False
-        return True
+                return None
+        return float(c0.real)
+
+    @property
+    def is_flat(self) -> bool:
+        c = self.constant_factor
+        return c is not None and abs(c - 1.0) <= 1e-14
 
     def samples(self, grid: CollocationGrid) -> MetricSamples:
         cached = self._cache.get(grid.resolution)

@@ -44,8 +44,10 @@ from .dynamics import (
     FixedPointRecord,
     PeriodicOrbitRecord,
     _newton_shoot,
+    _orthonormal_complement,
     find_fixed_points,
     find_periodic_orbits,
+    newton_zero,
 )
 from .errors import HasZerosError, NotContactError, StiffnessError
 from .fields import CollocationGrid, MetricField, as_jet, sharp
@@ -67,20 +69,6 @@ class WKBResult:
     log_growth: np.ndarray   # (n_amplitudes, len(ts)) accumulated log |b|
     amplitude_orthogonality_drift: float  # max |b . xi| / (|b| |xi|)
     frequency_transport_drift: float      # max |xi . u - (xi . u)(0)|
-
-    @property
-    def max_drift(self) -> float:
-        return max(self.amplitude_orthogonality_drift,
-                   self.frequency_transport_drift)
-
-
-def _orthonormal_complement(xi: np.ndarray, count: int) -> np.ndarray:
-    unit = xi / np.linalg.norm(xi)
-    ref = np.eye(3)[int(np.argmin(np.abs(unit)))]
-    e1 = ref - unit * (unit @ ref)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(unit, e1)
-    return np.stack([e1, e2][:count])
 
 
 def wkb_exponent(
@@ -111,7 +99,7 @@ def wkb_exponent(
     n_amp = int(n_amplitudes)
     if not 1 <= n_amp <= 2:
         raise ValueError("between one and two independent amplitudes")
-    bs = _orthonormal_complement(xi0, n_amp)
+    bs = np.stack(_orthonormal_complement(xi0)[:n_amp])
 
     def rhs(_, y):
         x, xi = y[:3], y[3:6]
@@ -272,28 +260,22 @@ class InstabilityCertificate:
 
 def _verify_fixed_point(jet, record: FixedPointRecord) -> FixedPointRecord | None:
     """Re-polish a zero at a tenth of the detection tolerance."""
-    x = record.location.copy()
-    for _ in range(40):
-        val, jac = jet.value_and_jacobian(x)
-        if np.linalg.norm(val) <= NEWTON_TOL / 10:
-            eigs = np.linalg.eigvals(jac)
-            if np.abs(eigs).min() <= EIG_TOL:
-                return None
-            if eigs.real.max() <= 0:
-                return None  # no expanding direction: not a usable witness
-            return FixedPointRecord(
-                location=np.mod(x, 2 * np.pi),
-                jacobian=jac,
-                eigenvalues=eigs,
-                classification="saddle",
-                nondegenerate=True,
-                residual=float(np.linalg.norm(val)),
-            )
-        try:
-            x = x + np.linalg.solve(jac, -val)
-        except np.linalg.LinAlgError:
-            return None
-    return None
+    hit = newton_zero(jet, record.location, tol=NEWTON_TOL / 10, max_iter=40)
+    if not hit.converged:
+        return None
+    eigs = np.linalg.eigvals(hit.jacobian)
+    if np.abs(eigs).min() <= EIG_TOL:
+        return None
+    if eigs.real.max() <= 0:
+        return None  # no expanding direction: not a usable witness
+    return FixedPointRecord(
+        location=np.mod(hit.x, 2 * np.pi),
+        jacobian=hit.jacobian,
+        eigenvalues=eigs,
+        classification="saddle",
+        nondegenerate=True,
+        residual=float(np.linalg.norm(hit.value)),
+    )
 
 
 def _verify_orbit(jet, record: PeriodicOrbitRecord) -> bool:

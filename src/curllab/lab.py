@@ -266,6 +266,12 @@ def run_sweep(config: SweepConfig, *, n_threads: int | None = None):
     environment variable unless given); emission order and content are
     independent of the pool size. When the config carries output paths
     the JSON-lines stream and the CSV summary are written as well.
+
+    With more than one thread, pin BLAS to one thread per worker
+    (OPENBLAS_NUM_THREADS=1 before numpy is imported): the jet kernel's
+    matrix-vector products are large enough to start OpenBLAS's own
+    thread pool, and pool threads times BLAS threads oversubscribe the
+    cores.
     """
     if n_threads is None:
         n_threads = int(os.environ.get(THREADS_ENV_VAR, "1"))

@@ -27,6 +27,16 @@ class TestSpectrumCommand:
             assert rec["eigenvalue"] == pytest.approx(1.0, abs=1e-10)
             assert "form" not in rec
 
+    @pytest.mark.parametrize("window", ["1.0", "-1,1"])
+    def test_bad_window_is_a_usage_error(self, window, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["spectrum", "--truncation", "2", "--window", window])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert "--window" in err
+        assert "Traceback" not in err
+
     def test_sidecar_fields_round_trip(self, tmp_path):
         out = tmp_path / "spectrum.jsonl"
         fields_dir = tmp_path / "forms"

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from curllab.curlspec import (
     CurlOperator,
@@ -204,16 +205,32 @@ class TestEigenpairs:
         with pytest.raises(ValueError, match="exclude"):
             eigenpairs(flat, 2, {"interval": [-1.0, 1.0]})
 
-    def test_krylov_matches_dense(self, bumpy):
-        dense = eigenpairs(bumpy, 2, {"interval": [0.8, 1.2]})
-        krylov = eigenpairs(bumpy, 2, {"interval": [0.8, 1.2]}, method="krylov")
-        assert len(dense) == len(krylov)
-        for p, q in zip(dense, krylov):
-            assert q.eigenvalue == pytest.approx(p.eigenvalue, abs=1e-8)
+    def test_count_beyond_truncation_raises(self, flat):
+        # N = 1: 81 packed dofs, of which 3 constant and 26 exact forms
+        # are closed, which leaves 52 nonzero eigenvalues
+        assert len(eigenpairs(flat, 1, {"count": 52})) == 52
+        with pytest.raises(EigensolverError, match="only 52 available"):
+            eigenpairs(flat, 1, {"count": 53})
 
-    def test_krylov_needs_interval(self, flat):
-        with pytest.raises(EigensolverError, match="interval"):
-            eigenpairs(flat, 2, {"count": 6}, method="krylov")
+    @pytest.mark.parametrize("interval", [
+        [0.7, 1.5],      # the split +1 and +sqrt(2) clusters: 6 + 12 pairs
+        [-1.5, -0.7],
+        [0.995, 1.001],  # two of the six pairs near +1
+    ])
+    def test_interval_window_is_complete(self, bumpy, interval):
+        # oracle: Sylvester inertia. G is SPD, so the number of negative
+        # pivots of LDL^T(B - sigma G) is the number of eigenvalues of
+        # B v = lambda G v below sigma.
+        op = assemble(bumpy, 2)
+
+        def below(sigma):
+            _, d, _ = sla.ldl(op.pairing_matrix - sigma * op.gram_matrix)
+            return int((np.linalg.eigvalsh(d) < 0).sum())
+
+        expected = below(interval[1]) - below(interval[0])
+        assert expected == {0.7: 18, -1.5: 18, 0.995: 2}[interval[0]]
+        pairs = eigenpairs(bumpy, 2, {"interval": interval}, operator=op)
+        assert len(pairs) == expected
 
 
 class TestGramMatrix:

@@ -16,11 +16,12 @@ from curllab.dynamics import (
     flow,
     monodromy,
     named_field,
+    newton_zero,
     shear_field,
     torus_distance,
     variational_flow,
 )
-from curllab.fields import FourierField
+from curllab.fields import FieldJet, FourierField
 
 
 class FrozenJet:
@@ -137,6 +138,50 @@ class TestFixedPoints:
         assert len(base) == len(tight)
         for a, b in zip(base, tight):
             assert torus_distance(a.location, b.location) <= 1e-9
+
+
+class CountingJet:
+    """A jet that counts its value_and_jacobian calls."""
+
+    def __init__(self, jet):
+        self.jet = jet
+        self.calls = 0
+
+    def value_and_jacobian(self, x):
+        self.calls += 1
+        return self.jet.value_and_jacobian(x)
+
+
+class TestNewtonZero:
+    def test_converges_to_stagnation_point(self):
+        jet = FieldJet(abc_field(1, 1, 1))
+        zero = find_fixed_points(abc_field(1, 1, 1))[0].location
+        hit = newton_zero(jet, zero + np.array([0.05, -0.04, 0.03]),
+                          tol=1e-12, max_iter=40)
+        assert hit.converged
+        assert hit.best == np.linalg.norm(hit.value) <= 1e-12
+        assert torus_distance(hit.x, zero) <= 1e-10
+        np.testing.assert_array_equal(
+            hit.jacobian, jet.value_and_jacobian(hit.x)[1])
+
+    def test_singular_jacobian_stalls_without_raising(self):
+        # |u| = 1 everywhere and Du has rank one: the least-squares step
+        # is zero, and the stall rule stops the iteration
+        jet = CountingJet(FieldJet(shear_field(1)))
+        hit = newton_zero(jet, [0.3, 0.2, 0.1], tol=1e-10, max_iter=60)
+        assert not hit.converged
+        assert hit.best == pytest.approx(1.0, abs=1e-14)
+        assert jet.calls <= 7
+
+    def test_oversized_first_step_stops_at_once(self):
+        # u(x) = x + (5, 0, 0) has its zero a step of length 5 away
+        jet = CountingJet(FrozenJet([5.0, 0.0, 0.0], np.eye(3)))
+        hit = newton_zero(jet, np.zeros(3), tol=1e-10, max_iter=30,
+                          max_step=1.0)
+        assert jet.calls == 1
+        assert not hit.converged
+        np.testing.assert_array_equal(hit.x, np.zeros(3))
+        assert hit.best == 5.0
 
 
 class TestMonodromy:
