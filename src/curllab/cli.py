@@ -78,6 +78,21 @@ def _window(text: str) -> dict:
     return window
 
 
+def _budget(spec: str) -> CertifyBudget:
+    """--budget as a preset name, inline JSON of budget fields (an object,
+    so it starts with "{") or the path of a file holding that JSON."""
+    try:
+        if spec in BUDGET_PRESETS:
+            return CertifyBudget(**BUDGET_PRESETS[spec])
+        text = spec if spec.lstrip().startswith("{") else Path(spec).read_text()
+        return CertifyBudget(**json.loads(text))
+    except (OSError, TypeError, ValueError) as err:
+        raise argparse.ArgumentTypeError(
+            f"expected a preset ({', '.join(BUDGET_PRESETS)}), a JSON file "
+            f"or inline JSON of budget fields, got {spec!r} ({err})"
+        ) from None
+
+
 def cmd_spectrum(args) -> int:
     metric = _load_metric(args.metric)
     pairs = eigenpairs(metric, args.truncation,
@@ -160,19 +175,11 @@ def cmd_reeb(args) -> int:
     return 0
 
 
-def _budget_from_arg(spec: str) -> CertifyBudget:
-    if spec in BUDGET_PRESETS:
-        return CertifyBudget(**BUDGET_PRESETS[spec])
-    if Path(spec).exists():
-        return CertifyBudget(**json.loads(Path(spec).read_text()))
-    return CertifyBudget(**json.loads(spec))
-
-
 def cmd_instability(args) -> int:
     metric = _load_metric(args.metric)
     pairs = eigenpairs(metric, args.truncation, {"count": args.eigen_index + 1})
     pair = pairs[args.eigen_index]
-    cert = certify(metric, pair, _budget_from_arg(args.budget))
+    cert = certify(metric, pair, args.budget)
     _dump(cert.to_json_dict(), args.out)
     return 0
 
@@ -198,10 +205,9 @@ def cmd_certify_all(args) -> int:
     metric = _load_metric(args.metric)
     pairs = eigenpairs(metric, args.truncation,
                        args.window or {"count": args.count})
-    budget = _budget_from_arg(args.budget)
     docs = []
     for pair in pairs:
-        cert = certify(metric, pair, budget)
+        cert = certify(metric, pair, args.budget)
         docs.append(cert.to_json_dict())
     _dump_lines(docs, args.out)
     return 0
@@ -266,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric", required=True)
     p.add_argument("--truncation", type=int, required=True)
     p.add_argument("--eigen-index", type=int, default=0)
-    p.add_argument("--budget", default="default",
+    p.add_argument("--budget", type=_budget, default="default",
                    help="preset name, JSON file, or inline JSON")
     p.add_argument("--out")
     p.set_defaults(func=cmd_instability)
@@ -286,7 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truncation", type=int, required=True)
     p.add_argument("--window", type=_window, help="interval a,b excluding 0")
     p.add_argument("--count", type=int, default=6)
-    p.add_argument("--budget", default="fast")
+    p.add_argument("--budget", type=_budget, default="fast",
+                   help="preset name, JSON file, or inline JSON")
     p.add_argument("--out")
     p.set_defaults(func=cmd_certify_all)
 

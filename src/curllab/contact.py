@@ -160,8 +160,12 @@ def beltrami_to_reeb(
     X = u / |u|_g^2. Raises HasZerosError when the field drops below
     zero_tol_factor times its mean speed; the caller should send such
     fields to fixed-point analysis instead. The Reeb conditions for the
-    pair are verified on the grid within residual_tol, which checks that
-    u really is a curl eigenfield.
+    pair are verified on the grid within residual_tol, which checks the
+    pointwise eigenfield identity curl u = lambda u. Exact eigenfields
+    (flat-metric ABC and shear fields) meet it to round-off; a Galerkin
+    eigenform of a non-constant metric meets it only to truncation error
+    (about 1e-3 at N = 2) and raises NotContactError at the default
+    tolerance, although it is nonvanishing and its dual form is contact.
     """
     if grid is None:
         n = max(u.truncation, metric.truncation)
@@ -270,41 +274,34 @@ class ContactFrameEvaluator:
 
     def at(self, x):
         """Frame (f1, f2) at a point, with d(alpha)(f1, f2) = 1."""
-        a = self.form.eval(x)
-        na = np.linalg.norm(a)
-        if na <= 0:
-            raise FrameError(f"form vanishes at {tuple(x)}")
-        unit = a / na
-        ref = _AXES[self.reference_axis]
-        f1 = ref - unit * unit[self.reference_axis]
-        nf1 = np.linalg.norm(f1)
-        if nf1 < 1e-12:
-            raise FrameError(f"reference axis tangent to the plane normal at {tuple(x)}")
-        f1 /= nf1
-        f2 = np.cross(unit, f1)
-        omega = self.two_form.eval(x)
-        A = _two_form_matrix(omega)
+        try:
+            f1, f2 = _kernel_frame(self.form.eval(x), self.reference_axis)
+        except FrameError as err:
+            raise FrameError(f"{err} at {tuple(x)}") from None
+        A = _two_form_matrix(self.two_form.eval(x))
         s12 = float(f1 @ A @ f2)
         if abs(s12) < 1e-12:
             raise FrameError(f"d(alpha) degenerate on the kernel plane at {tuple(x)}")
         return f1, f2 / s12
 
-    def sample(self, grid: CollocationGrid):
-        """Frame fields on a whole grid: arrays f1, f2 of shape (M,M,M,3)."""
-        a = np.moveaxis(self.form.sample(grid), 0, -1)
-        na = np.linalg.norm(a, axis=-1)
-        unit = a / na[..., None]
-        ref = _AXES[self.reference_axis]
-        f1 = ref - unit * unit[..., self.reference_axis:self.reference_axis + 1]
-        nf1 = np.linalg.norm(f1, axis=-1)
-        if nf1.min() < 1e-12:
-            raise FrameError("frame degenerates on the grid")
-        f1 = f1 / nf1[..., None]
-        f2 = np.cross(unit, f1)
-        omega = np.moveaxis(self.two_form.sample(grid), 0, -1)
-        A = _two_form_matrix(omega)
-        s12 = np.einsum("...i,...ij,...j->...", f1, A, f2)
-        return f1, f2 / s12[..., None]
+
+def _kernel_frame(a: np.ndarray, axis: int):
+    """Euclidean-orthonormal (f1, f2) spanning the planes normal to a.
+
+    a has the component axis last (one point or a whole grid); f1 is the
+    normalized projection of coordinate axis `axis` onto the planes and
+    f2 = a / |a| x f1.
+    """
+    na = np.linalg.norm(a, axis=-1, keepdims=True)
+    if na.min() <= 0:
+        raise FrameError("form vanishes; kernel plane undefined")
+    unit = a / na
+    f1 = _AXES[axis] - unit * unit[..., axis:axis + 1]
+    nf1 = np.linalg.norm(f1, axis=-1, keepdims=True)
+    if nf1.min() < 1e-12:
+        raise FrameError("reference axis tangent to the plane normal")
+    f1 = f1 / nf1
+    return f1, np.cross(unit, f1)
 
 
 @dataclass(frozen=True)
@@ -371,13 +368,9 @@ def adapted_metric(
 
     X = np.moveaxis(reeb_field(alpha, grid, grid.max_truncation).sample(grid), 0, -1)
     frame = ContactFrameEvaluator(alpha, grid)
-    a = np.moveaxis(alpha.sample(grid), 0, -1)
-    na = np.linalg.norm(a, axis=-1)
-    unit = a / na[..., None]
-    ref = _AXES[frame.reference_axis]
-    f1 = ref - unit * unit[..., frame.reference_axis:frame.reference_axis + 1]
-    f1 = f1 / np.linalg.norm(f1, axis=-1)[..., None]
-    f2 = np.cross(unit, f1)  # Euclidean-orthonormal kernel basis, unnormalized by s12
+    # Euclidean-orthonormal kernel basis, not normalized by d(alpha)(f1, f2)
+    f1, f2 = _kernel_frame(np.moveaxis(alpha.sample(grid), 0, -1),
+                           frame.reference_axis)
 
     omega = np.moveaxis(exterior_d(alpha).sample(grid), 0, -1)
     A = _two_form_matrix(omega)
@@ -469,9 +462,5 @@ def reeb_rescaled(u, metric: MetricField):
             X = v / s
             DX = Dv / s - np.outer(v, grad_s) / s**2
             return X, DX
-
-        @staticmethod
-        def jacobian(x):
-            return _Rescaled.value_and_jacobian(x)[1]
 
     return _Rescaled()

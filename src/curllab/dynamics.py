@@ -25,7 +25,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import FrameError, NotContactError, StiffnessError
-from .fields import TAU, CollocationGrid, FieldJet, FourierField, _next_odd, as_jet
+from .fields import TAU, CollocationGrid, FourierField, _next_odd, as_jet
 
 log = logging.getLogger(__name__)
 
@@ -246,7 +246,8 @@ def find_fixed_points(
     max_newton: int = 60,
     max_seeds: int = 256,
 ) -> list[FixedPointRecord]:
-    """Zeros of a vector field with their linearizations.
+    """Zeros of a vector field (a FourierField or its FieldJet) with their
+    linearizations.
 
     Seeds Newton iteration (analytic Jacobian from the differentiated
     series) at local minima of |u| on a coarse grid, slowest first and
@@ -257,14 +258,7 @@ def find_fixed_points(
     """
     jet = as_jet(u)
     grid = CollocationGrid(_next_odd(max(grid_density, 2 * jet.truncation + 1)))
-    vals = jet.field.sample(grid) if isinstance(jet, FieldJet) else None
-    if vals is None:
-        pts = grid.points().reshape(-1, 3)
-        speed = np.array([np.linalg.norm(jet.value(p)) for p in pts]).reshape(
-            (grid.resolution,) * 3
-        )
-    else:
-        speed = np.linalg.norm(vals, axis=0)
+    speed = np.linalg.norm(jet.field.sample(grid), axis=0)
     is_min = np.ones_like(speed, bool)
     for axis in range(3):
         for shift in (1, -1):
@@ -348,17 +342,6 @@ class PeriodicOrbitRecord:
         return rec
 
 
-def _transverse_basis(u0: np.ndarray, contact_form=None, at=None):
-    """Basis of the section plane: kernel of the contact form when given,
-    else the plane orthogonal to the flow direction."""
-    if contact_form is not None:
-        from .contact import ContactFrameEvaluator
-
-        frame = ContactFrameEvaluator(contact_form)
-        return frame.at(at)
-    return _orthonormal_complement(u0)
-
-
 def _orthonormal_complement(v: np.ndarray):
     """Orthonormal (e1, e2) spanning the plane perpendicular to v, with
     (v, e1, e2) right-handed; e1 comes from the axis least aligned with v."""
@@ -371,7 +354,12 @@ def _orthonormal_complement(v: np.ndarray):
 
 
 def _project_return_map(M: np.ndarray, u0: np.ndarray, e1, e2) -> np.ndarray:
-    """Linearized return map on the section plane, projecting along the flow."""
+    """Linearized return map on the section plane span(e1, e2), projecting
+    along the flow direction u0.
+
+    With M u0 = u0 the eigenvalues of the result are the transverse
+    multipliers of M whatever plane transverse to u0 is chosen: a change of
+    plane conjugates the map by the projection along u0 between the two."""
     B = np.column_stack([u0, e1, e2])
     cols = np.linalg.solve(B, M @ np.column_stack([e1, e2]))
     return cols[1:, :]
@@ -389,14 +377,14 @@ def _classify_multipliers(mults: np.ndarray, mult_tol: float):
     return "elliptic", True
 
 
-def monodromy(u, orbit: PeriodicOrbitRecord, contact_form=None,
+def monodromy(u, orbit: PeriodicOrbitRecord,
               *, rtol: float = 1e-11, atol: float = 1e-12):
     """Monodromy matrix and transverse return map of a periodic orbit.
 
     The 3x3 matrix integrates the variational equations over one period;
-    the 2x2 map restricts it to the section plane (kernel of the contact
-    form when supplied, else the orthogonal complement of the flow
-    direction), projecting along the flow.
+    the 2x2 map restricts it to the section plane u0-perp (the orthogonal
+    complement of the flow direction u0 at the seed), projecting along
+    the flow.
     """
     jet = as_jet(u)
     u0 = jet.value(orbit.seed)
@@ -405,8 +393,7 @@ def monodromy(u, orbit: PeriodicOrbitRecord, contact_form=None,
                          "projection ill-conditioned")
     _, Ms = variational_flow(jet, orbit.seed, orbit.period, rtol=rtol, atol=atol)
     M = Ms[-1]
-    e1, e2 = _transverse_basis(u0, contact_form, at=orbit.seed)
-    return M, _project_return_map(M, u0, e1, e2)
+    return M, _project_return_map(M, u0, *_orthonormal_complement(u0))
 
 
 def _close_return_candidates(traj: Trajectory, t_min: float, close_tol: float,
@@ -514,7 +501,6 @@ def find_periodic_orbits(
     close_tol: float = 0.25,
     scan_tol: float = 1e-9,
     max_candidates_per_seed: int = 3,
-    contact_form=None,
     n_record_samples: int = 400,
     diagnostics: dict | None = None,
 ) -> list[PeriodicOrbitRecord]:
@@ -524,7 +510,9 @@ def find_periodic_orbits(
     plane given as {"axis": 0|1|2|"x"|"y"|"z", "offset": float}. Close
     returns are detected in the universal cover with integer winding
     match, refined by Newton shooting on (point, period), reduced to
-    primitive period, deduplicated by orbit distance, and classified.
+    primitive period, deduplicated by orbit distance, and classified by
+    the return map on the section plane u0-perp (orthogonal to the flow
+    direction u0 at the orbit seed).
     Shooting failures are recorded in `diagnostics` (when given), never
     raised. Degenerate (multiplier-one) orbits are legitimate results:
     integrable fields produce whole families of them.
@@ -598,8 +586,7 @@ def find_periodic_orbits(
             flow_res = float(
                 np.linalg.norm(M @ u0 - u0) / np.linalg.norm(u0)
             )
-            e1, e2 = _transverse_basis(u0, contact_form, at=x_mod)
-            P = _project_return_map(M, u0, e1, e2)
+            P = _project_return_map(M, u0, *_orthonormal_complement(u0))
             mults = np.linalg.eigvals(P)
             orbit_type, nondeg = _classify_multipliers(mults, mult_tol)
             records.append(

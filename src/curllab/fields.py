@@ -814,9 +814,6 @@ class FieldJet:
         out = _point_sum(self._block, x).reshape(4, 3)
         return out[0], out[1:].T.copy()  # jac[a, b] = d_b u_a
 
-    def jacobian(self, x) -> np.ndarray:
-        return self.value_and_jacobian(x)[1]
-
 
 def as_jet(field_or_jet) -> FieldJet:
     if isinstance(field_or_jet, FourierField):

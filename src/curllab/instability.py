@@ -2,10 +2,14 @@
 
 The certification pipeline follows the case split of the underlying
 instability criterion: a nondegenerate zero of a volume-preserving field
-is automatically of saddle type and certifies instability; otherwise the
-field rescales to a Reeb field and a nondegenerate hyperbolic periodic
-orbit certifies it; otherwise high-frequency wave packets are
-transported along flowlines and a positive growth exponent certifies it.
+is automatically of saddle type and certifies instability; otherwise a
+nondegenerate hyperbolic periodic orbit of u's flowlines certifies it;
+otherwise high-frequency wave packets are transported along flowlines and
+a positive growth exponent certifies it. The orbit stage searches the
+flow of u itself: a nonvanishing eigenfield rescales to the Reeb field of
+its dual contact form, which is what guarantees that periodic orbits
+exist, but hyperbolicity belongs to the flowlines and is invariant under
+that rescaling, so the Reeb field is never built.
 An inconclusive outcome carries the full search diagnostics and makes no
 stability claim.
 
@@ -49,7 +53,7 @@ from .dynamics import (
     find_periodic_orbits,
     newton_zero,
 )
-from .errors import HasZerosError, NotContactError, StiffnessError
+from .errors import StiffnessError
 from .fields import CollocationGrid, MetricField, as_jet, sharp
 from scipy.integrate import solve_ivp
 
@@ -66,7 +70,7 @@ class WKBResult:
     exponent: float          # (1/T) log |b(T)| / |b(0)|, max over amplitudes
     tail_slope: float        # fitted log-growth rate on the second half
     ts: np.ndarray           # segment boundary times
-    log_growth: np.ndarray   # (n_amplitudes, len(ts)) accumulated log |b|
+    log_growth: np.ndarray   # (2, len(ts)) accumulated log |b| per amplitude
     amplitude_orthogonality_drift: float  # max |b . xi| / (|b| |xi|)
     frequency_transport_drift: float      # max |xi . u - (xi . u)(0)|
 
@@ -76,18 +80,16 @@ def wkb_exponent(
     x0,
     xi0,
     T: float = WKB_T,
-    n_amplitudes: int = 2,
     *,
     rtol: float = 1e-10,
     atol: float = 1e-12,
-    renorm_interval: float = RENORM_INTERVAL,
     return_details: bool = False,
 ):
     """Wave-packet growth exponent along one flowline.
 
-    Integrates the transport system for n_amplitudes orthonormal initial
+    Integrates the transport system for the two orthonormal initial
     amplitudes perpendicular to the initial wavevector, renormalizing
-    the amplitudes every renorm_interval to avoid overflow. Returns the
+    the amplitudes every RENORM_INTERVAL to avoid overflow. Returns the
     largest (1/T) log-growth ratio; with return_details=True a WKBResult
     with the growth history, the fitted tail slope (which discounts
     transient algebraic growth), and conservation drifts.
@@ -96,14 +98,11 @@ def wkb_exponent(
     xi0 = np.asarray(xi0, float)
     if np.linalg.norm(xi0) == 0.0:
         raise ValueError("initial wavevector must be nonzero")
-    n_amp = int(n_amplitudes)
-    if not 1 <= n_amp <= 2:
-        raise ValueError("between one and two independent amplitudes")
-    bs = np.stack(_orthonormal_complement(xi0)[:n_amp])
+    bs = np.stack(_orthonormal_complement(xi0))
 
     def rhs(_, y):
         x, xi = y[:3], y[3:6]
-        b = y[6:].reshape(n_amp, 3)
+        b = y[6:].reshape(2, 3)
         val, jac = jet.value_and_jacobian(x)
         db = -b @ jac.T
         proj = (b @ jac.T) @ xi  # <(Du) b_k, xi>
@@ -112,9 +111,9 @@ def wkb_exponent(
 
     x0 = np.asarray(x0, float)
     y = np.concatenate([x0, xi0 / np.linalg.norm(xi0), bs.ravel()])
-    n_segments = max(int(np.ceil(T / renorm_interval)), 1)
+    n_segments = max(int(np.ceil(T / RENORM_INTERVAL)), 1)
     edges = np.linspace(0.0, T, n_segments + 1)
-    logs = np.zeros(n_amp)
+    logs = np.zeros(2)
     history = [logs.copy()]
     ortho_drift = 0.0
     # the transported frequency xi . u is conserved; the wavevector is
@@ -143,7 +142,7 @@ def wkb_exponent(
             q_log_drift += abs(np.log(abs(q_end / q_start)))
         else:
             trans_drift = max(trans_drift, abs(q_end - q_start))
-        bmat = y[6:].reshape(n_amp, 3)
+        bmat = y[6:].reshape(2, 3)
         norms = np.linalg.norm(bmat, axis=1)
         logs += np.log(norms)
         history.append(logs.copy())
@@ -153,7 +152,7 @@ def wkb_exponent(
         ortho_drift = max(ortho_drift, float(ortho.max()))
     trans_drift = max(trans_drift, abs(float(np.expm1(q_log_drift))))
 
-    log_growth = np.array(history).T  # (n_amp, n_segments + 1)
+    log_growth = np.array(history).T  # (2, n_segments + 1)
     exponent = float(log_growth[:, -1].max() / T)
     tail = edges >= 0.5 * T
     slopes = [
@@ -186,17 +185,6 @@ class CertifyBudget:
     wkb_threshold: float = WKB_THRESHOLD
     fixed_point_grid: int = 24
     seed: int = 0
-    run_orbits: bool = True
-    run_wkb: bool = True
-
-    def to_json_dict(self):
-        return {
-            "T_max": self.T_max, "n_seeds": self.n_seeds,
-            "orbit_seeds": self.orbit_seeds, "wkb_T": self.wkb_T,
-            "wkb_threshold": self.wkb_threshold,
-            "fixed_point_grid": self.fixed_point_grid, "seed": self.seed,
-            "run_orbits": self.run_orbits, "run_wkb": self.run_wkb,
-        }
 
 
 @dataclass
@@ -294,10 +282,12 @@ def certify(
     """Instability certificate for one curl eigenpair.
 
     Stages: (1) nondegenerate zeros (saddles by volume conservation),
-    (2) hyperbolic nondegenerate periodic orbits of the Reeb rescaling,
-    (3) positive wave-packet growth exponents. Witnesses are re-verified
-    at a tenth of their detection tolerance before a certificate is
-    issued; stage errors are folded into the diagnostics, never raised.
+    (2) hyperbolic nondegenerate periodic orbits of u's flowlines (the
+    Reeb rescaling u / |u|_g^2 moves along the same curves, so it has the
+    same orbits with the same hyperbolicity), (3) positive wave-packet
+    growth exponents. Witnesses are re-verified at a tenth of their
+    detection tolerance before a certificate is issued; stage errors are
+    folded into the diagnostics, never raised.
     Every stage runs on the unit-mean-speed rescaling of the field, and
     the certificate reports its times and exponents in that clock, with
     the budget's growth threshold among its tolerances.
@@ -318,8 +308,7 @@ def certify(
     speed_scale = float(speeds.mean())
     if speed_scale <= 0.0:
         raise ValueError("cannot certify the zero field")
-    u_search = (1.0 / speed_scale) * u
-    jet = as_jet(u_search)
+    jet = as_jet((1.0 / speed_scale) * u)
 
     def issue(mechanism: str, witness, exponent: float) -> InstabilityCertificate:
         return InstabilityCertificate(
@@ -333,7 +322,7 @@ def certify(
         )
 
     # stage 1: fixed points and their linearization rates
-    records = find_fixed_points(u_search, grid_density=budget.fixed_point_grid)
+    records = find_fixed_points(jet, grid_density=budget.fixed_point_grid)
     n_nondeg = sum(r.nondegenerate for r in records)
     diagnostics["stages"].append(
         {"stage": "fixed_points", "found": len(records), "nondegenerate": n_nondeg}
@@ -346,77 +335,66 @@ def certify(
             return issue("saddle_fixed_point", verified,
                          float(verified.eigenvalues.real.max()))
 
-    # stage 2: hyperbolic periodic orbits of the Reeb rescaling
-    contact = None
-    if budget.run_orbits:
-        from .contact import beltrami_to_reeb
-
-        try:
-            contact, _ = beltrami_to_reeb(u, metric)
-        except (HasZerosError, NotContactError) as err:
-            diagnostics["stages"].append(
-                {"stage": "reeb_rescaling", "error": str(err)}
+    # stage 2: hyperbolic periodic orbits of the flow
+    orbit_stats: dict = {}
+    orbits = find_periodic_orbits(
+        jet, T_max=budget.T_max, n_seeds=budget.orbit_seeds,
+        seed=budget.seed, diagnostics=orbit_stats,
+    )
+    orbit_stats.update(
+        {
+            "stage": "orbits",
+            "resolved": len(orbits),
+            "nondegenerate": sum(o.nondegenerate for o in orbits),
+            "hyperbolic": sum(
+                o.orbit_type.endswith("hyperbolic") for o in orbits
+            ),
+        }
+    )
+    diagnostics["stages"].append(orbit_stats)
+    for orbit in orbits:
+        if not (orbit.nondegenerate and orbit.orbit_type.endswith("hyperbolic")):
+            continue
+        if _verify_orbit(jet, orbit):
+            growth = float(
+                np.log(np.abs(orbit.multipliers).max()) / orbit.period
             )
-        orbit_stats: dict = {}
-        orbits = find_periodic_orbits(
-            u_search, T_max=budget.T_max, n_seeds=budget.orbit_seeds,
-            seed=budget.seed, contact_form=contact, diagnostics=orbit_stats,
-        )
-        orbit_stats.update(
-            {
-                "stage": "orbits",
-                "resolved": len(orbits),
-                "nondegenerate": sum(o.nondegenerate for o in orbits),
-                "hyperbolic": sum(
-                    o.orbit_type.endswith("hyperbolic") for o in orbits
-                ),
-            }
-        )
-        diagnostics["stages"].append(orbit_stats)
-        for orbit in orbits:
-            if not (orbit.nondegenerate and orbit.orbit_type.endswith("hyperbolic")):
-                continue
-            if _verify_orbit(jet, orbit):
-                growth = float(
-                    np.log(np.abs(orbit.multipliers).max()) / orbit.period
-                )
-                return issue("hyperbolic_orbit", orbit, growth)
+            return issue("hyperbolic_orbit", orbit, growth)
 
     # stage 3: wave-packet growth sampling
-    if budget.run_wkb:
-        rng = np.random.default_rng(budget.seed)
-        best: WKBWitness | None = None
-        failures = 0
-        for _ in range(budget.n_seeds):
-            x0 = rng.uniform(0.0, 2 * np.pi, 3)
-            xi0 = rng.standard_normal(3)
-            xi0 /= np.linalg.norm(xi0)
-            try:
-                result = wkb_exponent(
-                    jet, x0, xi0, T=budget.wkb_T, rtol=1e-8, atol=1e-10,
-                    return_details=True,
-                )
-            except StiffnessError:
-                failures += 1
-                continue
-            if best is None or result.tail_slope > best.tail_slope:
-                best = WKBWitness(
-                    x0=x0, xi0=xi0,
-                    exponent=result.exponent,
-                    tail_slope=result.tail_slope,
-                )
-        diagnostics["stages"].append(
-            {
-                "stage": "wkb",
-                "samples": budget.n_seeds,
-                "failures": failures,
-                "best_tail_slope": None if best is None else best.tail_slope,
-                "threshold": budget.wkb_threshold,
-            }
-        )
-        # the fitted tail slope separates exponential growth from the
-        # algebraic transients integrable shear produces
-        if best is not None and best.tail_slope > budget.wkb_threshold:
-            return issue("positive_wkb_exponent", best, best.tail_slope)
+    rng = np.random.default_rng(budget.seed)
+    best: WKBWitness | None = None
+    failures = 0
+    for _ in range(budget.n_seeds):
+        x0 = rng.uniform(0.0, 2 * np.pi, 3)
+        xi0 = rng.standard_normal(3)
+        xi0 /= np.linalg.norm(xi0)
+        try:
+            result = wkb_exponent(
+                jet, x0, xi0, T=budget.wkb_T, rtol=1e-8, atol=1e-10,
+                return_details=True,
+            )
+        except StiffnessError:
+            failures += 1
+            continue
+        if best is None or result.tail_slope > best.tail_slope:
+            best = WKBWitness(
+                x0=x0, xi0=xi0,
+                exponent=result.exponent,
+                tail_slope=result.tail_slope,
+            )
+    diagnostics["stages"].append(
+        {
+            "stage": "wkb",
+            "samples": budget.n_seeds,
+            "failures": failures,
+            "best_tail_slope": None if best is None else best.tail_slope,
+            "threshold": budget.wkb_threshold,
+        }
+    )
+    # the fitted tail slope separates exponential growth from the
+    # algebraic transients integrable shear produces
+    if best is not None and best.tail_slope > budget.wkb_threshold:
+        return issue("positive_wkb_exponent", best, best.tail_slope)
 
     return issue("inconclusive", None, 0.0)

@@ -135,6 +135,34 @@ class TestCertificationCommands:
         )
         assert "tolerances" in doc
 
+    @pytest.mark.parametrize("command", ["instability", "certify-all"])
+    @pytest.mark.parametrize("budget", ['{"bogus": 1}', "nope", "[1]"])
+    def test_bad_budget_is_a_usage_error(self, command, budget, capsys,
+                                         monkeypatch):
+        # rejected while parsing, before any eigensolve
+        def no_solve(*args, **kwargs):
+            raise AssertionError("eigensolve ran before --budget was checked")
+
+        monkeypatch.setattr("curllab.cli.eigenpairs", no_solve)
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--metric", "flat", "--truncation", "1",
+                  "--budget", budget])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert "--budget" in err
+        assert "Traceback" not in err
+
+    def test_budget_sources(self, tmp_path):
+        from curllab.cli import _budget
+
+        assert _budget("fast").T_max == 10.0
+        path = tmp_path / "budget.json"
+        path.write_text('{"T_max": 4.0}')
+        assert _budget(str(path)).T_max == 4.0
+        # inline JSON longer than a file name may be
+        assert _budget('{"seed": 3' + " " * 300 + "}").seed == 3
+
     def test_certify_all_exit_zero_on_inconclusive(self, tmp_path):
         out = tmp_path / "certs.jsonl"
         rc = main([

@@ -214,8 +214,8 @@ class TestRescalingInvariance:
         from curllab.dynamics import (
             _newton_shoot,
             _classify_multipliers,
+            _orthonormal_complement,
             _project_return_map,
-            _transverse_basis,
             abc_field,
             find_periodic_orbits,
             variational_flow,
@@ -243,7 +243,7 @@ class TestRescalingInvariance:
             x, T, _ = hit
             _, Ms = variational_flow(X, x, T, rtol=1e-11, atol=1e-12)
             X0 = X.value(x)
-            e1, e2 = _transverse_basis(X0)
+            e1, e2 = _orthonormal_complement(X0)
             P = _project_return_map(Ms[-1], X0, e1, e2)
             mults = np.linalg.eigvals(P)
             kind, nondegenerate = _classify_multipliers(mults, 1e-4)

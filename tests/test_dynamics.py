@@ -9,6 +9,8 @@ from curllab.dynamics import (
     EIG_TOL,
     PeriodicOrbitRecord,
     Trajectory,
+    _orthonormal_complement,
+    _project_return_map,
     abc_field,
     cz_index_from_path,
     find_fixed_points,
@@ -205,6 +207,36 @@ class TestMonodromy:
             mults, np.sort([np.exp(nu * T), np.exp(-nu * T)]), rtol=1e-9
         )
         assert np.linalg.det(P) == pytest.approx(1.0, abs=1e-6)
+
+
+class TestReturnMapSection:
+    """The transverse multipliers do not depend on the section plane."""
+
+    THETA = 0.9
+    ROTATION = np.array([[np.cos(THETA), -np.sin(THETA)],
+                         [np.sin(THETA), np.cos(THETA)]])
+
+    @pytest.mark.parametrize("transverse,expect", [
+        (np.diag([3.7, 1 / 3.7]), [3.7, 1 / 3.7]),
+        (np.diag([-0.45, -1 / 0.45]), [-0.45, -1 / 0.45]),
+        (ROTATION, [np.exp(1j * THETA), np.exp(-1j * THETA)]),
+    ], ids=["positive-hyperbolic", "negative-hyperbolic", "elliptic"])
+    def test_multipliers_on_any_transverse_plane(self, transverse, expect):
+        # M fixes the flow direction u0 and acts on a transverse
+        # complement by `transverse`, both written in a random basis
+        rng = np.random.default_rng(11)
+        u0 = rng.standard_normal(3)
+        S = np.column_stack([u0, rng.standard_normal((3, 2))])
+        D = np.eye(3)
+        D[1:, 1:] = transverse
+        M = S @ D @ np.linalg.inv(S)
+        np.testing.assert_allclose(M @ u0, u0, rtol=1e-12, atol=1e-12)
+        planes = [_orthonormal_complement(u0)]
+        planes += [tuple(rng.standard_normal((2, 3))) for _ in range(5)]
+        for e1, e2 in planes:
+            mults = np.linalg.eigvals(_project_return_map(M, u0, e1, e2))
+            for mu in expect:
+                assert np.abs(mults - mu).min() <= 1e-9 * abs(mu)
 
 
 class TestPeriodicOrbitsIntegrable:

@@ -131,7 +131,7 @@ class TestCertify:
     def test_zero_free_eigenfield_certifies_through_orbit(self, flat):
         # a three-term eigenfield with one dominant amplitude has no
         # stagnation points but keeps a chaotic web; certification goes
-        # through the Reeb branch and lands on a hyperbolic orbit
+        # through the orbit stage and lands on a hyperbolic orbit
         u = abc_field(1.0, 0.7, 0.3)
         pair = make_pair(flat, lower_index(flat, u), 1.0)
         budget = CertifyBudget(T_max=20.0, orbit_seeds=10, n_seeds=2, seed=1)
@@ -200,6 +200,27 @@ class TestCertify:
         assert doc["tolerances"]["wkb_threshold"] == 0.25
         assert doc["time_unit"] == "unit_mean_speed"
         assert doc["speed_scale"] > 0
+
+    def test_generic_pair_certifies_on_one_jet(self, bumpy, monkeypatch):
+        # a Galerkin eigenpair of a non-constant metric, certified with the
+        # sweep benchmark's budget: the stages run on the flow alone (no
+        # Reeb rescaling stage) and share the jet built once for them
+        from curllab.fields import FieldJet
+
+        pair = eigenpairs(bumpy, 2, {"interval": [0.9, 1.1]})[0]
+        built = []
+        init = FieldJet.__init__
+
+        def counting_init(self, field):
+            built.append(field)
+            init(self, field)
+
+        monkeypatch.setattr(FieldJet, "__init__", counting_init)
+        budget = CertifyBudget(T_max=6.0, orbit_seeds=2, n_seeds=2, wkb_T=20.0)
+        cert = certify(bumpy, pair, budget)
+        stages = [s["stage"] for s in cert.diagnostics["stages"]]
+        assert stages == ["fixed_points", "orbits", "wkb"]
+        assert len(built) == 1
 
     def test_kernel_pair_rejected(self, flat):
         from conftest import shear_one_form
