@@ -474,15 +474,13 @@ def eigenpairs(
     window,
     *,
     operator: CurlOperator | None = None,
-    gap_tol: float = GAP_TOL,
-    kernel_tol: float = KERNEL_TOL,
 ) -> list[EigenPair]:
     """Solve *d alpha = lambda alpha on the coexact subspace.
 
     window selects either the `count` nonzero eigenvalues closest to 0
     (both signs) or all eigenvalues in a signed `interval` that excludes
     0. Pairs are sorted by |lambda| with positive sign first; clusters
-    closer than gap_tol * max|lambda| are flagged through cluster ids.
+    closer than GAP_TOL * max|lambda| are flagged through cluster ids.
 
     The whole pencil is diagonalized densely at every truncation, so an
     interval window returns every eigenvalue it holds and a count window
@@ -493,11 +491,11 @@ def eigenpairs(
     vals, vecs = _dense_spectrum(op)
 
     scale = np.abs(vals).max()
-    keep = np.abs(vals) > max(kernel_tol * scale, 1e-300)
+    keep = np.abs(vals) > max(KERNEL_TOL * scale, 1e-300)
     vals = vals[keep]
     vecs = vecs[:, keep]
 
-    order = _spectrum_order(vals, gap_tol * max(scale, 1.0))
+    order = _spectrum_order(vals, GAP_TOL * max(scale, 1.0))
     vals = vals[order]
     vecs = vecs[:, order]
 
@@ -531,7 +529,7 @@ def eigenpairs(
         )
 
     # multiplicity clusters
-    tol = gap_tol * max(scale, 1.0)
+    tol = GAP_TOL * max(scale, 1.0)
     cluster_id = -1
     prev = None
     members: dict[int, list[EigenPair]] = {}

@@ -34,6 +34,15 @@ ORBIT_TOL = 1e-8     # return residual of an accepted orbit
 MULT_TOL = 1e-4      # multiplier distance from 1 deciding nondegeneracy
 EIG_TOL = 1e-6       # eigenvalue magnitude deciding fixed-point nondegeneracy
 DEDUP_TOL = 1e-5     # torus distance identifying duplicate fixed points
+MAX_NEWTON = 60      # Newton iterations per fixed-point seed
+MAX_SEEDS = 256      # fixed-point seeds, slowest first
+SCAN_TOL = 1e-9      # local error of the recurrence-scan flow
+ORBIT_T_MIN = 0.5    # shortest close-return time considered
+CLOSE_TOL = 0.25     # torus distance of a close return
+MAX_CANDIDATES_PER_SEED = 3
+N_RECORD_SAMPLES = 400  # samples of a recorded orbit's trajectory
+SHOOT_MAX_ITER = 25  # Newton iterations on (point, period)
+MAX_PERIOD_GROWTH = 3.0  # shooting gives up past this multiple of T0
 
 _OMEGA = np.array([[0.0, 1.0], [-1.0, 0.0]])  # omega(v, w) = v^T OMEGA w
 
@@ -240,18 +249,13 @@ def find_fixed_points(
     u,
     grid_density: int = 24,
     newton_tol: float = NEWTON_TOL,
-    *,
-    eig_tol: float = EIG_TOL,
-    dedup_tol: float = DEDUP_TOL,
-    max_newton: int = 60,
-    max_seeds: int = 256,
 ) -> list[FixedPointRecord]:
     """Zeros of a vector field (a FourierField or its FieldJet) with their
     linearizations.
 
     Seeds Newton iteration (analytic Jacobian from the differentiated
     series) at local minima of |u| on a coarse grid, slowest first and
-    capped at max_seeds (a flat speed landscape would otherwise seed
+    capped at MAX_SEEDS (a flat speed landscape would otherwise seed
     everywhere); divergent or stalling seeds are dropped, converged
     points are deduplicated on the torus and classified by the Jacobian
     spectrum.
@@ -264,24 +268,24 @@ def find_fixed_points(
         for shift in (1, -1):
             is_min &= speed <= np.roll(speed, shift, axis=axis)
     seeds = np.argwhere(is_min)
-    if len(seeds) > max_seeds:
-        order = np.argsort(speed[is_min], kind="stable")[:max_seeds]
+    if len(seeds) > MAX_SEEDS:
+        order = np.argsort(speed[is_min], kind="stable")[:MAX_SEEDS]
         seeds = seeds[order]
 
     records: list[FixedPointRecord] = []
     for loc in seeds:
         x0 = np.array([grid.axis_points[i] for i in loc])
-        hit = newton_zero(jet, x0, tol=newton_tol, max_iter=max_newton,
+        hit = newton_zero(jet, x0, tol=newton_tol, max_iter=MAX_NEWTON,
                           max_step=1.0)
         if not hit.converged:
             log.debug("fixed-point seed at %s discarded (no convergence)", hit.x)
             continue
         x = np.mod(hit.x, TAU)
-        if any(torus_distance(x, r.location) < dedup_tol for r in records):
+        if any(torus_distance(x, r.location) < DEDUP_TOL for r in records):
             continue
         val, jac = jet.value_and_jacobian(x)
         eigs = np.linalg.eigvals(jac)
-        classification, nondeg = _classify_fixed_point(eigs, eig_tol)
+        classification, nondeg = _classify_fixed_point(eigs, EIG_TOL)
         records.append(
             FixedPointRecord(
                 location=x,
@@ -317,7 +321,6 @@ class PeriodicOrbitRecord:
     return_residual: float
     flow_multiplier_residual: float
     det_transverse: float
-    cz_index: int | None = None
 
     def to_json_dict(self, include_trajectory: bool = False) -> dict:
         rec = {
@@ -331,7 +334,6 @@ class PeriodicOrbitRecord:
             "return_residual": self.return_residual,
             "flow_multiplier_residual": self.flow_multiplier_residual,
             "det_transverse": self.det_transverse,
-            "cz_index": self.cz_index,
             "monodromy": [[float(v) for v in row] for row in self.monodromy],
             "transverse_map": [[float(v) for v in row]
                                for row in self.transverse_map],
@@ -377,8 +379,7 @@ def _classify_multipliers(mults: np.ndarray, mult_tol: float):
     return "elliptic", True
 
 
-def monodromy(u, orbit: PeriodicOrbitRecord,
-              *, rtol: float = 1e-11, atol: float = 1e-12):
+def monodromy(u, orbit: PeriodicOrbitRecord):
     """Monodromy matrix and transverse return map of a periodic orbit.
 
     The 3x3 matrix integrates the variational equations over one period;
@@ -391,41 +392,39 @@ def monodromy(u, orbit: PeriodicOrbitRecord,
     if np.linalg.norm(u0) < 1e-10:
         raise FrameError("flow direction vanishes at the orbit seed; "
                          "projection ill-conditioned")
-    _, Ms = variational_flow(jet, orbit.seed, orbit.period, rtol=rtol, atol=atol)
+    _, Ms = variational_flow(jet, orbit.seed, orbit.period)
     M = Ms[-1]
     return M, _project_return_map(M, u0, *_orthonormal_complement(u0))
 
 
-def _close_return_candidates(traj: Trajectory, t_min: float, close_tol: float,
-                             max_candidates: int):
+def _close_return_candidates(traj: Trajectory):
     disp = traj.points - traj.points[0]
     lattice = np.round(disp / TAU)
     resid = np.linalg.norm(disp - TAU * lattice, axis=1)
     out = []
     for i in range(1, len(resid) - 1):
-        if traj.ts[i] < t_min:
+        if traj.ts[i] < ORBIT_T_MIN:
             continue
         if resid[i] <= resid[i - 1] and resid[i] <= resid[i + 1] \
-                and resid[i] < close_tol:
+                and resid[i] < CLOSE_TOL:
             out.append((traj.ts[i], lattice[i].astype(int), resid[i]))
     out.sort(key=lambda c: c[0])
     filtered = []
     for cand in out:
         if all(abs(cand[0] - f[0]) > 0.5 for f in filtered):
             filtered.append(cand)
-        if len(filtered) >= max_candidates:
+        if len(filtered) >= MAX_CANDIDATES_PER_SEED:
             break
     return filtered
 
 
-def _newton_shoot(jet, x0, T0, winding, *, orbit_tol, rtol, atol,
-                  max_iter=25, max_period_growth=3.0):
+def _newton_shoot(jet, x0, T0, winding, *, orbit_tol, rtol, atol):
     """Newton iteration on (point, period) for phi_T(x) = x + 2 pi w."""
     x = np.asarray(x0, float).copy()
     T = float(T0)
     target = TAU * np.asarray(winding, float)
-    for _ in range(max_iter):
-        if not np.isfinite(T) or T <= 1e-3 or T > max_period_growth * max(T0, 1.0):
+    for _ in range(SHOOT_MAX_ITER):
+        if not np.isfinite(T) or T <= 1e-3 or T > MAX_PERIOD_GROWTH * max(T0, 1.0):
             return None
         traj, Ms = variational_flow(jet, x, T, rtol=rtol, atol=atol)
         F = traj.final - x - target
@@ -447,7 +446,7 @@ def _newton_shoot(jet, x0, T0, winding, *, orbit_tol, rtol, atol,
     return None
 
 
-def _reduce_to_primitive(jet, x, T, winding, *, orbit_tol, rtol, atol):
+def _reduce_to_primitive(jet, x, T, winding):
     """Replace an orbit by its primitive period when it is a multiple cover."""
     for n in range(6, 1, -1):
         if T / n < 0.5:
@@ -459,13 +458,10 @@ def _reduce_to_primitive(jet, x, T, winding, *, orbit_tol, rtol, atol):
         if np.linalg.norm(resid) < 1e-2:
             hit = _newton_shoot(
                 jet, x, T / n, np.asarray(winding) // n,
-                orbit_tol=orbit_tol, rtol=rtol, atol=atol,
+                orbit_tol=ORBIT_TOL, rtol=1e-11, atol=1e-12,
             )
             if hit is not None:
-                return _reduce_to_primitive(
-                    jet, hit[0], hit[1], np.asarray(winding) // n,
-                    orbit_tol=orbit_tol, rtol=rtol, atol=atol,
-                )
+                return _reduce_to_primitive(jet, *hit[:2], np.asarray(winding) // n)
     return x, T, np.asarray(winding, int)
 
 
@@ -495,13 +491,6 @@ def find_periodic_orbits(
     n_seeds: int = 16,
     *,
     seed: int = 0,
-    orbit_tol: float = ORBIT_TOL,
-    mult_tol: float = MULT_TOL,
-    t_min: float = 0.5,
-    close_tol: float = 0.25,
-    scan_tol: float = 1e-9,
-    max_candidates_per_seed: int = 3,
-    n_record_samples: int = 400,
     diagnostics: dict | None = None,
 ) -> list[PeriodicOrbitRecord]:
     """Periodic orbits up to T_max by close-return scanning plus shooting.
@@ -541,17 +530,15 @@ def find_periodic_orbits(
     for x_seed in seeds:
         n_scan = max(int(T_max / 0.05), 64)
         try:
-            traj = flow(jet, x_seed, T_max, tol=scan_tol, n_samples=n_scan)
+            traj = flow(jet, x_seed, T_max, tol=SCAN_TOL, n_samples=n_scan)
         except StiffnessError:
             stats["unresolved"] += 1
             continue
-        for T0, winding, _ in _close_return_candidates(
-            traj, t_min, close_tol, max_candidates_per_seed
-        ):
+        for T0, winding, _ in _close_return_candidates(traj):
             stats["candidates"] += 1
             hit = _newton_shoot(
                 jet, x_seed, T0, winding,
-                orbit_tol=orbit_tol, rtol=1e-11, atol=1e-12,
+                orbit_tol=ORBIT_TOL, rtol=1e-11, atol=1e-12,
             )
             if hit is None:
                 stats["unresolved"] += 1
@@ -559,9 +546,7 @@ def find_periodic_orbits(
                           T0, x_seed)
                 continue
             x, T, _ = hit
-            x, T, winding = _reduce_to_primitive(
-                jet, x, T, winding, orbit_tol=orbit_tol, rtol=1e-11, atol=1e-12,
-            )
+            x, T, winding = _reduce_to_primitive(jet, x, T, winding)
             x_mod = np.mod(x, TAU)
             if any(
                 abs(T - r.period) < 1e-5 * max(1.0, T)
@@ -573,12 +558,12 @@ def find_periodic_orbits(
                 continue
             dense, Ms = variational_flow(
                 jet, x_mod, T, rtol=1e-11, atol=1e-12,
-                n_samples=n_record_samples,
+                n_samples=N_RECORD_SAMPLES,
             )
             return_residual = float(np.linalg.norm(
                 dense.points[-1] - x_mod - TAU * np.asarray(winding, float)
             ))
-            if return_residual > 10 * orbit_tol:
+            if return_residual > 10 * ORBIT_TOL:
                 stats["unresolved"] += 1
                 continue
             M = Ms[-1]
@@ -588,7 +573,7 @@ def find_periodic_orbits(
             )
             P = _project_return_map(M, u0, *_orthonormal_complement(u0))
             mults = np.linalg.eigvals(P)
-            orbit_type, nondeg = _classify_multipliers(mults, mult_tol)
+            orbit_type, nondeg = _classify_multipliers(mults, MULT_TOL)
             records.append(
                 PeriodicOrbitRecord(
                     seed=x_mod,

@@ -31,6 +31,19 @@ incompressible amplitude along a trajectory:
 in Euclidean proxy coordinates; growth-rate positivity is what feeds the
 certificate and is insensitive to the (equivalent) norm used on a
 compact domain.
+
+Both xi and b can grow or decay exponentially, so they are carried in
+projective form: unit directions e ~ xi and c_k ~ b_k plus log-norms
+(continuous normalization). With J = Du(x), g = -J^T e and
+f_k = -J c_k + 2 <J c_k, e> e/|e|^2,
+
+    e' = g - rho e,        (log|xi|)' = rho,   rho = <e, g> / |e|^2,
+    c_k' = f_k - r_k c_k,  (log|b_k|)' = r_k,  r_k = <c_k, f_k> / |c_k|^2.
+
+The norms live in log space, so one integration covers any horizon
+without overflow and nothing is ever renormalized; the log-growth of b_k
+is the carried log|b_k| plus log|c_k|. The amplitude equation only sees
+the direction e, and xi(t) = (D phi_t)^-T xi0 never vanishes.
 """
 
 from __future__ import annotations
@@ -60,7 +73,7 @@ from scipy.integrate import solve_ivp
 # growth-exponent threshold separating exponential from algebraic growth
 WKB_THRESHOLD = 1e-2
 WKB_T = 200.0
-RENORM_INTERVAL = 1.0
+LOG_GROWTH_SAMPLE_STEP = 1.0  # time between samples of the log-growth history
 
 
 @dataclass
@@ -69,10 +82,12 @@ class WKBResult:
 
     exponent: float          # (1/T) log |b(T)| / |b(0)|, max over amplitudes
     tail_slope: float        # fitted log-growth rate on the second half
-    ts: np.ndarray           # segment boundary times
-    log_growth: np.ndarray   # (2, len(ts)) accumulated log |b| per amplitude
-    amplitude_orthogonality_drift: float  # max |b . xi| / (|b| |xi|)
-    frequency_transport_drift: float      # max |xi . u - (xi . u)(0)|
+    ts: np.ndarray           # sample times of the log-growth history
+    log_growth: np.ndarray   # (2, len(ts)) log |b| / |b(0)| per amplitude
+    # at the samples: max |b . xi| / (|b| |xi|), and max |q/q0 - 1| for the
+    # conserved q = xi . u, |xi(0)| = 1 (max |q - q0| when |q0| <= 1e-9)
+    amplitude_orthogonality_drift: float
+    frequency_transport_drift: float
 
 
 def wkb_exponent(
@@ -83,16 +98,15 @@ def wkb_exponent(
     *,
     rtol: float = 1e-10,
     atol: float = 1e-12,
-    return_details: bool = False,
-):
-    """Wave-packet growth exponent along one flowline.
+) -> WKBResult:
+    """Wave-packet growth along one flowline.
 
-    Integrates the transport system for the two orthonormal initial
-    amplitudes perpendicular to the initial wavevector, renormalizing
-    the amplitudes every RENORM_INTERVAL to avoid overflow. Returns the
-    largest (1/T) log-growth ratio; with return_details=True a WKBResult
-    with the growth history, the fitted tail slope (which discounts
-    transient algebraic growth), and conservation drifts.
+    Integrates the transport system once over [0, T] in projective form
+    for the two orthonormal initial amplitudes perpendicular to the
+    initial wavevector, sampling every LOG_GROWTH_SAMPLE_STEP. Returns
+    the largest (1/T) log-growth ratio with the growth history, the
+    fitted tail slope (which discounts transient algebraic growth), and
+    the conservation drifts at the samples.
     """
     jet = as_jet(u)
     xi0 = np.asarray(xi0, float)
@@ -101,72 +115,52 @@ def wkb_exponent(
     bs = np.stack(_orthonormal_complement(xi0))
 
     def rhs(_, y):
-        x, xi = y[:3], y[3:6]
-        b = y[6:].reshape(2, 3)
+        x, xi, b = y[:3], y[3:6], y[7:13].reshape(2, 3)
         val, jac = jet.value_and_jacobian(x)
-        db = -b @ jac.T
-        proj = (b @ jac.T) @ xi  # <(Du) b_k, xi>
-        db += np.outer(2.0 * proj / (xi @ xi), xi)
-        return np.concatenate([val, -jac.T @ xi, db.ravel()])
+        xi_sq = xi @ xi
+        g = -jac.T @ xi
+        rho = (xi @ g) / xi_sq
+        jb = b @ jac.T  # rows (Du) b_k
+        f = -jb + np.outer(2.0 * (jb @ xi) / xi_sq, xi)
+        r = np.einsum("ij,ij->i", b, f) / np.einsum("ij,ij->i", b, b)
+        return np.concatenate(
+            [val, g - rho * xi, [rho], (f - r[:, None] * b).ravel(), r]
+        )
 
-    x0 = np.asarray(x0, float)
-    y = np.concatenate([x0, xi0 / np.linalg.norm(xi0), bs.ravel()])
-    n_segments = max(int(np.ceil(T / RENORM_INTERVAL)), 1)
-    edges = np.linspace(0.0, T, n_segments + 1)
-    logs = np.zeros(2)
-    history = [logs.copy()]
-    ortho_drift = 0.0
-    # the transported frequency xi . u is conserved; the wavevector is
-    # renormalized each segment (the amplitude equation only sees its
-    # direction), so conservation is tracked through gauge-free
-    # per-segment ratios accumulated in log space
-    q_log_drift = 0.0
-    trans_drift = 0.0
-    q_tiny = 1e-9 * max(abs(float(y[3:6] @ jet.value(x0))), 1.0)
-    for a, b_t in zip(edges[:-1], edges[1:]):
-        q_start = float(y[3:6] @ jet.value(y[:3]))
-        sol = solve_ivp(rhs, (a, b_t), y, method="DOP853", rtol=rtol, atol=atol)
-        if not sol.success:
-            raise StiffnessError(f"wave-packet integration failed: {sol.message}")
-        y = sol.y[:, -1]
-        if not np.all(np.isfinite(y)):
-            raise StiffnessError("wave-packet state left the finite range")
-        xi = y[3:6]
-        xi_norm = np.linalg.norm(xi)
-        if xi_norm == 0.0:
-            raise StiffnessError(
-                "wavevector collapsed to zero (caustic); exponent undefined"
-            )
-        q_end = float(xi @ jet.value(y[:3]))
-        if abs(q_start) > q_tiny and abs(q_end) > 0 and q_end * q_start > 0:
-            q_log_drift += abs(np.log(abs(q_end / q_start)))
-        else:
-            trans_drift = max(trans_drift, abs(q_end - q_start))
-        bmat = y[6:].reshape(2, 3)
-        norms = np.linalg.norm(bmat, axis=1)
-        logs += np.log(norms)
-        history.append(logs.copy())
-        y[6:] = (bmat / norms[:, None]).ravel()
-        y[3:6] = xi / xi_norm
-        ortho = np.abs(bmat @ xi) / (norms * xi_norm)
-        ortho_drift = max(ortho_drift, float(ortho.max()))
-    trans_drift = max(trans_drift, abs(float(np.expm1(q_log_drift))))
+    y0 = np.r_[x0, xi0 / np.linalg.norm(xi0), 0.0, bs.ravel(), 0.0, 0.0]
+    ts = np.linspace(0.0, T, max(int(np.ceil(T / LOG_GROWTH_SAMPLE_STEP)), 1) + 1)
+    sol = solve_ivp(rhs, (0.0, T), y0, method="DOP853", t_eval=ts,
+                    rtol=rtol, atol=atol)
+    if not sol.success:
+        raise StiffnessError(f"wave-packet integration failed: {sol.message}")
+    if not np.all(np.isfinite(sol.y)):
+        raise StiffnessError("wave-packet state left the finite range")
+    xs, xis, log_xi = sol.y[:3].T, sol.y[3:6].T, sol.y[6]
+    bmat = sol.y[7:13].T.reshape(-1, 2, 3)
+    b_norms = np.linalg.norm(bmat, axis=2)
+    log_growth = sol.y[13:15] + np.log(b_norms.T)  # (2, len(ts))
+    ortho = np.abs(np.einsum("sij,sj->si", bmat, xis)) / (
+        b_norms * np.linalg.norm(xis, axis=1)[:, None])
+    # q = exp(log|xi|) (e . u) is formed in log space, so a wavevector
+    # grown past the float range cannot overflow it
+    xi_u = np.einsum("si,si->s", xis, np.array([jet.value(x) for x in xs]))
+    with np.errstate(divide="ignore"):
+        q = np.sign(xi_u) * np.exp(log_xi + np.log(np.abs(xi_u)))
+    q_scale = abs(q[0]) if abs(q[0]) > 1e-9 else 1.0
 
-    log_growth = np.array(history).T  # (2, n_segments + 1)
     exponent = float(log_growth[:, -1].max() / T)
-    tail = edges >= 0.5 * T
+    tail = ts >= 0.5 * T
     slopes = [
-        float(np.polyfit(edges[tail], row[tail], 1)[0]) for row in log_growth
+        float(np.polyfit(ts[tail], row[tail], 1)[0]) for row in log_growth
     ] if tail.sum() >= 2 else [exponent]
-    result = WKBResult(
+    return WKBResult(
         exponent=exponent,
         tail_slope=float(max(slopes)),
-        ts=edges,
+        ts=ts,
         log_growth=log_growth,
-        amplitude_orthogonality_drift=ortho_drift,
-        frequency_transport_drift=trans_drift,
+        amplitude_orthogonality_drift=float(ortho.max()),
+        frequency_transport_drift=float(np.abs(q - q[0]).max() / q_scale),
     )
-    return result if return_details else result.exponent
 
 
 # ---------------------------------------------------------------------------
@@ -370,10 +364,7 @@ def certify(
         xi0 = rng.standard_normal(3)
         xi0 /= np.linalg.norm(xi0)
         try:
-            result = wkb_exponent(
-                jet, x0, xi0, T=budget.wkb_T, rtol=1e-8, atol=1e-10,
-                return_details=True,
-            )
+            result = wkb_exponent(jet, x0, xi0, T=budget.wkb_T, rtol=1e-8, atol=1e-10)
         except StiffnessError:
             failures += 1
             continue

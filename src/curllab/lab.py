@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field as dataclass_field
 
@@ -22,8 +21,6 @@ import numpy as np
 from .curlspec import assemble, eigenpairs
 from .fields import MetricField, named_metric, random_metric
 from .instability import CertifyBudget, certify
-
-THREADS_ENV_VAR = "CURLLAB_THREADS"
 
 CSV_COLUMNS = (
     "sample",
@@ -259,13 +256,13 @@ def _json_line(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def run_sweep(config: SweepConfig, *, n_threads: int | None = None):
+def run_sweep(config: SweepConfig, *, n_threads: int = 1):
     """Execute a sweep; returns the records in sample order.
 
-    Samples run on a worker pool (size from the CURLLAB_THREADS
-    environment variable unless given); emission order and content are
-    independent of the pool size. When the config carries output paths
-    the JSON-lines stream and the CSV summary are written as well.
+    Samples run on a pool of n_threads workers; emission order and
+    content are independent of the pool size. When the config carries
+    output paths the JSON-lines stream and the CSV summary are written
+    as well.
 
     With more than one thread, pin BLAS to one thread per worker
     (OPENBLAS_NUM_THREADS=1 before numpy is imported): the jet kernel's
@@ -273,8 +270,6 @@ def run_sweep(config: SweepConfig, *, n_threads: int | None = None):
     thread pool, and pool threads times BLAS threads oversubscribe the
     cores.
     """
-    if n_threads is None:
-        n_threads = int(os.environ.get(THREADS_ENV_VAR, "1"))
     n_threads = max(1, n_threads)
     ids = list(range(config.samples))
     if n_threads == 1:

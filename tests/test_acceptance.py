@@ -205,15 +205,15 @@ def test_wkb_exponent():
     with criterion("wkb exponent (frozen saddle, constant field, drifts)"):
         nu = 0.7
         jet = FrozenJet([0, 0, 0], np.diag([nu, -nu, 0.0]))
-        exp = wkb_exponent(jet, (0, 0, 0), (1.0, 0.0, 0.0), T=50.0)
+        exp = wkb_exponent(jet, (0, 0, 0), (1.0, 0.0, 0.0), T=50.0).exponent
         assert abs(exp - nu) <= 0.01 * nu
         from curllab.fields import FourierField
 
         const = FourierField.constant("vector", [0.4, -0.2, 1.0])
-        assert abs(wkb_exponent(const, (0, 0, 0), (0, 1, 0), T=50.0)) <= 1e-6
+        assert abs(wkb_exponent(const, (0, 0, 0), (0, 1, 0), T=50.0).exponent) <= 1e-6
         details = wkb_exponent(
             abc_field(1, 1, 1), (0.3, 0.1, 0.9), (0.5, -0.5, 1.0),
-            T=100.0, return_details=True,
+            T=100.0,
         )
         assert details.amplitude_orthogonality_drift <= 1e-6
         assert details.frequency_transport_drift <= 1e-6

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from curllab.curlspec import EigenPair, eigenpairs
 from curllab.dynamics import abc_field, find_fixed_points, shear_field
@@ -27,7 +28,7 @@ def make_pair(metric, form, eigenvalue):
 class TestWKBExponent:
     def test_constant_field_no_growth(self):
         u = FourierField.constant("vector", [0.3, -1.0, 0.7])
-        exp = wkb_exponent(u, (0.1, 0.2, 0.3), (1.0, 0.0, 0.0), T=50.0)
+        exp = wkb_exponent(u, (0.1, 0.2, 0.3), (1.0, 0.0, 0.0), T=50.0).exponent
         assert abs(exp) <= 1e-6
 
     def test_frozen_saddle_recovers_rate(self):
@@ -36,35 +37,60 @@ class TestWKBExponent:
         # grows at exactly the stretching rate
         nu = 0.8
         jet = FrozenJet([0.0, 0.0, 0.0], np.diag([nu, -nu, 0.0]))
-        exp = wkb_exponent(jet, (0, 0, 0), (1.0, 0.0, 0.0), T=50.0)
+        exp = wkb_exponent(jet, (0, 0, 0), (1.0, 0.0, 0.0), T=50.0).exponent
         assert exp == pytest.approx(nu, rel=0.01)
 
     def test_frozen_saddle_tail_slope(self):
         nu = 0.8
         jet = FrozenJet([0.0, 0.0, 0.0], np.diag([nu, -nu, 0.0]))
-        result = wkb_exponent(jet, (0, 0, 0), (1, 0, 0), T=50.0,
-                              return_details=True)
+        result = wkb_exponent(jet, (0, 0, 0), (1, 0, 0), T=50.0)
         assert result.tail_slope == pytest.approx(nu, rel=0.01)
+
+    def test_one_integration_per_packet(self, monkeypatch):
+        from curllab import instability
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return solve_ivp(*args, **kwargs)
+
+        monkeypatch.setattr(instability, "solve_ivp", counting)
+        wkb_exponent(abc_field(1, 1, 1), (0.7, 1.9, 4.0), (0, 1, 1), T=20.0,
+                     rtol=1e-8, atol=1e-10)
+        assert calls == [(0.0, 20.0)]
+
+    def test_growth_past_float_range_stays_finite(self):
+        # log-growth 800 at T = 200: |b| = e^800 is not a float, its log is
+        nu = 4.0
+        jet = FrozenJet([0.0, 0.0, 0.0], np.diag([nu, -nu, 0.0]))
+        result = wkb_exponent(jet, (0, 0, 0), (1.0, 0.0, 0.0), T=200.0)
+        assert np.all(np.isfinite(result.log_growth))
+        assert result.log_growth.max() == pytest.approx(nu * 200.0, rel=0.01)
+        assert result.exponent == pytest.approx(nu, rel=0.01)
+        assert result.tail_slope == pytest.approx(nu, rel=0.01)
+        assert result.amplitude_orthogonality_drift <= 1e-6
+        assert result.frequency_transport_drift <= 1e-6
 
     def test_rescaling_doubles_exponent(self):
         u = abc_field(1, 1, 1)
         x0, xi0 = (0.7, 1.9, 4.0), (0.0, 1.0, 1.0)
-        base = wkb_exponent(u, x0, xi0, T=40.0, rtol=1e-9, atol=1e-11)
-        doubled = wkb_exponent(2.0 * u, x0, xi0, T=20.0, rtol=1e-9, atol=1e-11)
+        base = wkb_exponent(u, x0, xi0, T=40.0, rtol=1e-9, atol=1e-11).exponent
+        doubled = wkb_exponent(
+            2.0 * u, x0, xi0, T=20.0, rtol=1e-9, atol=1e-11
+        ).exponent
         assert doubled == pytest.approx(2.0 * base, rel=0.01)
 
     def test_conserved_quantities_drift(self):
         u = abc_field(1, 1, 1)
-        result = wkb_exponent(
-            u, (0.3, 0.1, 0.9), (0.5, -0.5, 1.0), T=100.0, return_details=True
-        )
+        result = wkb_exponent(u, (0.3, 0.1, 0.9), (0.5, -0.5, 1.0), T=100.0)
         assert result.amplitude_orthogonality_drift <= 1e-6
         assert result.frequency_transport_drift <= 1e-6
 
     def test_exponent_independent_of_wavevector_scale(self):
         u = abc_field(1, 1, 1)
-        a = wkb_exponent(u, (0.7, 1.9, 4.0), (0, 1, 1), T=20.0)
-        b = wkb_exponent(u, (0.7, 1.9, 4.0), (0, 100, 100), T=20.0)
+        a = wkb_exponent(u, (0.7, 1.9, 4.0), (0, 1, 1), T=20.0).exponent
+        b = wkb_exponent(u, (0.7, 1.9, 4.0), (0, 100, 100), T=20.0).exponent
         assert a == pytest.approx(b, rel=1e-6)
 
     def test_growth_near_hyperbolic_stagnation_point(self):
@@ -77,11 +103,11 @@ class TestWKBExponent:
         w, V = np.linalg.eig(rec.jacobian.T)
         xi0 = V[:, int(np.argmin(w.real))].real
         result = wkb_exponent(u, rec.location + 1e-3, xi0, T=10.0,
-                              rtol=1e-9, atol=1e-11, return_details=True)
+                              rtol=1e-9, atol=1e-11)
         assert result.exponent > 0
         # seeded exactly at the zero the frozen linearization growth shows
         at_zero = wkb_exponent(u, rec.location, xi0, T=30.0, rtol=1e-9,
-                               atol=1e-11, return_details=True)
+                               atol=1e-11)
         assert at_zero.tail_slope == pytest.approx(unstable_rate / 2, rel=0.05)
 
     def test_integrable_shear_growth_is_algebraic(self):
@@ -89,7 +115,7 @@ class TestWKBExponent:
         # raw ratio can sit above zero
         result = wkb_exponent(
             shear_field(1), (0.2, 0.4, 1.0), (1.0, 0.5, 0.25), T=200.0,
-            rtol=1e-8, atol=1e-10, return_details=True,
+            rtol=1e-8, atol=1e-10,
         )
         assert result.tail_slope < 1e-2
         assert result.exponent < 0.05
