@@ -18,18 +18,43 @@ one real degree of freedom per constant component and a (Re, Im) pair
 per half-lattice wavevector, scaled so the flat inner product is the
 Euclidean dot product.
 
-The eigenproblem B v = lambda G v is solved in one way: a dense
-generalized `eigh` of the full pencil, which returns every eigenpair, so
-a window never loses pairs. Its cost grows as dim^3 (dim 3993 at N = 5,
-6591 at N = 6). A solver that computes only part of the spectrum can
-replace it only if it also counts the eigenvalues in the window (by
-Sylvester inertia of B - sigma G at both ends) and fails when short.
+The pencil B v = lambda G v is solved on the complement of its kernel.
+Every half mode m gets a fixed orthonormal frame of its six packed dofs:
+the closed frame C_m = {(m^, 0), (0, m^)} in (Re, Im) coordinates and
+the helical frame (Waleffe 1992, Phys. Fluids A 4:350)
+
+    V_m = {(e1, e2), (e2, -e1), (e1, -e2), (e2, e1)} / sqrt(2),
+
+with (m^, e1, e2) right-handed. B vanishes on C_m and on the three
+constants, which span the closed forms, and V_m^T B V_m = diag(|m|, |m|,
+-|m|, -|m|). With d the diagonal of all K half modes, eliminating the
+closed coordinates leaves the 4K-dimensional pencil d x = lambda S x,
+where
+
+    S = V^T G V - (C^T G V)^T (C^T G C)^{-1} (C^T G V)
+
+is a Schur complement. Its spectrum is exactly the nonzero spectrum of
+the full pencil, and an eigenvector lifts back as
+v = V x - C (C^T G C)^{-1} C^T G V x, which is G-orthogonal to every
+closed form, so coexact. The frames and d depend only on the truncation
+and are built once per truncation (`mode_basis`).
+
+Each window takes one generalized `eigh` of (d, S) that computes only
+the window's eigenvectors. By Sylvester's law of inertia the reduced
+pencil has exactly 2K negative eigenvalues, as d has, so the k
+eigenvalues of smallest magnitude lie among the 2k with indices
+2K - k .. 2K + k - 1 in ascending order. An interval window [a, b] is
+counted beforehand by the inertia of d - sigma S (an LDL^T
+factorization) at sigma = a and just above b (Parlett, *The Symmetric
+Eigenvalue Problem*). A solve that returns a different number of pairs
+than its window holds raises EigensolverError, so no window loses pairs
+silently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.linalg as sla
@@ -40,14 +65,14 @@ from .fields import (
     CollocationGrid,
     FourierField,
     MetricField,
-    exterior_d,
     mode_range,
 )
 
-# clustering threshold relative to the spectral radius
+# clustering threshold relative to max|d| = N sqrt(3), the norm of the
+# helical diagonal. A subset solve never sees the spectral radius; max|d|
+# is known before it, equals the radius for the flat metric and lies
+# within 1.2% of it at metric amplitude 1e-2 (25% at 0.15).
 GAP_TOL = 1e-6
-# eigenvalues below this fraction of the spectral radius are kernel modes
-KERNEL_TOL = 1e-6
 
 _SCALE = TAU ** 1.5
 _SQRT2 = np.sqrt(2.0)
@@ -60,11 +85,16 @@ class ModeBasis:
     then for every half-lattice mode (first nonzero entry positive, in
     lexicographic order) six dofs [Re c_0..2, Im c_0..2]. The scaling
     makes the flat L2 inner product the Euclidean dot product.
+
+    rotation[j] is the orthogonal 6 x 6 frame [C_m | V_m] of half mode
+    j's dofs and d the helical diagonal, (|m|, |m|, -|m|, -|m|) per mode.
+    All arrays are read-only: `mode_basis` shares one basis between the
+    operators of every metric at a truncation, across threads too.
     """
 
-    def __init__(self, truncation: int, ncomp: int = 3):
+    def __init__(self, truncation: int):
         self.truncation = truncation
-        self.ncomp = ncomp
+        self.ncomp = 3
         n = truncation
         m = mode_range(n)
         mx, my, mz = np.meshgrid(m, m, m, indexing="ij")
@@ -81,7 +111,25 @@ class ModeBasis:
         neg = 2 * n - idx
         self.neg_index = (neg[:, 0], neg[:, 1], neg[:, 2])
         self.n_half = idx.shape[0]
-        self.dim = ncomp * (1 + 2 * self.n_half)
+        self.dim = self.ncomp * (1 + 2 * self.n_half)
+
+        m = self.half_modes.astype(float)
+        length = np.linalg.norm(m, axis=1)
+        mhat = m / length[:, None]
+        # e1 is orthogonal to m and to the coordinate axis least aligned with it
+        axis = np.eye(3)[np.argmin(np.abs(mhat), axis=1)]
+        e1 = np.cross(axis, mhat)
+        e1 /= np.linalg.norm(e1, axis=1)[:, None]
+        e2 = np.cross(mhat, e1)
+        h1, h2, zero = e1 / _SQRT2, e2 / _SQRT2, np.zeros_like(mhat)
+        columns = [(mhat, zero), (zero, mhat),
+                   (h1, h2), (h2, -h1), (h1, -h2), (h2, h1)]
+        self.rotation = np.stack([np.concatenate(c, axis=1) for c in columns],
+                                 axis=2)  # (K_h, 6, 6)
+        self.d = np.outer(length, [1.0, 1.0, -1.0, -1.0]).ravel()
+        for a in (*self.half_index, self.half_modes, *self.neg_index,
+                  self.rotation, self.d):
+            a.flags.writeable = False
 
     def pack(self, coeffs: np.ndarray) -> np.ndarray:
         return self.pack_batch(coeffs[None])[0]
@@ -130,6 +178,12 @@ class ModeBasis:
         C[:, 2, 0] = -m[:, 1]
         C[:, 2, 1] = m[:, 0]
         return C
+
+
+@lru_cache(maxsize=8)
+def mode_basis(truncation: int) -> ModeBasis:
+    """The mode basis with its frames, built once per truncation."""
+    return ModeBasis(truncation)
 
 
 @dataclass
@@ -183,7 +237,7 @@ class CurlOperator:
             max(truncation, metric.truncation)
         )
         self.metric.samples(self.grid)  # SPD validation up front
-        self.basis = ModeBasis(truncation)
+        self.basis = mode_basis(truncation)
 
     @property
     def dim(self) -> int:
@@ -217,6 +271,7 @@ class CurlOperator:
 
     @cached_property
     def pairing_matrix(self) -> np.ndarray:
+        """Dense B; the solver never builds it, the frames diagonalize it."""
         basis = self.basis
         B = np.zeros((basis.dim, basis.dim))
         C = self._cross
@@ -318,27 +373,59 @@ class CurlOperator:
         return self.gram_solve(self.pairing_apply(v))
 
     @cached_property
-    def _closed_basis(self) -> np.ndarray:
-        """Packed basis of the closed truncation-N 1-forms (the kernel)."""
-        basis = self.basis
-        scal = ModeBasis(self.truncation, ncomp=1)
-        cols = []
-        for c in range(3):
-            e = np.zeros(basis.dim)
-            e[c] = 1.0
-            cols.append(e)  # constant forms dx, dy, dz
-        for j in range(scal.dim - 1):
-            v = np.zeros(scal.dim)
-            v[1 + j] = 1.0
-            phi = FourierField("scalar", scal.unpack(v))
-            cols.append(basis.pack(exterior_d(phi).pad_to(self.truncation).coeffs))
-        return np.column_stack(cols)
+    def _reduction(self):
+        """(L, W, S): the closed coordinates eliminated from (B, G).
 
-    @cached_property
-    def _closed_projector(self):
-        C = self._closed_basis
-        GC = self._gram_mult(C)
-        return C, GC, sla.cho_factor(C.T @ GC)
+        L is the lower Cholesky factor of C^T G C (constants first, then
+        two closed coordinates per mode), W = L^{-1} C^T G V and S is the
+        Schur complement V^T G V - W^T W. The rotated Gram blocks
+        Q_j^T G_jk Q_k, with Q_j = [C_m | V_m], come from the
+        (K, 6, K, 6) view of gram_matrix by two batched products; the
+        constants are closed and keep their coordinates.
+        """
+        G = self.gram_matrix
+        Q = self.basis.rotation
+        K = Q.shape[0]
+        nc = self.basis.ncomp
+        left = np.matmul(Q.transpose(0, 2, 1), G[nc:, nc:].reshape(K, 6, 6 * K))
+        rotated = np.empty((6 * K, K, 6))
+        np.matmul(left.reshape(6 * K, K, 6).transpose(1, 0, 2), Q,
+                  out=rotated.transpose(1, 0, 2))
+        del left
+        rotated = rotated.reshape(K, 6, K, 6)
+        const = np.einsum("ikb,kbq->ikq", G[:nc, nc:].reshape(nc, K, 6), Q)
+        closed = np.empty((nc + 2 * K, nc + 2 * K))
+        closed[:nc, :nc] = G[:nc, :nc]
+        closed[:nc, nc:] = const[:, :, :2].reshape(nc, 2 * K)
+        closed[nc:, :nc] = closed[:nc, nc:].T
+        closed[nc:, nc:] = rotated[:, :2, :, :2].reshape(2 * K, 2 * K)
+        cross = np.concatenate([const[:, :, 2:].reshape(nc, 4 * K),
+                                rotated[:, :2, :, 2:].reshape(2 * K, 4 * K)])
+        L = sla.cholesky(closed, lower=True)
+        W = sla.solve_triangular(L, cross, lower=True)
+        S = rotated[:, 2:, :, 2:].reshape(4 * K, 4 * K)
+        S -= W.T @ W
+        return L, W, S
+
+    def _lift(self, x: np.ndarray) -> np.ndarray:
+        """Packed v = V x - C (C^T G C)^{-1} C^T G V x for columns x."""
+        L, W, _ = self._reduction
+        y = -sla.solve_triangular(L, W @ x, lower=True, trans="T")
+        Q = self.basis.rotation
+        K, nc, p = Q.shape[0], self.basis.ncomp, x.shape[1]
+        local = np.concatenate([y[nc:].reshape(K, 2, p), x.reshape(K, 4, p)], axis=1)
+        return np.concatenate([y[:nc], np.matmul(Q, local).reshape(6 * K, p)])
+
+    def _closed_part(self, v: np.ndarray):
+        """(w, C^T G v), where C w is the G-orthogonal projection of v
+        onto the closed forms."""
+        L, _, _ = self._reduction
+        Gv = self._gram_mult(v)
+        nc = self.basis.ncomp
+        modes = np.einsum("kbp,kb->kp", self.basis.rotation[:, :, :2],
+                          Gv[nc:].reshape(-1, 6))
+        ctg = np.concatenate([Gv[:nc], modes.ravel()])
+        return sla.cho_solve((L, True), ctg), ctg
 
     def coexact_project(self, form: FourierField) -> FourierField:
         """Remove the exact and harmonic parts in the weighted inner product.
@@ -347,15 +434,40 @@ class CurlOperator:
         is the discrete divergence-free constraint; the map is idempotent.
         """
         v = self.basis.pack(self._coerce(form).coeffs)
-        C, GC, factor = self._closed_projector
-        w = sla.cho_solve(factor, GC.T @ v)
-        return FourierField("one_form", self.basis.unpack(v - C @ w))
+        w, _ = self._closed_part(v)
+        nc = self.basis.ncomp
+        Cw = np.matmul(self.basis.rotation[:, :, :2], w[nc:].reshape(-1, 2, 1))
+        v[:nc] -= w[:nc]
+        v[nc:] -= Cw.ravel()
+        return FourierField("one_form", self.basis.unpack(v))
 
     def coexact_residual_packed(self, v: np.ndarray) -> float:
         """Weighted norm of the closed-form component of a packed vector."""
-        C, GC, factor = self._closed_projector
-        w = sla.cho_solve(factor, GC.T @ v)
-        return float(np.sqrt(max(self._weighted_sq(C @ w), 0.0)))
+        w, ctg = self._closed_part(v)
+        return float(np.sqrt(max(w @ ctg, 0.0)))
+
+    def count_below(self, sigma: float) -> int:
+        """Nonzero eigenvalues below sigma: the negative inertia of d - sigma S.
+
+        S is positive definite, so by Sylvester's law the LDL^T pivots of
+        d - sigma S have as many negative eigenvalues as the pencil has
+        eigenvalues below sigma.
+        """
+        _, _, S = self._reduction
+        _, D, _ = sla.ldl(np.diag(self.basis.d) - sigma * S)
+        pivots = sla.eigvalsh_tridiagonal(np.diag(D), np.diag(D, -1))
+        return int(np.count_nonzero(pivots < 0))
+
+    def spectrum(self, **subset):
+        """Nonzero eigenvalues (ascending) and packed eigenvectors of B v = lambda G v.
+
+        One `eigh` of the reduced pencil (d, S); subset (subset_by_index or
+        subset_by_value) is passed on, so only those eigenvectors are
+        computed. The eigenvectors are G-normalized and coexact.
+        """
+        _, _, S = self._reduction
+        vals, x = sla.eigh(np.diag(self.basis.d), S, overwrite_a=True, **subset)
+        return vals, self._lift(x)
 
     def residual(self, form: FourierField, eigenvalue: float) -> float:
         """|| *d alpha - lambda alpha || / || alpha || in the weighted norm."""
@@ -441,7 +553,9 @@ def _spectrum_order(vals: np.ndarray, tol: float) -> np.ndarray:
     """Order by |lambda| with sign as a tolerance-aware tie break.
 
     Eigenvalues whose magnitudes agree within tol form one magnitude
-    group; inside a group positive values come first.
+    group; inside a group positive values come first, each sign by
+    increasing magnitude. So the first k never need an eigenvalue
+    outside the index bracket of the k smallest magnitudes per sign.
     """
     order = np.argsort(np.abs(vals), kind="stable")
     out = []
@@ -451,21 +565,10 @@ def _spectrum_order(vals: np.ndarray, tol: float) -> np.ndarray:
         ref = abs(vals[order[i]])
         while j < len(order) and abs(abs(vals[order[j]]) - ref) < tol:
             j += 1
-        group = sorted(order[i:j], key=lambda k: (0 if vals[k] > 0 else 1, vals[k]))
+        group = sorted(order[i:j], key=lambda k: (vals[k] < 0, abs(vals[k])))
         out.extend(group)
         i = j
     return np.asarray(out, dtype=int)
-
-
-def _dense_spectrum(op: CurlOperator):
-    B = op.pairing_matrix
-    if op._gram_scalar is not None:
-        vals, vecs = sla.eigh(B)
-        vals = vals / op._gram_scalar
-        vecs = vecs / np.sqrt(op._gram_scalar)
-    else:
-        vals, vecs = sla.eigh(B, op.gram_matrix)
-    return vals, vecs
 
 
 def eigenpairs(
@@ -478,37 +581,50 @@ def eigenpairs(
     """Solve *d alpha = lambda alpha on the coexact subspace.
 
     window selects either the `count` nonzero eigenvalues closest to 0
-    (both signs) or all eigenvalues in a signed `interval` that excludes
-    0. Pairs are sorted by |lambda| with positive sign first; clusters
-    closer than GAP_TOL * max|lambda| are flagged through cluster ids.
+    (both signs) or all eigenvalues in a signed closed `interval` that
+    excludes 0. Pairs are sorted by |lambda| with positive sign first;
+    clusters closer than GAP_TOL * max|d| = GAP_TOL * N sqrt(3) are
+    flagged through cluster ids.
 
-    The whole pencil is diagonalized densely at every truncation, so an
-    interval window returns every eigenvalue it holds and a count window
-    fails only when the truncation has fewer nonzero eigenvalues.
+    One `eigh` of the reduced pencil computes the window's eigenvectors
+    only: a count window k solves for the k eigenvalues nearest 0 of each
+    sign, an interval window for the values inside it. The window's size
+    is known before the solve (the index bracket, or the Sylvester
+    inertia count at both ends of the interval), and a solve that
+    returns another number of pairs raises EigensolverError with
+    diagnostics {window, expected, returned}. A count window also fails
+    when the truncation has fewer than `count` nonzero eigenvalues.
     """
-    window = parse_window(window)
+    spec = parse_window(window)
     op = operator or assemble(metric, truncation)
-    vals, vecs = _dense_spectrum(op)
-
-    scale = np.abs(vals).max()
-    keep = np.abs(vals) > max(KERNEL_TOL * scale, 1e-300)
-    vals = vals[keep]
-    vecs = vecs[:, keep]
-
-    order = _spectrum_order(vals, GAP_TOL * max(scale, 1.0))
-    vals = vals[order]
-    vecs = vecs[:, order]
-
-    if window[0] == "count":
-        count = window[1]
-        if count > len(vals):
+    n_reduced = op.basis.d.size
+    half = n_reduced // 2  # negative eigenvalues, by Sylvester's law
+    if spec[0] == "count":
+        count = spec[1]
+        if count > n_reduced:
             raise EigensolverError(
-                f"window requested {count} pairs, only {len(vals)} available"
+                f"window requested {count} pairs, only {n_reduced} available"
             )
-        sel = np.arange(count)
+        lo, hi = max(half - count, 0), min(half + count, n_reduced) - 1
+        subset = {"subset_by_index": [lo, hi]}
+        expected = hi - lo + 1
     else:
-        a, b = window[1], window[2]
-        sel = np.flatnonzero((vals >= a) & (vals <= b))
+        a, b = spec[1], spec[2]
+        # LAPACK's value range is half-open (lo, hi]: widen it to hold a
+        subset = {"subset_by_value": [np.nextafter(a, -np.inf), b]}
+        expected = op.count_below(np.nextafter(b, np.inf)) - op.count_below(a)
+    vals, vecs = op.spectrum(**subset)
+    if len(vals) != expected:
+        raise EigensolverError(
+            f"eigensolver returned {len(vals)} pairs, window holds {expected}",
+            diagnostics={"window": window, "expected": expected,
+                         "returned": len(vals)},
+        )
+
+    tol = GAP_TOL * np.abs(op.basis.d).max()
+    sel = _spectrum_order(vals, tol)
+    if spec[0] == "count":
+        sel = sel[:spec[1]]
 
     pairs: list[EigenPair] = []
     for rank, i in enumerate(sel):
@@ -529,7 +645,6 @@ def eigenpairs(
         )
 
     # multiplicity clusters
-    tol = GAP_TOL * max(scale, 1.0)
     cluster_id = -1
     prev = None
     members: dict[int, list[EigenPair]] = {}
@@ -570,12 +685,7 @@ def track_eigenvalue(
     lam = pair0.eigenvalue
 
     def spectrum_at(s):
-        op = assemble(metric_path(s), n)
-        vals, vecs = _dense_spectrum(op)
-        scale = np.abs(vals).max()
-        keep = np.abs(vals) > KERNEL_TOL * scale
-        order = np.argsort(vals[keep], kind="stable")
-        return vals[keep][order], vecs[:, keep][:, order]
+        return assemble(metric_path(s), n).spectrum()
 
     vals0, vecs0 = spectrum_at(0.0)
     i0 = int(np.argmin(np.abs(vals0 - lam)))

@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from curllab import curlspec
 from curllab.curlspec import (
     CurlOperator,
     ModeBasis,
@@ -205,10 +208,15 @@ class TestEigenpairs:
         with pytest.raises(ValueError, match="exclude"):
             eigenpairs(flat, 2, {"interval": [-1.0, 1.0]})
 
-    def test_count_beyond_truncation_raises(self, flat):
+    def test_count_beyond_truncation_raises(self, flat, monkeypatch):
         # N = 1: 81 packed dofs, of which 3 constant and 26 exact forms
         # are closed, which leaves 52 nonzero eigenvalues
         assert len(eigenpairs(flat, 1, {"count": 52})) == 52
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the count is checked before any solve")
+
+        monkeypatch.setattr(curlspec.sla, "eigh", no_solve)
         with pytest.raises(EigensolverError, match="only 52 available"):
             eigenpairs(flat, 1, {"count": 53})
 
@@ -229,8 +237,108 @@ class TestEigenpairs:
 
         expected = below(interval[1]) - below(interval[0])
         assert expected == {0.7: 18, -1.5: 18, 0.995: 2}[interval[0]]
+        assert op.count_below(interval[1]) - op.count_below(interval[0]) == expected
         pairs = eigenpairs(bumpy, 2, {"interval": interval}, operator=op)
         assert len(pairs) == expected
+
+
+class TestReducedPencil:
+    def test_frames_diagonalize_the_pairing(self, flat):
+        op = assemble(flat, 2)
+        Q, d = op.basis.rotation, op.basis.d
+        K = op.basis.n_half
+        B = op.pairing_matrix[3:, 3:].reshape(K, 6, K, 6)
+        blocks = B[np.arange(K), :, np.arange(K), :]  # (K, 6, 6) per mode
+        np.testing.assert_allclose(Q.transpose(0, 2, 1) @ Q, np.broadcast_to(
+            np.eye(6), Q.shape), atol=1e-15)
+        rotated = Q.transpose(0, 2, 1) @ blocks @ Q
+        expect = np.zeros_like(rotated)
+        expect[:, np.arange(2, 6), np.arange(2, 6)] = d.reshape(K, 4)
+        np.testing.assert_allclose(rotated, expect, atol=1e-14)
+        assert np.all(d.reshape(K, 4)[:, :2] > 0)
+
+    def test_frames_shared_per_truncation_and_read_only(self, flat, bumpy):
+        a, b = assemble(flat, 2), assemble(bumpy, 2)
+        assert a.basis is b.basis
+        assert assemble(bumpy, 1).basis is not a.basis
+        for array in (a.basis.rotation, a.basis.d, a.basis.half_modes,
+                      a.basis.half_index[0], a.basis.neg_index[2]):
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+    def test_count_window_is_one_subset_eigh_of_the_reduced_pencil(
+            self, bumpy, monkeypatch):
+        calls = []
+        eigh = curlspec.sla.eigh
+
+        def spy(a, b=None, **kwargs):
+            calls.append((a.shape, b.shape, sorted(kwargs)))
+            return eigh(a, b, **kwargs)
+
+        monkeypatch.setattr(curlspec.sla, "eigh", spy)
+        assert len(eigenpairs(bumpy, 3, {"count": 6})) == 6
+        # N = 3: 171 half modes, so 4K = 684 against 1029 packed dofs
+        assert len(calls) == 1
+        a_shape, b_shape, keys = calls[0]
+        assert a_shape == b_shape == (684, 684)
+        assert "subset_by_index" in keys
+
+    @pytest.mark.parametrize("window, expected", [
+        ({"count": 6}, 12),  # the index bracket holds 6 of each sign
+        ({"interval": [0.7, 1.5]}, 18),
+    ])
+    def test_short_solve_raises(self, bumpy, monkeypatch, window, expected):
+        eigh = curlspec.sla.eigh
+
+        def drop_one(*args, **kwargs):
+            vals, vecs = eigh(*args, **kwargs)
+            return vals[:-1], vecs[:, :-1]
+
+        monkeypatch.setattr(curlspec.sla, "eigh", drop_one)
+        with pytest.raises(EigensolverError) as err:
+            eigenpairs(bumpy, 2, window)
+        assert err.value.diagnostics == {
+            "window": window, "expected": expected, "returned": expected - 1}
+
+
+seeds = st.integers(0, 2**32 - 1)
+amplitudes = st.floats(1e-3, 0.15)
+
+
+class TestReductionProperties:
+    @settings(max_examples=12, deadline=None)
+    @given(seed=seeds, amplitude=amplitudes, truncation=st.integers(1, 3))
+    def test_reduced_spectrum_is_the_nonzero_spectrum(
+            self, seed, amplitude, truncation):
+        op = assemble(random_metric(2.0, amplitude, seed), truncation)
+        B, G = op.pairing_matrix, op.gram_matrix
+        # reference: the dense pencil, whose kernel is the closed forms
+        full = sla.eigh(B, G, eigvals_only=True)
+        radius = np.abs(full).max()
+        nonzero = full[np.abs(full) > 1e-6 * radius]
+        tol = 1e3 * np.finfo(float).eps * radius
+        vals, vecs = op.spectrum()
+        K = op.basis.n_half
+        assert len(vals) == len(nonzero) == 4 * K
+        assert np.count_nonzero(vals < 0) == 2 * K
+        np.testing.assert_allclose(vals, nonzero, rtol=0, atol=tol)
+        np.testing.assert_allclose(B @ vecs, G @ vecs * vals, rtol=0, atol=tol)
+        np.testing.assert_allclose(np.einsum("ip,ij,jp->p", vecs, G, vecs), 1.0,
+                                   rtol=0, atol=1e3 * np.finfo(float).eps)
+
+    @settings(max_examples=12, deadline=None)
+    @given(seed=seeds, amplitude=amplitudes, truncation=st.integers(1, 2))
+    def test_weak_curl_is_symmetric_and_self_adjoint(
+            self, seed, amplitude, truncation):
+        op = assemble(random_metric(2.0, amplitude, seed), truncation)
+        B, G = op.pairing_matrix, op.gram_matrix
+        assert np.array_equal(B, B.T) and np.array_equal(G, G.T)
+        rng = np.random.default_rng(seed)
+        a = random_one_form(truncation, rng)
+        b = random_one_form(truncation, rng)
+        Aa, Ab = op.apply(a), op.apply(b)
+        scale = op.norm(Aa) * op.norm(b) + op.norm(a) * op.norm(Ab)
+        assert abs(op.inner(Aa, b) - op.inner(a, Ab)) <= 1e3 * np.finfo(float).eps * scale
 
 
 class TestGramMatrix:
