@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -24,6 +25,7 @@ BUDGET_PRESETS = {
     "fast": {"T_max": 10.0, "n_seeds": 4, "orbit_seeds": 4, "wkb_T": 50.0},
     "thorough": {"T_max": 100.0, "n_seeds": 128, "orbit_seeds": 32},
 }
+SECTION_AXES = {"x": 0, "y": 1, "z": 2, "0": 0, "1": 1, "2": 2}
 
 
 def _dump(obj, path: str | None):
@@ -73,9 +75,26 @@ def _window(text: str) -> dict:
         parse_window(window)
     except ValueError as err:
         raise argparse.ArgumentTypeError(
-            f"expected an interval a,b that excludes 0, got {text!r} ({err})"
+            f"expected a finite interval a,b that excludes 0, got {text!r} ({err})"
         ) from None
     return window
+
+
+def _section(text: str) -> dict:
+    """--section axis,offset as a seeding plane for find_periodic_orbits."""
+    try:
+        name, offset = (part.strip() for part in text.split(","))
+        if name not in SECTION_AXES:
+            raise ValueError(f"unknown axis {name!r}")
+        offset = float(offset)
+        if not math.isfinite(offset):
+            raise ValueError("the offset must be finite")
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(
+            f"expected axis,offset with axis x, y, z, 0, 1 or 2 and a finite "
+            f"offset, got {text!r} ({err})"
+        ) from None
+    return {"axis": SECTION_AXES[name], "offset": offset}
 
 
 def _budget(spec: str) -> CertifyBudget:
@@ -123,12 +142,8 @@ def cmd_fixed_points(args) -> int:
 def cmd_orbits(args) -> int:
     metric = _load_metric(args.metric)
     u = _load_field(args.field, metric)
-    section = None
-    if args.section:
-        axis, offset = args.section.split(",")
-        section = {"axis": axis, "offset": float(offset)}
     records = find_periodic_orbits(
-        u, T_max=args.t_max, section_spec=section, n_seeds=args.seeds,
+        u, T_max=args.t_max, section_spec=args.section, n_seeds=args.seeds,
         seed=args.seed,
     )
     _dump_lines(
@@ -250,7 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-max", type=float, default=30.0)
     p.add_argument("--seeds", type=int, default=16)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--section", help="axis,offset seeding plane, e.g. z,0.0")
+    p.add_argument("--section", type=_section,
+                   help="axis,offset seeding plane, e.g. z,0.0")
     p.add_argument("--trajectories", action="store_true",
                    help="include dense trajectory samples in the records")
     p.add_argument("--out")

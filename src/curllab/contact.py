@@ -41,6 +41,8 @@ ZERO_TOL_FACTOR = 1e-6
 REEB_RESIDUAL_TOL = 1e-8
 # curl-eigenform residual allowed for an adapted metric
 ADAPTED_RESIDUAL_TOL = 1e-6
+# smallest projected norm of the frame's reference axis on the grid
+FRAME_MIN_PROJECTION = 1e-3
 
 
 def _two_form_matrix(omega: np.ndarray) -> np.ndarray:
@@ -246,8 +248,7 @@ class ContactFrameEvaluator:
     canonical frame {d/dz, cos(kz) d/dx - sin(kz) d/dy}.
     """
 
-    def __init__(self, form, grid: CollocationGrid | None = None,
-                 min_projection: float = 1e-3):
+    def __init__(self, form, grid: CollocationGrid | None = None):
         alpha = _as_form(form)
         self.form = alpha
         self.two_form = exterior_d(alpha)
@@ -264,7 +265,7 @@ class ContactFrameEvaluator:
             score = float(np.linalg.norm(proj, axis=-1).min())
             if score > best_score:
                 best_axis, best_score = i, score
-        if best_score < min_projection:
+        if best_score < FRAME_MIN_PROJECTION:
             raise FrameError(
                 "no coordinate axis stays transverse to the kernel planes; "
                 f"best projected norm {best_score:.2e}"
@@ -346,7 +347,6 @@ def adapted_metric(
     *,
     grid: CollocationGrid | None = None,
     out_truncation: int | None = None,
-    residual_tol: float = ADAPTED_RESIDUAL_TOL,
 ) -> AdaptedMetricResult:
     """Metric built from a contact form and a compatible J on its kernel.
 
@@ -412,7 +412,7 @@ def adapted_metric(
     residual = l2_norm(metric, curl_alpha - lam * alpha, grid) / l2_norm(
         metric, alpha, grid
     )
-    if residual > residual_tol:
+    if residual > ADAPTED_RESIDUAL_TOL:
         raise IncompatibleStructureError(
             f"adapted metric fails the eigenfield property: residual "
             f"{residual:.2e} at eigenvalue {lam:.6g}"
@@ -435,7 +435,7 @@ def reeb_rescaled(u, metric: MetricField):
     from .fields import MetricJet, as_jet
 
     jet = as_jet(u)
-    mjet = None if metric.is_flat else MetricJet(metric)
+    mjet = MetricJet(metric)
 
     class _Rescaled:
         truncation = jet.truncation
@@ -443,22 +443,16 @@ def reeb_rescaled(u, metric: MetricField):
         @staticmethod
         def value(x):
             v = jet.value(x)
-            if mjet is None:
-                return v / (v @ v)
             g, _ = mjet.value_and_gradient(x)
             return v / (v @ g @ v)
 
         @staticmethod
         def value_and_jacobian(x):
             v, Dv = jet.value_and_jacobian(x)
-            if mjet is None:
-                s = v @ v
-                grad_s = 2.0 * Dv.T @ v
-            else:
-                g, dg = mjet.value_and_gradient(x)
-                s = v @ g @ v
-                grad_s = np.array([v @ dg[b] @ v for b in range(3)])
-                grad_s += 2.0 * Dv.T @ (g @ v)
+            g, dg = mjet.value_and_gradient(x)
+            s = v @ g @ v
+            grad_s = np.array([v @ dg[b] @ v for b in range(3)])
+            grad_s += 2.0 * Dv.T @ (g @ v)
             X = v / s
             DX = Dv / s - np.outer(v, grad_s) / s**2
             return X, DX

@@ -59,7 +59,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import BranchAmbiguityError, EigensolverError, UnsupportedRankError
+from .errors import EigensolverError, UnsupportedRankError
 from .fields import (
     TAU,
     CollocationGrid,
@@ -509,25 +509,14 @@ def assemble(metric: MetricField, truncation: int,
     return CurlOperator(metric, truncation, grid)
 
 
-def coexact_project(metric: MetricField, form: FourierField,
-                    operator: CurlOperator | None = None) -> FourierField:
-    op = operator or assemble(metric, max(form.truncation, 1))
-    return op.coexact_project(form)
-
-
-def residual(metric: MetricField, form: FourierField, eigenvalue: float,
-             operator: CurlOperator | None = None) -> float:
-    op = operator or assemble(metric, max(form.truncation, 1))
-    return op.residual(form, eigenvalue)
-
-
 # ---------------------------------------------------------------------------
 # Eigenpair extraction
 # ---------------------------------------------------------------------------
 
 
 def parse_window(window) -> tuple:
-    """Validate a window spec: {"count": k} or {"interval": [a, b]}.
+    """Validate a window spec: {"count": k} with an integer k >= 1, or
+    {"interval": [a, b]} with finite a <= b on one side of 0.
 
     Returns ("count", k) or ("interval", a, b); raises ValueError on
     anything else. The CLI checks --window with this function too.
@@ -535,12 +524,16 @@ def parse_window(window) -> tuple:
     if not isinstance(window, dict):
         raise ValueError(f"unrecognized window spec {window!r}")
     if "count" in window:
-        k = int(window["count"])
+        k = window["count"]
+        if not isinstance(k, (int, np.integer)):
+            raise ValueError(f"count window needs an integer, got {k!r}")
         if k < 1:
             raise ValueError("count window must request at least one pair")
-        return ("count", k)
+        return ("count", int(k))
     if "interval" in window:
         a, b = (float(x) for x in window["interval"])
+        if not (np.isfinite(a) and np.isfinite(b)):
+            raise ValueError("interval window bounds must be finite")
         if a > b:
             raise ValueError("empty interval window")
         if a <= 0.0 <= b:
@@ -659,80 +652,3 @@ def eigenpairs(
         for pair in group:
             pair.cluster_size = len(group)
     return pairs
-
-
-def track_eigenvalue(
-    metric_path,
-    pair0: EigenPair,
-    steps: int = 10,
-    *,
-    truncation: int | None = None,
-    max_halvings: int = 20,
-    trust: float = 0.3,
-):
-    """Continue one eigenvalue along a metric homotopy s in [0, 1].
-
-    metric_path(s) must return a MetricField; pair0 must be a simple
-    eigenvalue at s = 0. Matching is by nearest eigenvalue and is
-    trusted only when the step moved the eigenvalue by less than
-    `trust` times the local spectral spacing; otherwise the step is
-    halved (and grown back after successful steps). An unresolved
-    crossing raises BranchAmbiguityError carrying the partial track.
-    Returns a list of (s, eigenvalue, gap) tuples; gap is the distance
-    to the nearest other eigenvalue, counting degenerate copies.
-    """
-    n = truncation or pair0.form.truncation
-    lam = pair0.eigenvalue
-
-    def spectrum_at(s):
-        return assemble(metric_path(s), n).spectrum()
-
-    vals0, vecs0 = spectrum_at(0.0)
-    i0 = int(np.argmin(np.abs(vals0 - lam)))
-    vec = vecs0[:, i0]
-    track = [(0.0, lam, _gap_at(vals0, lam))]
-    s = 0.0
-    ds_base = 1.0 / steps
-    ds = ds_base
-    slope = 0.0
-    halvings = 0
-    good_steps = 0
-    while s < 1.0 - 1e-12:
-        s_next = min(s + ds, 1.0)
-        vals, vecs = spectrum_at(s_next)
-        pred = lam + slope * (s_next - s)
-        d = np.abs(vals - pred)
-        order = np.argsort(d, kind="stable")
-        i1 = order[0]
-        d1 = d[i1]
-        spacing = abs(vals[order[1]] - vals[i1]) if len(order) > 1 else np.inf
-        scale = max(np.abs(vals).max(), 1.0)
-        cand = vecs[:, i1]
-        overlap = abs(float(vec @ cand)) / (
-            np.linalg.norm(vec) * np.linalg.norm(cand)
-        )
-        value_ok = d1 <= 1e-12 * scale or d1 <= trust * spacing
-        if not (value_ok and overlap >= 0.5):
-            halvings += 1
-            good_steps = 0
-            if halvings > max_halvings:
-                raise BranchAmbiguityError(s_next, vals[order[:2]], track)
-            ds *= 0.5
-            continue
-        halvings = 0
-        good_steps += 1
-        if good_steps >= 3 and ds < ds_base:
-            ds = min(2.0 * ds, ds_base)
-            good_steps = 0
-        slope = (float(vals[i1]) - lam) / (s_next - s)
-        lam = float(vals[i1])
-        vec = cand
-        track.append((s_next, lam, _gap_at(vals, lam)))
-        s = s_next
-    return track
-
-
-def _gap_at(vals: np.ndarray, lam: float) -> float:
-    """Distance to the nearest other eigenvalue (degenerate copies count)."""
-    d = np.sort(np.abs(vals - lam))
-    return float(d[1]) if d.size > 1 else np.inf

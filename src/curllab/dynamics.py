@@ -43,6 +43,10 @@ MAX_CANDIDATES_PER_SEED = 3
 N_RECORD_SAMPLES = 400  # samples of a recorded orbit's trajectory
 SHOOT_MAX_ITER = 25  # Newton iterations on (point, period)
 MAX_PERIOD_GROWTH = 3.0  # shooting gives up past this multiple of T0
+CZ_SAMPLES = 1600    # samples of the linearized Reeb flow for the CZ index
+CZ_DEG_TOL = 1e-8    # |det(Psi(T) - 1)| / scale of a degenerate endpoint
+CZ_CROSS_TOL = 1e-3  # |det(Psi - 1)| / scale of a touching crossing
+CZ_KERNEL_SIGMA = 1e-3  # relative singular value spanning a crossing's kernel
 
 _OMEGA = np.array([[0.0, 1.0], [-1.0, 0.0]])  # omega(v, w) = v^T OMEGA w
 
@@ -245,11 +249,7 @@ def _classify_fixed_point(eigs: np.ndarray, eig_tol: float) -> tuple[str, bool]:
     return "non-hyperbolic", True
 
 
-def find_fixed_points(
-    u,
-    grid_density: int = 24,
-    newton_tol: float = NEWTON_TOL,
-) -> list[FixedPointRecord]:
+def find_fixed_points(u, grid_density: int = 24) -> list[FixedPointRecord]:
     """Zeros of a vector field (a FourierField or its FieldJet) with their
     linearizations.
 
@@ -275,7 +275,7 @@ def find_fixed_points(
     records: list[FixedPointRecord] = []
     for loc in seeds:
         x0 = np.array([grid.axis_points[i] for i in loc])
-        hit = newton_zero(jet, x0, tol=newton_tol, max_iter=MAX_NEWTON,
+        hit = newton_zero(jet, x0, tol=NEWTON_TOL, max_iter=MAX_NEWTON,
                           max_step=1.0)
         if not hit.converged:
             log.debug("fixed-point seed at %s discarded (no convergence)", hit.x)
@@ -624,15 +624,7 @@ def _interp_matrix(ts, mats, t):
     return (1 - w) * mats[i] + w * mats[i + 1]
 
 
-def cz_index_from_path(
-    ts: np.ndarray,
-    psis: np.ndarray,
-    generator=None,
-    *,
-    deg_tol: float = 1e-8,
-    cross_tol: float = 1e-3,
-    kernel_sigma: float = 1e-3,
-) -> int:
+def cz_index_from_path(ts: np.ndarray, psis: np.ndarray, generator=None) -> int:
     """Conley-Zehnder index of a symplectic path starting at the identity.
 
     Counts signed crossings of the eigenvalue-one variety: the signature
@@ -649,7 +641,7 @@ def cz_index_from_path(
     eye = np.eye(2)
     g = np.array([np.linalg.det(P - eye) for P in psis])
     g_scale = max(np.abs(g).max(), 1.0)
-    if abs(g[-1]) <= deg_tol * g_scale:
+    if abs(g[-1]) <= CZ_DEG_TOL * g_scale:
         raise ValueError("endpoint has a unit multiplier: degenerate path")
 
     if generator is None:
@@ -664,7 +656,7 @@ def cz_index_from_path(
     total = 0.5 * _signature(gamma0, 1e-10 * max(1.0, np.abs(gamma0).max()))
 
     # scan for interior crossings once the path has clearly left t = 0
-    threshold = cross_tol * g_scale
+    threshold = CZ_CROSS_TOL * g_scale
     above = np.abs(g) > 10 * threshold
     first_live = int(np.argmax(above)) if above.any() else n
     crossings = []
@@ -692,7 +684,7 @@ def cz_index_from_path(
         P = _interp_matrix(ts, psis, t_star)
         K = P - eye
         _, svals, vt = np.linalg.svd(K)
-        kernel = vt[svals <= kernel_sigma * max(svals.max(), 1.0)]
+        kernel = vt[svals <= CZ_KERNEL_SIGMA * max(svals.max(), 1.0)]
         if kernel.shape[0] == 0:
             continue  # refinement found no true crossing
         A = generator(t_star)
@@ -706,16 +698,8 @@ def cz_index_from_path(
     return index
 
 
-def conley_zehnder(
-    orbit: PeriodicOrbitRecord,
-    contact_form,
-    field,
-    metric=None,
-    *,
-    n_samples: int = 1600,
-    rtol: float = 1e-11,
-    atol: float = 1e-12,
-) -> int:
+def conley_zehnder(orbit: PeriodicOrbitRecord, contact_form, field,
+                   metric=None) -> int:
     """Conley-Zehnder index of a nondegenerate orbit of a Reeb-rescalable field.
 
     The orbit must be tangent to the Reeb field of the contact form,
@@ -763,12 +747,11 @@ def conley_zehnder(
     else:
         raise ValueError("could not refine the Reeb period of the orbit")
 
-    traj, Ms = variational_flow(reeb, x0, T_reeb, rtol=rtol, atol=atol,
-                                n_samples=n_samples)
+    traj, Ms = variational_flow(reeb, x0, T_reeb, n_samples=CZ_SAMPLES)
     frame = ContactFrameEvaluator(alpha)
     f1_0, f2_0 = frame.at(x0)
     F0 = np.column_stack([f1_0, f2_0])
-    psis = np.empty((n_samples, 2, 2))
+    psis = np.empty((CZ_SAMPLES, 2, 2))
     leakage = 0.0
     for i, (p, M) in enumerate(zip(traj.points, Ms)):
         f1, f2 = frame.at(p)

@@ -44,32 +44,22 @@ class HasZerosError(CurlLabError):
 
 
 class StiffnessError(CurlLabError):
-    """Adaptive integrator step size underflowed."""
+    """An integration failed: the integrator stopped (a step size underflow
+    among other causes) or the state left the finite range."""
 
 
 class EigensolverError(CurlLabError):
-    """Eigenvalue solver failed to converge; carries diagnostics."""
+    """An eigensolve cannot deliver its window.
+
+    Raised when a count window asks for more pairs than the truncation
+    has nonzero eigenvalues (4K for K half modes), or when a solve returns
+    another number of pairs than its window holds, with diagnostics
+    {window, expected, returned}.
+    """
 
     def __init__(self, message, diagnostics=None):
         self.diagnostics = diagnostics or {}
         super().__init__(message)
-
-
-class BranchAmbiguityError(CurlLabError):
-    """Eigenvalue continuation could not resolve a branch crossing.
-
-    This is data, not failure: it flags a non-generic metric path. The
-    partial track and the ambiguous candidates are attached.
-    """
-
-    def __init__(self, s, candidates, track):
-        self.s = float(s)
-        self.candidates = [float(c) for c in candidates]
-        self.track = track
-        super().__init__(
-            f"ambiguous eigenvalue matching at s={self.s:.6g}: "
-            f"candidates {self.candidates}"
-        )
 
 
 class IncompatibleStructureError(CurlLabError):

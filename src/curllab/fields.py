@@ -37,6 +37,8 @@ RANK_COMPONENTS = {"scalar": 1, "one_form": 3, "two_form": 3, "vector": 3}
 
 # Relative tolerance for the Hermitian-symmetry check at construction.
 HERMITIAN_TOL = 1e-10
+# Draws random_metric makes before it gives up on an SPD sample.
+RANDOM_METRIC_RETRIES = 20
 
 
 def mode_range(truncation: int) -> np.ndarray:
@@ -80,13 +82,6 @@ class CollocationGrid:
     @property
     def max_truncation(self) -> int:
         return (self.resolution - 1) // 2
-
-    def points(self) -> np.ndarray:
-        """All sample points, shape (M, M, M, 3)."""
-        x, y, z = np.meshgrid(
-            self.axis_points, self.axis_points, self.axis_points, indexing="ij"
-        )
-        return np.stack([x, y, z], axis=-1)
 
     def _bins(self, truncation: int) -> np.ndarray:
         if truncation > self.max_truncation:
@@ -180,13 +175,10 @@ class FourierField:
         rank: str,
         truncation: int,
         entries: Mapping[tuple, complex],
-        *,
-        complete: bool = True,
     ) -> "FourierField":
         """Build a field from sparse entries {(m1, m2, m3, comp): value}.
 
-        With complete=True (default) the conjugate entry at -m is added
-        automatically so the result is real-valued.
+        The conjugate entry at -m is added, so the result is real-valued.
         """
         L = 2 * truncation + 1
         ncomp = RANK_COMPONENTS[rank]
@@ -194,7 +186,7 @@ class FourierField:
         for key, value in entries.items():
             m1, m2, m3, comp = key
             coeffs[comp, m1 + truncation, m2 + truncation, m3 + truncation] += value
-            if complete and (m1, m2, m3) != (0, 0, 0):
+            if (m1, m2, m3) != (0, 0, 0):
                 coeffs[comp, -m1 + truncation, -m2 + truncation, -m3 + truncation] += (
                     np.conj(value)
                 )
@@ -494,15 +486,14 @@ def random_metric(
     *,
     cutoff: int = 2,
     base: MetricField | None = None,
-    max_retries: int = 20,
 ) -> MetricField:
     """Random SPD perturbation of a base metric.
 
     g = base + amplitude * h where h is a random symmetric trigonometric
     polynomial with independent coefficients damped by
     (1 + |m|)^(-smoothness - 2), a proxy for an amplitude-controlled
-    C^smoothness neighborhood. Resamples (bounded retries) if a draw
-    fails the SPD grid check.
+    C^smoothness neighborhood. Resamples, up to RANDOM_METRIC_RETRIES
+    draws in all, while a draw fails the SPD grid check.
     """
     from .errors import EnsembleAmplitudeError
 
@@ -517,7 +508,7 @@ def random_metric(
     mvals = mode_range(cutoff)
     mx, my, mz = np.meshgrid(mvals, mvals, mvals, indexing="ij")
     damp = (1.0 + np.sqrt(mx**2 + my**2 + mz**2)) ** (-smoothness - 2.0)
-    for _ in range(max_retries):
+    for _ in range(RANDOM_METRIC_RETRIES):
         comps = []
         for _c in range(6):
             re = rng.standard_normal(damp.shape)
@@ -533,8 +524,8 @@ def random_metric(
         except DegenerateMetricError:
             continue
     raise EnsembleAmplitudeError(
-        f"no SPD sample after {max_retries} retries: amplitude {amplitude} too "
-        f"large for smoothness {smoothness}"
+        f"no SPD sample after {RANDOM_METRIC_RETRIES} retries: amplitude "
+        f"{amplitude} too large for smoothness {smoothness}"
     )
 
 

@@ -170,14 +170,13 @@ def wkb_exponent(
 
 @dataclass
 class CertifyBudget:
-    """Search effort knobs for one certification run."""
+    """Search effort of one certification run: horizons, seed counts and
+    the seed of its random draws. The tolerances are fixed (TOLERANCES)."""
 
     T_max: float = 50.0         # orbit-search horizon
     n_seeds: int = 64           # wave-packet sample trajectories
     orbit_seeds: int = 16       # recurrence-scan seed trajectories
     wkb_T: float = WKB_T
-    wkb_threshold: float = WKB_THRESHOLD
-    fixed_point_grid: int = 24
     seed: int = 0
 
 
@@ -284,7 +283,7 @@ def certify(
     folded into the diagnostics, never raised.
     Every stage runs on the unit-mean-speed rescaling of the field, and
     the certificate reports its times and exponents in that clock, with
-    the budget's growth threshold among its tolerances.
+    the growth threshold among its tolerances.
     """
     if pair.eigenvalue == 0.0:
         raise ValueError("kernel fields are outside the certification scope")
@@ -311,12 +310,11 @@ def certify(
             exponent=exponent,
             eigenvalue=pair.eigenvalue,
             speed_scale=speed_scale,
-            tolerances={**TOLERANCES, "wkb_threshold": budget.wkb_threshold},
             diagnostics=diagnostics,
         )
 
     # stage 1: fixed points and their linearization rates
-    records = find_fixed_points(jet, grid_density=budget.fixed_point_grid)
+    records = find_fixed_points(jet)
     n_nondeg = sum(r.nondegenerate for r in records)
     diagnostics["stages"].append(
         {"stage": "fixed_points", "found": len(records), "nondegenerate": n_nondeg}
@@ -380,12 +378,12 @@ def certify(
             "samples": budget.n_seeds,
             "failures": failures,
             "best_tail_slope": None if best is None else best.tail_slope,
-            "threshold": budget.wkb_threshold,
+            "threshold": WKB_THRESHOLD,
         }
     )
     # the fitted tail slope separates exponential growth from the
     # algebraic transients integrable shear produces
-    if best is not None and best.tail_slope > budget.wkb_threshold:
+    if best is not None and best.tail_slope > WKB_THRESHOLD:
         return issue("positive_wkb_exponent", best, best.tail_slope)
 
     return issue("inconclusive", None, 0.0)

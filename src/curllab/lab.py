@@ -76,32 +76,29 @@ class SweepConfig:
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
-def _sample_generator(config_hash: str, seed: int, sample_id: int,
-                      stream: int = 0) -> np.random.Generator:
+def _sample_generator(config_hash: str, seed: int,
+                      sample_id: int) -> np.random.Generator:
     """Counter-based generator keyed by (config hash, master seed, sample)."""
+    # the trailing ":0" keeps the keys, so the samples, of earlier sweeps
     digest = hashlib.sha256(
-        f"{config_hash}:{seed}:{sample_id}:{stream}".encode()
+        f"{config_hash}:{seed}:{sample_id}:0".encode()
     ).digest()
     key = int.from_bytes(digest[:16], "big")
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def sample_metric(ensemble, seed) -> MetricField:
-    """One random SPD metric from an ensemble description.
+def sample_metric(config: SweepConfig, seed) -> MetricField:
+    """One random SPD metric from the ensemble a sweep config describes.
 
-    ensemble is a mapping with keys base_metric, smoothness, amplitude,
-    cutoff (a SweepConfig works); seed may be an integer or a prepared
-    Generator. Identical inputs give identical coefficients.
+    seed may be an integer or a prepared Generator. Identical inputs give
+    identical coefficients.
     """
-    if isinstance(ensemble, SweepConfig):
-        ensemble = ensemble.to_json_dict(include_paths=False)
-    base = named_metric(ensemble.get("base_metric", "flat"))
     return random_metric(
-        float(ensemble.get("smoothness", 2.0)),
-        float(ensemble.get("amplitude", 1e-2)),
+        float(config.smoothness),
+        float(config.amplitude),
         seed,
-        cutoff=int(ensemble.get("cutoff", 2)),
-        base=base,
+        cutoff=int(config.cutoff),
+        base=named_metric(config.base_metric),
     )
 
 

@@ -27,7 +27,7 @@ class TestSpectrumCommand:
             assert rec["eigenvalue"] == pytest.approx(1.0, abs=1e-10)
             assert "form" not in rec
 
-    @pytest.mark.parametrize("window", ["1.0", "-1,1"])
+    @pytest.mark.parametrize("window", ["1.0", "-1,1", "nan,1", "0.5,inf"])
     def test_bad_window_is_a_usage_error(self, window, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["spectrum", "--truncation", "2", "--window", window])
@@ -81,6 +81,23 @@ class TestDynamicsCommands:
         lines = csv.read_text().splitlines()
         assert lines[0].startswith("seed_x,")
         assert len(lines) == 1 + len(records)
+
+    @pytest.mark.parametrize("section", ["z", "w,0", "z,abc", "z,nan", ",1"])
+    def test_bad_section_is_a_usage_error(self, section, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["orbits", "--field", "xi:1", "--section", section])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert "--section" in err
+        assert "Traceback" not in err
+
+    def test_section_axis_names(self):
+        from curllab.cli import _section
+
+        assert _section("z,0.0") == {"axis": 2, "offset": 0.0}
+        assert _section("y, 1.5") == {"axis": 1, "offset": 1.5}
+        assert _section("0,-2") == {"axis": 0, "offset": -2.0}
 
     def test_eigenform_file_input(self, tmp_path):
         # spectrum -> sidecar eigenform -> fixed-points consumes the file
@@ -136,7 +153,10 @@ class TestCertificationCommands:
         assert "tolerances" in doc
 
     @pytest.mark.parametrize("command", ["instability", "certify-all"])
-    @pytest.mark.parametrize("budget", ['{"bogus": 1}', "nope", "[1]"])
+    # wkb_threshold and fixed_point_grid are fixed constants, not budget fields
+    @pytest.mark.parametrize("budget", ['{"bogus": 1}', "nope", "[1]",
+                                        '{"wkb_threshold": 0.2}',
+                                        '{"fixed_point_grid": 12}'])
     def test_bad_budget_is_a_usage_error(self, command, budget, capsys,
                                          monkeypatch):
         # rejected while parsing, before any eigensolve

@@ -11,15 +11,12 @@ from curllab.curlspec import (
     CurlOperator,
     ModeBasis,
     assemble,
-    coexact_project,
     eigenpairs,
-    residual,
-    track_eigenvalue,
+    parse_window,
 )
-from curllab.errors import BranchAmbiguityError, EigensolverError
+from curllab.errors import EigensolverError
 from curllab.fields import (
     FourierField,
-    MetricField,
     cos_mode,
     exterior_d,
     l2_norm,
@@ -117,17 +114,17 @@ class TestApply:
 class TestCoexactProjection:
     def test_exact_forms_die(self, flat):
         phi = sin_mode("scalar", 1, (1, 0, 0), 0)
-        out = coexact_project(flat, exterior_d(phi))
+        out = assemble(flat, 1).coexact_project(exterior_d(phi))
         assert np.abs(out.coeffs).max() <= 1e-12
 
     def test_coexact_forms_survive(self, flat):
         form = shear_one_form(1)
-        out = coexact_project(flat, form)
+        out = assemble(flat, 1).coexact_project(form)
         np.testing.assert_allclose(out.coeffs, form.coeffs, atol=1e-12)
 
     def test_strips_harmonic_part(self, flat):
         form = shear_one_form(1) + FourierField.constant("one_form", [1, 0, 0])
-        out = coexact_project(flat, form)
+        out = assemble(flat, 1).coexact_project(form)
         np.testing.assert_allclose(out.coeffs, shear_one_form(1).coeffs, atol=1e-12)
 
     def test_idempotent(self, bumpy, rng):
@@ -145,17 +142,18 @@ class TestCoexactProjection:
 
 class TestResidual:
     def test_exact_eigenform(self, flat):
-        assert residual(flat, shear_one_form(1), 1.0) <= 1e-12
+        assert assemble(flat, 1).residual(shear_one_form(1), 1.0) <= 1e-12
 
     def test_wrong_eigenvalue_is_order_one(self, flat):
-        assert residual(flat, shear_one_form(1), 2.0) == pytest.approx(1.0, rel=1e-10)
+        op = assemble(flat, 1)
+        assert op.residual(shear_one_form(1), 2.0) == pytest.approx(1.0, rel=1e-10)
 
     def test_three_term_beltrami(self, flat):
-        assert residual(flat, abc_one_form(1, 1, 1), 1.0) <= 1e-12
+        assert assemble(flat, 1).residual(abc_one_form(1, 1, 1), 1.0) <= 1e-12
 
     def test_zero_form_rejected(self, flat):
         with pytest.raises(ValueError):
-            residual(flat, FourierField.zeros("one_form", 1), 1.0)
+            assemble(flat, 1).residual(FourierField.zeros("one_form", 1), 1.0)
 
 
 class TestEigenpairs:
@@ -207,6 +205,19 @@ class TestEigenpairs:
     def test_window_containing_zero_rejected(self, flat):
         with pytest.raises(ValueError, match="exclude"):
             eigenpairs(flat, 2, {"interval": [-1.0, 1.0]})
+
+    @pytest.mark.parametrize("window, message", [
+        ({"interval": [float("nan"), 1.0]}, "finite"),
+        ({"interval": [0.5, float("inf")]}, "finite"),
+        ({"interval": [-float("inf"), -0.5]}, "finite"),
+        ({"count": 2.7}, "integer"),
+        ({"count": "3"}, "integer"),
+    ])
+    def test_malformed_window_rejected_at_parse_time(self, window, message):
+        # a non-finite bound would otherwise reach LAPACK, and int() would
+        # silently truncate a fractional count
+        with pytest.raises(ValueError, match=message):
+            parse_window(window)
 
     def test_count_beyond_truncation_raises(self, flat, monkeypatch):
         # N = 1: 81 packed dofs, of which 3 constant and 26 exact forms
@@ -370,57 +381,3 @@ class TestSelfAdjointness:
             g = random_metric(2.0, 5e-2, 1000 + i)
             op = assemble(g, 2)
             assert op.self_adjointness_residual(n_trials=6, seed=i) <= 1e-8
-
-
-class TestTracking:
-    def test_constant_path(self):
-        g = random_metric(2.0, 0.1, 314)
-        pairs = eigenpairs(g, 2, {"count": 6})
-        pair = pairs[0]
-        lam0, gap0 = pair.eigenvalue, None
-        track = track_eigenvalue(lambda s: g, pair, steps=4)
-        for _, lam, gap in track:
-            assert lam == pytest.approx(lam0, abs=1e-10)
-            gap0 = gap0 or gap
-            assert gap == pytest.approx(gap0, abs=1e-10)
-
-    def test_conformal_path_scaling_law(self):
-        # conformal rescaling divides the whole spectrum by the factor,
-        # for any base metric; start from a simple eigenvalue
-        g = random_metric(2.0, 0.1, 314)
-        pair = eigenpairs(g, 2, {"count": 6})[0]
-        lam0 = pair.eigenvalue
-
-        def path(s):
-            c2 = (1.0 + s) ** 2
-            return MetricField([comp * c2 for comp in g.components])
-
-        track = track_eigenvalue(path, pair, steps=5)
-        assert track[-1][0] == pytest.approx(1.0)
-        for s, lam, _ in track:
-            assert lam == pytest.approx(lam0 / (1.0 + s), abs=1e-9)
-
-    def test_degenerate_start_flags_ambiguity(self, flat):
-        # lambda = 1 has multiplicity six at the flat point; tracking from
-        # inside the cluster cannot pick a branch
-        pair = eigenpairs(flat, 2, {"count": 1})[0]
-
-        def path(s):
-            return random_metric(2.0, 1e-2 * s, 42) if s > 0 else flat
-
-        with pytest.raises(BranchAmbiguityError):
-            track_eigenvalue(path, pair, steps=4, max_halvings=6)
-
-    def test_cluster_split_tracking(self, flat):
-        # start from the already-split metric at s0 and continue outward
-        def path(s):
-            return random_metric(2.0, 1e-2 * (0.2 + 0.8 * s), 42)
-
-        start_pairs = eigenpairs(path(0.0), 2, {"count": 6})
-        for pair in start_pairs[:2]:
-            track = track_eigenvalue(path, pair, steps=5)
-            sign = np.sign(pair.eigenvalue)
-            for _, lam, _ in track:
-                # branch keeps its sign and stays inside the split cluster
-                assert np.sign(lam) == sign
-                assert abs(abs(lam) - 1.0) <= 0.1

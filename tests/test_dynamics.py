@@ -7,6 +7,7 @@ import scipy.optimize
 
 from curllab.dynamics import (
     EIG_TOL,
+    NEWTON_TOL,
     PeriodicOrbitRecord,
     Trajectory,
     _orthonormal_complement,
@@ -134,12 +135,16 @@ class TestFixedPoints:
             assert min(torus_distance(rec.location, y) for y in found) <= 1e-8
 
     def test_rerun_at_tighter_tolerance_is_stable(self):
+        # re-polish every zero at a tenth of the detection tolerance, as
+        # certify does before it issues a saddle witness
         u = abc_field(1, 1, 1)
-        base = find_fixed_points(u, newton_tol=1e-10)
-        tight = find_fixed_points(u, newton_tol=5e-11)
-        assert len(base) == len(tight)
-        for a, b in zip(base, tight):
-            assert torus_distance(a.location, b.location) <= 1e-9
+        jet = FieldJet(u)
+        records = find_fixed_points(u)
+        assert records
+        for rec in records:
+            hit = newton_zero(jet, rec.location, tol=NEWTON_TOL / 10, max_iter=40)
+            assert hit.converged
+            assert torus_distance(rec.location, hit.x) <= 1e-9
 
 
 class CountingJet:

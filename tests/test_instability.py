@@ -10,6 +10,7 @@ from curllab.errors import StiffnessError
 from curllab.fields import FourierField, flat_metric, l2_norm
 from curllab.fields import flat as lower_index
 from curllab.instability import (
+    WKB_THRESHOLD,
     CertifyBudget,
     InstabilityCertificate,
     certify,
@@ -188,7 +189,7 @@ class TestCertify:
         )
         cert = certify(g, pair, budget)
         assert cert.mechanism == "positive_wkb_exponent"
-        assert cert.exponent > budget.wkb_threshold
+        assert cert.exponent > WKB_THRESHOLD
         assert cert.witness.tail_slope == pytest.approx(cert.exponent)
 
     def test_certificate_serializes(self, flat):
@@ -221,9 +222,9 @@ class TestCertify:
     def test_certificate_records_budget_threshold(self, flat):
         form = lower_index(flat_metric(), abc_field(1, 1, 1))
         pair = make_pair(flat, form, 1.0)
-        budget = CertifyBudget(n_seeds=1, orbit_seeds=1, wkb_threshold=0.25)
+        budget = CertifyBudget(n_seeds=1, orbit_seeds=1)
         doc = certify(flat, pair, budget).to_json_dict()
-        assert doc["tolerances"]["wkb_threshold"] == 0.25
+        assert doc["tolerances"]["wkb_threshold"] == WKB_THRESHOLD
         assert doc["time_unit"] == "unit_mean_speed"
         assert doc["speed_scale"] > 0
 
