@@ -112,6 +112,16 @@ def _budget(spec: str) -> CertifyBudget:
         ) from None
 
 
+def _sweep_config(path: str) -> SweepConfig:
+    """--config as the path of a SweepConfig JSON file, checked up front."""
+    try:
+        return SweepConfig.from_json_dict(json.loads(Path(path).read_text()))
+    except (OSError, TypeError, ValueError) as err:
+        raise argparse.ArgumentTypeError(
+            f"expected a sweep config JSON file, got {path!r} ({err})"
+        ) from None
+
+
 def cmd_spectrum(args) -> int:
     metric = _load_metric(args.metric)
     pairs = eigenpairs(metric, args.truncation,
@@ -200,7 +210,7 @@ def cmd_instability(args) -> int:
 
 
 def cmd_genericity_sweep(args) -> int:
-    config = SweepConfig.from_json_dict(json.loads(Path(args.config).read_text()))
+    config = args.config
     if args.out_jsonl:
         config = SweepConfig.from_json_dict(
             {**config.to_json_dict(), "out_jsonl": args.out_jsonl}
@@ -294,7 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_instability)
 
     p = sub.add_parser("genericity-sweep", help="run a sweep config")
-    p.add_argument("--config", required=True)
+    p.add_argument("--config", type=_sweep_config, required=True,
+                   help="sweep config JSON file")
     p.add_argument("--out-jsonl")
     p.add_argument("--out-csv")
     p.add_argument("--threads", type=int, default=1,

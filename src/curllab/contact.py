@@ -3,8 +3,8 @@
 A nonvanishing curl eigenfield u with eigenvalue lambda != 0 has a
 contact dual 1-form alpha = iota_u g, and the rescaling u / |u|_g^2 is
 the Reeb field of alpha. Conversely every contact form admits a metric,
-assembled pointwise from alpha and a compatible almost-complex structure
-on its kernel planes, that turns its Reeb field back into a curl
+assembled pointwise from alpha and the quarter-turn almost-complex
+structure on its kernel planes, that turns its Reeb field back into a curl
 eigenfield. Both directions are implemented on the collocation grid and
 verified against their defining identities.
 """
@@ -61,14 +61,22 @@ def _two_form_matrix(omega: np.ndarray) -> np.ndarray:
     return A
 
 
+def _reeb_residual(alpha_vals: np.ndarray, omega: np.ndarray,
+                   X: np.ndarray) -> float:
+    """max(|alpha(X) - 1|, |iota_X d(alpha)| / max(|d(alpha)|, 1)) over the
+    samples; the arrays have the component axis last."""
+    alpha_res = np.abs(np.einsum("...c,...c->...", alpha_vals, X) - 1.0).max()
+    contraction = np.einsum("...ij,...i->...j", _two_form_matrix(omega), X)
+    omega_res = np.abs(contraction).max() / max(np.abs(omega).max(), 1.0)
+    return float(max(alpha_res, omega_res))
+
+
 @dataclass(frozen=True)
 class ContactForm:
     """A 1-form certified contact at grid resolution."""
 
     form: FourierField
     defect: float
-    orientation: int
-    grid_resolution: int
 
     @classmethod
     def certify(cls, form: FourierField,
@@ -82,12 +90,7 @@ class ContactForm:
                 f"alpha ^ d(alpha) is not bounded away from zero on the grid "
                 f"(min |pairing| = {defect:.3e})"
             )
-        return cls(
-            form=form,
-            defect=defect,
-            orientation=int(np.sign(pairing.flat[0])),
-            grid_resolution=grid.resolution,
-        )
+        return cls(form=form, defect=defect)
 
     @property
     def truncation(self) -> int:
@@ -134,49 +137,33 @@ def reeb_field(
     if np.abs(pairing).min() <= 0.0:
         raise NotContactError("form is not contact on the grid")
     X = omega / pairing[..., None]
-    # defining identities at the sample points
-    alpha_res = np.abs(np.einsum("...c,...c->...", a, X) - 1.0).max()
-    A = _two_form_matrix(omega)
-    contraction = np.einsum("...ij,...i->...j", A, X)
-    omega_res = np.abs(contraction).max() / max(np.abs(omega).max(), 1.0)
-    if max(alpha_res, omega_res) > 1e-10:
-        raise NotContactError(
-            f"Reeb residuals too large: |alpha(X)-1| = {alpha_res:.2e}, "
-            f"|i_X d(alpha)| = {omega_res:.2e}"
-        )
+    residual = _reeb_residual(a, omega, X)
+    if residual > 1e-10:
+        raise NotContactError(f"Reeb residual too large: {residual:.2e}")
     n_out = grid.max_truncation if out_truncation is None else out_truncation
     return FourierField("vector", grid.analyze(np.moveaxis(X, -1, 0), n_out))
 
 
-def beltrami_to_reeb(
-    u: FourierField,
-    metric: MetricField,
-    *,
-    grid: CollocationGrid | None = None,
-    zero_tol_factor: float = ZERO_TOL_FACTOR,
-    residual_tol: float = REEB_RESIDUAL_TOL,
-):
+def beltrami_to_reeb(u: FourierField, metric: MetricField):
     """Contact form and Reeb field of a nonvanishing curl eigenfield.
 
     Returns (ContactForm, X) with alpha the metric dual of u and
     X = u / |u|_g^2. Raises HasZerosError when the field drops below
-    zero_tol_factor times its mean speed; the caller should send such
+    ZERO_TOL_FACTOR times its mean speed; the caller should send such
     fields to fixed-point analysis instead. The Reeb conditions for the
-    pair are verified on the grid within residual_tol, which checks the
-    pointwise eigenfield identity curl u = lambda u. Exact eigenfields
+    pair are verified on the grid within REEB_RESIDUAL_TOL, which checks
+    the pointwise eigenfield identity curl u = lambda u. Exact eigenfields
     (flat-metric ABC and shear fields) meet it to round-off; a Galerkin
     eigenform of a non-constant metric meets it only to truncation error
     (about 1e-3 at N = 2) and raises NotContactError at the default
     tolerance, although it is nonvanishing and its dual form is contact.
     """
-    if grid is None:
-        n = max(u.truncation, metric.truncation)
-        grid = CollocationGrid(_next_odd(3 * n + 9))
+    grid = CollocationGrid(_next_odd(3 * max(u.truncation, metric.truncation) + 9))
     ms = metric.samples(grid)
     uv = np.moveaxis(u.sample(grid), 0, -1)
     speed_sq = np.einsum("...ab,...a,...b->...", ms.g, uv, uv)
     speed = np.sqrt(np.maximum(speed_sq, 0.0))
-    zero_tol = zero_tol_factor * speed.mean()
+    zero_tol = ZERO_TOL_FACTOR * speed.mean()
     if speed.min() <= zero_tol:
         raise HasZerosError(speed.min(), zero_tol)
     # grid sampling can straddle an isolated zero; confirm with a Newton
@@ -191,20 +178,12 @@ def beltrami_to_reeb(
     X_vals = uv / speed_sq[..., None]
     X = FourierField("vector", grid.analyze(np.moveaxis(X_vals, -1, 0), cap))
 
-    # Reeb conditions for (alpha, X) on the grid
     omega = np.moveaxis(exterior_d(alpha).sample(grid), 0, -1)
-    A = _two_form_matrix(omega)
-    alpha_res = np.abs(
-        np.einsum("...a,...a->...", alpha_vals, X_vals) - 1.0
-    ).max()
-    omega_res = np.abs(
-        np.einsum("...ij,...i->...j", A, X_vals)
-    ).max() / max(np.abs(omega).max(), 1.0)
-    if max(alpha_res, omega_res) > residual_tol:
+    residual = _reeb_residual(alpha_vals, omega, X_vals)
+    if residual > REEB_RESIDUAL_TOL:
         raise NotContactError(
-            f"dual form fails the Reeb conditions (residual "
-            f"{max(alpha_res, omega_res):.2e}); the input is not a curl "
-            f"eigenfield at this tolerance"
+            f"dual form fails the Reeb conditions (residual {residual:.2e}); "
+            f"the input is not a curl eigenfield at this tolerance"
         )
     contact = ContactForm.certify(alpha, grid)
     return contact, X
@@ -271,7 +250,6 @@ class ContactFrameEvaluator:
                 f"best projected norm {best_score:.2e}"
             )
         self.reference_axis = best_axis
-        self.min_projection = best_score
 
     def at(self, x):
         """Frame (f1, f2) at a point, with d(alpha)(f1, f2) = 1."""
@@ -305,34 +283,6 @@ def _kernel_frame(a: np.ndarray, axis: int):
     return f1, np.cross(unit, f1)
 
 
-@dataclass(frozen=True)
-class AlmostComplexStructure:
-    """2x2 matrix field acting on the kernel planes in a frame {f1, f2}."""
-
-    matrices: np.ndarray  # (M, M, M, 2, 2)
-    grid: CollocationGrid
-
-    def __post_init__(self):
-        J2 = np.einsum("...ab,...bc->...ac", self.matrices, self.matrices)
-        dev = np.abs(J2 + np.eye(2)).max()
-        if dev > 1e-10:
-            raise IncompatibleStructureError(
-                f"J^2 deviates from -identity by {dev:.2e}"
-            )
-
-
-def standard_complex_structure(form, grid: CollocationGrid) -> AlmostComplexStructure:
-    """Rotation by a quarter turn on the kernel planes, oriented by d(alpha)."""
-    alpha = _as_form(form)
-    pairing = wedge_pairing_samples(alpha, grid)
-    sign = float(np.sign(pairing.mean()))
-    if sign == 0.0:
-        raise NotContactError("cannot orient a vanishing contact pairing")
-    J = np.array([[0.0, -sign], [sign, 0.0]])
-    M = grid.resolution
-    return AlmostComplexStructure(np.broadcast_to(J, (M, M, M, 2, 2)).copy(), grid)
-
-
 @dataclass
 class AdaptedMetricResult:
     metric: MetricField
@@ -341,19 +291,15 @@ class AdaptedMetricResult:
     frame_asymmetry: float
 
 
-def adapted_metric(
-    form,
-    structure: AlmostComplexStructure | None = None,
-    *,
-    grid: CollocationGrid | None = None,
-    out_truncation: int | None = None,
-) -> AdaptedMetricResult:
-    """Metric built from a contact form and a compatible J on its kernel.
+def adapted_metric(form, *, grid: CollocationGrid | None = None) -> AdaptedMetricResult:
+    """Metric built from a contact form and the quarter turn J on its kernel.
 
-    In the frame {X, f1, f2} the tensor is block diagonal: 1 on the Reeb
-    direction from the alpha (x) alpha term, and d(alpha)(f_a, J f_b) on
-    the kernel planes. The assembled tensor is symmetrized (the recorded
-    asymmetry detects an incompatible J, as does the SPD check), and the
+    J rotates the kernel planes by a quarter turn oriented by the sign s
+    of the mean contact pairing: J f1 = s f2, J f2 = -s f1. In the frame
+    {X, f1, f2} the tensor is block diagonal: 1 on the Reeb direction
+    from the alpha (x) alpha term, and d(alpha)(f_a, J f_b) on the kernel
+    planes. The assembled tensor is symmetrized (the recorded asymmetry
+    and the SPD check detect a J that d(alpha) does not tame), and the
     returned metric is verified to make the form a constant-eigenvalue
     curl eigenform; that eigenvalue is reported, not prescribed.
     """
@@ -361,12 +307,11 @@ def adapted_metric(
     n_a = alpha.truncation
     if grid is None:
         grid = CollocationGrid(_next_odd(4 * n_a + 9))
-    if structure is None:
-        structure = standard_complex_structure(alpha, grid)
-    elif structure.grid.resolution != grid.resolution:
-        raise ValueError("almost-complex structure sampled on a different grid")
+    sign = float(np.sign(wedge_pairing_samples(alpha, grid).mean()))
+    if sign == 0.0:
+        raise NotContactError("cannot orient a vanishing contact pairing")
 
-    X = np.moveaxis(reeb_field(alpha, grid, grid.max_truncation).sample(grid), 0, -1)
+    X = np.moveaxis(reeb_field(alpha, grid).sample(grid), 0, -1)
     frame = ContactFrameEvaluator(alpha, grid)
     # Euclidean-orthonormal kernel basis, not normalized by d(alpha)(f1, f2)
     f1, f2 = _kernel_frame(np.moveaxis(alpha.sample(grid), 0, -1),
@@ -375,8 +320,7 @@ def adapted_metric(
     omega = np.moveaxis(exterior_d(alpha).sample(grid), 0, -1)
     A = _two_form_matrix(omega)
     basis = np.stack([f1, f2], axis=-2)  # (M,M,M,2,3)
-    # J acts by columns: (J f_b) = sum_a J[a, b] f_a
-    Jb = np.einsum("...ab,...ac->...bc", structure.matrices, basis)
+    Jb = np.stack([sign * f2, -sign * f1], axis=-2)  # (J f1, J f2)
     Q = np.einsum("...ai,...ij,...bj->...ab", basis, A, Jb)
     asym = float(np.abs(Q - np.swapaxes(Q, -1, -2)).max())
     Q = 0.5 * (Q + np.swapaxes(Q, -1, -2))
@@ -395,9 +339,7 @@ def adapted_metric(
             f"{eigs.min():.3e}); J is not tamed by d(alpha)"
         )
 
-    n_out = out_truncation if out_truncation is not None else min(
-        grid.max_truncation, 2 * n_a
-    )
+    n_out = min(grid.max_truncation, 2 * n_a)
     from .fields import METRIC_COMPONENTS
 
     comps = []

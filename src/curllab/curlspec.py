@@ -227,15 +227,12 @@ def _fix_sign(coeffs: np.ndarray) -> np.ndarray:
 class CurlOperator:
     """Weak-form curl operator *d for one metric and truncation."""
 
-    def __init__(self, metric: MetricField, truncation: int,
-                 grid: CollocationGrid | None = None):
+    def __init__(self, metric: MetricField, truncation: int):
         if truncation < 1:
             raise ValueError("truncation must be at least 1")
         self.metric = metric
         self.truncation = truncation
-        self.grid = grid or CollocationGrid.for_truncation(
-            max(truncation, metric.truncation)
-        )
+        self.grid = CollocationGrid.for_truncation(max(truncation, metric.truncation))
         self.metric.samples(self.grid)  # SPD validation up front
         self.basis = mode_basis(truncation)
 
@@ -313,16 +310,17 @@ class CurlOperator:
         Wd = what[:, :, diff[..., 0], diff[..., 1], diff[..., 2]]  # (3,3,K,K)
         Ws = what[:, :, summ[..., 0], summ[..., 1], summ[..., 2]]
         K = modes.shape[0]
-        blocks = np.empty((K, K, 6, 6))
-        blocks[:, :, 0:3, 0:3] = np.moveaxis(Wd.real + Ws.real, (0, 1), (2, 3))
-        blocks[:, :, 0:3, 3:6] = np.moveaxis(-Wd.imag + Ws.imag, (0, 1), (2, 3))
-        blocks[:, :, 3:6, 0:3] = np.moveaxis(Wd.imag + Ws.imag, (0, 1), (2, 3))
-        blocks[:, :, 3:6, 3:6] = np.moveaxis(Wd.real - Ws.real, (0, 1), (2, 3))
         G = np.empty((basis.dim, basis.dim))
         nc = basis.ncomp
-        G[nc:, nc:] = (
-            blocks.transpose(0, 2, 1, 3).reshape(6 * K, 6 * K)
-        )
+        # (K, 6, K, 6) view of the mode block: blocks[j, a, k, b] is the
+        # entry of component a of mode j against component b of mode k
+        blocks = G[nc:, nc:].reshape(K, 6, K, 6)
+        order = (2, 0, 3, 1)  # (a, b, j, k) -> (j, a, k, b)
+        blocks[:, 0:3, :, 0:3] = np.transpose(Wd.real + Ws.real, order)
+        blocks[:, 0:3, :, 3:6] = np.transpose(-Wd.imag + Ws.imag, order)
+        blocks[:, 3:6, :, 0:3] = np.transpose(Wd.imag + Ws.imag, order)
+        blocks[:, 3:6, :, 3:6] = np.transpose(Wd.real - Ws.real, order)
+        del Wd, Ws, blocks
         mz = modes % M  # (K, 3) single-mode rows against the constants
         W0 = what[:, :, mz[:, 0], mz[:, 1], mz[:, 2]]  # (3, 3, K)
         row_re = np.sqrt(2.0) * W0.real  # (3, 3, K): comp i, comp j, mode
@@ -333,7 +331,9 @@ class CurlOperator:
         G[:nc, nc:] = cross.reshape(3, 6 * K)
         G[nc:, :nc] = G[:nc, nc:].T
         G[:nc, :nc] = what[:, :, 0, 0, 0].real
-        return 0.5 * (G + G.T)
+        G += G.T
+        G *= 0.5
+        return G
 
     @cached_property
     def _gram_cho(self):
@@ -368,9 +368,6 @@ class CurlOperator:
         v = self.basis.pack(self._coerce(form).coeffs)
         out = self.gram_solve(self.pairing_apply(v))
         return FourierField("one_form", self.basis.unpack(out))
-
-    def apply_packed(self, v: np.ndarray) -> np.ndarray:
-        return self.gram_solve(self.pairing_apply(v))
 
     @cached_property
     def _reduction(self):
@@ -488,25 +485,10 @@ class CurlOperator:
     def _weighted_sq(self, v: np.ndarray) -> float:
         return float(v @ self._gram_mult(v))
 
-    def self_adjointness_residual(self, n_trials: int = 10, seed=0) -> float:
-        """max |<A a, b> - <a, A b>| over random unit-norm packed fields."""
-        rng = np.random.default_rng(seed)
-        worst = 0.0
-        for _ in range(n_trials):
-            a = rng.standard_normal(self.dim)
-            b = rng.standard_normal(self.dim)
-            a /= np.sqrt(self._weighted_sq(a))
-            b /= np.sqrt(self._weighted_sq(b))
-            Aa = self.apply_packed(a)
-            Ab = self.apply_packed(b)
-            worst = max(worst, abs(Aa @ self._gram_mult(b) - a @ self._gram_mult(Ab)))
-        return worst
 
-
-def assemble(metric: MetricField, truncation: int,
-             grid: CollocationGrid | None = None) -> CurlOperator:
+def assemble(metric: MetricField, truncation: int) -> CurlOperator:
     """Curl operator for the metric at the given truncation."""
-    return CurlOperator(metric, truncation, grid)
+    return CurlOperator(metric, truncation)
 
 
 # ---------------------------------------------------------------------------

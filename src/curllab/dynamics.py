@@ -11,8 +11,10 @@ Orbits are classified through the linearized return map on a transverse
 plane: Floquet multipliers, area preservation, nondegeneracy, and
 hyperbolicity type. For orbits of Reeb-rescalable fields the
 Conley-Zehnder index is computed from the symplectic path the
-linearized flow traces on the contact planes, via the crossing-form
-(signature counting) algorithm.
+linearized flow traces on the contact planes, by its rotation number:
+the turns one vector makes along the path (an eigenvector of the
+endpoint when it is hyperbolic). The sampled path must turn that vector
+by at most a quarter turn per step, or the index is refused.
 """
 
 from __future__ import annotations
@@ -45,10 +47,6 @@ SHOOT_MAX_ITER = 25  # Newton iterations on (point, period)
 MAX_PERIOD_GROWTH = 3.0  # shooting gives up past this multiple of T0
 CZ_SAMPLES = 1600    # samples of the linearized Reeb flow for the CZ index
 CZ_DEG_TOL = 1e-8    # |det(Psi(T) - 1)| / scale of a degenerate endpoint
-CZ_CROSS_TOL = 1e-3  # |det(Psi - 1)| / scale of a touching crossing
-CZ_KERNEL_SIGMA = 1e-3  # relative singular value spanning a crossing's kernel
-
-_OMEGA = np.array([[0.0, 1.0], [-1.0, 0.0]])  # omega(v, w) = v^T OMEGA w
 
 
 def torus_distance(a, b) -> float:
@@ -602,100 +600,33 @@ def find_periodic_orbits(
 # ---------------------------------------------------------------------------
 
 
-def _signature(gamma: np.ndarray, tol: float) -> int:
-    eigs = np.linalg.eigvalsh(0.5 * (gamma + gamma.T))
-    return int(np.sum(eigs > tol)) - int(np.sum(eigs < -tol))
+def cz_index_from_path(psis: np.ndarray) -> int:
+    """Conley-Zehnder index of a sampled symplectic path Psi(t), Psi(0) = 1.
 
-
-def _quadratic_refine(ts, ys, i):
-    """Vertex of the parabola through samples i-1, i, i+1."""
-    t0, t1, t2 = ts[i - 1], ts[i], ts[i + 1]
-    y0, y1, y2 = ys[i - 1], ys[i], ys[i + 1]
-    denom = (y0 - 2 * y1 + y2)
-    if abs(denom) < 1e-300:
-        return t1
-    dt = 0.5 * (y0 - y2) / denom * (t2 - t1)
-    return float(np.clip(t1 + dt, t0, t2))
-
-
-def _interp_matrix(ts, mats, t):
-    i = int(np.clip(np.searchsorted(ts, t) - 1, 0, len(ts) - 2))
-    w = (t - ts[i]) / (ts[i + 1] - ts[i])
-    return (1 - w) * mats[i] + w * mats[i + 1]
-
-
-def cz_index_from_path(ts: np.ndarray, psis: np.ndarray, generator=None) -> int:
-    """Conley-Zehnder index of a symplectic path starting at the identity.
-
-    Counts signed crossings of the eigenvalue-one variety: the signature
-    of the crossing form (the symplectic pairing of kernel vectors
-    against the path generator) at every interior crossing of
-    det(Psi(t) - 1) = 0, plus half the signature at t = 0. `generator`
-    may supply the exact logarithmic derivative A(t) = Psi' Psi^{-1};
-    otherwise it is differenced from the samples. The endpoint must be
-    nondegenerate.
+    Rotation-number rule (Hofer-Wysocki-Zehnder 1995): follow one vector
+    v under the path and count its turns, the summed angle steps of
+    Psi(t_i) v over 2 pi. For a hyperbolic endpoint (|tr Psi(T)| > 2) v is
+    a real eigenvector of Psi(T), which returns to +-v, and the index is
+    2 * turns rounded; otherwise v = e1, turns is never an integer, and
+    the index is 2 floor(turns) + 1. The endpoint must be nondegenerate,
+    and no angle step may exceed pi / 2, or the path is sampled too
+    coarsely to unwrap (ValueError either way).
     """
-    ts = np.asarray(ts, float)
     psis = np.asarray(psis, float)
-    n = len(ts)
-    eye = np.eye(2)
-    g = np.array([np.linalg.det(P - eye) for P in psis])
-    g_scale = max(np.abs(g).max(), 1.0)
-    if abs(g[-1]) <= CZ_DEG_TOL * g_scale:
+    g = np.linalg.det(psis - np.eye(2))
+    if abs(g[-1]) <= CZ_DEG_TOL * max(np.abs(g).max(), 1.0):
         raise ValueError("endpoint has a unit multiplier: degenerate path")
-
-    if generator is None:
-        dpsi = np.gradient(psis, ts, axis=0)
-        A_samples = np.einsum("tij,tjk->tik", dpsi, np.linalg.inv(psis))
-
-        def generator(t):
-            return _interp_matrix(ts, A_samples, t)
-
-    # half-signature at the identity start
-    gamma0 = _OMEGA @ generator(ts[0])
-    total = 0.5 * _signature(gamma0, 1e-10 * max(1.0, np.abs(gamma0).max()))
-
-    # scan for interior crossings once the path has clearly left t = 0
-    threshold = CZ_CROSS_TOL * g_scale
-    above = np.abs(g) > 10 * threshold
-    first_live = int(np.argmax(above)) if above.any() else n
-    crossings = []
-    for i in range(max(first_live, 1), n - 1):
-        sign_change = g[i] * g[i + 1] < 0 and abs(g[i]) > 0
-        touch = (
-            abs(g[i]) < threshold
-            and abs(g[i]) <= abs(g[i - 1])
-            and abs(g[i]) <= abs(g[i + 1])
-        )
-        if sign_change:
-            # linear root between the samples
-            t_star = ts[i] + (ts[i + 1] - ts[i]) * g[i] / (g[i] - g[i + 1])
-            crossings.append(t_star)
-        elif touch:
-            crossings.append(_quadratic_refine(ts, np.abs(g), i))
-    # merge crossings closer than the sampling step
-    dt = ts[1] - ts[0] if n > 1 else 1.0
-    merged = []
-    for t_star in crossings:
-        if not merged or t_star - merged[-1] > 2.5 * dt:
-            merged.append(t_star)
-
-    for t_star in merged:
-        P = _interp_matrix(ts, psis, t_star)
-        K = P - eye
-        _, svals, vt = np.linalg.svd(K)
-        kernel = vt[svals <= CZ_KERNEL_SIGMA * max(svals.max(), 1.0)]
-        if kernel.shape[0] == 0:
-            continue  # refinement found no true crossing
-        A = generator(t_star)
-        gamma = kernel @ (_OMEGA @ A) @ kernel.T
-        scale = max(np.abs(gamma).max(), 1e-12)
-        total += _signature(gamma, 1e-6 * scale)
-
-    index = int(np.rint(total))
-    if abs(total - index) > 1e-9:
-        raise ValueError(f"crossing count did not sum to an integer: {total}")
-    return index
+    end = psis[-1]
+    hyperbolic = abs(np.trace(end)) > 2.0
+    v = np.linalg.eig(end)[1][:, 0].real if hyperbolic else np.array([1.0, 0.0])
+    w = psis @ v
+    steps = np.diff(np.arctan2(w[:, 1], w[:, 0]))
+    steps = (steps + np.pi) % TAU - np.pi
+    if np.abs(steps).max(initial=0.0) > np.pi / 2:
+        raise ValueError("path sampled too coarsely: an angle step exceeds "
+                         "pi / 2")
+    turns = steps.sum() / TAU
+    return int(np.rint(2 * turns)) if hyperbolic else 2 * int(np.floor(turns)) + 1
 
 
 def conley_zehnder(orbit: PeriodicOrbitRecord, contact_form, field,
@@ -705,8 +636,10 @@ def conley_zehnder(orbit: PeriodicOrbitRecord, contact_form, field,
     The orbit must be tangent to the Reeb field of the contact form,
     which holds for orbits of a curl eigenfield paired with its dual
     form. The linearized Reeb flow is restricted to the contact planes
-    in a global frame and the resulting symplectic path is fed to the
-    crossing-form index.
+    in a global frame, sampled at CZ_SAMPLES times over one Reeb period,
+    and the index is the rotation number of that symplectic path
+    (cz_index_from_path), which refuses a path whose sampled vector turns
+    by more than a quarter turn per step.
     """
     from .contact import ContactFrameEvaluator, _as_form, reeb_rescaled
     from .fields import flat_metric
@@ -765,4 +698,4 @@ def conley_zehnder(orbit: PeriodicOrbitRecord, contact_form, field,
             f"linearized flow leaks off the contact planes by {leakage:.2e}; "
             "the orbit is not a Reeb orbit of this form"
         )
-    return cz_index_from_path(traj.ts, psis)
+    return cz_index_from_path(psis)

@@ -14,7 +14,8 @@ from __future__ import annotations
 import hashlib
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field as dataclass_field
+from dataclasses import asdict, dataclass
+from dataclasses import field as dataclass_field, fields as dataclass_fields
 
 import numpy as np
 
@@ -38,7 +39,8 @@ class SweepConfig:
 
     The output paths are carried for convenience but excluded from the
     configuration hash, so where results land never changes what they
-    contain.
+    contain. budget holds CertifyBudget effort fields; any other key
+    (seed included: the sweep draws one per pair) is a ValueError.
     """
 
     base_metric: str = "flat"
@@ -55,6 +57,14 @@ class SweepConfig:
     budget: dict = dataclass_field(default_factory=dict)
     out_jsonl: str | None = None
     out_csv: str | None = None
+
+    def __post_init__(self):
+        efforts = [f.name for f in dataclass_fields(CertifyBudget)
+                   if f.name != "seed"]
+        for key in self.budget:
+            if key not in efforts:
+                raise ValueError(f"unknown budget key {key!r}; a sweep budget "
+                                 f"takes {', '.join(efforts)}")
 
     def to_json_dict(self, include_paths: bool = True) -> dict:
         data = asdict(self)

@@ -25,6 +25,18 @@ def random_one_form(truncation: int, rng: np.random.Generator) -> FourierField:
     return FourierField("one_form", c)
 
 
+def self_adjointness_residual(op, n_trials: int, seed: int) -> float:
+    """max |<A a, b> - <a, A b>| over random unit-norm 1-forms, A = op.apply."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(n_trials):
+        a, b = (FourierField("one_form", op.basis.unpack(rng.standard_normal(op.dim)))
+                for _ in range(2))
+        a, b = a * (1.0 / op.norm(a)), b * (1.0 / op.norm(b))
+        worst = max(worst, abs(op.inner(op.apply(a), b) - op.inner(a, op.apply(b))))
+    return worst
+
+
 def random_scalar(truncation: int, rng: np.random.Generator) -> FourierField:
     L = 2 * truncation + 1
     c = rng.standard_normal((1, L, L, L)) + 1j * rng.standard_normal((1, L, L, L))

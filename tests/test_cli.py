@@ -213,6 +213,30 @@ class TestSweepCommand:
         assert "config_hash" in header
         assert csv.read_text().splitlines()[0].startswith("# config_hash=")
 
+    @pytest.mark.parametrize("text,named", [
+        ('{"samples": 1, "certify_pairs": true, "budget": {"bogus": 1}}', "bogus"),
+        ('{"samples": 1, "certify_pairs": true, "budget": {"seed": 3}}', "seed"),
+        ('{"samples": 1, "bogus": 1}', "bogus"),
+        ("not json", "sweep.json"),
+    ])
+    def test_bad_config_is_a_usage_error(self, tmp_path, text, named, capsys,
+                                         monkeypatch):
+        # rejected while parsing, before any eigensolve
+        def no_solve(*args, **kwargs):
+            raise AssertionError("eigensolve ran before --config was checked")
+
+        monkeypatch.setattr("curllab.lab.eigenpairs", no_solve)
+        cfg_path = tmp_path / "sweep.json"
+        cfg_path.write_text(text)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["genericity-sweep", "--config", str(cfg_path)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert "--config" in err
+        assert named in err
+        assert "Traceback" not in err
+
     def test_sweep_failure_exit_code(self, tmp_path):
         config = {"samples": 1, "amplitude": 50.0, "seed": 1}
         cfg_path = tmp_path / "sweep.json"

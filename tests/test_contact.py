@@ -11,7 +11,6 @@ from curllab.contact import (
     beltrami_to_reeb,
     reeb_field,
     reeb_rescaled,
-    standard_complex_structure,
     tight_form,
 )
 from curllab.errors import HasZerosError, NotContactError

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.optimize
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from curllab import dynamics
 from curllab.dynamics import (
     EIG_TOL,
     NEWTON_TOL,
@@ -13,6 +16,7 @@ from curllab.dynamics import (
     _orthonormal_complement,
     _project_return_map,
     abc_field,
+    conley_zehnder,
     cz_index_from_path,
     find_fixed_points,
     find_periodic_orbits,
@@ -24,7 +28,7 @@ from curllab.dynamics import (
     torus_distance,
     variational_flow,
 )
-from curllab.fields import FieldJet, FourierField
+from curllab.fields import FieldJet, FourierField, flat as lower_index, flat_metric
 
 
 class FrozenJet:
@@ -259,6 +263,17 @@ class TestPeriodicOrbitsIntegrable:
             assert rec.return_residual <= 1e-7
 
 
+def _rotation(angle):
+    c, s = np.cos(angle), np.sin(angle)
+    return np.array([[c, -s], [s, c]])
+
+
+def rotating_path(theta, nu, n):
+    """n samples of R(theta t) diag(e^{nu t}, e^{-nu t}), t in [0, 1]."""
+    return np.stack([_rotation(theta * t) @ np.diag([np.exp(nu * t), np.exp(-nu * t)])
+                     for t in np.linspace(0.0, 1.0, n)])
+
+
 class TestCZPathModels:
     """Rotation-number oracle: analytic symplectic paths with known indices."""
 
@@ -266,17 +281,10 @@ class TestCZPathModels:
     def rotation_path(theta_total, n=2001, T=1.0):
         ts = np.linspace(0, T, n)
         th = theta_total * ts / T
-        psis = np.stack([
+        return np.stack([
             np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
             for a in th
         ])
-        omega = theta_total / T
-        J0 = np.array([[0.0, -1.0], [1.0, 0.0]])
-
-        def gen(_):
-            return omega * J0
-
-        return ts, psis, gen
 
     @staticmethod
     def hyperbolic_path(nu, n=1501, T=1.0, negative=False):
@@ -290,7 +298,7 @@ class TestCZPathModels:
                 psis.append(R @ D)
             else:
                 psis.append(D)
-        return ts, np.stack(psis)
+        return np.stack(psis)
 
     @pytest.mark.parametrize(
         "theta,expect",
@@ -298,24 +306,71 @@ class TestCZPathModels:
          (4.4 * np.pi, 5), (-1.5 * np.pi, -1), (-2.5 * np.pi, -3)],
     )
     def test_elliptic_rotations(self, theta, expect):
-        ts, psis, gen = self.rotation_path(theta)
-        assert cz_index_from_path(ts, psis, gen) == expect
-        # differenced generator agrees with the exact one
-        assert cz_index_from_path(ts, psis) == expect
+        assert cz_index_from_path(self.rotation_path(theta)) == expect
 
     def test_positive_hyperbolic_is_zero(self):
-        ts, psis = self.hyperbolic_path(1.3)
-        assert cz_index_from_path(ts, psis) == 0
+        assert cz_index_from_path(self.hyperbolic_path(1.3)) == 0
 
     def test_negative_hyperbolic_is_odd(self):
         # quarter-turn rotation rate exceeds the stretching rate
-        ts, psis = self.hyperbolic_path(0.8, negative=True)
-        assert cz_index_from_path(ts, psis) == 1
+        psis = self.hyperbolic_path(0.8, negative=True)
+        assert cz_index_from_path(psis) == 1
 
     def test_degenerate_endpoint_rejected(self):
-        ts, psis, gen = self.rotation_path(2 * np.pi)
         with pytest.raises(ValueError, match="degenerate"):
-            cz_index_from_path(ts, psis, gen)
+            cz_index_from_path(self.rotation_path(2 * np.pi))
+
+    @pytest.mark.parametrize("n", [1600, 6400])
+    @pytest.mark.parametrize("nu", [0.02, 0.05, 0.3])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_rotating_weak_hyperbolic(self, k, nu, n):
+        # k full turns of a weakly hyperbolic map, positive hyperbolic at t = 1
+        psis = rotating_path(2 * np.pi * k, nu, n)
+        assert cz_index_from_path(psis) == 2 * k
+
+    def test_coarse_sampling_rejected(self):
+        # three samples of a half turn: each step turns by pi / 2 + 0.1
+        with pytest.raises(ValueError, match="coarsely"):
+            cz_index_from_path(self.rotation_path(np.pi + 0.2, n=3))
+
+
+class TestCZProperties:
+    """Invariance of the rotation-number index under symplectic changes."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        theta=st.floats(-5 * np.pi, 5 * np.pi),
+        nu=st.floats(0.0, 1.0),
+        shear=st.floats(-1.0, 1.0),
+        stretch=st.floats(0.5, 2.0),
+        turns=st.integers(-2, 2),
+    )
+    def test_conjugation_and_full_turns(self, theta, nu, shear, stretch, turns):
+        psis = rotating_path(theta, nu, 2000)
+        try:
+            base = cz_index_from_path(psis)
+        except ValueError:
+            assume(False)  # degenerate endpoint: no index to compare
+        # a constant symplectic change of frame (det C = 1)
+        C = np.array([[1.0, shear], [0.0, 1.0]]) @ np.diag([stretch, 1 / stretch])
+        conjugated = np.linalg.inv(C) @ psis @ C
+        assert cz_index_from_path(conjugated) == base
+        # m full turns appended by the loop R(2 pi m t)
+        loops = rotating_path(2 * np.pi * turns, 0.0, len(psis))
+        assert cz_index_from_path(loops @ psis) == base + 2 * turns
+
+
+class TestCZOrbitSampling:
+    def test_abc_orbit_indices_do_not_depend_on_sampling(self, monkeypatch):
+        # the orbits of the acceptance suite's orbit-machinery criterion
+        u = abc_field(1, 1, 1)
+        alpha = lower_index(flat_metric(), u)
+        orbits = [r for r in find_periodic_orbits(u, T_max=30.0, n_seeds=6, seed=3)
+                  if r.nondegenerate]
+        assert orbits
+        base = [conley_zehnder(r, alpha, u) for r in orbits]
+        monkeypatch.setattr(dynamics, "CZ_SAMPLES", 4 * dynamics.CZ_SAMPLES)
+        assert [conley_zehnder(r, alpha, u) for r in orbits] == base
 
 
 class TestNamedFields:

@@ -173,3 +173,21 @@ class TestReports:
         data = SMALL.to_json_dict()
         again = SweepConfig.from_json_dict(json.loads(json.dumps(data)))
         assert again == SMALL
+
+
+class TestConfigBudget:
+    # seed is drawn per pair by the sweep; wkb_threshold is a fixed tolerance
+    @pytest.mark.parametrize("budget", [{"bogus": 1}, {"seed": 3},
+                                        {"T_max": 6.0, "wkb_threshold": 0.2}])
+    def test_unknown_key_rejected_before_any_solve(self, budget, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("eigensolve ran before the budget was checked")
+
+        monkeypatch.setattr("curllab.lab.eigenpairs", no_solve)
+        bad = [key for key in budget if key != "T_max"][0]
+        with pytest.raises(ValueError, match=bad):
+            run_sweep(SweepConfig(samples=1, certify_pairs=True, budget=budget))
+
+    def test_effort_fields_accepted(self):
+        budget = {"T_max": 6.0, "orbit_seeds": 2, "n_seeds": 2, "wkb_T": 20.0}
+        assert SweepConfig(certify_pairs=True, budget=budget).budget == budget
