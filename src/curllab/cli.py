@@ -55,7 +55,9 @@ def _load_field(spec: str, metric: MetricField) -> FourierField:
     """Vector field from a file or a named analytic family.
 
     A 1-form file is interpreted as an eigenform and converted to its
-    metric-dual vector field.
+    metric-dual vector field u = sharp(metric, form), the field certify
+    starts from. The CLI flows u in the input field's time; certificates
+    report times in the unit-mean-speed time of u rescaled.
     """
     if Path(spec).exists():
         field = FourierField.load(spec)

@@ -23,6 +23,7 @@ from .errors import (
     NotContactError,
 )
 from .fields import (
+    METRIC_COMPONENTS,
     CollocationGrid,
     FieldJet,
     FourierField,
@@ -116,17 +117,13 @@ def tight_form(k: int) -> ContactForm:
     return ContactForm.certify(form)
 
 
-def reeb_field(
-    form,
-    grid: CollocationGrid | None = None,
-    out_truncation: int | None = None,
-) -> FourierField:
+def reeb_field(form, grid: CollocationGrid | None = None) -> FourierField:
     """Reeb vector field: contraction with d(alpha) vanishes, alpha eats it to 1.
 
     Solved pointwise: the kernel direction of the antisymmetric matrix of
     d(alpha) is its component vector, scaled by the contact pairing. The
-    result interpolates the exact pointwise solution on the grid, so both
-    defining residuals vanish there to round-off (asserted).
+    result interpolates the exact pointwise solution on the grid at its
+    full bandwidth, so both defining residuals vanish there to round-off.
     """
     alpha = _as_form(form)
     if grid is None:
@@ -140,8 +137,8 @@ def reeb_field(
     residual = _reeb_residual(a, omega, X)
     if residual > 1e-10:
         raise NotContactError(f"Reeb residual too large: {residual:.2e}")
-    n_out = grid.max_truncation if out_truncation is None else out_truncation
-    return FourierField("vector", grid.analyze(np.moveaxis(X, -1, 0), n_out))
+    return FourierField("vector",
+                        grid.analyze(np.moveaxis(X, -1, 0), grid.max_truncation))
 
 
 def beltrami_to_reeb(u: FourierField, metric: MetricField):
@@ -291,7 +288,7 @@ class AdaptedMetricResult:
     frame_asymmetry: float
 
 
-def adapted_metric(form, *, grid: CollocationGrid | None = None) -> AdaptedMetricResult:
+def adapted_metric(form) -> AdaptedMetricResult:
     """Metric built from a contact form and the quarter turn J on its kernel.
 
     J rotates the kernel planes by a quarter turn oriented by the sign s
@@ -305,8 +302,7 @@ def adapted_metric(form, *, grid: CollocationGrid | None = None) -> AdaptedMetri
     """
     alpha = _as_form(form)
     n_a = alpha.truncation
-    if grid is None:
-        grid = CollocationGrid(_next_odd(4 * n_a + 9))
+    grid = CollocationGrid(_next_odd(4 * n_a + 9))
     sign = float(np.sign(wedge_pairing_samples(alpha, grid).mean()))
     if sign == 0.0:
         raise NotContactError("cannot orient a vanishing contact pairing")
@@ -340,14 +336,10 @@ def adapted_metric(form, *, grid: CollocationGrid | None = None) -> AdaptedMetri
         )
 
     n_out = min(grid.max_truncation, 2 * n_a)
-    from .fields import METRIC_COMPONENTS
+    metric = MetricField(FourierField("scalar", grid.analyze(g[None, ..., i, j], n_out))
+                         for i, j in METRIC_COMPONENTS)
 
-    comps = []
-    for (i, j) in METRIC_COMPONENTS:
-        comps.append(FourierField("scalar", grid.analyze(g[None, ..., i, j], n_out)))
-    metric = MetricField(comps)
-
-    curl_alpha = hodge(metric, exterior_d(alpha), grid, n_a)
+    curl_alpha = hodge(metric, exterior_d(alpha), grid).truncate_to(n_a)
     lam = l2_inner(metric, curl_alpha, alpha, grid) / l2_inner(
         metric, alpha, alpha, grid
     )

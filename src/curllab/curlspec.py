@@ -619,18 +619,9 @@ def eigenpairs(
             )
         )
 
-    # multiplicity clusters
-    cluster_id = -1
-    prev = None
-    members: dict[int, list[EigenPair]] = {}
-    for pair in pairs:
-        if prev is None or abs(pair.eigenvalue - prev) >= tol:
-            cluster_id += 1
-            members[cluster_id] = []
-        pair.cluster_id = cluster_id
-        members[cluster_id].append(pair)
-        prev = pair.eigenvalue
-    for group in members.values():
-        for pair in group:
-            pair.cluster_size = len(group)
+    # multiplicity clusters: a new cluster at each gap of at least tol
+    lams = np.array([pair.eigenvalue for pair in pairs])
+    ids = np.cumsum(np.abs(np.diff(lams, prepend=np.inf)) >= tol) - 1
+    for pair, cluster_id, size in zip(pairs, ids, np.bincount(ids)[ids]):
+        pair.cluster_id, pair.cluster_size = int(cluster_id), int(size)
     return pairs

@@ -613,7 +613,9 @@ def cz_index_from_path(psis: np.ndarray) -> int:
     coarsely to unwrap (ValueError either way).
     """
     psis = np.asarray(psis, float)
-    g = np.linalg.det(psis - np.eye(2))
+    # det(Psi - 1) in closed form: LAPACK's LU divides by a subnormal pivot
+    d = psis - np.eye(2)
+    g = d[:, 0, 0] * d[:, 1, 1] - d[:, 0, 1] * d[:, 1, 0]
     if abs(g[-1]) <= CZ_DEG_TOL * max(np.abs(g).max(), 1.0):
         raise ValueError("endpoint has a unit multiplier: degenerate path")
     end = psis[-1]

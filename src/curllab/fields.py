@@ -15,9 +15,14 @@ With these conventions the wedge pairing of a 1-form against a 2-form is
 the Euclidean dot product of components, and the exterior derivative of a
 1-form is the classical curl.
 
-Pointwise metric operations (Hodge star, index raising/lowering, weighted
-inner products) are evaluated on a pseudospectral collocation grid sized
-for dealiased products and re-truncated afterwards.
+Pointwise metric operations (Hodge star, index raising/lowering, the
+codifferential, weighted inner products) are evaluated on a
+pseudospectral collocation grid sized for dealiased products. Hodge star,
+sharp, flat and the codifferential share one truncation rule for their
+result: a constant metric maps a truncation-N field to truncation N
+exactly, and any other metric does not band-limit the product, so the
+result keeps every mode the grid resolves (grid.max_truncation). A
+caller that wants fewer modes calls truncate_to.
 """
 
 from __future__ import annotations
@@ -33,7 +38,8 @@ from .errors import DegenerateMetricError, UnsupportedRankError
 TAU = 2.0 * np.pi
 VOLUME = TAU**3
 
-RANK_COMPONENTS = {"scalar": 1, "one_form": 3, "two_form": 3, "vector": 3}
+RANK_COMPONENTS = {"scalar": 1, "one_form": 3, "two_form": 3, "vector": 3,
+                   "metric": 6}
 
 # Relative tolerance for the Hermitian-symmetry check at construction.
 HERMITIAN_TOL = 1e-10
@@ -358,11 +364,13 @@ class MetricSamples:
 
 
 class MetricField:
-    """Riemannian metric on T^3 given by six scalar Fourier fields.
+    """Riemannian metric on T^3, held as one coefficient block.
 
-    Immutable; pointwise samples (g, its inverse, the volume density)
-    are cached per collocation grid on first use and validated to be
-    symmetric positive definite.
+    The block is a "metric" FourierField whose six components are the
+    symmetric tensor's entries in METRIC_COMPONENTS order; it is also the
+    metric's file format. Immutable; pointwise samples (g, its inverse,
+    the volume density) are cached per collocation grid on first use and
+    validated to be symmetric positive definite.
     """
 
     def __init__(self, components: Iterable[FourierField]):
@@ -372,29 +380,31 @@ class MetricField:
                 "metric needs six scalar fields ordered g11,g22,g33,g23,g13,g12"
             )
         n = max(c.truncation for c in comps)
-        self._components = tuple(c.pad_to(n) for c in comps)
+        self.block = FourierField(
+            "metric", np.concatenate([c.pad_to(n).coeffs for c in comps]),
+            _validated=True)
         self._cache: dict[int, MetricSamples] = {}
         # validate SPD on the default grid right away
         self.samples(CollocationGrid.for_truncation(n))
 
     @property
     def components(self) -> tuple:
-        return self._components
+        return tuple(FourierField("scalar", c[None], _validated=True)
+                     for c in self.block.coeffs)
 
     @property
     def truncation(self) -> int:
-        return self._components[0].truncation
+        return self.block.truncation
 
     @property
     def constant_factor(self) -> float | None:
         """c when g = c * identity with c constant, else None."""
-        c0 = self._components[0].mode(0, 0, 0)
-        for comp, (i, j) in zip(self._components, METRIC_COMPONENTS):
-            c = comp.coeffs.copy()
-            n = comp.truncation
-            c[0, n, n, n] -= c0 if i == j else 0.0
-            if np.abs(c).max() > 1e-14:
-                return None
+        n = self.truncation
+        c = self.block.coeffs.copy()
+        c0 = c[0, n, n, n]
+        c[:3, n, n, n] -= c0
+        if np.abs(c).max() > 1e-14:
+            return None
         return float(c0.real)
 
     @property
@@ -406,8 +416,7 @@ class MetricField:
         cached = self._cache.get(grid.resolution)
         if cached is not None:
             return cached
-        vals = np.stack([c.sample(grid) for c in self._components])  # (6,1,M,M,M)
-        g = _symmetric(np.moveaxis(vals[:, 0], 0, -1))
+        g = _symmetric(np.moveaxis(self.block.sample(grid), 0, -1))
         M = grid.resolution
         eigs = np.linalg.eigvalsh(g)
         min_eig = eigs[..., 0]
@@ -427,33 +436,19 @@ class MetricField:
 
     def eval(self, x) -> np.ndarray:
         """Metric tensor at a point, shape (3, 3)."""
-        return _symmetric(np.array([c.eval(x) for c in self._components]))
+        return _symmetric(self.block.eval(x))
 
     # -- serialization ------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        n = self.truncation
-        entries = []
-        for comp_index, comp in enumerate(self._components):
-            for m1, m2, m3, _, re, im in comp.to_json_dict()["coeffs"]:
-                entries.append([m1, m2, m3, comp_index, re, im])
-        entries.sort(key=lambda e: (e[0], e[1], e[2], e[3]))
-        return {"rank": "metric", "N": n, "coeffs": entries}
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "MetricField":
         if data.get("rank") != "metric":
             raise ValueError("not a metric file")
-        n = int(data["N"])
-        L = 2 * n + 1
-        comps = np.zeros((6, 1, L, L, L), np.complex128)
-        for m1, m2, m3, comp, re, im in data["coeffs"]:
-            comps[int(comp), 0, int(m1) + n, int(m2) + n, int(m3) + n] = re + 1j * im
-        return cls(FourierField("scalar", comps[i]) for i in range(6))
+        block = FourierField.from_json_dict(data).coeffs
+        return cls(FourierField("scalar", c[None], _validated=True) for c in block)
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, sort_keys=True)
+        self.block.save(path)
 
     @classmethod
     def load(cls, path) -> "MetricField":
@@ -499,8 +494,6 @@ def random_metric(
 
     if base is None:
         base = flat_metric()
-    n_base = base.truncation
-    n_out = max(n_base, cutoff)
     if isinstance(seed, np.random.Generator):
         rng = seed
     else:
@@ -517,10 +510,8 @@ def random_metric(
             c = 0.5 * (c + c[::-1, ::-1, ::-1].conj())  # make the field real
             comps.append(FourierField("scalar", c[None, ...]))
         try:
-            fields = []
-            for bc, hc in zip(base.components, comps):
-                fields.append(bc.pad_to(n_out) + amplitude * hc.pad_to(n_out))
-            return MetricField(fields)
+            return MetricField(bc + amplitude * hc
+                               for bc, hc in zip(base.components, comps))
         except DegenerateMetricError:
             continue
     raise EnsembleAmplitudeError(
@@ -595,99 +586,87 @@ def default_grid(*objects) -> CollocationGrid:
     return CollocationGrid.for_truncation(n)
 
 
-def hodge(
-    metric: MetricField,
-    field: FourierField,
-    grid: CollocationGrid | None = None,
-    out_truncation: int | None = None,
-) -> FourierField:
-    """Pointwise Hodge star of a 1-form or 2-form on the dealiased grid.
+def _metric_map(metric: MetricField, field: FourierField,
+                grid: CollocationGrid | None, rank: str, pointwise) -> FourierField:
+    """The pipeline the pointwise metric operations share.
 
-    The result is re-truncated to the input truncation unless
-    out_truncation says otherwise.
+    Samples the field on the grid (the default dealiased grid when None),
+    applies pointwise(metric samples, values with the component axis
+    last), and analyzes the result at the module's truncation rule.
     """
-    if field.rank not in ("one_form", "two_form"):
-        raise UnsupportedRankError(f"hodge star needs a 1- or 2-form, got {field.rank}")
     if grid is None:
         grid = default_grid(metric, field)
-    ms = metric.samples(grid)
-    vals = field.sample(grid)  # (3, M, M, M)
-    v = np.moveaxis(vals, 0, -1)  # (M, M, M, 3)
+    out = pointwise(metric.samples(grid), np.moveaxis(field.sample(grid), 0, -1))
+    n_out = field.truncation if metric.truncation == 0 else grid.max_truncation
+    return FourierField(rank, grid.analyze(np.moveaxis(out, -1, 0), n_out))
+
+
+def _contract(tensor: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return np.einsum("...ab,...b->...a", tensor, v)
+
+
+def hodge(metric: MetricField, field: FourierField,
+          grid: CollocationGrid | None = None) -> FourierField:
+    """Pointwise Hodge star of a 1-form or 2-form on the dealiased grid.
+
+    Truncation: the input's on a constant metric, else grid.max_truncation.
+    """
     if field.rank == "one_form":
-        out_v = np.einsum("...ab,...b->...a", ms.inv, v) * ms.sqrt_det[..., None]
-        out_rank = "two_form"
-    else:
-        out_v = np.einsum("...ab,...b->...a", ms.g, v) / ms.sqrt_det[..., None]
-        out_rank = "one_form"
-    n_out = field.truncation if out_truncation is None else out_truncation
-    coeffs = grid.analyze(np.moveaxis(out_v, -1, 0), n_out)
-    return FourierField(out_rank, coeffs)
+        return _metric_map(metric, field, grid, "two_form", lambda ms, v:
+                           _contract(ms.inv, v) * ms.sqrt_det[..., None])
+    if field.rank == "two_form":
+        return _metric_map(metric, field, grid, "one_form", lambda ms, v:
+                           _contract(ms.g, v) / ms.sqrt_det[..., None])
+    raise UnsupportedRankError(f"hodge star needs a 1- or 2-form, got {field.rank}")
 
 
-def sharp(
-    metric: MetricField,
-    form: FourierField,
-    grid: CollocationGrid | None = None,
-    out_truncation: int | None = None,
-) -> FourierField:
-    """Raise the index of a 1-form to a vector field."""
+def sharp(metric: MetricField, form: FourierField,
+          grid: CollocationGrid | None = None) -> FourierField:
+    """Raise the index of a 1-form to a vector field.
+
+    Truncation: the input's on a constant metric, else grid.max_truncation.
+    """
     if form.rank != "one_form":
         raise UnsupportedRankError("sharp needs a 1-form")
-    if grid is None:
-        grid = default_grid(metric, form)
-    ms = metric.samples(grid)
-    v = np.moveaxis(form.sample(grid), 0, -1)
-    out = np.einsum("...ab,...b->...a", ms.inv, v)
-    n_out = form.truncation if out_truncation is None else out_truncation
-    return FourierField("vector", grid.analyze(np.moveaxis(out, -1, 0), n_out))
+    return _metric_map(metric, form, grid, "vector",
+                       lambda ms, v: _contract(ms.inv, v))
 
 
-def flat(
-    metric: MetricField,
-    vector: FourierField,
-    grid: CollocationGrid | None = None,
-    out_truncation: int | None = None,
-) -> FourierField:
-    """Lower the index of a vector field to a 1-form."""
+def flat(metric: MetricField, vector: FourierField,
+         grid: CollocationGrid | None = None) -> FourierField:
+    """Lower the index of a vector field to a 1-form.
+
+    Truncation: the input's on a constant metric, else grid.max_truncation.
+    """
     if vector.rank != "vector":
         raise UnsupportedRankError("flat needs a vector field")
-    if grid is None:
-        grid = default_grid(metric, vector)
-    ms = metric.samples(grid)
-    v = np.moveaxis(vector.sample(grid), 0, -1)
-    out = np.einsum("...ab,...b->...a", ms.g, v)
-    n_out = vector.truncation if out_truncation is None else out_truncation
-    return FourierField("one_form", grid.analyze(np.moveaxis(out, -1, 0), n_out))
+    return _metric_map(metric, vector, grid, "one_form",
+                       lambda ms, v: _contract(ms.g, v))
 
 
-def codifferential(
-    metric: MetricField,
-    form: FourierField,
-    grid: CollocationGrid | None = None,
-    out_truncation: int | None = None,
-) -> FourierField:
+def _negative_divergence(ms: MetricSamples, v: np.ndarray) -> np.ndarray:
+    grid = ms.grid
+    dens = _contract(ms.weight, v)  # sqrt(g) g^{-1} alpha
+    dens_coeffs = grid.analyze(np.moveaxis(dens, -1, 0), grid.max_truncation)
+    div_vals = grid.synthesize(_coefficient_divergence(dens_coeffs))[0]
+    return (-div_vals / ms.sqrt_det)[..., None]
+
+
+def codifferential(metric: MetricField, form: FourierField,
+                   grid: CollocationGrid | None = None) -> FourierField:
     """Codifferential of a 1-form, the negative metric divergence.
 
     Computed as -(1/sqrt(det g)) d_a (sqrt(det g) g^{ab} alpha_b) with the
     derivative taken exactly in coefficient space on the dealiased grid.
     The sign makes <d phi, alpha> = <phi, delta alpha> in the weighted
-    inner products (checked by the adjointness tests). The result keeps
-    the full grid bandwidth by default so that pairing identity holds to
-    round-off; pass out_truncation to re-truncate.
+    inner products (checked by the adjointness tests). Truncation: the
+    input's on a constant metric, where the divergence is exact, else the
+    grid's full bandwidth, so that the pairing identity holds to
+    round-off (the module's rule).
     """
     if form.rank != "one_form":
         raise UnsupportedRankError("codifferential needs a 1-form")
-    if grid is None:
-        grid = default_grid(metric, form)
-    ms = metric.samples(grid)
-    v = np.moveaxis(form.sample(grid), 0, -1)
-    dens = np.einsum("...ab,...b->...a", ms.weight, v)  # sqrt(g) g^{-1} alpha
-    dens_coeffs = grid.analyze(np.moveaxis(dens, -1, 0), grid.max_truncation)
-    div_coeffs = _coefficient_divergence(dens_coeffs)
-    div_vals = grid.synthesize(div_coeffs)[0]
-    out_vals = -div_vals / ms.sqrt_det
-    n_out = grid.max_truncation if out_truncation is None else out_truncation
-    return FourierField("scalar", grid.analyze(out_vals[None, ...], n_out))
+    return _metric_map(metric, form, grid, "scalar", _negative_divergence)
 
 
 def l2_inner(
@@ -820,9 +799,7 @@ class MetricJet:
     """
 
     def __init__(self, metric: MetricField):
-        self.metric = metric
-        self._block = _value_and_gradient_block(
-            np.concatenate([f.coeffs for f in metric.components]))
+        self._block = _value_and_gradient_block(metric.block.coeffs)
 
     def value_and_gradient(self, x):
         """Returns g (3,3) and dg (3,3,3) with dg[b] = d_b g."""

@@ -48,6 +48,7 @@ the direction e, and xi(t) = (D phi_t)^-T xi0 never vanishes.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -67,7 +68,7 @@ from .dynamics import (
     newton_zero,
 )
 from .errors import StiffnessError
-from .fields import CollocationGrid, MetricField, as_jet, sharp
+from .fields import MetricField, as_jet, default_grid, sharp
 from scipy.integrate import solve_ivp
 
 # growth-exponent threshold separating exponential from algebraic growth
@@ -171,13 +172,27 @@ def wkb_exponent(
 @dataclass
 class CertifyBudget:
     """Search effort of one certification run: horizons, seed counts and
-    the seed of its random draws. The tolerances are fixed (TOLERANCES)."""
+    the seed of its random draws. The tolerances are fixed (TOLERANCES).
+    The horizons must be finite reals > 0 and the counts and the seed
+    integers >= 0 (not booleans); anything else is a ValueError."""
 
     T_max: float = 50.0         # orbit-search horizon
     n_seeds: int = 64           # wave-packet sample trajectories
     orbit_seeds: int = 16       # recurrence-scan seed trajectories
     wkb_T: float = WKB_T
     seed: int = 0
+
+    def __post_init__(self):
+        for name in ("T_max", "wkb_T"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not 0.0 < value < np.inf):
+                raise ValueError(f"{name} must be a finite real > 0, got {value!r}")
+        for name in ("n_seeds", "orbit_seeds", "seed"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                    or value < 0):
+                raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
 
 
 @dataclass
@@ -290,10 +305,8 @@ def certify(
     budget = budget or CertifyBudget()
     diagnostics: dict = {"stages": []}
 
-    grid = CollocationGrid.for_truncation(
-        max(pair.form.truncation, metric.truncation)
-    )
-    u = sharp(metric, pair.form, grid, grid.max_truncation)
+    grid = default_grid(metric, pair.form)
+    u = sharp(metric, pair.form)
     # eigenforms come normalized, so the flow can be arbitrarily slow;
     # search and report on the unit-mean-speed rescaling (orbit geometry,
     # multiplier spectra, and nondegeneracy are invariant)

@@ -40,7 +40,8 @@ class SweepConfig:
     The output paths are carried for convenience but excluded from the
     configuration hash, so where results land never changes what they
     contain. budget holds CertifyBudget effort fields; any other key
-    (seed included: the sweep draws one per pair) is a ValueError.
+    (seed included: the sweep draws one per pair), or a value that
+    CertifyBudget rejects, is a ValueError.
     """
 
     base_metric: str = "flat"
@@ -65,6 +66,7 @@ class SweepConfig:
             if key not in efforts:
                 raise ValueError(f"unknown budget key {key!r}; a sweep budget "
                                  f"takes {', '.join(efforts)}")
+        CertifyBudget(**self.budget)  # raises on a bad value
 
     def to_json_dict(self, include_paths: bool = True) -> dict:
         data = asdict(self)

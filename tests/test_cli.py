@@ -113,6 +113,23 @@ class TestDynamicsCommands:
         rc = main(["fixed-points", "--field", form_file, "--out", str(out)])
         assert rc == 0
 
+    def test_eigenform_file_flows_certifys_field(self, tmp_path, bumpy):
+        # an eigenform of a non-constant metric flows as sharp(metric, form),
+        # the field certify starts from, at the grid's full bandwidth
+        from curllab.cli import _load_field
+        from curllab.curlspec import eigenpairs
+        from curllab.fields import sharp
+
+        form = eigenpairs(bumpy, 2, {"interval": [0.9, 1.1]})[0].form
+        metric_path, form_path = tmp_path / "metric.json", tmp_path / "form.json"
+        bumpy.save(metric_path)
+        form.save(form_path)
+        metric = MetricField.load(metric_path)
+        u = _load_field(str(form_path), metric)
+        expect = sharp(bumpy, FourierField.load(form_path))
+        assert u.truncation == expect.truncation == 6
+        np.testing.assert_array_equal(u.coeffs, expect.coeffs)
+
 
 class TestContactCommands:
     def test_adapted_metric_unit_form_is_flat(self, tmp_path, capsys):
@@ -171,6 +188,23 @@ class TestCertificationCommands:
         err = capsys.readouterr().err
         assert "usage:" in err
         assert "--budget" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["instability", "certify-all"])
+    @pytest.mark.parametrize("budget", ['{"n_seeds": 2.5}', '{"wkb_T": "20"}',
+                                        '{"T_max": -5}'])
+    def test_bad_budget_value_is_a_usage_error(self, command, budget, capsys,
+                                               monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("eigensolve ran before --budget was checked")
+
+        monkeypatch.setattr("curllab.cli.eigenpairs", no_solve)
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--metric", "flat", "--truncation", "1",
+                  "--budget", budget])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "--budget" in err
         assert "Traceback" not in err
 
     def test_budget_sources(self, tmp_path):

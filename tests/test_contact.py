@@ -167,7 +167,7 @@ class TestAdaptedMetric:
     def test_reeb_direction_has_unit_length(self):
         result = adapted_metric(tight_form(2))
         grid = CollocationGrid.for_truncation(2)
-        X = reeb_field(tight_form(2), grid, grid.max_truncation)
+        X = reeb_field(tight_form(2), grid)
         ms = result.metric.samples(grid)
         Xv = np.moveaxis(X.sample(grid), 0, -1)
         lengths = np.einsum("...ab,...a,...b->...", ms.g, Xv, Xv)
@@ -179,8 +179,7 @@ class TestAdaptedMetric:
         from curllab.fields import exterior_d
 
         tf = tight_form(1)
-        grid = CollocationGrid(_resolution_for(tf))
-        result = adapted_metric(tf, grid=grid)
+        result = adapted_metric(tf)
         frame = ContactFrameEvaluator(tf)
         for _ in range(5):
             x = rng.uniform(0, 2 * np.pi, 3)
@@ -198,12 +197,6 @@ class TestAdaptedMetric:
             Jw = cw[1] * f2 - cw[2] * f1
             expect = (a @ v) * (a @ w) + v @ A @ Jw
             assert v @ g @ w == pytest.approx(expect, abs=1e-8)
-
-
-def _resolution_for(tf):
-    from curllab.fields import _next_odd
-
-    return _next_odd(4 * tf.truncation + 9)
 
 
 class TestRescalingInvariance:
@@ -272,7 +265,7 @@ class TestReebRescaledEvaluator:
             np.testing.assert_allclose(DX[:, b], fd, atol=1e-6)
 
     def test_jacobian_with_nonflat_metric(self, bumpy, rng):
-        u = sharp(bumpy, shear_one_form(1), out_truncation=6)
+        u = sharp(bumpy, shear_one_form(1))
         resc = reeb_rescaled(u, bumpy)
         x = np.array([2.3, 0.4, 5.0])
         _, DX = resc.value_and_jacobian(x)

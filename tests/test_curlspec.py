@@ -106,7 +106,7 @@ class TestApply:
         op = assemble(bumpy, 2)
         form = random_one_form(2, rng)
         weak = op.apply(form)
-        pointwise = hodge(bumpy, exterior_d(form), op.grid, 2)
+        pointwise = hodge(bumpy, exterior_d(form), op.grid).truncate_to(2)
         diff = l2_norm(bumpy, weak - pointwise) / l2_norm(bumpy, form)
         assert diff <= 1e-3  # they differ only by spectral-tail terms
 
@@ -251,6 +251,35 @@ class TestEigenpairs:
         assert op.count_below(interval[1]) - op.count_below(interval[0]) == expected
         pairs = eigenpairs(bumpy, 2, {"interval": interval}, operator=op)
         assert len(pairs) == expected
+
+    @pytest.mark.parametrize("metric_name, window", [
+        ("flat", {"count": 36}),
+        ("flat", {"interval": [0.7, 1.5]}),
+        ("bumpy", {"interval": [0.7, 1.5]}),
+        ("bumpy", {"count": 8}),
+        ("flat", {"interval": [0.1, 0.2]}),  # empty window
+    ])
+    def test_clusters_match_reference_loop(self, metric_name, window, flat,
+                                           bumpy):
+        metric = {"flat": flat, "bumpy": bumpy}[metric_name]
+        op = assemble(metric, 2)
+        pairs = eigenpairs(metric, 2, window, operator=op)
+        tol = curlspec.GAP_TOL * np.abs(op.basis.d).max()
+        # reference: a new cluster wherever consecutive eigenvalues, in the
+        # returned order, differ by at least tol
+        ids, prev = [], None
+        for p in pairs:
+            if prev is None or abs(p.eigenvalue - prev) >= tol:
+                ids.append((ids[-1] + 1) if ids else 0)
+            else:
+                ids.append(ids[-1])
+            prev = p.eigenvalue
+        assert [p.cluster_id for p in pairs] == ids
+        assert [p.cluster_size for p in pairs] == [ids.count(i) for i in ids]
+        assert all(type(p.cluster_id) is int and type(p.cluster_size) is int
+                   for p in pairs)
+        if window == {"interval": [0.1, 0.2]}:
+            assert pairs == []
 
 
 class TestReducedPencil:

@@ -360,6 +360,12 @@ class TestCZProperties:
         assert cz_index_from_path(loops @ psis) == base + 2 * turns
 
 
+    def test_subnormal_rotation_is_degenerate_without_warnings(self):
+        # an LU-based det(Psi - 1) warned "divide by zero" on this path
+        with pytest.raises(ValueError, match="degenerate"):
+            cz_index_from_path(rotating_path(2.225073858507e-311, 0.0, 2000))
+
+
 class TestCZOrbitSampling:
     def test_abc_orbit_indices_do_not_depend_on_sampling(self, monkeypatch):
         # the orbits of the acceptance suite's orbit-machinery criterion

@@ -18,6 +18,7 @@ from curllab.fields import (
     conformal_metric,
     contact_defect,
     cos_mode,
+    default_grid,
     exterior_d,
     flat,
     flat_metric,
@@ -143,7 +144,7 @@ class TestHodge:
     def test_star_star_identity_on_one_forms(self, bumpy, rng):
         form = random_one_form(2, rng)
         grid = CollocationGrid(21)
-        twice = hodge(bumpy, hodge(bumpy, form, grid, grid.max_truncation), grid, 2)
+        twice = hodge(bumpy, hodge(bumpy, form, grid), grid).truncate_to(2)
         err = np.abs(twice.coeffs - form.coeffs).max() / np.abs(form.coeffs).max()
         assert err <= 1e-10
 
@@ -171,7 +172,7 @@ class TestMusicalMaps:
     def test_roundtrip(self, bumpy, rng):
         form = random_one_form(2, rng)
         grid = CollocationGrid(21)
-        back = flat(bumpy, sharp(bumpy, form, grid, grid.max_truncation), grid, 2)
+        back = flat(bumpy, sharp(bumpy, form, grid), grid).truncate_to(2)
         err = np.abs(back.coeffs - form.coeffs).max() / np.abs(form.coeffs).max()
         assert err <= 1e-10
 
@@ -207,6 +208,53 @@ class TestCodifferential:
             rhs = l2_inner(metric, phi, codifferential(metric, form))
             scale = l2_norm(metric, exterior_d(phi)) * l2_norm(metric, form)
             assert abs(lhs - rhs) <= 1e-8 * max(scale, 1.0)
+
+
+def _constant_reference(metric, name, field):
+    """Exact coefficient-space result of an operation on a constant metric."""
+    n = metric.truncation
+    G = metric.block.coeffs[:, n, n, n].real
+    G = np.array([[G[0], G[5], G[4]], [G[5], G[1], G[3]], [G[4], G[3], G[2]]])
+    inv, root = np.linalg.inv(G), np.sqrt(np.linalg.det(G))
+    c = field.coeffs
+    if name == "codifferential":
+        m = np.stack(np.meshgrid(*[np.arange(-field.truncation,
+                                             field.truncation + 1)] * 3,
+                                 indexing="ij"))
+        return -1j * np.einsum("ab,a...,b...->...", inv, m, c)[None]
+    tensor = {"sharp": inv, "flat": G, "hodge": root * inv,
+              "hodge2": G / root}[name]
+    return np.einsum("ab,b...->a...", tensor, c)
+
+
+class TestTruncationRule:
+    """Constant metrics keep the input's truncation, all others the grid's."""
+
+    OPERATIONS = {
+        "sharp": lambda g, a: sharp(g, a),
+        "flat": lambda g, a: flat(g, FourierField("vector", a.coeffs)),
+        "hodge": lambda g, a: hodge(g, a),
+        "hodge2": lambda g, a: hodge(g, FourierField("two_form", a.coeffs)),
+        "codifferential": lambda g, a: codifferential(g, a),
+    }
+
+    @pytest.mark.parametrize("name", list(OPERATIONS))
+    @pytest.mark.parametrize("metric_name", ["flat", "conformal", "diagonal",
+                                             "bumpy"])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_result_truncation(self, name, metric_name, n, flat, conformal2,
+                               bumpy, rng):
+        metric = {"flat": flat, "conformal": conformal2, "bumpy": bumpy,
+                  "diagonal": diag_metric(4.0, 1.0, 2.25)}[metric_name]
+        form = random_one_form(n, rng)
+        out = self.OPERATIONS[name](metric, form)
+        if metric_name == "bumpy":
+            assert out.truncation == default_grid(metric, form).max_truncation
+            return
+        assert out.truncation == n
+        ref = _constant_reference(metric, name, form)
+        scale = np.abs(ref).max()
+        assert np.abs(out.coeffs - ref).max() <= 1e-14 * scale
 
 
 class TestInnerProduct:
@@ -292,6 +340,18 @@ class TestSerialization:
         loaded = FourierField.load(path)
         assert loaded.rank == form.rank
         np.testing.assert_allclose(loaded.coeffs, form.coeffs, atol=1e-15)
+
+    def test_metric_file_roundtrip_is_bit_identical(self, tmp_path, bumpy):
+        path, again = tmp_path / "metric.json", tmp_path / "again.json"
+        bumpy.save(path)
+        loaded = MetricField.load(path)
+        assert loaded.block.rank == "metric"
+        np.testing.assert_array_equal(loaded.block.coeffs, bumpy.block.coeffs)
+        loaded.save(again)
+        assert again.read_bytes() == path.read_bytes()
+        with pytest.raises(ValueError, match="not a metric file"):
+            MetricField.from_json_dict(random_one_form(1, np.random.default_rng(0))
+                                       .to_json_dict())
 
     def test_metric_roundtrip(self, tmp_path, bumpy):
         path = tmp_path / "metric.json"

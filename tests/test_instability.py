@@ -126,6 +126,26 @@ class TestWKBExponent:
             wkb_exponent(shear_field(1), (0, 0, 0), (0, 0, 0), T=1.0)
 
 
+class TestCertifyBudget:
+    @pytest.mark.parametrize("values", [
+        {"T_max": -5}, {"T_max": 0.0}, {"T_max": float("nan")},
+        {"T_max": float("inf")}, {"T_max": True}, {"T_max": "50"},
+        {"wkb_T": "20"}, {"wkb_T": -1.0}, {"wkb_T": None},
+        {"n_seeds": 2.5}, {"n_seeds": 2.0}, {"n_seeds": -1}, {"n_seeds": False},
+        {"orbit_seeds": "4"}, {"orbit_seeds": -3},
+        {"seed": -1}, {"seed": 1.0}, {"seed": True},
+    ])
+    def test_bad_values_rejected(self, values):
+        (name,) = values
+        with pytest.raises(ValueError, match=name):
+            CertifyBudget(**values)
+
+    def test_good_values_accepted(self):
+        budget = CertifyBudget(T_max=6, n_seeds=0, orbit_seeds=np.int64(2),
+                               wkb_T=np.float64(20.0), seed=2**40)
+        assert budget.T_max == 6 and budget.n_seeds == 0
+
+
 class TestCertify:
     def test_abc_pipeline_certifies_saddle(self, flat):
         form = lower_index(flat_metric(), abc_field(1, 1, 1))

@@ -188,6 +188,12 @@ class TestConfigBudget:
         with pytest.raises(ValueError, match=bad):
             run_sweep(SweepConfig(samples=1, certify_pairs=True, budget=budget))
 
+    @pytest.mark.parametrize("budget", [{"n_seeds": 2.5}, {"wkb_T": "20"},
+                                        {"T_max": -5}, {"orbit_seeds": True}])
+    def test_bad_value_rejected_where_built(self, budget):
+        with pytest.raises(ValueError, match=next(iter(budget))):
+            SweepConfig(samples=1, certify_pairs=True, budget=budget)
+
     def test_effort_fields_accepted(self):
         budget = {"T_max": 6.0, "orbit_seeds": 2, "n_seeds": 2, "wkb_T": 20.0}
         assert SweepConfig(certify_pairs=True, budget=budget).budget == budget
