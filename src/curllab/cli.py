@@ -311,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-jsonl")
     p.add_argument("--out-csv")
     p.add_argument("--threads", type=int, default=1,
-                   help="worker threads (default: 1); "
+                   help="worker processes (default: 1); "
                         "with more than one, set OPENBLAS_NUM_THREADS=1 so "
                         "BLAS threads do not oversubscribe the cores")
     p.set_defaults(func=cmd_genericity_sweep)

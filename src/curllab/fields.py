@@ -312,25 +312,6 @@ class FourierField:
         return f"FourierField(rank={self.rank!r}, N={self.truncation}, nnz={nz})"
 
 
-# -- convenience constructors for trigonometric monomials ----------------
-
-
-def cos_mode(rank: str, truncation: int, m, comp: int, amplitude: float = 1.0):
-    """amplitude * cos(m . x) in the given component."""
-    m1, m2, m3 = m
-    return FourierField.from_modes(
-        rank, truncation, {(m1, m2, m3, comp): amplitude / 2.0}
-    )
-
-
-def sin_mode(rank: str, truncation: int, m, comp: int, amplitude: float = 1.0):
-    """amplitude * sin(m . x) in the given component."""
-    m1, m2, m3 = m
-    return FourierField.from_modes(
-        rank, truncation, {(m1, m2, m3, comp): -0.5j * amplitude}
-    )
-
-
 # ---------------------------------------------------------------------------
 # Metrics
 # ---------------------------------------------------------------------------

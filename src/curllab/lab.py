@@ -3,17 +3,20 @@
 A sweep draws random perturbations of a base metric, solves the curl
 eigenproblem in a window for each sample, optionally runs the
 instability certification per eigenpair, and streams one JSON-lines
-record per sample plus a plot-ready CSV summary. All randomness comes
-from one counter-based generator keyed by the configuration hash and
-the sample id, so a config reproduces its outputs bit for bit,
-independent of the worker-thread count.
+record per sample plus a plot-ready CSV summary. Samples run in forked
+worker processes. All randomness comes from one counter-based generator
+keyed by the configuration hash and the sample id, so a config
+reproduces its outputs bit for bit, independent of the worker-process
+count.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from dataclasses import field as dataclass_field, fields as dataclass_fields
 
@@ -268,24 +271,32 @@ def _json_line(obj: dict) -> str:
 def run_sweep(config: SweepConfig, *, n_threads: int = 1):
     """Execute a sweep; returns the records in sample order.
 
-    Samples run on a pool of n_threads workers; emission order and
-    content are independent of the pool size. When the config carries
-    output paths the JSON-lines stream and the CSV summary are written
-    as well.
+    Samples run on min(n_threads, samples) worker processes, forked so
+    that they inherit the imported modules; with one worker or at most
+    one sample they run in this process and no pool starts. Emission
+    order and content are independent of the pool size. When the config
+    carries output paths the JSON-lines stream and the CSV summary are
+    written as well. An exception raised in a worker is raised here,
+    after the pool has shut down.
 
-    With more than one thread, pin BLAS to one thread per worker
-    (OPENBLAS_NUM_THREADS=1 before numpy is imported): the jet kernel's
-    matrix-vector products are large enough to start OpenBLAS's own
-    thread pool, and pool threads times BLAS threads oversubscribe the
-    cores.
+    With more than one worker, pin BLAS to one thread per process
+    (OPENBLAS_NUM_THREADS=1 before numpy is imported): each worker has
+    its own BLAS thread pool, the jet kernel's matrix-vector products
+    are large enough to start it, and workers times BLAS threads
+    oversubscribe the cores.
     """
-    n_threads = max(1, n_threads)
-    ids = list(range(config.samples))
-    if n_threads == 1:
+    ids = range(config.samples)
+    workers = min(n_threads, config.samples)
+    if workers <= 1:
         records = [_run_one_sample(config, i) for i in ids]
     else:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            records = list(pool.map(lambda i: _run_one_sample(config, i), ids))
+        # named, not the default: children inherit the imported modules,
+        # and Python 3.14 makes forkserver the default start method
+        context = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(max_workers=workers,
+                                 mp_context=context) as pool:
+            records = list(pool.map(functools.partial(_run_one_sample, config),
+                                    ids))
     records.sort(key=lambda r: r.sample)
     if config.out_jsonl:
         emit_report(records, config.out_jsonl, "jsonl", config=config)
@@ -321,19 +332,3 @@ def emit_report(records, path, fmt: str = "jsonl",
         fh.write(payload)
     return path
 
-
-def load_records(path):
-    """Read a JSON-lines report back into records (header line skipped)."""
-    records = []
-    config = None
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            data = json.loads(line)
-            if "config_hash" in data and "sample" not in data:
-                config = data
-                continue
-            records.append(SweepRecord.from_json_dict(data))
-    return records, config

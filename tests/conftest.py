@@ -4,11 +4,25 @@ import pytest
 from curllab.fields import (
     FourierField,
     conformal_metric,
-    cos_mode,
     flat_metric,
     random_metric,
-    sin_mode,
 )
+
+
+def cos_mode(rank: str, truncation: int, m, comp: int, amplitude: float = 1.0):
+    """amplitude * cos(m . x) in the given component."""
+    m1, m2, m3 = m
+    return FourierField.from_modes(
+        rank, truncation, {(m1, m2, m3, comp): amplitude / 2.0}
+    )
+
+
+def sin_mode(rank: str, truncation: int, m, comp: int, amplitude: float = 1.0):
+    """amplitude * sin(m . x) in the given component."""
+    m1, m2, m3 = m
+    return FourierField.from_modes(
+        rank, truncation, {(m1, m2, m3, comp): -0.5j * amplitude}
+    )
 
 
 def shear_one_form(k: int = 1) -> FourierField:

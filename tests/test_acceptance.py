@@ -220,8 +220,8 @@ def test_wkb_exponent():
 
 
 def test_sweep_determinism(tmp_path):
-    """Byte-identical sweep output under 1 and 8 worker threads."""
-    with criterion("sweep determinism (1 vs 8 worker threads)"):
+    """Byte-identical sweep output under 1 and 8 worker processes."""
+    with criterion("sweep determinism (1 vs 8 worker processes)"):
         outputs = []
         for run, threads in (("a", 1), ("b", 8), ("c", 1)):
             out = tmp_path / f"sweep_{run}.jsonl"

@@ -17,13 +17,17 @@ from curllab.curlspec import (
 from curllab.errors import EigensolverError
 from curllab.fields import (
     FourierField,
-    cos_mode,
     exterior_d,
     l2_norm,
     random_metric,
+)
+from conftest import (
+    cos_mode,
+    random_one_form,
+    self_adjointness_residual,
+    shear_one_form,
     sin_mode,
 )
-from conftest import random_one_form, self_adjointness_residual, shear_one_form
 
 
 def abc_one_form(A=1.0, B=1.0, C=1.0):

@@ -17,7 +17,6 @@ from curllab.fields import (
     codifferential,
     conformal_metric,
     contact_defect,
-    cos_mode,
     default_grid,
     exterior_d,
     flat,
@@ -28,9 +27,14 @@ from curllab.fields import (
     named_metric,
     random_metric,
     sharp,
+)
+from conftest import (
+    cos_mode,
+    random_one_form,
+    random_scalar,
+    shear_one_form,
     sin_mode,
 )
-from conftest import random_one_form, random_scalar, shear_one_form
 
 
 def diag_metric(d1, d2, d3):

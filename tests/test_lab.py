@@ -1,22 +1,30 @@
 """Sweep orchestration: determinism, splitting statistics, report files."""
 
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
 
+from curllab import lab
 from curllab.lab import (
     CSV_COLUMNS,
     SweepConfig,
     SweepRecord,
     emit_report,
-    load_records,
     run_sweep,
     sample_metric,
 )
 
 
 SMALL = SweepConfig(samples=4, truncation=2, amplitude=1e-2, seed=11)
+
+
+@pytest.fixture(autouse=True)
+def no_worker_left():
+    """Every sweep, returned or raised, has joined its worker processes."""
+    yield
+    assert multiprocessing.active_children() == []
 
 
 class TestSampleMetric:
@@ -72,6 +80,28 @@ class TestRunSweep:
             run_sweep(cfg, n_threads=threads)
             paths.append(out)
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    @pytest.mark.parametrize("samples", [0, 1])
+    def test_at_most_one_sample_starts_no_pool(self, samples, tmp_path,
+                                               monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool started")
+
+        monkeypatch.setattr(lab, "ProcessPoolExecutor", no_pool)
+        out = tmp_path / "sweep.jsonl"
+        cfg = SweepConfig(samples=samples, seed=2, out_jsonl=str(out))
+        records = run_sweep(cfg, n_threads=4)
+        assert [r.sample for r in records] == list(range(samples))
+        assert len(out.read_text().splitlines()) == 1 + samples
+
+    def test_worker_error_reaches_caller(self, monkeypatch):
+        def broken(*args):
+            raise RuntimeError("generator broke")
+
+        # forked workers inherit the patched module
+        monkeypatch.setattr(lab, "_sample_generator", broken)
+        with pytest.raises(RuntimeError, match="generator broke"):
+            run_sweep(SweepConfig(samples=2, seed=1), n_threads=2)
 
     def test_per_sample_failures_recorded_not_raised(self):
         cfg = SweepConfig(samples=2, amplitude=50.0, seed=1)  # never SPD
@@ -132,8 +162,9 @@ class TestReports:
         p1 = tmp_path / "a.jsonl"
         p2 = tmp_path / "b.jsonl"
         emit_report(records, p1, "jsonl", config=SMALL)
-        loaded, header = load_records(p1)
-        assert header["config_hash"] == SMALL.config_hash
+        header, *lines = p1.read_text().splitlines()
+        assert json.loads(header)["config_hash"] == SMALL.config_hash
+        loaded = [SweepRecord.from_json_dict(json.loads(line)) for line in lines]
         emit_report(loaded, p2, "jsonl", config=SMALL)
         assert p1.read_bytes() == p2.read_bytes()
 
