@@ -17,7 +17,7 @@ from .contact import adapted_metric, reeb_field, tight_form
 from .curlspec import eigenpairs, parse_window
 from .dynamics import find_fixed_points, find_periodic_orbits, named_field
 from .fields import FourierField, MetricField, named_metric, sharp
-from .instability import CertifyBudget, certify
+from .instability import CertifyBudget, certify, certify_batch
 from .lab import SweepConfig, run_sweep
 
 BUDGET_PRESETS = {
@@ -232,11 +232,11 @@ def cmd_certify_all(args) -> int:
     metric = _load_metric(args.metric)
     pairs = eigenpairs(metric, args.truncation,
                        args.window or {"count": args.count})
-    docs = []
-    for pair in pairs:
-        cert = certify(metric, pair, args.budget)
-        docs.append(cert.to_json_dict())
-    _dump_lines(docs, args.out)
+    certs = certify_batch(metric, pairs, [args.budget] * len(pairs))
+    for cert in certs:
+        if isinstance(cert, Exception):
+            raise cert
+    _dump_lines([cert.to_json_dict() for cert in certs], args.out)
     return 0
 
 

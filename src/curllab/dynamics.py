@@ -2,7 +2,9 @@
 
 Vector fields are integrated in the universal cover (positions are never
 wrapped during integration, so winding numbers come for free) with
-adaptive embedded Runge-Kutta stepping. Recurrence analysis proceeds in
+adaptive embedded Runge-Kutta stepping: one trajectory per solve_ivp
+call, or many trajectories as the lanes of one solve_lanes call, each
+lane with its own step size. Recurrence analysis proceeds in
 two phases: a cheap close-return scan over seed trajectories, then
 Newton shooting on (point, period) with a phase condition, using the
 monodromy from the variational equations as the exact Jacobian.
@@ -20,11 +22,13 @@ by at most a quarter turn per step, or the index is refused.
 from __future__ import annotations
 
 import logging
+import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.integrate._ivp import dop853_coefficients as dop853
 
 from .errors import FrameError, NotContactError, StiffnessError
 from .fields import TAU, CollocationGrid, FourierField, _next_odd, as_jet
@@ -138,9 +142,12 @@ def flow(u, x0, T: float, tol: float = 1e-10,
          n_samples: int | None = None) -> Trajectory:
     """Integrate dx/dt = u(x) from x0 for time T with local error <= tol."""
     jet = as_jet(u)
+    # solve_ivp leaves a reference cycle holding rhs; a weak reference
+    # keeps that cycle from holding the jet and its coefficient block too
+    jet_ref = weakref.ref(jet)
 
     def rhs(_, y):
-        return jet.value(y)
+        return jet_ref().value(y)
 
     t_eval = np.linspace(0.0, T, n_samples) if n_samples else None
     sol = _solve(rhs, x0, T, rtol=tol, atol=tol * 1e-2, t_eval=t_eval)
@@ -155,11 +162,12 @@ def variational_flow(u, x0, T: float, *, rtol: float = 1e-11,
     from time 0 to ts[i].
     """
     jet = as_jet(u)
+    jet_ref = weakref.ref(jet)  # as in flow
 
     def rhs(_, y):
         x = y[:3]
         M = y[3:].reshape(3, 3)
-        val, jac = jet.value_and_jacobian(x)
+        val, jac = jet_ref().value_and_jacobian(x)
         return np.concatenate([val, (jac @ M).ravel()])
 
     y0 = np.concatenate([np.asarray(x0, float), np.eye(3).ravel()])
@@ -168,6 +176,156 @@ def variational_flow(u, x0, T: float, *, rtol: float = 1e-11,
     traj = Trajectory(ts=sol.t, points=sol.y[:3].T)
     Ms = sol.y[3:].T.reshape(-1, 3, 3)
     return traj, Ms
+
+
+# Step-size control of scipy's RungeKutta solvers (Hairer, Norsett and
+# Wanner, Solving ODEs I, II.4), which solve_lanes applies per lane.
+SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0
+ERROR_EXPONENT = -1.0 / 8.0  # DOP853's error estimator has order 7
+
+
+def _combine(weights: np.ndarray, stages: np.ndarray) -> np.ndarray:
+    """sum_s weights[s] stages[s], each lane's entries on their own."""
+    return np.add.reduce(weights[:, None, None] * stages[:len(weights)], axis=0)
+
+
+def _rms(v: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.add.reduce(v * v, axis=1) / v.shape[1])
+
+
+def _powers(values: np.ndarray, exponent: float) -> np.ndarray:
+    """values ** exponent in Python floats: a lane's result does not depend
+    on how numpy vectorizes the batch it sits in."""
+    return np.array([v ** exponent for v in values.tolist()])
+
+
+def _initial_steps(rhs, y0, f0, T, rtol, atol) -> np.ndarray:
+    """scipy's select_initial_step for every lane: one extra RHS call."""
+    scale = atol + np.abs(y0) * rtol
+    d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
+    small = (d0 < 1e-5) | (d1 < 1e-5)
+    h0 = np.minimum(np.where(small, 1e-6, 0.01 * d0 / np.where(small, 1.0, d1)), T)
+    f1 = rhs(np.arange(len(y0)), y0 + h0[:, None] * f0)
+    d2 = _rms((f1 - f0) / scale) / h0
+    flat = (d1 <= 1e-15) & (d2 <= 1e-15)
+    h1 = np.where(flat, np.maximum(1e-6, h0 * 1e-3), _powers(
+        0.01 / np.where(flat, 1.0, np.maximum(d1, d2)), 1.0 / 8.0))
+    return np.minimum(np.minimum(100 * h0, h1), T)
+
+
+def solve_lanes(rhs, y0, T: float, n_samples: int, *, rtol: float,
+                atol: float):
+    """DOP853 on every row of y0 (P, d) over [0, T], the rows as lanes.
+
+    rhs(lanes, Y) returns the derivatives of the autonomous system at
+    the rows Y of the lanes named by the index array lanes. Each lane
+    has its own step size, accept/reject decision and finish, under the
+    rules of scipy's DOP853 (its tableau, initial step and step control),
+    and is sampled at linspace(0, T, n_samples) by the method's dense
+    output; only a step that passes a sample time pays its three extra
+    stages. A lane whose state or error estimate turns non-finite, or
+    whose step falls below ten spacings of floats at its time, is marked
+    failed and dropped; the others go on. Every lane operation acts on
+    each lane's own entries, and rhs must do the same, so a lane's
+    numbers do not depend on which lanes share the solve.
+
+    Returns the samples (P, n_samples, d), NaN after a lane fails, and
+    the failed mask (P,).
+    """
+    y = np.array(y0, dtype=float)
+    n_lanes, dim = y.shape
+    ts = np.linspace(0.0, T, n_samples)
+    samples = np.full((n_lanes, n_samples, dim), np.nan)
+    failed = np.zeros(n_lanes, bool)
+    if n_lanes == 0:
+        return samples, failed
+    samples[:, 0] = y
+    A, B, n_stages = dop853.A, dop853.B, dop853.N_STAGES
+    # non-finite values are expected from a failing lane and handled here
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        f = rhs(np.arange(n_lanes), y)
+        h = _initial_steps(rhs, y, f, T, rtol, atol)
+        t = np.zeros(n_lanes)
+        retry = np.zeros(n_lanes, bool)  # the lane's last attempt was rejected
+        next_sample = np.ones(n_lanes, int)
+        failed[:] = ~np.isfinite(h)
+        live = np.flatnonzero(~failed)
+        while live.size:
+            t0 = t[live]
+            min_step = 10 * np.abs(np.nextafter(t0, np.inf) - t0)
+            step = np.where(retry[live], h[live], np.maximum(h[live], min_step))
+            underflow = step < min_step
+            failed[live[underflow]] = True
+            live, t0, step = live[~underflow], t0[~underflow], step[~underflow]
+            if not live.size:
+                break
+            y_old = y[live]
+            t1 = np.minimum(t0 + step, T)
+            step = t1 - t0
+            K = np.empty((dop853.N_STAGES_EXTENDED, live.size, dim))
+            K[0] = f[live]
+            for s in range(1, n_stages):
+                K[s] = rhs(live, y_old + _combine(A[s, :s], K) * step[:, None])
+            y_new = y_old + step[:, None] * _combine(B, K)
+            K[n_stages] = rhs(live, y_new)
+            scale = atol + np.maximum(np.abs(y_old), np.abs(y_new)) * rtol
+            err5 = _combine(dop853.E5, K) / scale
+            err3 = _combine(dop853.E3, K) / scale
+            sq5 = np.add.reduce(err5 * err5, axis=1)
+            sq3 = np.add.reduce(err3 * err3, axis=1)
+            denom = sq5 + 0.01 * sq3
+            error = np.where(denom > 0, step * sq5 / np.sqrt(
+                np.where(denom > 0, denom, 1.0) * dim), 0.0)
+            bad = ~np.isfinite(error) | ~np.isfinite(y_new).all(axis=1)
+            accept = ~bad & (error < 1)
+            grow = SAFETY * _powers(np.where(error > 0, error, np.inf),
+                                    ERROR_EXPONENT)
+            grow[error == 0] = MAX_FACTOR
+            factor = np.where(accept, np.minimum(MAX_FACTOR, grow),
+                              np.maximum(MIN_FACTOR, grow))
+            factor = np.where(accept & retry[live], np.minimum(1.0, factor),
+                              factor)
+            h[live] = step * factor
+            retry[live] = ~accept
+            failed[live[bad]] = True
+            done = np.flatnonzero(accept)
+            if done.size:
+                _dense_samples(rhs, live[done], K[:, done], y_old[done],
+                               y_new[done], t0[done], t1[done], ts,
+                               next_sample, samples)
+                lanes = live[done]
+                t[lanes], y[lanes], f[lanes] = t1[done], y_new[done], K[n_stages, done]
+            live = live[~bad & ~(accept & (t1 >= T))]
+    return samples, failed
+
+
+def _dense_samples(rhs, lanes, K, y_old, y_new, t0, t1, ts, next_sample,
+                   samples) -> None:
+    """Fill the samples in (t0, t1] of lanes that just accepted a step,
+    with DOP853's dense output, as scipy's Dop853DenseOutput forms it."""
+    count = np.searchsorted(ts, t1, side="right") - next_sample[lanes]
+    has = count > 0
+    if not has.any():
+        return
+    lanes, count, K, y0 = lanes[has], count[has], K[:, has], y_old[has]
+    t0, step = t0[has], (t1 - t0)[has]
+    h = step[:, None]
+    for s in range(dop853.N_STAGES + 1, dop853.N_STAGES_EXTENDED):
+        K[s] = rhs(lanes, y0 + _combine(dop853.A[s, :s], K) * h)
+    delta = y_new[has] - y0
+    F = [delta, h * K[0] - delta, 2 * delta - h * (K[dop853.N_STAGES] + K[0])]
+    F += [h * _combine(d, K) for d in dop853.D]
+    # one row per (lane, sample) pair
+    row = np.repeat(np.arange(lanes.size), count)
+    index = next_sample[lanes][row] + (
+        np.arange(row.size) - np.repeat(np.cumsum(count) - count, count))
+    x = ((ts[index] - t0[row]) / step[row])[:, None]
+    y = np.zeros((row.size, y0.shape[1]))
+    for i, coef in enumerate(reversed(F)):
+        y += coef[row]
+        y *= x if i % 2 == 0 else 1 - x
+    samples[lanes[row], index] = y + y0[row]
+    next_sample[lanes] += count
 
 
 # ---------------------------------------------------------------------------

@@ -129,7 +129,7 @@ class FourierField:
     to wavevector component i - N.
     """
 
-    __slots__ = ("rank", "coeffs", "_block")
+    __slots__ = ("rank", "coeffs", "_half")
 
     def __init__(self, rank: str, coeffs: np.ndarray, *, _validated: bool = False):
         if rank not in RANK_COMPONENTS:
@@ -149,11 +149,11 @@ class FourierField:
             if np.abs(coeffs - mirror).max() > HERMITIAN_TOL * scale:
                 raise ValueError("coefficients violate Hermitian symmetry")
             coeffs = 0.5 * (coeffs + mirror)
-        coeffs = np.ascontiguousarray(coeffs)  # so _block is a view
+        coeffs = np.ascontiguousarray(coeffs)
         coeffs.setflags(write=False)
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "_block", coeffs.reshape(-1, L))
+        object.__setattr__(self, "_half", None)  # eval's block, built on use
 
     def __setattr__(self, name, value):  # immutability
         raise AttributeError("FourierField is immutable")
@@ -265,7 +265,9 @@ class FourierField:
         Returns a float for scalars, otherwise an array of 3 components
         in the coordinate frame.
         """
-        out = _point_sum(self._block, x)
+        if self._half is None:
+            object.__setattr__(self, "_half", _half_block(self.coeffs))
+        out = _point_sum(self._half, x)
         return float(out[0]) if self.rank == "scalar" else out
 
     def sample(self, grid: CollocationGrid) -> np.ndarray:
@@ -709,43 +711,73 @@ def contact_defect(form: FourierField, grid: CollocationGrid | None = None) -> f
 
 # ---------------------------------------------------------------------------
 # Fast point evaluation for flowline integration: FourierField.eval,
-# FieldJet and MetricJet all run _point_sum on a block built once, the
-# stacked coefficients (..., L, L, L), L = 2N + 1, reshaped to (-1, L). It
-# contracts z, then y, then x, each as one matrix-vector product, so D
-# stacked components cost D (L^3 + L^2 + L) complex multiply-adds in three
-# BLAS calls plus 3 L exponentials.
+# FieldJet and MetricJet all run _point_sum on a half block built once.
+# A real field's coefficients are Hermitian, c(-m) = conj c(m), so the
+# m_x < 0 half of the sum is the conjugate of the m_x > 0 half: the block
+# keeps the m_x >= 0 slices of the stacked coefficients (..., L, L, L),
+# L = 2N + 1, reshaped to (-1, L), with the m_x > 0 slices doubled, and
+# the real part of its sum is the field. _point_sum contracts z, then y,
+# then x, each as one matrix-vector product, so D stacked components
+# cost D (N + 1)(L^2 + L + 1) complex multiply-adds, about half of the
+# full block's D (L^3 + L^2 + L), in three BLAS calls plus 3 L
+# exponentials per point.
 # ---------------------------------------------------------------------------
+
+
+def _half_block(coeffs: np.ndarray) -> np.ndarray:
+    """The m_x >= 0 half of coeffs (..., L, L, L) as a (-1, L) block.
+
+    It is taken from the Hermitian part (c(m) + conj c(-m)) / 2, which
+    construction only checks to HERMITIAN_TOL, so the real part of its
+    sum equals the real part of the full block's sum in exact arithmetic;
+    the m_x = 0 slice has weight 1, every m_x > 0 slice weight 2.
+    """
+    L = coeffs.shape[-1]
+    n = (L - 1) // 2
+    weights = np.full(n + 1, 1.0)
+    weights[0] = 0.5
+    half = (coeffs[..., n:, :, :] + _hermitian_pair(coeffs)[..., n:, :, :])
+    return (half * weights[:, None, None]).reshape(-1, L)
 
 
 def _point_sum(block: np.ndarray, x) -> np.ndarray:
     """Re sum_m c[r, m] e^{i m.x} for each leading index r of a block.
 
-    block is a coefficient array (..., L, L, L) reshaped to (-1, L); the
-    result has one entry per leading index, in C order. x may lie
-    anywhere in the universal cover.
+    block is a _half_block; x is one point (3,), with one entry per
+    leading index in C order, or points (P, 3), with one such row per
+    point. Each point gets its own chain of matrix-vector products, so its
+    result does not depend on the other points of the call. Points may
+    lie anywhere in the universal cover.
     """
     L = block.shape[1]
     n = (L - 1) // 2
     p = np.exp(1j * np.multiply.outer(np.asarray(x, dtype=float),
                                       np.arange(-n, n + 1)))
+    if p.ndim == 2:
+        return _contract_point(block, p, n)
+    return np.array([_contract_point(block, q, n) for q in p])
+
+
+def _contract_point(block: np.ndarray, p: np.ndarray, n: int) -> np.ndarray:
+    L = block.shape[1]
     s = (block @ p[2]).reshape(-1, L) @ p[1]
-    return (s.reshape(-1, L) @ p[0]).real
+    return (s.reshape(-1, n + 1) @ p[0, n:]).real
 
 
 def _value_and_gradient_block(c: np.ndarray) -> np.ndarray:
-    """c and its x, y and z partial derivatives, stacked as one block."""
+    """c and its x, y and z partial derivatives, stacked as one half block."""
     L = c.shape[-1]
     mx, my, mz = _mode_grids((L - 1) // 2)
-    return np.stack([c, 1j * mx * c, 1j * my * c, 1j * mz * c]).reshape(-1, L)
+    return _half_block(np.stack([c, 1j * mx * c, 1j * my * c, 1j * mz * c]))
 
 
 class FieldJet:
     """Value and Jacobian of a 3-component field at arbitrary points.
 
-    The field and its partial derivatives are one block of 12
-    components, so a call is one _point_sum of about 12 L^3 complex
-    multiply-adds (26k at N = 6). Used as the right-hand side of all
-    orbit and stability integrators.
+    The field and its partial derivatives are one half block of 12
+    components, so a point costs one _point_sum of about 12 (N + 1) L^2
+    complex multiply-adds (14k at N = 6). Used as the right-hand side of
+    all orbit and stability integrators.
     """
 
     def __init__(self, field: FourierField):
@@ -765,6 +797,12 @@ class FieldJet:
         out = _point_sum(self._block, x).reshape(4, 3)
         return out[0], out[1:].T.copy()  # jac[a, b] = d_b u_a
 
+    def values_and_jacobians(self, points):
+        """value_and_jacobian at each row of points (P, 3): values (P, 3)
+        and Jacobians (P, 3, 3), each row bit-identical to a one-point call."""
+        out = _point_sum(self._block, points).reshape(-1, 4, 3)
+        return out[:, 0], out[:, 1:].transpose(0, 2, 1)
+
 
 def as_jet(field_or_jet) -> FieldJet:
     if isinstance(field_or_jet, FourierField):
@@ -776,7 +814,7 @@ class MetricJet:
     """Metric tensor and its first derivatives at arbitrary points.
 
     The six stored components and their partial derivatives form one
-    block of 24 components, evaluated by a single _point_sum.
+    half block of 24 components, evaluated by a single _point_sum.
     """
 
     def __init__(self, metric: MetricField):

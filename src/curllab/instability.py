@@ -44,6 +44,15 @@ The norms live in log space, so one integration covers any horizon
 without overflow and nothing is ever renormalized; the log-growth of b_k
 is the carried log|b_k| plus log|c_k|. The amplitude equation only sees
 the direction e, and xi(t) = (D phi_t)^-T xi0 never vanishes.
+
+Wave packets run as lanes. Each packet's 15-component state is one row of
+a single DOP853 solve (dynamics.solve_lanes), with its own step size,
+accept/reject decision and finish; each jet evaluates the lanes that ride
+it in one call, one matrix-vector chain per lane. Nothing a lane computes
+mixes in another lane, so a packet's numbers do not depend on which
+packets share its solve. certify_batch uses that to run the wave-packet
+stage of every undecided pair of a sweep sample as one solve: batching
+only removes per-solve overhead, and a pair certifies the same alone.
 """
 
 from __future__ import annotations
@@ -66,10 +75,10 @@ from .dynamics import (
     find_fixed_points,
     find_periodic_orbits,
     newton_zero,
+    solve_lanes,
 )
-from .errors import StiffnessError
 from .fields import MetricField, as_jet, default_grid, sharp
-from scipy.integrate import solve_ivp
+from scipy.integrate import solve_ivp  # noqa: F401  patched by perfbench/tracing.py
 
 # growth-exponent threshold separating exponential from algebraic growth
 WKB_THRESHOLD = 1e-2
@@ -91,60 +100,103 @@ class WKBResult:
     frequency_transport_drift: float
 
 
+def _wkb_rhs(jets, lane_jet):
+    """The projective transport system of the lanes. Lane k rides
+    jets[lane_jet[k]], lane_jet is nondecreasing, and each jet evaluates
+    its run of lanes in one call."""
+    add = np.add.reduce  # np.sum's Python wrapper costs as much as the sum
+
+    def rhs(lanes, y):
+        owner = lane_jet[lanes]
+        cuts = (np.flatnonzero(owner[1:] != owner[:-1]) + 1).tolist()
+        parts = [jets[owner[a]].values_and_jacobians(y[a:b, :3])
+                 for a, b in zip([0] + cuts, cuts + [len(lanes)])]
+        out = np.empty((len(lanes), 15))
+        out[:, :3] = np.concatenate([v for v, _ in parts])
+        jac = np.concatenate([j for _, j in parts])
+        xi, b = y[:, 3:6], y[:, 7:13].reshape(-1, 2, 3)
+        xi_sq = add(xi * xi, axis=1)
+        g = -(xi[:, None, :] @ jac)[:, 0]
+        rho = add(xi * g, axis=1) / xi_sq
+        jb = b @ jac.transpose(0, 2, 1)  # rows (Du) b_k
+        f = (2.0 * (jb @ xi[:, :, None]) / xi_sq[:, None, None]) * xi[:, None, :] - jb
+        r = add(b * f, axis=2) / add(b * b, axis=2)
+        out[:, 3:6] = g - rho[:, None] * xi
+        out[:, 6] = rho
+        out[:, 7:13] = (f - r[:, :, None] * b).reshape(-1, 6)
+        out[:, 13:] = r
+        return out
+
+    return rhs
+
+
 def wkb_exponent(
-    u,
-    x0,
-    xi0,
+    packets,
     T: float = WKB_T,
     *,
     rtol: float = 1e-10,
     atol: float = 1e-12,
-) -> WKBResult:
-    """Wave-packet growth along one flowline.
+) -> list:
+    """Wave-packet growth along flowlines, every packet a lane of one solve.
 
-    Integrates the transport system once over [0, T] in projective form
-    for the two orthonormal initial amplitudes perpendicular to the
-    initial wavevector, sampling every LOG_GROWTH_SAMPLE_STEP. Returns
-    the largest (1/T) log-growth ratio with the growth history, the
-    fitted tail slope (which discounts transient algebraic growth), and
-    the conservation drifts at the samples.
+    packets is a sequence of (u, x0, xi0), u a field or a jet; packets
+    that name the same object share its jet. Each packet integrates the
+    transport system over [0, T] in projective form for the two
+    orthonormal initial amplitudes perpendicular to its initial
+    wavevector, sampled every LOG_GROWTH_SAMPLE_STEP, as one lane of
+    dynamics.solve_lanes with its own step control. Returns one WKBResult
+    per packet, in order: the largest (1/T) log-growth ratio with the
+    growth history, the fitted tail slope (which discounts transient
+    algebraic growth), and the conservation drifts at the samples; None
+    for a lane that failed. A packet's numbers are the same whichever
+    packets share its solve, so a single packet is a batch of one.
     """
-    jet = as_jet(u)
-    xi0 = np.asarray(xi0, float)
-    if np.linalg.norm(xi0) == 0.0:
-        raise ValueError("initial wavevector must be nonzero")
-    bs = np.stack(_orthonormal_complement(xi0))
+    jets, lane_jet, y0 = {}, [], []
+    for u, x0, xi0 in packets:
+        if id(u) not in jets:
+            jets[id(u)] = (len(jets), as_jet(u))
+        lane_jet.append(jets[id(u)][0])
+        xi0 = np.asarray(xi0, float)
+        if np.linalg.norm(xi0) == 0.0:
+            raise ValueError("initial wavevector must be nonzero")
+        bs = np.stack(_orthonormal_complement(xi0))
+        y0.append(np.r_[x0, xi0 / np.linalg.norm(xi0), 0.0, bs.ravel(), 0.0, 0.0])
+    jets = [jet for _, jet in jets.values()]
+    # lanes run grouped by jet; order[i] is the packet of lane i
+    order = np.argsort(lane_jet, kind="stable")
+    lane_jet = np.array(lane_jet, int)[order]
+    n_samples = max(int(np.ceil(T / LOG_GROWTH_SAMPLE_STEP)), 1) + 1
+    ys, failed = solve_lanes(_wkb_rhs(jets, lane_jet),
+                             np.reshape(y0, (-1, 15))[order], T, n_samples,
+                             rtol=rtol, atol=atol)
+    # the transport drift needs u at every sample: one call per jet
+    values = np.empty(ys.shape[:2] + (3,))
+    for j, jet in enumerate(jets):
+        lanes = np.flatnonzero((lane_jet == j) & ~failed)
+        if lanes.size:
+            values[lanes] = jet.values_and_jacobians(
+                ys[lanes, :, :3].reshape(-1, 3))[0].reshape(-1, n_samples, 3)
+    ts = np.linspace(0.0, T, n_samples)
+    results = [None] * len(order)
+    for lane, k in enumerate(order):
+        if not failed[lane]:
+            results[k] = _wkb_result(ts, ys[lane], values[lane])
+    return results
 
-    def rhs(_, y):
-        x, xi, b = y[:3], y[3:6], y[7:13].reshape(2, 3)
-        val, jac = jet.value_and_jacobian(x)
-        xi_sq = xi @ xi
-        g = -jac.T @ xi
-        rho = (xi @ g) / xi_sq
-        jb = b @ jac.T  # rows (Du) b_k
-        f = -jb + np.outer(2.0 * (jb @ xi) / xi_sq, xi)
-        r = np.einsum("ij,ij->i", b, f) / np.einsum("ij,ij->i", b, b)
-        return np.concatenate(
-            [val, g - rho * xi, [rho], (f - r[:, None] * b).ravel(), r]
-        )
 
-    y0 = np.r_[x0, xi0 / np.linalg.norm(xi0), 0.0, bs.ravel(), 0.0, 0.0]
-    ts = np.linspace(0.0, T, max(int(np.ceil(T / LOG_GROWTH_SAMPLE_STEP)), 1) + 1)
-    sol = solve_ivp(rhs, (0.0, T), y0, method="DOP853", t_eval=ts,
-                    rtol=rtol, atol=atol)
-    if not sol.success:
-        raise StiffnessError(f"wave-packet integration failed: {sol.message}")
-    if not np.all(np.isfinite(sol.y)):
-        raise StiffnessError("wave-packet state left the finite range")
-    xs, xis, log_xi = sol.y[:3].T, sol.y[3:6].T, sol.y[6]
-    bmat = sol.y[7:13].T.reshape(-1, 2, 3)
+def _wkb_result(ts, y, values) -> WKBResult:
+    """One lane's diagnostics from its samples y (len(ts), 15) and the
+    field values at its sample positions."""
+    T = ts[-1]
+    xis, log_xi = y[:, 3:6], y[:, 6]
+    bmat = y[:, 7:13].reshape(-1, 2, 3)
     b_norms = np.linalg.norm(bmat, axis=2)
-    log_growth = sol.y[13:15] + np.log(b_norms.T)  # (2, len(ts))
+    log_growth = y[:, 13:15].T + np.log(b_norms.T)  # (2, len(ts))
     ortho = np.abs(np.einsum("sij,sj->si", bmat, xis)) / (
         b_norms * np.linalg.norm(xis, axis=1)[:, None])
     # q = exp(log|xi|) (e . u) is formed in log space, so a wavevector
     # grown past the float range cannot overflow it
-    xi_u = np.einsum("si,si->s", xis, np.array([jet.value(x) for x in xs]))
+    xi_u = np.einsum("si,si->s", xis, values)
     with np.errstate(divide="ignore"):
         q = np.sign(xi_u) * np.exp(log_xi + np.log(np.abs(xi_u)))
     q_scale = abs(q[0]) if abs(q[0]) > 1e-9 else 1.0
@@ -197,10 +249,15 @@ class CertifyBudget:
 
 @dataclass
 class WKBWitness:
+    """The best wave packet of a WKB stage, with the conservation drifts
+    of its integration (WKBResult's) as the quality of its numbers."""
+
     x0: np.ndarray
     xi0: np.ndarray
     exponent: float
     tail_slope: float
+    amplitude_orthogonality_drift: float
+    frequency_transport_drift: float
 
     def to_json_dict(self):
         return {
@@ -208,6 +265,8 @@ class WKBWitness:
             "xi0": [float(v) for v in self.xi0],
             "exponent": self.exponent,
             "tail_slope": self.tail_slope,
+            "amplitude_orthogonality_drift": self.amplitude_orthogonality_drift,
+            "frequency_transport_drift": self.frequency_transport_drift,
         }
 
 
@@ -282,27 +341,24 @@ def _verify_orbit(jet, record: PeriodicOrbitRecord) -> bool:
     return hit is not None
 
 
-def certify(
-    metric: MetricField,
-    pair: EigenPair,
-    budget: CertifyBudget | None = None,
-) -> InstabilityCertificate:
-    """Instability certificate for one curl eigenpair.
+@dataclass
+class _WavePacketStage:
+    """A pair that stages 1 and 2 left undecided: its jet, its packet
+    seeds, and the certificate maker that closes over its diagnostics."""
 
-    Stages: (1) nondegenerate zeros (saddles by volume conservation),
-    (2) hyperbolic nondegenerate periodic orbits of u's flowlines (the
-    Reeb rescaling u / |u|_g^2 moves along the same curves, so it has the
-    same orbits with the same hyperbolicity), (3) positive wave-packet
-    growth exponents. Witnesses are re-verified at a tenth of their
-    detection tolerance before a certificate is issued; stage errors are
-    folded into the diagnostics, never raised.
-    Every stage runs on the unit-mean-speed rescaling of the field, and
-    the certificate reports its times and exponents in that clock, with
-    the growth threshold among its tolerances.
-    """
+    jet: object
+    seeds: list  # (x0, xi0) in draw order
+    wkb_T: float
+    issue: object
+    diagnostics: dict
+
+
+def _first_stages(metric: MetricField, pair: EigenPair,
+                  budget: CertifyBudget):
+    """Stages 1 and 2 of one pair: a certificate, or the pair's
+    _WavePacketStage when neither a saddle nor an orbit certifies."""
     if pair.eigenvalue == 0.0:
         raise ValueError("kernel fields are outside the certification scope")
-    budget = budget or CertifyBudget()
     diagnostics: dict = {"stages": []}
 
     grid = default_grid(metric, pair.form)
@@ -366,17 +422,23 @@ def certify(
             )
             return issue("hyperbolic_orbit", orbit, growth)
 
-    # stage 3: wave-packet growth sampling
+    # stage 3 is batched by certify_batch; its seeds are drawn here
     rng = np.random.default_rng(budget.seed)
-    best: WKBWitness | None = None
-    failures = 0
+    seeds = []
     for _ in range(budget.n_seeds):
         x0 = rng.uniform(0.0, 2 * np.pi, 3)
         xi0 = rng.standard_normal(3)
-        xi0 /= np.linalg.norm(xi0)
-        try:
-            result = wkb_exponent(jet, x0, xi0, T=budget.wkb_T, rtol=1e-8, atol=1e-10)
-        except StiffnessError:
+        seeds.append((x0, xi0 / np.linalg.norm(xi0)))
+    return _WavePacketStage(jet, seeds, budget.wkb_T, issue, diagnostics)
+
+
+def _wave_packet_verdict(stage: _WavePacketStage,
+                         results: list) -> InstabilityCertificate:
+    """Stage 3 of one pair from its packets' results, in seed order."""
+    best: WKBWitness | None = None
+    failures = 0
+    for (x0, xi0), result in zip(stage.seeds, results):
+        if result is None:
             failures += 1
             continue
         if best is None or result.tail_slope > best.tail_slope:
@@ -384,11 +446,13 @@ def certify(
                 x0=x0, xi0=xi0,
                 exponent=result.exponent,
                 tail_slope=result.tail_slope,
+                amplitude_orthogonality_drift=result.amplitude_orthogonality_drift,
+                frequency_transport_drift=result.frequency_transport_drift,
             )
-    diagnostics["stages"].append(
+    stage.diagnostics["stages"].append(
         {
             "stage": "wkb",
-            "samples": budget.n_seeds,
+            "samples": len(stage.seeds),
             "failures": failures,
             "best_tail_slope": None if best is None else best.tail_slope,
             "threshold": WKB_THRESHOLD,
@@ -397,6 +461,71 @@ def certify(
     # the fitted tail slope separates exponential growth from the
     # algebraic transients integrable shear produces
     if best is not None and best.tail_slope > WKB_THRESHOLD:
-        return issue("positive_wkb_exponent", best, best.tail_slope)
+        return stage.issue("positive_wkb_exponent", best, best.tail_slope)
+    return stage.issue("inconclusive", None, 0.0)
 
-    return issue("inconclusive", None, 0.0)
+
+def certify_batch(metric: MetricField, pairs, budgets) -> list:
+    """Instability certificates for several curl eigenpairs of one metric.
+
+    Stages 1 and 2 (zeros, orbits; see certify) run pair by pair. The
+    wave-packet stage then integrates the n_seeds packets of every pair
+    still undecided as the lanes of one wkb_exponent call (one per
+    distinct wkb_T), each lane with its own step control. A packet's
+    numbers do not depend on which lanes share its solve, so a pair's
+    certificate is the same alone or in any batch, and batching the
+    pairs of a sample only removes per-solve overhead. Entry k of the
+    result is pairs[k]'s certificate, or the exception its stages raised;
+    the other pairs still certify.
+    """
+    outcomes: list = []
+    for pair, budget in zip(pairs, budgets, strict=True):
+        try:
+            outcomes.append(_first_stages(metric, pair, budget))
+        except Exception as err:  # reported per pair, as the caller decides
+            outcomes.append(err)
+    waiting = [k for k, o in enumerate(outcomes)
+               if isinstance(o, _WavePacketStage)]
+    for wkb_T in dict.fromkeys(outcomes[k].wkb_T for k in waiting):
+        group = [k for k in waiting if outcomes[k].wkb_T == wkb_T]
+        packets = [(outcomes[k].jet, x0, xi0)
+                   for k in group for x0, xi0 in outcomes[k].seeds]
+        try:
+            results = wkb_exponent(packets, T=wkb_T, rtol=1e-8, atol=1e-10)
+        except Exception as err:
+            for k in group:
+                outcomes[k] = err
+            continue
+        start = 0
+        for k in group:
+            n = len(outcomes[k].seeds)
+            outcomes[k] = _wave_packet_verdict(outcomes[k],
+                                               results[start:start + n])
+            start += n
+    return outcomes
+
+
+def certify(
+    metric: MetricField,
+    pair: EigenPair,
+    budget: CertifyBudget | None = None,
+) -> InstabilityCertificate:
+    """Instability certificate for one curl eigenpair: certify_batch on a
+    batch of one, whose stage errors are raised.
+
+    Stages: (1) nondegenerate zeros (saddles by volume conservation),
+    (2) hyperbolic nondegenerate periodic orbits of u's flowlines (the
+    Reeb rescaling u / |u|_g^2 moves along the same curves, so it has the
+    same orbits with the same hyperbolicity), (3) positive wave-packet
+    growth exponents, the n_seeds packets integrated as lanes of one
+    solve. Witnesses are re-verified at a tenth of their detection
+    tolerance before a certificate is issued; a wave packet whose
+    integration fails counts among the stage's failures.
+    Every stage runs on the unit-mean-speed rescaling of the field, and
+    the certificate reports its times and exponents in that clock, with
+    the growth threshold among its tolerances.
+    """
+    (outcome,) = certify_batch(metric, [pair], [budget or CertifyBudget()])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome

@@ -24,7 +24,8 @@ import numpy as np
 
 from .curlspec import assemble, eigenpairs
 from .fields import MetricField, named_metric, random_metric
-from .instability import CertifyBudget, certify
+# certify is unused here; perfbench/tracing.py patches lab.certify
+from .instability import CertifyBudget, certify, certify_batch  # noqa: F401
 
 CSV_COLUMNS = (
     "sample",
@@ -228,39 +229,41 @@ def _run_one_sample(config: SweepConfig, sample_id: int) -> SweepRecord:
         seed_key=seed_key,
         min_gap=_min_pairwise_gap(eigenvalues),
         eigenvalues=eigenvalues,
-        pair_reports=[],
+        pair_reports=[
+            {"eigenvalue": pair.eigenvalue, "residual": pair.residual,
+             "cluster_size": pair.cluster_size}
+            for pair in pairs
+        ],
     )
-    for k, pair in enumerate(pairs):
-        report = {
-            "eigenvalue": pair.eigenvalue,
-            "residual": pair.residual,
-            "cluster_size": pair.cluster_size,
-        }
-        if config.certify_pairs:
-            budget_seed = int.from_bytes(
-                hashlib.sha256(f"{seed_key}:{k}".encode()).digest()[:4], "big"
-            )
-            budget = CertifyBudget(**{**config.budget, "seed": budget_seed})
-            try:
-                cert = certify(metric, pair, budget)
-                fp = _stage(cert.diagnostics, "fixed_points")
-                orbits = _stage(cert.diagnostics, "orbits")
-                report.update(
-                    {
-                        "mechanism": cert.mechanism,
-                        "exponent": cert.exponent,
-                        "n_fixed_points": fp.get("found", 0),
-                        "n_nondegenerate_fixed_points": fp.get("nondegenerate", 0),
-                        "n_orbits_resolved": orbits.get("resolved", 0),
-                        "n_orbits_nondegenerate": orbits.get("nondegenerate", 0),
-                        "n_orbits_hyperbolic": orbits.get("hyperbolic", 0),
-                        "certificate": cert.to_json_dict(),
-                    }
-                )
-            except Exception as err:
-                report["mechanism"] = None
-                report["error"] = f"{type(err).__name__}: {err}"
-        record.pair_reports.append(report)
+    if not config.certify_pairs:
+        return record
+    budgets = []
+    for k in range(len(pairs)):
+        budget_seed = int.from_bytes(
+            hashlib.sha256(f"{seed_key}:{k}".encode()).digest()[:4], "big"
+        )
+        budgets.append(CertifyBudget(**{**config.budget, "seed": budget_seed}))
+    # one batch per sample: the wave packets of all its pairs share a solve
+    for report, cert in zip(record.pair_reports,
+                            certify_batch(metric, pairs, budgets)):
+        if isinstance(cert, Exception):
+            report["mechanism"] = None
+            report["error"] = f"{type(cert).__name__}: {cert}"
+            continue
+        fp = _stage(cert.diagnostics, "fixed_points")
+        orbits = _stage(cert.diagnostics, "orbits")
+        report.update(
+            {
+                "mechanism": cert.mechanism,
+                "exponent": cert.exponent,
+                "n_fixed_points": fp.get("found", 0),
+                "n_nondegenerate_fixed_points": fp.get("nondegenerate", 0),
+                "n_orbits_resolved": orbits.get("resolved", 0),
+                "n_orbits_nondegenerate": orbits.get("nondegenerate", 0),
+                "n_orbits_hyperbolic": orbits.get("hyperbolic", 0),
+                "certificate": cert.to_json_dict(),
+            }
+        )
     return record
 
 
@@ -274,7 +277,13 @@ def run_sweep(config: SweepConfig, *, n_threads: int = 1):
     Samples run on min(n_threads, samples) worker processes, forked so
     that they inherit the imported modules; with one worker or at most
     one sample they run in this process and no pool starts. Emission
-    order and content are independent of the pool size. When the config
+    order and content are independent of the pool size. Within a sample
+    the pairs are certified as one certify_batch: zeros and orbits pair
+    by pair, then the wave packets of every undecided pair as lanes of
+    one solve, each lane with its own step control. A packet's numbers do
+    not depend on the lanes beside it, so a pair's certificate does not
+    depend on the other pairs, and a pair whose stages raise is reported
+    with its error while the others still certify. When the config
     carries output paths the JSON-lines stream and the CSV summary are
     written as well. An exception raised in a worker is raised here,
     after the pool has shut down.

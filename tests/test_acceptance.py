@@ -29,10 +29,10 @@ from curllab.fields import (
     random_metric,
     sharp,
 )
-from curllab.instability import CertifyBudget, certify, wkb_exponent
+from curllab.instability import CertifyBudget, certify
 from curllab.lab import SweepConfig, run_sweep
 from test_dynamics import FrozenJet
-from test_instability import make_pair
+from test_instability import make_pair, one_packet
 from conftest import self_adjointness_residual, shear_one_form
 
 
@@ -205,13 +205,13 @@ def test_wkb_exponent():
     with criterion("wkb exponent (frozen saddle, constant field, drifts)"):
         nu = 0.7
         jet = FrozenJet([0, 0, 0], np.diag([nu, -nu, 0.0]))
-        exp = wkb_exponent(jet, (0, 0, 0), (1.0, 0.0, 0.0), T=50.0).exponent
+        exp = one_packet(jet, (0, 0, 0), (1.0, 0.0, 0.0), T=50.0).exponent
         assert abs(exp - nu) <= 0.01 * nu
         from curllab.fields import FourierField
 
         const = FourierField.constant("vector", [0.4, -0.2, 1.0])
-        assert abs(wkb_exponent(const, (0, 0, 0), (0, 1, 0), T=50.0).exponent) <= 1e-6
-        details = wkb_exponent(
+        assert abs(one_packet(const, (0, 0, 0), (0, 1, 0), T=50.0).exponent) <= 1e-6
+        details = one_packet(
             abc_field(1, 1, 1), (0.3, 0.1, 0.9), (0.5, -0.5, 1.0),
             T=100.0,
         )

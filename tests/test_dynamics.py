@@ -1,5 +1,7 @@
 """Flowlines, fixed points, periodic orbits, Floquet data, and the CZ index."""
 
+import gc
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -46,6 +48,11 @@ class FrozenJet:
     def value_and_jacobian(self, x):
         return self.value(x), self.jac.copy()
 
+    def values_and_jacobians(self, points):
+        points = np.asarray(points, float)
+        return (self.drift + points @ self.jac.T,
+                np.broadcast_to(self.jac, (len(points), 3, 3)).copy())
+
     def jacobian(self, x):
         return self.jac.copy()
 
@@ -73,6 +80,23 @@ def make_orbit_record(seed, period, winding, trajectory=None, ts=None):
 
 
 class TestFlow:
+    @pytest.mark.parametrize("integrate", [flow, variational_flow])
+    def test_jet_does_not_outlive_its_flow(self, integrate):
+        # solve_ivp leaves a reference cycle around the right-hand side;
+        # the jet built for the flow must still die with its last reference
+        gc.collect()
+        gc.disable()
+        try:
+            before = {id(o) for o in gc.get_objects() if isinstance(o, FieldJet)}
+            field = abc_field(1.0, 0.7, 0.3)
+            integrate(field, (0.1, 0.2, 0.3), 2.0)
+            del field
+            left = [o for o in gc.get_objects()
+                    if isinstance(o, FieldJet) and id(o) not in before]
+        finally:
+            gc.enable()
+        assert left == []
+
     def test_shear_straight_line(self):
         traj = flow(shear_field(1), (0.0, 0.0, 0.0), 1.0, tol=1e-12)
         np.testing.assert_allclose(traj.final, [0.0, 1.0, 0.0], atol=1e-10)

@@ -25,6 +25,8 @@ from curllab.fields import (
     l2_inner,
     l2_norm,
     named_metric,
+    _half_block,
+    _point_sum,
     random_metric,
     sharp,
 )
@@ -486,6 +488,57 @@ class TestPointKernel:
         jet = FieldJet(FourierField("vector", form.coeffs, _validated=True))
         for a, b in zip(jet.value_and_jacobian(x), jet.value_and_jacobian(np.array(x))):
             np.testing.assert_array_equal(a, b)
+
+
+def full_point_sum(coeffs, x):
+    """The full-block staged contraction the half block replaced, as
+    reference: sum_m coeffs[r, m] e^{i m.x}, complex, per leading index."""
+    L = coeffs.shape[-1]
+    n = (L - 1) // 2
+    p = np.exp(1j * np.multiply.outer(np.asarray(x, float), np.arange(-n, n + 1)))
+    s = (coeffs.reshape(-1, L) @ p[2]).reshape(-1, L) @ p[1]
+    return s.reshape(-1, L) @ p[0]
+
+
+class TestHalfKernel:
+    """The m_x >= 0 half block against the full contraction, to 1e-15 of
+    each component's coefficient l1 norm."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(truncation=truncations, seed=seeds, x=cover_points)
+    def test_matches_full_contraction_on_hermitian_blocks(self, truncation, seed, x):
+        c = hermitian_coeffs(12, truncation, seed)
+        full = full_point_sum(c, x)
+        scale = np.abs(c).sum(axis=(1, 2, 3))
+        got = _point_sum(_half_block(c), x)
+        assert np.all(np.abs(got - full.real) <= 1e-15 * scale)
+        assert np.all(np.abs(full.imag) <= 1e-15 * scale)
+
+    @settings(max_examples=40, deadline=None)
+    @given(truncation=truncations, seed=seeds, x=cover_points)
+    def test_nearly_hermitian_block_gives_real_part(self, truncation, seed, x):
+        # construction accepts blocks Hermitian to HERMITIAN_TOL; the half
+        # block then sums the real part of the full contraction
+        rng = np.random.default_rng(seed)
+        L = 2 * truncation + 1
+        noise = rng.standard_normal((3, L, L, L)) + 1j * rng.standard_normal((3, L, L, L))
+        c = hermitian_coeffs(3, truncation, seed) + 1e-11 * noise
+        scale = np.abs(c).sum(axis=(1, 2, 3))
+        got = _point_sum(_half_block(c), x)
+        assert np.all(np.abs(got - full_point_sum(c, x).real) <= 1e-15 * scale)
+
+    def test_points_of_a_batch_are_independent(self, rng):
+        field = FourierField("vector", hermitian_coeffs(3, 4, 11))
+        jet = FieldJet(field)
+        points = rng.uniform(-50.0, 50.0, (9, 3))
+        vals, jacs = jet.values_and_jacobians(points)
+        for k in (0, 4, 8):
+            val, jac = jet.value_and_jacobian(points[k])
+            np.testing.assert_array_equal(vals[k], val)
+            np.testing.assert_array_equal(jacs[k], jac)
+            sub_vals, sub_jacs = jet.values_and_jacobians(points[k:k + 1])
+            np.testing.assert_array_equal(sub_vals[0], val)
+            np.testing.assert_array_equal(sub_jacs[0], jac)
 
 
 class TestMetricJet:

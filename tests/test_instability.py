@@ -4,19 +4,34 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from curllab import instability
 from curllab.curlspec import EigenPair, eigenpairs
-from curllab.dynamics import abc_field, find_fixed_points, shear_field
-from curllab.errors import StiffnessError
-from curllab.fields import FourierField, flat_metric, l2_norm
+from curllab.dynamics import (
+    _orthonormal_complement,
+    abc_field,
+    find_fixed_points,
+    shear_field,
+    solve_lanes,
+)
+from curllab.fields import FieldJet, FourierField, as_jet, flat_metric, l2_norm
 from curllab.fields import flat as lower_index
 from curllab.instability import (
     WKB_THRESHOLD,
     CertifyBudget,
     InstabilityCertificate,
     certify,
+    certify_batch,
     wkb_exponent,
 )
+from conftest import random_one_form
 from test_dynamics import FrozenJet
+
+
+def one_packet(u, x0, xi0, **kwargs):
+    """wkb_exponent on a batch of one packet, raising if its lane failed."""
+    (result,) = wkb_exponent([(u, x0, xi0)], **kwargs)
+    assert result is not None, "the packet's integration failed"
+    return result
 
 
 def make_pair(metric, form, eigenvalue):
@@ -29,7 +44,7 @@ def make_pair(metric, form, eigenvalue):
 class TestWKBExponent:
     def test_constant_field_no_growth(self):
         u = FourierField.constant("vector", [0.3, -1.0, 0.7])
-        exp = wkb_exponent(u, (0.1, 0.2, 0.3), (1.0, 0.0, 0.0), T=50.0).exponent
+        exp = one_packet(u, (0.1, 0.2, 0.3), (1.0, 0.0, 0.0), T=50.0).exponent
         assert abs(exp) <= 1e-6
 
     def test_frozen_saddle_recovers_rate(self):
@@ -38,34 +53,20 @@ class TestWKBExponent:
         # grows at exactly the stretching rate
         nu = 0.8
         jet = FrozenJet([0.0, 0.0, 0.0], np.diag([nu, -nu, 0.0]))
-        exp = wkb_exponent(jet, (0, 0, 0), (1.0, 0.0, 0.0), T=50.0).exponent
+        exp = one_packet(jet, (0, 0, 0), (1.0, 0.0, 0.0), T=50.0).exponent
         assert exp == pytest.approx(nu, rel=0.01)
 
     def test_frozen_saddle_tail_slope(self):
         nu = 0.8
         jet = FrozenJet([0.0, 0.0, 0.0], np.diag([nu, -nu, 0.0]))
-        result = wkb_exponent(jet, (0, 0, 0), (1, 0, 0), T=50.0)
+        result = one_packet(jet, (0, 0, 0), (1, 0, 0), T=50.0)
         assert result.tail_slope == pytest.approx(nu, rel=0.01)
-
-    def test_one_integration_per_packet(self, monkeypatch):
-        from curllab import instability
-
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(args[1])
-            return solve_ivp(*args, **kwargs)
-
-        monkeypatch.setattr(instability, "solve_ivp", counting)
-        wkb_exponent(abc_field(1, 1, 1), (0.7, 1.9, 4.0), (0, 1, 1), T=20.0,
-                     rtol=1e-8, atol=1e-10)
-        assert calls == [(0.0, 20.0)]
 
     def test_growth_past_float_range_stays_finite(self):
         # log-growth 800 at T = 200: |b| = e^800 is not a float, its log is
         nu = 4.0
         jet = FrozenJet([0.0, 0.0, 0.0], np.diag([nu, -nu, 0.0]))
-        result = wkb_exponent(jet, (0, 0, 0), (1.0, 0.0, 0.0), T=200.0)
+        result = one_packet(jet, (0, 0, 0), (1.0, 0.0, 0.0), T=200.0)
         assert np.all(np.isfinite(result.log_growth))
         assert result.log_growth.max() == pytest.approx(nu * 200.0, rel=0.01)
         assert result.exponent == pytest.approx(nu, rel=0.01)
@@ -76,22 +77,22 @@ class TestWKBExponent:
     def test_rescaling_doubles_exponent(self):
         u = abc_field(1, 1, 1)
         x0, xi0 = (0.7, 1.9, 4.0), (0.0, 1.0, 1.0)
-        base = wkb_exponent(u, x0, xi0, T=40.0, rtol=1e-9, atol=1e-11).exponent
-        doubled = wkb_exponent(
+        base = one_packet(u, x0, xi0, T=40.0, rtol=1e-9, atol=1e-11).exponent
+        doubled = one_packet(
             2.0 * u, x0, xi0, T=20.0, rtol=1e-9, atol=1e-11
         ).exponent
         assert doubled == pytest.approx(2.0 * base, rel=0.01)
 
     def test_conserved_quantities_drift(self):
         u = abc_field(1, 1, 1)
-        result = wkb_exponent(u, (0.3, 0.1, 0.9), (0.5, -0.5, 1.0), T=100.0)
+        result = one_packet(u, (0.3, 0.1, 0.9), (0.5, -0.5, 1.0), T=100.0)
         assert result.amplitude_orthogonality_drift <= 1e-6
         assert result.frequency_transport_drift <= 1e-6
 
     def test_exponent_independent_of_wavevector_scale(self):
         u = abc_field(1, 1, 1)
-        a = wkb_exponent(u, (0.7, 1.9, 4.0), (0, 1, 1), T=20.0).exponent
-        b = wkb_exponent(u, (0.7, 1.9, 4.0), (0, 100, 100), T=20.0).exponent
+        a = one_packet(u, (0.7, 1.9, 4.0), (0, 1, 1), T=20.0).exponent
+        b = one_packet(u, (0.7, 1.9, 4.0), (0, 100, 100), T=20.0).exponent
         assert a == pytest.approx(b, rel=1e-6)
 
     def test_growth_near_hyperbolic_stagnation_point(self):
@@ -103,18 +104,18 @@ class TestWKBExponent:
         # rides the unstable direction while the trajectory lingers
         w, V = np.linalg.eig(rec.jacobian.T)
         xi0 = V[:, int(np.argmin(w.real))].real
-        result = wkb_exponent(u, rec.location + 1e-3, xi0, T=10.0,
-                              rtol=1e-9, atol=1e-11)
+        result = one_packet(u, rec.location + 1e-3, xi0, T=10.0,
+                            rtol=1e-9, atol=1e-11)
         assert result.exponent > 0
         # seeded exactly at the zero the frozen linearization growth shows
-        at_zero = wkb_exponent(u, rec.location, xi0, T=30.0, rtol=1e-9,
-                               atol=1e-11)
+        at_zero = one_packet(u, rec.location, xi0, T=30.0, rtol=1e-9,
+                             atol=1e-11)
         assert at_zero.tail_slope == pytest.approx(unstable_rate / 2, rel=0.05)
 
     def test_integrable_shear_growth_is_algebraic(self):
         # amplitudes grow linearly, so the tail slope collapses while the
         # raw ratio can sit above zero
-        result = wkb_exponent(
+        result = one_packet(
             shear_field(1), (0.2, 0.4, 1.0), (1.0, 0.5, 0.25), T=200.0,
             rtol=1e-8, atol=1e-10,
         )
@@ -123,8 +124,121 @@ class TestWKBExponent:
 
     def test_zero_wavevector_rejected(self):
         with pytest.raises(ValueError):
-            wkb_exponent(shear_field(1), (0, 0, 0), (0, 0, 0), T=1.0)
+            one_packet(shear_field(1), (0, 0, 0), (0, 0, 0), T=1.0)
 
+
+def packet_rhs(jet):
+    """The transport system of one packet as a solve_ivp right-hand side:
+    the projective form wkb_exponent integrates, written out on its own."""
+
+    def rhs(_, y):
+        x, xi, b = y[:3], y[3:6], y[7:13].reshape(2, 3)
+        val, jac = jet.value_and_jacobian(x)
+        xi_sq = xi @ xi
+        g = -jac.T @ xi
+        rho = (xi @ g) / xi_sq
+        jb = b @ jac.T
+        f = -jb + np.outer(2.0 * (jb @ xi) / xi_sq, xi)
+        r = np.einsum("ij,ij->i", b, f) / np.einsum("ij,ij->i", b, b)
+        return np.concatenate(
+            [val, g - rho * xi, [rho], (f - r[:, None] * b).ravel(), r])
+
+    return rhs
+
+
+def packet_state(x0, xi0):
+    xi0 = np.asarray(xi0, float) / np.linalg.norm(xi0)
+    bs = np.stack(_orthonormal_complement(xi0))
+    return np.r_[x0, xi0, 0.0, bs.ravel(), 0.0, 0.0]
+
+
+class NonFiniteJet:
+    """A jet whose batched evaluation is NaN: lanes on it must fail."""
+
+    def __init__(self, jet):
+        self.jet = jet
+
+    def __getattr__(self, name):
+        return getattr(self.jet, name)
+
+    def values_and_jacobians(self, points):
+        vals, jacs = self.jet.values_and_jacobians(points)
+        return np.full_like(vals, np.nan), jacs
+
+
+def batch_packets():
+    """Twelve packets on six jets, two per jet, drawn as certify draws them."""
+    fields = [abc_field(1.0, 0.7, 0.3), abc_field(1.0, 1.0, 1.0),
+              abc_field(0.5, 1.0, 0.8), shear_field(1)]
+    rng = np.random.default_rng(3)
+    fields += [FourierField("vector", 0.05 * random_one_form(2, rng).coeffs)
+               for _ in range(2)]
+    packets = []
+    for field in fields:
+        jet = as_jet(field)
+        for _ in range(2):
+            x0 = rng.uniform(0.0, 2 * np.pi, 3)
+            xi0 = rng.standard_normal(3)
+            packets.append((jet, x0, xi0 / np.linalg.norm(xi0)))
+    return packets
+
+
+def assert_same_result(a, b):
+    assert a.exponent == b.exponent and a.tail_slope == b.tail_slope
+    assert a.amplitude_orthogonality_drift == b.amplitude_orthogonality_drift
+    assert a.frequency_transport_drift == b.frequency_transport_drift
+    np.testing.assert_array_equal(a.ts, b.ts)
+    np.testing.assert_array_equal(a.log_growth, b.log_growth)
+
+
+class TestLanes:
+    TOLS = {"rtol": 1e-8, "atol": 1e-10}  # certify's
+
+    def test_packet_alone_equals_packet_in_batch(self):
+        packets = batch_packets()
+        batch = wkb_exponent(packets, T=20.0, **self.TOLS)
+        for k in (0, 5, 11):
+            (alone,) = wkb_exponent([packets[k]], T=20.0, **self.TOLS)
+            assert_same_result(alone, batch[k])
+        # a different company and order leave a packet's numbers alone too
+        shuffled = wkb_exponent(packets[::-1][:7], T=20.0, **self.TOLS)
+        for k, result in zip(range(11, 4, -1), shuffled):
+            assert_same_result(result, batch[k])
+
+    @pytest.mark.parametrize("case", ["frozen_saddle", "abc"])
+    def test_lane_solver_matches_solve_ivp(self, case):
+        if case == "frozen_saddle":
+            jet = FrozenJet([0.0, 0.0, 0.0], np.diag([0.8, -0.8, 0.0]))
+            y0, T = packet_state((0, 0, 0), (1.0, 0.0, 0.0)), 50.0
+        else:
+            jet = as_jet(abc_field(1, 1, 1))
+            y0, T = packet_state((0.7, 1.9, 4.0), (0, 1, 1)), 20.0
+        ts = np.linspace(0.0, T, int(T) + 1)
+        ref = solve_ivp(packet_rhs(jet), (0.0, T), y0, method="DOP853",
+                        t_eval=ts, **self.TOLS)
+        assert ref.success
+        rhs = instability._wkb_rhs([jet], np.zeros(1, int))
+        samples, failed = solve_lanes(rhs, y0[None], T, len(ts), **self.TOLS)
+        assert not failed.any()
+        scale = np.maximum(1.0, np.abs(ref.y.T))
+        assert np.abs(samples[0] - ref.y.T).max() <= (1e-12 * scale).max()
+        (result,) = wkb_exponent([(jet, y0[:3], y0[3:6])], T=T, **self.TOLS)
+        log_growth = ref.y[13:15] + np.log(
+            np.linalg.norm(ref.y[7:13].T.reshape(-1, 2, 3), axis=2).T)
+        assert abs(result.exponent - log_growth[:, -1].max() / T) <= 1e-12
+
+    def test_non_finite_lane_fails_alone(self):
+        packets = batch_packets()[:4]
+        jet, x0, xi0 = packets[2]
+        poisoned = packets[:2] + [(NonFiniteJet(jet), x0, xi0)] + packets[3:]
+        results = wkb_exponent(poisoned, T=20.0, **self.TOLS)
+        assert results[2] is None
+        for k in (0, 1, 3):
+            (alone,) = wkb_exponent([packets[k]], T=20.0, **self.TOLS)
+            assert_same_result(results[k], alone)
+
+    def test_no_packets(self):
+        assert wkb_exponent([], T=5.0) == []
 
 class TestCertifyBudget:
     @pytest.mark.parametrize("values", [
@@ -275,3 +389,83 @@ class TestCertify:
         pair = make_pair(flat, shear_one_form(1), 0.0)
         with pytest.raises(ValueError):
             certify(flat, pair)
+
+    def test_one_lane_solve_per_batch(self, flat, monkeypatch):
+        # both pairs reach the wave-packet stage; their packets share one
+        # lane solve, every lane over [0, wkb_T]
+        from conftest import shear_one_form
+
+        calls = []
+
+        def counting(rhs, y0, T, n_samples, **kwargs):
+            samples, failed = solve_lanes(rhs, y0, T, n_samples, **kwargs)
+            # every lane ran to T: its last sample is the state at T
+            calls.append((len(y0), T, int((~failed).sum()),
+                          int(np.isfinite(samples[:, -1]).all(axis=1).sum())))
+            return samples, failed
+
+        monkeypatch.setattr(instability, "solve_lanes", counting)
+        pairs = [make_pair(flat, shear_one_form(k), float(k)) for k in (1, 2)]
+        budgets = [CertifyBudget(T_max=4.0, orbit_seeds=1, n_seeds=3,
+                                 wkb_T=10.0, seed=s) for s in (1, 2)]
+        certs = certify_batch(flat, pairs, budgets)
+        assert calls == [(6, 10.0, 6, 6)]
+        for cert in certs:
+            wkb = cert.diagnostics["stages"][-1]
+            assert wkb["stage"] == "wkb" and wkb["samples"] == 3
+            assert wkb["failures"] == 0
+
+    def test_pair_alone_equals_pair_in_batch(self, flat):
+        from conftest import shear_one_form
+
+        pairs = [make_pair(flat, shear_one_form(k), float(k)) for k in (1, 2)]
+        budget = CertifyBudget(T_max=4.0, orbit_seeds=1, n_seeds=2,
+                               wkb_T=10.0, seed=4)
+        batch = certify_batch(flat, pairs, [budget, budget])
+        for pair, cert in zip(pairs, batch):
+            assert certify(flat, pair, budget).to_json_dict() == cert.to_json_dict()
+
+    def test_failed_lane_counts_for_its_own_pair(self, flat, monkeypatch):
+        from conftest import shear_one_form
+
+        built = []
+
+        def poisoning(field):
+            if not isinstance(field, FourierField):
+                return field
+            jet = FieldJet(field)
+            built.append(jet)
+            return NonFiniteJet(jet) if len(built) == 2 else jet
+
+        monkeypatch.setattr(instability, "as_jet", poisoning)
+        pair = make_pair(flat, shear_one_form(1), 1.0)
+        budget = CertifyBudget(T_max=4.0, orbit_seeds=1, n_seeds=2, wkb_T=10.0)
+        first, second = certify_batch(flat, [pair, pair], [budget, budget])
+        assert first.diagnostics["stages"][-1]["failures"] == 0
+        assert second.diagnostics["stages"][-1]["failures"] == 2
+        assert second.mechanism == "inconclusive" and second.witness is None
+        monkeypatch.undo()
+        assert certify(flat, pair, budget).to_json_dict() == first.to_json_dict()
+
+    def test_raising_pair_leaves_the_others(self, flat, monkeypatch):
+        from conftest import shear_one_form
+
+        calls = []
+        find = instability.find_fixed_points
+
+        def failing_second(jet):
+            calls.append(jet)
+            if len(calls) == 2:
+                raise RuntimeError("stage failure")
+            return find(jet)
+
+        monkeypatch.setattr(instability, "find_fixed_points", failing_second)
+        pair = make_pair(flat, shear_one_form(1), 1.0)
+        budget = CertifyBudget(T_max=4.0, orbit_seeds=1, n_seeds=2, wkb_T=10.0)
+        outcomes = certify_batch(flat, [pair] * 3, [budget] * 3)
+        assert isinstance(outcomes[1], RuntimeError)
+        monkeypatch.undo()
+        alone = certify(flat, pair, budget).to_json_dict()
+        for outcome in (outcomes[0], outcomes[2]):
+            assert isinstance(outcome, InstabilityCertificate)
+            assert outcome.to_json_dict() == alone

@@ -122,6 +122,49 @@ class TestRunSweep:
             assert "mechanism" in report
             assert "certificate" in report or report["mechanism"] is None
 
+    def test_wkb_witness_records_integration_quality(self):
+        cfg = SweepConfig(
+            samples=1, truncation=2, seed=5, certify_pairs=True,
+            window={"interval": [0.9, 1.1]},
+            budget={"T_max": 6.0, "orbit_seeds": 2, "n_seeds": 2,
+                    "wkb_T": 20.0},
+        )
+        witnesses = [report["certificate"]["witness"]
+                     for report in run_sweep(cfg)[0].pair_reports
+                     if report["mechanism"] == "positive_wkb_exponent"]
+        assert witnesses
+        for witness in witnesses:
+            for key in ("amplitude_orthogonality_drift",
+                        "frequency_transport_drift"):
+                assert np.isfinite(witness[key]) and 0.0 <= witness[key] <= 1e-4
+
+    def test_raising_pair_leaves_the_sample_certified(self, monkeypatch):
+        from curllab import instability
+
+        calls = []
+        find = instability.find_fixed_points
+
+        def failing_second(jet):
+            calls.append(jet)
+            if len(calls) == 2:
+                raise RuntimeError("stage failure")
+            return find(jet)
+
+        monkeypatch.setattr(instability, "find_fixed_points", failing_second)
+        cfg = SweepConfig(
+            samples=1, truncation=2, seed=5, certify_pairs=True,
+            window={"interval": [0.9, 1.1]},
+            budget={"T_max": 6.0, "orbit_seeds": 2, "n_seeds": 2,
+                    "wkb_T": 20.0},
+        )
+        reports = run_sweep(cfg)[0].pair_reports
+        assert len(reports) > 2
+        assert reports[1]["mechanism"] is None
+        assert reports[1]["error"] == "RuntimeError: stage failure"
+        for report in reports[:1] + reports[2:]:
+            assert report["mechanism"] is not None and "error" not in report
+            assert report["certificate"]["mechanism"] == report["mechanism"]
+
     def test_certificates_self_consistent_from_json(self, tmp_path):
         """Every certificate of a certified sweep re-checks from its JSON."""
         out = tmp_path / "certified.jsonl"
