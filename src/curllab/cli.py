@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .contact import adapted_metric, reeb_field, tight_form
@@ -212,15 +213,9 @@ def cmd_instability(args) -> int:
 
 
 def cmd_genericity_sweep(args) -> int:
-    config = args.config
-    if args.out_jsonl:
-        config = SweepConfig.from_json_dict(
-            {**config.to_json_dict(), "out_jsonl": args.out_jsonl}
-        )
-    if args.out_csv:
-        config = SweepConfig.from_json_dict(
-            {**config.to_json_dict(), "out_csv": args.out_csv}
-        )
+    config = replace(args.config,
+                     out_jsonl=args.out_jsonl or args.config.out_jsonl,
+                     out_csv=args.out_csv or args.config.out_csv)
     records = run_sweep(config, n_threads=args.threads)
     failures = [r for r in records if r.error is not None]
     for r in failures:

@@ -11,7 +11,9 @@ quadrature Gram matrix G of the weighted 1-form inner product. The weak
 application G^{-1} B is then self-adjoint with respect to that inner
 product by construction, its spectrum is real, and its kernel consists
 exactly of the closed forms, so the coexact restriction comes for free:
-nonzero eigenvalues automatically carry coexact eigenvectors.
+nonzero eigenvalues automatically carry coexact eigenvectors. Each
+eigenpair checks that claim with coexact_residual_packed, the weighted
+norm of the G-orthogonal projection of its vector onto the closed forms.
 
 Real coefficient coordinates are used throughout ("packed" vectors):
 one real degree of freedom per constant component and a (Re, Im) pair
@@ -132,36 +134,26 @@ class ModeBasis:
             a.flags.writeable = False
 
     def pack(self, coeffs: np.ndarray) -> np.ndarray:
-        return self.pack_batch(coeffs[None])[0]
-
-    def pack_batch(self, coeffs: np.ndarray) -> np.ndarray:
-        b = coeffs.shape[0]
         n = self.truncation
-        out = np.empty((b, self.dim))
-        out[:, : self.ncomp] = coeffs[:, :, n, n, n].real * _SCALE
-        half = coeffs[:, :, self.half_index[0], self.half_index[1],
-                      self.half_index[2]]  # (b, ncomp, K_h)
-        half = np.moveaxis(half, 1, 2) * (_SQRT2 * _SCALE)  # (b, K_h, ncomp)
-        rest = out[:, self.ncomp:].reshape(b, self.n_half, 2, self.ncomp)
-        rest[:, :, 0, :] = half.real
-        rest[:, :, 1, :] = half.imag
+        out = np.empty(self.dim)
+        out[: self.ncomp] = coeffs[:, n, n, n].real * _SCALE
+        half = coeffs[:, self.half_index[0], self.half_index[1],
+                      self.half_index[2]].T * (_SQRT2 * _SCALE)  # (K_h, ncomp)
+        rest = out[self.ncomp:].reshape(self.n_half, 2, self.ncomp)
+        rest[:, 0, :] = half.real
+        rest[:, 1, :] = half.imag
         return out
 
     def unpack(self, vector: np.ndarray) -> np.ndarray:
-        return self.unpack_batch(vector[None])[0]
-
-    def unpack_batch(self, vectors: np.ndarray) -> np.ndarray:
-        v = np.asarray(vectors, dtype=float)
-        b = v.shape[0]
+        v = np.asarray(vector, dtype=float)
         n = self.truncation
         L = 2 * n + 1
-        coeffs = np.zeros((b, self.ncomp, L, L, L), np.complex128)
-        coeffs[:, :, n, n, n] = v[:, : self.ncomp] / _SCALE
-        rest = v[:, self.ncomp:].reshape(b, self.n_half, 2, self.ncomp)
-        half = (rest[:, :, 0, :] + 1j * rest[:, :, 1, :]) / (_SQRT2 * _SCALE)
-        half = np.moveaxis(half, 2, 1)  # (b, ncomp, K_h)
-        coeffs[:, :, self.half_index[0], self.half_index[1], self.half_index[2]] = half
-        coeffs[:, :, self.neg_index[0], self.neg_index[1], self.neg_index[2]] = (
+        coeffs = np.zeros((self.ncomp, L, L, L), np.complex128)
+        coeffs[:, n, n, n] = v[: self.ncomp] / _SCALE
+        rest = v[self.ncomp:].reshape(self.n_half, 2, self.ncomp)
+        half = ((rest[:, 0, :] + 1j * rest[:, 1, :]) / (_SQRT2 * _SCALE)).T
+        coeffs[:, self.half_index[0], self.half_index[1], self.half_index[2]] = half
+        coeffs[:, self.neg_index[0], self.neg_index[1], self.neg_index[2]] = (
             half.conj()
         )
         return coeffs
@@ -265,18 +257,6 @@ class CurlOperator:
         return self.grid.analyze(weighted, self.truncation)
 
     # -- dense matrices -------------------------------------------------
-
-    @cached_property
-    def pairing_matrix(self) -> np.ndarray:
-        """Dense B; the solver never builds it, the frames diagonalize it."""
-        basis = self.basis
-        B = np.zeros((basis.dim, basis.dim))
-        C = self._cross
-        for j in range(basis.n_half):
-            s = basis.ncomp + 6 * j
-            B[s:s + 3, s + 3:s + 6] = -C[j]
-            B[s + 3:s + 6, s:s + 3] = C[j]
-        return B
 
     @cached_property
     def _gram_scalar(self) -> float | None:
@@ -423,20 +403,6 @@ class CurlOperator:
                           Gv[nc:].reshape(-1, 6))
         ctg = np.concatenate([Gv[:nc], modes.ravel()])
         return sla.cho_solve((L, True), ctg), ctg
-
-    def coexact_project(self, form: FourierField) -> FourierField:
-        """Remove the exact and harmonic parts in the weighted inner product.
-
-        The output is orthogonal to every closed truncation-N form, which
-        is the discrete divergence-free constraint; the map is idempotent.
-        """
-        v = self.basis.pack(self._coerce(form).coeffs)
-        w, _ = self._closed_part(v)
-        nc = self.basis.ncomp
-        Cw = np.matmul(self.basis.rotation[:, :, :2], w[nc:].reshape(-1, 2, 1))
-        v[:nc] -= w[:nc]
-        v[nc:] -= Cw.ravel()
-        return FourierField("one_form", self.basis.unpack(v))
 
     def coexact_residual_packed(self, v: np.ndarray) -> float:
         """Weighted norm of the closed-form component of a packed vector."""

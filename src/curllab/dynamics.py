@@ -535,24 +535,6 @@ def _classify_multipliers(mults: np.ndarray, mult_tol: float):
     return "elliptic", True
 
 
-def monodromy(u, orbit: PeriodicOrbitRecord):
-    """Monodromy matrix and transverse return map of a periodic orbit.
-
-    The 3x3 matrix integrates the variational equations over one period;
-    the 2x2 map restricts it to the section plane u0-perp (the orthogonal
-    complement of the flow direction u0 at the seed), projecting along
-    the flow.
-    """
-    jet = as_jet(u)
-    u0 = jet.value(orbit.seed)
-    if np.linalg.norm(u0) < 1e-10:
-        raise FrameError("flow direction vanishes at the orbit seed; "
-                         "projection ill-conditioned")
-    _, Ms = variational_flow(jet, orbit.seed, orbit.period)
-    M = Ms[-1]
-    return M, _project_return_map(M, u0, *_orthonormal_complement(u0))
-
-
 def _close_return_candidates(traj: Trajectory):
     disp = traj.points - traj.points[0]
     lattice = np.round(disp / TAU)

@@ -208,10 +208,6 @@ class FourierField:
     def ncomp(self) -> int:
         return self.coeffs.shape[0]
 
-    def mode(self, m1: int, m2: int, m3: int, comp: int = 0) -> complex:
-        n = self.truncation
-        return complex(self.coeffs[comp, m1 + n, m2 + n, m3 + n])
-
     def pad_to(self, truncation: int) -> "FourierField":
         n = self.truncation
         if truncation < n:

@@ -348,7 +348,6 @@ class _WavePacketStage:
 
     jet: object
     seeds: list  # (x0, xi0) in draw order
-    wkb_T: float
     issue: object
     diagnostics: dict
 
@@ -429,7 +428,7 @@ def _first_stages(metric: MetricField, pair: EigenPair,
         x0 = rng.uniform(0.0, 2 * np.pi, 3)
         xi0 = rng.standard_normal(3)
         seeds.append((x0, xi0 / np.linalg.norm(xi0)))
-    return _WavePacketStage(jet, seeds, budget.wkb_T, issue, diagnostics)
+    return _WavePacketStage(jet, seeds, issue, diagnostics)
 
 
 def _wave_packet_verdict(stage: _WavePacketStage,
@@ -470,14 +469,19 @@ def certify_batch(metric: MetricField, pairs, budgets) -> list:
 
     Stages 1 and 2 (zeros, orbits; see certify) run pair by pair. The
     wave-packet stage then integrates the n_seeds packets of every pair
-    still undecided as the lanes of one wkb_exponent call (one per
-    distinct wkb_T), each lane with its own step control. A packet's
-    numbers do not depend on which lanes share its solve, so a pair's
-    certificate is the same alone or in any batch, and batching the
-    pairs of a sample only removes per-solve overhead. Entry k of the
-    result is pairs[k]'s certificate, or the exception its stages raised;
-    the other pairs still certify.
+    still undecided as the lanes of one wkb_exponent call: one solve per
+    batch, each lane with its own step control. The budgets must
+    therefore agree on wkb_T, or the batch is a ValueError before any
+    stage runs. A packet's numbers do not depend on which lanes share
+    its solve, so a pair's certificate is the same alone or in any
+    batch, and batching the pairs of a sample only removes per-solve
+    overhead. Entry k of the result is pairs[k]'s certificate, or the
+    exception its stages raised; the other pairs still certify.
     """
+    horizons = {budget.wkb_T for budget in budgets}
+    if len(horizons) > 1:
+        raise ValueError("the pairs of a batch share one wave-packet solve, "
+                         f"so their budgets need one wkb_T, got {sorted(horizons)}")
     outcomes: list = []
     for pair, budget in zip(pairs, budgets, strict=True):
         try:
@@ -486,22 +490,22 @@ def certify_batch(metric: MetricField, pairs, budgets) -> list:
             outcomes.append(err)
     waiting = [k for k, o in enumerate(outcomes)
                if isinstance(o, _WavePacketStage)]
-    for wkb_T in dict.fromkeys(outcomes[k].wkb_T for k in waiting):
-        group = [k for k in waiting if outcomes[k].wkb_T == wkb_T]
-        packets = [(outcomes[k].jet, x0, xi0)
-                   for k in group for x0, xi0 in outcomes[k].seeds]
-        try:
-            results = wkb_exponent(packets, T=wkb_T, rtol=1e-8, atol=1e-10)
-        except Exception as err:
-            for k in group:
-                outcomes[k] = err
-            continue
-        start = 0
-        for k in group:
-            n = len(outcomes[k].seeds)
-            outcomes[k] = _wave_packet_verdict(outcomes[k],
-                                               results[start:start + n])
-            start += n
+    if not waiting:
+        return outcomes
+    packets = [(outcomes[k].jet, x0, xi0)
+               for k in waiting for x0, xi0 in outcomes[k].seeds]
+    try:
+        results = wkb_exponent(packets, T=budgets[0].wkb_T,
+                               rtol=1e-8, atol=1e-10)
+    except Exception as err:
+        for k in waiting:
+            outcomes[k] = err
+        return outcomes
+    start = 0
+    for k in waiting:
+        n = len(outcomes[k].seeds)
+        outcomes[k] = _wave_packet_verdict(outcomes[k], results[start:start + n])
+        start += n
     return outcomes
 
 

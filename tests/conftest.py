@@ -51,6 +51,19 @@ def self_adjointness_residual(op, n_trials: int, seed: int) -> float:
     return worst
 
 
+def pairing_matrix(op) -> np.ndarray:
+    """Dense B of a CurlOperator; the solver never builds it, the frames
+    diagonalize it."""
+    basis = op.basis
+    B = np.zeros((basis.dim, basis.dim))
+    C = basis.cross_matrices()
+    for j in range(basis.n_half):
+        s = basis.ncomp + 6 * j
+        B[s:s + 3, s + 3:s + 6] = -C[j]
+        B[s + 3:s + 6, s:s + 3] = C[j]
+    return B
+
+
 def random_scalar(truncation: int, rng: np.random.Generator) -> FourierField:
     L = 2 * truncation + 1
     c = rng.standard_normal((1, L, L, L)) + 1j * rng.standard_normal((1, L, L, L))

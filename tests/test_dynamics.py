@@ -13,7 +13,6 @@ from curllab import dynamics
 from curllab.dynamics import (
     EIG_TOL,
     NEWTON_TOL,
-    PeriodicOrbitRecord,
     Trajectory,
     _orthonormal_complement,
     _project_return_map,
@@ -23,7 +22,6 @@ from curllab.dynamics import (
     find_fixed_points,
     find_periodic_orbits,
     flow,
-    monodromy,
     named_field,
     newton_zero,
     shear_field,
@@ -55,28 +53,6 @@ class FrozenJet:
 
     def jacobian(self, x):
         return self.jac.copy()
-
-
-def make_orbit_record(seed, period, winding, trajectory=None, ts=None):
-    n = 32
-    if trajectory is None:
-        trajectory = np.tile(np.asarray(seed, float), (n, 1))
-        ts = np.linspace(0, period, n)
-    return PeriodicOrbitRecord(
-        seed=np.asarray(seed, float),
-        period=period,
-        winding=tuple(winding),
-        trajectory=trajectory,
-        ts=ts,
-        monodromy=np.eye(3),
-        transverse_map=np.eye(2),
-        multipliers=np.array([1.0 + 0j, 1.0 + 0j]),
-        orbit_type="degenerate",
-        nondegenerate=False,
-        return_residual=0.0,
-        flow_multiplier_residual=0.0,
-        det_transverse=1.0,
-    )
 
 
 class TestFlow:
@@ -220,11 +196,15 @@ class TestNewtonZero:
 
 
 class TestMonodromy:
+    """The monodromy is the endpoint of the variational flow over one period,
+    and the transverse multipliers are the eigenvalues of its return map."""
+
     def test_constant_field_identity(self):
         u = FourierField.constant("vector", [0.0, 1.0, 0.0])
-        orbit = make_orbit_record([0.5, 0.0, 1.0], 2 * np.pi, (0, 1, 0))
-        M, P = monodromy(u, orbit)
+        M = variational_flow(u, [0.5, 0.0, 1.0], 2 * np.pi)[1][-1]
         np.testing.assert_allclose(M, np.eye(3), atol=1e-10)
+        u0 = np.array([0.0, 1.0, 0.0])
+        P = _project_return_map(M, u0, *_orthonormal_complement(u0))
         np.testing.assert_allclose(P, np.eye(2), atol=1e-10)
 
     def test_frozen_saddle_multipliers(self):
@@ -232,9 +212,10 @@ class TestMonodromy:
         nu, T = 0.4, 2 * np.pi
         A = np.diag([nu, -nu, 0.0])
         jet = FrozenJet([0.0, 0.0, 1.0], A)
-        orbit = make_orbit_record([0.0, 0.0, 0.0], T, (0, 0, 1))
-        M, P = monodromy(jet, orbit)
+        M = variational_flow(jet, np.zeros(3), T)[1][-1]
         np.testing.assert_allclose(M, sla.expm(A * T), rtol=1e-9)
+        u0 = jet.value(np.zeros(3))
+        P = _project_return_map(M, u0, *_orthonormal_complement(u0))
         mults = np.sort(np.linalg.eigvals(P).real)
         np.testing.assert_allclose(
             mults, np.sort([np.exp(nu * T), np.exp(-nu * T)]), rtol=1e-9

@@ -415,6 +415,20 @@ class TestCertify:
             assert wkb["stage"] == "wkb" and wkb["samples"] == 3
             assert wkb["failures"] == 0
 
+    def test_mixed_wkb_horizons_rejected_before_any_stage(self, flat,
+                                                          monkeypatch):
+        from conftest import shear_one_form
+
+        def no_stage(jet):
+            raise AssertionError("the budgets are checked before any stage")
+
+        monkeypatch.setattr(instability, "find_fixed_points", no_stage)
+        pair = make_pair(flat, shear_one_form(1), 1.0)
+        budgets = [CertifyBudget(T_max=4.0, orbit_seeds=1, n_seeds=2,
+                                 wkb_T=T) for T in (10.0, 20.0)]
+        with pytest.raises(ValueError, match="wkb_T"):
+            certify_batch(flat, [pair, pair], budgets)
+
     def test_pair_alone_equals_pair_in_batch(self, flat):
         from conftest import shear_one_form
 
