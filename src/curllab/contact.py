@@ -6,7 +6,8 @@ the Reeb field of alpha. Conversely every contact form admits a metric,
 assembled pointwise from alpha and the quarter-turn almost-complex
 structure on its kernel planes, that turns its Reeb field back into a curl
 eigenfield. Both directions are implemented on the collocation grid and
-verified against their defining identities.
+verified against their defining identities. The Conley-Zehnder index of
+an orbit of u is read off u's own linearized flow on the contact planes.
 """
 
 from __future__ import annotations
@@ -15,7 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import newton_zero
+from .dynamics import (
+    ORBIT_TOL,
+    PeriodicOrbitRecord,
+    cz_index_from_path,
+    newton_zero,
+    variational_flow,
+)
 from .errors import (
     FrameError,
     HasZerosError,
@@ -24,11 +31,14 @@ from .errors import (
 )
 from .fields import (
     METRIC_COMPONENTS,
+    TAU,
     CollocationGrid,
     FieldJet,
     FourierField,
     MetricField,
+    MetricJet,
     _next_odd,
+    as_jet,
     exterior_d,
     hodge,
     l2_inner,
@@ -44,6 +54,11 @@ REEB_RESIDUAL_TOL = 1e-8
 ADAPTED_RESIDUAL_TOL = 1e-6
 # smallest projected norm of the frame's reference axis on the grid
 FRAME_MIN_PROJECTION = 1e-3
+# samples of the field's linearized flow over one period for the CZ index
+CZ_SAMPLES = 1600
+# largest |iota_u d(alpha)| / (|d(alpha)| |u|) along an orbit whose index is
+# taken: the sine of the angle between u and the Reeb direction
+CZ_TANGENCY_TOL = 1e-4
 
 
 def _two_form_matrix(omega: np.ndarray) -> np.ndarray:
@@ -359,15 +374,58 @@ def adapted_metric(form) -> AdaptedMetricResult:
     )
 
 
+def conley_zehnder(orbit: PeriodicOrbitRecord, contact_form, field) -> int:
+    """Conley-Zehnder index of a nondegenerate orbit of a field u whose
+    flowlines are Reeb flowlines of the contact form.
+
+    One variational flow of u over the orbit's period, sampled at
+    CZ_SAMPLES times, gives M(t). Each M(t) F0, F0 the frame (f1, f2) at
+    the seed, is solved against [u, f1, f2] at x(t); the (f1, f2) rows are
+    Psi(t). The Reeb field u / alpha(u) is a time change of u, so the two
+    linearized flows differ by multiples of u, and Psi is the linearized
+    Reeb flow on ker alpha, reparametrized: a symplectic path with the
+    same rotation number (cz_index_from_path), which is the index.
+
+    Raises ValueError for a degenerate orbit, a flow that misses
+    seed + 2 pi winding by more than find_periodic_orbits accepts
+    (10 ORBIT_TOL), or a path sampled too coarsely; FrameError when u
+    leaves the Reeb direction (CZ_TANGENCY_TOL) or the frame degenerates.
+    """
+    if not orbit.nondegenerate:
+        raise ValueError("Conley-Zehnder index needs a nondegenerate orbit")
+    jet = as_jet(field)
+    traj, Ms = variational_flow(jet, orbit.seed, orbit.period,
+                                n_samples=CZ_SAMPLES)
+    closure = float(np.linalg.norm(
+        traj.final - orbit.seed - TAU * np.asarray(orbit.winding, float)))
+    if closure > 10 * ORBIT_TOL:
+        raise ValueError(f"the field's flow does not close the orbit: return "
+                         f"residual {closure:.2e} after one period")
+    frame = ContactFrameEvaluator(contact_form)
+    u = jet.value(traj.points)
+    omega = frame.two_form.eval(traj.points)
+    tangency = float((np.linalg.norm(np.cross(omega, u), axis=1) / (
+        np.linalg.norm(omega, axis=1) * np.linalg.norm(u, axis=1))).max())
+    if not tangency <= CZ_TANGENCY_TOL:  # NaN where u or d(alpha) vanishes
+        raise FrameError(
+            f"the field leaves the Reeb direction of the form by {tangency:.2e} "
+            "along the orbit; the orbit is not a Reeb orbit of this form"
+        )
+    F0 = np.column_stack(frame.at(orbit.seed))
+    psis = np.empty((len(Ms), 2, 2))
+    for i, (p, v, M) in enumerate(zip(traj.points, u, Ms)):
+        psis[i] = np.linalg.solve(np.column_stack([v, *frame.at(p)]), M @ F0)[1:]
+    return cz_index_from_path(psis)
+
+
 def reeb_rescaled(u, metric: MetricField):
     """Pointwise evaluator of X = u / |u|_g^2 and its Jacobian.
 
     The flow of X reparametrizes the flowlines of u; for a curl
     eigenfield dual to alpha it is the Reeb flow of alpha, whose
-    linearization preserves the kernel planes.
+    linearization preserves the kernel planes. Only the tests flow it, as
+    the reference for invariance under that rescaling.
     """
-    from .fields import MetricJet, as_jet
-
     jet = as_jet(u)
     mjet = MetricJet(metric)
 

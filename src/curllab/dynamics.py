@@ -11,12 +11,12 @@ monodromy from the variational equations as the exact Jacobian.
 
 Orbits are classified through the linearized return map on a transverse
 plane: Floquet multipliers, area preservation, nondegeneracy, and
-hyperbolicity type. For orbits of Reeb-rescalable fields the
-Conley-Zehnder index is computed from the symplectic path the
-linearized flow traces on the contact planes, by its rotation number:
-the turns one vector makes along the path (an eigenvector of the
-endpoint when it is hyperbolic). The sampled path must turn that vector
-by at most a quarter turn per step, or the index is refused.
+hyperbolicity type. The Conley-Zehnder index of a sampled symplectic
+path is its rotation number: the turns one vector makes along the path
+(an eigenvector of the endpoint when it is hyperbolic). The sampled path
+must turn that vector by at most a quarter turn per step, or the index
+is refused. contact.conley_zehnder builds that path for an orbit of a
+curl eigenfield from the orbit's own linearized flow.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.integrate._ivp import dop853_coefficients as dop853
 
-from .errors import FrameError, NotContactError, StiffnessError
+from .errors import StiffnessError
 from .fields import TAU, CollocationGrid, FourierField, _next_odd, as_jet
 
 log = logging.getLogger(__name__)
@@ -49,7 +49,6 @@ MAX_CANDIDATES_PER_SEED = 3
 N_RECORD_SAMPLES = 400  # samples of a recorded orbit's trajectory
 SHOOT_MAX_ITER = 25  # Newton iterations on (point, period)
 MAX_PERIOD_GROWTH = 3.0  # shooting gives up past this multiple of T0
-CZ_SAMPLES = 1600    # samples of the linearized Reeb flow for the CZ index
 CZ_DEG_TOL = 1e-8    # |det(Psi(T) - 1)| / scale of a degenerate endpoint
 
 
@@ -769,75 +768,3 @@ def cz_index_from_path(psis: np.ndarray) -> int:
                          "pi / 2")
     turns = steps.sum() / TAU
     return int(np.rint(2 * turns)) if hyperbolic else 2 * int(np.floor(turns)) + 1
-
-
-def conley_zehnder(orbit: PeriodicOrbitRecord, contact_form, field,
-                   metric=None) -> int:
-    """Conley-Zehnder index of a nondegenerate orbit of a Reeb-rescalable field.
-
-    The orbit must be tangent to the Reeb field of the contact form,
-    which holds for orbits of a curl eigenfield paired with its dual
-    form. The linearized Reeb flow is restricted to the contact planes
-    in a global frame, sampled at CZ_SAMPLES times over one Reeb period,
-    and the index is the rotation number of that symplectic path
-    (cz_index_from_path), which refuses a path whose sampled vector turns
-    by more than a quarter turn per step.
-    """
-    from .contact import ContactFrameEvaluator, _as_form, reeb_rescaled
-    from .fields import flat_metric
-
-    if not orbit.nondegenerate:
-        raise ValueError("Conley-Zehnder index needs a nondegenerate orbit")
-    alpha = _as_form(contact_form)
-    metric = metric or flat_metric()
-    reeb = reeb_rescaled(field, metric)
-
-    # contact pairing must not vanish along the orbit
-    from .fields import exterior_d
-
-    d_alpha = exterior_d(alpha)
-    pairing = [
-        np.dot(np.asarray(alpha.eval(p)), np.asarray(d_alpha.eval(p)))
-        for p in orbit.trajectory[:: max(len(orbit.trajectory) // 64, 1)]
-    ]
-    if min(np.abs(pairing)) <= 0 or np.sign(pairing[0]) != np.sign(pairing[-1]):
-        raise NotContactError("form is not contact along the orbit")
-
-    # Reeb-time period: d(tau)/dt = alpha(u) along the orbit
-    jet = as_jet(field)
-    alpha_u = np.array([
-        np.dot(np.asarray(alpha.eval(p)), jet.value(p))
-        for p in orbit.trajectory
-    ])
-    T_reeb = float(np.trapezoid(alpha_u, orbit.ts))
-    target = TAU * np.asarray(orbit.winding, float)
-    x0 = orbit.seed
-    for _ in range(8):
-        traj = flow(reeb, x0, T_reeb, tol=1e-12)
-        res = traj.final - x0 - target
-        if np.linalg.norm(res) <= 1e-9:
-            break
-        Xv = reeb.value(traj.final)
-        T_reeb -= float(Xv @ res) / float(Xv @ Xv)
-    else:
-        raise ValueError("could not refine the Reeb period of the orbit")
-
-    traj, Ms = variational_flow(reeb, x0, T_reeb, n_samples=CZ_SAMPLES)
-    frame = ContactFrameEvaluator(alpha)
-    f1_0, f2_0 = frame.at(x0)
-    F0 = np.column_stack([f1_0, f2_0])
-    psis = np.empty((CZ_SAMPLES, 2, 2))
-    leakage = 0.0
-    for i, (p, M) in enumerate(zip(traj.points, Ms)):
-        f1, f2 = frame.at(p)
-        X = reeb.value(p)
-        B = np.column_stack([X, f1, f2])
-        C = np.linalg.solve(B, M @ F0)
-        psis[i] = C[1:, :]
-        leakage = max(leakage, float(np.abs(C[0]).max()))
-    if leakage > 1e-4:
-        raise FrameError(
-            f"linearized flow leaks off the contact planes by {leakage:.2e}; "
-            "the orbit is not a Reeb orbit of this form"
-        )
-    return cz_index_from_path(psis)

@@ -33,7 +33,11 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import DegenerateMetricError, UnsupportedRankError
+from .errors import (
+    DegenerateMetricError,
+    EnsembleAmplitudeError,
+    UnsupportedRankError,
+)
 
 TAU = 2.0 * np.pi
 VOLUME = TAU**3
@@ -469,8 +473,6 @@ def random_metric(
     C^smoothness neighborhood. Resamples, up to RANDOM_METRIC_RETRIES
     draws in all, while a draw fails the SPD grid check.
     """
-    from .errors import EnsembleAmplitudeError
-
     if base is None:
         base = flat_metric()
     if isinstance(seed, np.random.Generator):

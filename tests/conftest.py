@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from curllab.dynamics import abc_field, find_periodic_orbits
 from curllab.fields import (
     FourierField,
     conformal_metric,
@@ -85,6 +86,13 @@ def conformal2():
 def bumpy():
     """A mildly perturbed SPD metric, fixed seed."""
     return random_metric(2.0, 1e-2, 20240601)
+
+
+@pytest.fixture(scope="session")
+def abc_orbits():
+    """Periodic orbits of ABC(1, 1, 1) up to T = 30, in record order; the
+    search is slow, so the suite runs it once. Tests must not mutate them."""
+    return find_periodic_orbits(abc_field(1, 1, 1), T_max=30.0, n_seeds=6, seed=3)
 
 
 @pytest.fixture

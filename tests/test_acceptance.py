@@ -11,14 +11,9 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from curllab.contact import adapted_metric, reeb_field, tight_form
+from curllab.contact import adapted_metric, conley_zehnder, reeb_field, tight_form
 from curllab.curlspec import assemble, eigenpairs
-from curllab.dynamics import (
-    abc_field,
-    conley_zehnder,
-    find_fixed_points,
-    find_periodic_orbits,
-)
+from curllab.dynamics import abc_field, find_fixed_points
 from curllab.fields import (
     CollocationGrid,
     MetricField,
@@ -141,12 +136,12 @@ def test_abc_pipeline(flat_g):
         assert cert.mechanism == "saddle_fixed_point"
 
 
-def test_orbit_machinery(flat_g):
+def test_orbit_machinery(flat_g, abc_orbits):
     """Floquet structure and index parity of every resolved orbit."""
     with criterion("orbit machinery (area, flow multiplier, index parity)"):
         u = abc_field(1, 1, 1)
         alpha = lower_index(flat_g, u)
-        records = find_periodic_orbits(u, T_max=30.0, n_seeds=6, seed=3)
+        records = abc_orbits
         assert records, "no orbits resolved"
         hyperbolic = [r for r in records if r.orbit_type.endswith("hyperbolic")]
         assert hyperbolic, "expected a hyperbolic orbit within T <= 30"

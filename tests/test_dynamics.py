@@ -9,7 +9,8 @@ import scipy.optimize
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from curllab import dynamics
+from curllab import contact
+from curllab.contact import conley_zehnder
 from curllab.dynamics import (
     EIG_TOL,
     NEWTON_TOL,
@@ -17,7 +18,6 @@ from curllab.dynamics import (
     _orthonormal_complement,
     _project_return_map,
     abc_field,
-    conley_zehnder,
     cz_index_from_path,
     find_fixed_points,
     find_periodic_orbits,
@@ -28,6 +28,7 @@ from curllab.dynamics import (
     torus_distance,
     variational_flow,
 )
+from curllab.errors import FrameError
 from curllab.fields import FieldJet, FourierField, flat as lower_index, flat_metric
 
 
@@ -372,16 +373,44 @@ class TestCZProperties:
 
 
 class TestCZOrbitSampling:
-    def test_abc_orbit_indices_do_not_depend_on_sampling(self, monkeypatch):
+    def test_abc_orbit_indices_do_not_depend_on_sampling(self, abc_orbits,
+                                                          monkeypatch):
         # the orbits of the acceptance suite's orbit-machinery criterion
         u = abc_field(1, 1, 1)
         alpha = lower_index(flat_metric(), u)
-        orbits = [r for r in find_periodic_orbits(u, T_max=30.0, n_seeds=6, seed=3)
-                  if r.nondegenerate]
-        assert orbits
+        orbits = [r for r in abc_orbits if r.nondegenerate]
         base = [conley_zehnder(r, alpha, u) for r in orbits]
-        monkeypatch.setattr(dynamics, "CZ_SAMPLES", 4 * dynamics.CZ_SAMPLES)
-        assert [conley_zehnder(r, alpha, u) for r in orbits] == base
+        assert base == [2, 2, 4, 2, 2, 3]
+        for n in (contact.CZ_SAMPLES // 4, 4 * contact.CZ_SAMPLES):
+            monkeypatch.setattr(contact, "CZ_SAMPLES", n)
+            assert [conley_zehnder(r, alpha, u) for r in orbits] == base, n
+
+
+class TestCZRefusals:
+    @pytest.fixture
+    def orbit(self, abc_orbits):
+        return next(r for r in abc_orbits if r.nondegenerate)
+
+    def test_form_of_another_field_is_refused(self, orbit):
+        u = abc_field(1, 1, 1)
+        other = lower_index(flat_metric(), abc_field(1, 0.7, 0.3))
+        with pytest.raises(FrameError, match="Reeb direction"):
+            conley_zehnder(orbit, other, u)
+
+    def test_field_that_does_not_close_the_orbit_is_refused(self, orbit):
+        u = abc_field(1, 1, 1)
+        alpha = lower_index(flat_metric(), u)
+        with pytest.raises(ValueError, match="does not close"):
+            conley_zehnder(orbit, alpha, 2 * u)
+
+    def test_coarse_path_is_refused(self, abc_orbits, monkeypatch):
+        # the index-4 orbit turns fastest: its largest angle step at 100
+        # samples is about 2.4 rad, past the pi / 2 guard
+        orbit = next(r for r in abc_orbits if r.winding == (-2, 0, 0))
+        u = abc_field(1, 1, 1)
+        monkeypatch.setattr(contact, "CZ_SAMPLES", 100)
+        with pytest.raises(ValueError, match="coarsely"):
+            conley_zehnder(orbit, lower_index(flat_metric(), u), u)
 
 
 class TestNamedFields:
