@@ -264,33 +264,44 @@ class ContactFrameEvaluator:
         self.reference_axis = best_axis
 
     def at(self, x):
-        """Frame (f1, f2) at a point, with d(alpha)(f1, f2) = 1."""
-        try:
-            f1, f2 = _kernel_frame(self.form.eval(x), self.reference_axis)
-        except FrameError as err:
-            raise FrameError(f"{err} at {tuple(x)}") from None
+        """Frame (f1, f2) with d(alpha)(f1, f2) = 1 at a point, or at each
+        row of a (P, 3) array of points.
+
+        FrameError names the first point where the frame is undefined.
+        """
+        x = np.asarray(x, float)
+        f1, f2 = _kernel_frame(self.form.eval(x), self.reference_axis, x)
         A = _two_form_matrix(self.two_form.eval(x))
-        s12 = float(f1 @ A @ f2)
-        if abs(s12) < 1e-12:
-            raise FrameError(f"d(alpha) degenerate on the kernel plane at {tuple(x)}")
-        return f1, f2 / s12
+        s12 = np.einsum("...i,...ij,...j->...", f1, A, f2)
+        _refuse(np.abs(s12) < 1e-12, "d(alpha) degenerate on the kernel plane", x)
+        return f1, f2 / s12[..., None]
 
 
-def _kernel_frame(a: np.ndarray, axis: int):
+def _refuse(bad: np.ndarray, message: str, points=None) -> None:
+    """Raise FrameError if any entry of bad holds, naming the first such
+    point when the (P, 3) points (or one point) are given."""
+    if np.any(bad):
+        if points is not None:
+            first = np.reshape(points, (-1, 3))[int(np.argmax(np.ravel(bad)))]
+            message += f" at {tuple(float(c) for c in first)}"
+        raise FrameError(message)
+
+
+def _kernel_frame(a: np.ndarray, axis: int, points=None):
     """Euclidean-orthonormal (f1, f2) spanning the planes normal to a.
 
-    a has the component axis last (one point or a whole grid); f1 is the
-    normalized projection of coordinate axis `axis` onto the planes and
-    f2 = a / |a| x f1.
+    a has the component axis last (one point, a row per point or a whole
+    grid); f1 is the normalized projection of coordinate axis `axis` onto
+    the planes and f2 = a / |a| x f1. An error names the first failing
+    row of `points` when they are given.
     """
     na = np.linalg.norm(a, axis=-1, keepdims=True)
-    if na.min() <= 0:
-        raise FrameError("form vanishes; kernel plane undefined")
+    _refuse(na[..., 0] <= 0, "form vanishes; kernel plane undefined", points)
     unit = a / na
     f1 = _AXES[axis] - unit * unit[..., axis:axis + 1]
     nf1 = np.linalg.norm(f1, axis=-1, keepdims=True)
-    if nf1.min() < 1e-12:
-        raise FrameError("reference axis tangent to the plane normal")
+    _refuse(nf1[..., 0] < 1e-12, "reference axis tangent to the plane normal",
+            points)
     f1 = f1 / nf1
     return f1, np.cross(unit, f1)
 
@@ -412,10 +423,8 @@ def conley_zehnder(orbit: PeriodicOrbitRecord, contact_form, field) -> int:
             "along the orbit; the orbit is not a Reeb orbit of this form"
         )
     F0 = np.column_stack(frame.at(orbit.seed))
-    psis = np.empty((len(Ms), 2, 2))
-    for i, (p, v, M) in enumerate(zip(traj.points, u, Ms)):
-        psis[i] = np.linalg.solve(np.column_stack([v, *frame.at(p)]), M @ F0)[1:]
-    return cz_index_from_path(psis)
+    bases = np.stack([u, *frame.at(traj.points)], axis=-1)  # (P, 3, 3) columns
+    return cz_index_from_path(np.linalg.solve(bases, Ms @ F0)[:, 1:])
 
 
 def reeb_rescaled(u, metric: MetricField):

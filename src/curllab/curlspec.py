@@ -41,16 +41,23 @@ v = V x - C (C^T G C)^{-1} C^T G V x, which is G-orthogonal to every
 closed form, so coexact. The frames and d depend only on the truncation
 and are built once per truncation (`mode_basis`).
 
-Each window takes one generalized `eigh` of (d, S) that computes only
-the window's eigenvectors. By Sylvester's law of inertia the reduced
-pencil has exactly 2K negative eigenvalues, as d has, so the k
-eigenvalues of smallest magnitude lie among the 2k with indices
-2K - k .. 2K + k - 1 in ascending order. An interval window [a, b] is
-counted beforehand by the inertia of d - sigma S (an LDL^T
-factorization) at sigma = a and just above b (Parlett, *The Symmetric
-Eigenvalue Problem*). A solve that returns a different number of pairs
-than its window holds raises EigensolverError, so no window loses pairs
-silently.
+Besides the closed block C^T G C = L L^T, the operator factors one
+dense matrix: S = R R^T, with R lower triangular (Cholesky). R turns
+the reduced pencil into the standard problem C y = lambda y, with
+C = R^{-1} d R^{-T} and x = R^{-T} y, so each window takes one standard
+`eigh` of C that computes only the window's eigenvectors. With L and
+W = L^{-1} C^T G V, R also completes the block factor
+[[L, 0], [W^T, R]] of the Gram in the frames. Every Gram solve, and so
+every pair check, runs through it; the packed Gram is never factored.
+
+By Sylvester's law of inertia the reduced pencil has exactly 2K
+negative eigenvalues, as d has, so the k eigenvalues of smallest
+magnitude lie among the 2k with indices 2K - k .. 2K + k - 1 in
+ascending order. An interval window [a, b] is counted beforehand by the
+inertia of d - sigma S (an LDL^T factorization) at sigma = a and just
+above b (Parlett, *The Symmetric Eigenvalue Problem*). A solve that
+returns a different number of pairs than its window holds raises
+EigensolverError, so no window loses pairs silently.
 """
 
 from __future__ import annotations
@@ -287,20 +294,35 @@ class CurlOperator:
         modes = basis.half_modes  # (K, 3)
         diff = (modes[:, None, :] - modes[None, :, :]) % M  # m - m'
         summ = (modes[:, None, :] + modes[None, :, :]) % M  # m + m'
-        Wd = what[:, :, diff[..., 0], diff[..., 1], diff[..., 2]]  # (3,3,K,K)
-        Ws = what[:, :, summ[..., 0], summ[..., 1], summ[..., 2]]
         K = modes.shape[0]
         G = np.empty((basis.dim, basis.dim))
         nc = basis.ncomp
         # (K, 6, K, 6) view of the mode block: blocks[j, a, k, b] is the
-        # entry of component a of mode j against component b of mode k
+        # entry of component a of mode j against component b of mode k.
+        # Each (3, 3, K, K) block x is symmetrized in place before it is
+        # written, (x + x') * 0.5 with x' the mirror entries of G:
+        # G[j, a, k, b] mirrors G[k, b, j, a], which is (b, a, k, j).
         blocks = G[nc:, nc:].reshape(K, 6, K, 6)
         order = (2, 0, 3, 1)  # (a, b, j, k) -> (j, a, k, b)
-        blocks[:, 0:3, :, 0:3] = np.transpose(Wd.real + Ws.real, order)
-        blocks[:, 0:3, :, 3:6] = np.transpose(-Wd.imag + Ws.imag, order)
-        blocks[:, 3:6, :, 0:3] = np.transpose(Wd.imag + Ws.imag, order)
-        blocks[:, 3:6, :, 3:6] = np.transpose(Wd.real - Ws.real, order)
-        del Wd, Ws, blocks
+        mirror = (1, 0, 3, 2)  # (a, b, j, k) -> (b, a, k, j)
+
+        def gather(w, index):  # weight coefficients at m -+ m', (3, 3, K, K)
+            return w[:, :, index[..., 0], index[..., 1], index[..., 2]]
+
+        Wd, Ws = gather(what.real, diff), gather(what.real, summ)
+        for rows, x in ((slice(0, 3), Wd + Ws), (slice(3, 6), Wd - Ws)):
+            x += x.transpose(mirror)
+            x *= 0.5
+            blocks[:, rows, :, rows] = np.transpose(x, order)
+        del Wd, Ws, x
+        Wd, Ws = gather(what.imag, diff), gather(what.imag, summ)
+        x = -Wd + Ws  # Re-Im block; its mirror is the Im-Re block Wd + Ws
+        x += (Wd + Ws).transpose(mirror)
+        del Wd, Ws
+        x *= 0.5
+        blocks[:, 0:3, :, 3:6] = np.transpose(x, order)
+        blocks[:, 3:6, :, 0:3] = np.transpose(x.transpose(mirror), order)
+        del x, blocks
         mz = modes % M  # (K, 3) single-mode rows against the constants
         W0 = what[:, :, mz[:, 0], mz[:, 1], mz[:, 2]]  # (3, 3, K)
         row_re = np.sqrt(2.0) * W0.real  # (3, 3, K): comp i, comp j, mode
@@ -310,20 +332,29 @@ class CurlOperator:
         cross[:, :, 3:6] = np.moveaxis(row_im, (0, 1), (0, 2))
         G[:nc, nc:] = cross.reshape(3, 6 * K)
         G[nc:, :nc] = G[:nc, nc:].T
-        G[:nc, :nc] = what[:, :, 0, 0, 0].real
-        G += G.T
-        G *= 0.5
+        const = what[:, :, 0, 0, 0].real
+        G[:nc, :nc] = (const + const.T) * 0.5
         return G
 
-    @cached_property
-    def _gram_cho(self):
-        return sla.cho_factor(self.gram_matrix)
-
     def gram_solve(self, v: np.ndarray) -> np.ndarray:
+        """G^{-1} v for a packed vector (or the columns of v): two forward
+        and two backward triangular solves with the block factor
+        [[L, 0], [W^T, R]] of the Gram in the per-mode frames."""
         c = self._gram_scalar
         if c is not None:
             return v / c
-        return sla.cho_solve(self._gram_cho, v)
+        L, W, _ = self._reduction
+        R = self._schur_factor
+        Q, nc = self.basis.rotation, self.basis.ncomp
+        K = Q.shape[0]
+        cols = v.reshape(v.shape[0], -1)
+        local = np.matmul(Q.transpose(0, 2, 1), cols[nc:].reshape(K, 6, -1))
+        y = _lower_solve(L, np.concatenate([cols[:nc],
+                                            local[:, :2].reshape(2 * K, -1)]))
+        x = _lower_solve(R, local[:, 2:].reshape(4 * K, -1) - W.T @ y)
+        x = _lower_solve(R, x, trans="T")
+        y = _lower_solve(L, y - W @ x, trans="T")
+        return self._unrotate(y, x).reshape(v.shape)
 
     # -- public operations ----------------------------------------------
 
@@ -355,7 +386,8 @@ class CurlOperator:
 
         L is the lower Cholesky factor of C^T G C (constants first, then
         two closed coordinates per mode), W = L^{-1} C^T G V and S is the
-        Schur complement V^T G V - W^T W. The rotated Gram blocks
+        Schur complement V^T G V - W^T W, which `_schur_factor` factors
+        once for the eigensolve and the Gram solves. The rotated Gram blocks
         Q_j^T G_jk Q_k, with Q_j = [C_m | V_m], come from the
         (K, 6, K, 6) view of gram_matrix by two batched products; the
         constants are closed and keep their coordinates.
@@ -384,14 +416,26 @@ class CurlOperator:
         S -= W.T @ W
         return L, W, S
 
+    @cached_property
+    def _schur_factor(self) -> np.ndarray:
+        """R, the lower Cholesky factor of S = R R^T, shared by `spectrum`
+        and `gram_solve` (so by the pair checks too)."""
+        _, _, S = self._reduction
+        return sla.cholesky(S, lower=True)
+
+    def _unrotate(self, closed: np.ndarray, helical: np.ndarray) -> np.ndarray:
+        """Packed columns from closed (constants, then two per mode) and
+        helical (four per mode) frame coordinates."""
+        Q = self.basis.rotation
+        K, nc, p = Q.shape[0], self.basis.ncomp, helical.shape[1]
+        local = np.concatenate([closed[nc:].reshape(K, 2, p),
+                                helical.reshape(K, 4, p)], axis=1)
+        return np.concatenate([closed[:nc], np.matmul(Q, local).reshape(6 * K, p)])
+
     def _lift(self, x: np.ndarray) -> np.ndarray:
         """Packed v = V x - C (C^T G C)^{-1} C^T G V x for columns x."""
         L, W, _ = self._reduction
-        y = -sla.solve_triangular(L, W @ x, lower=True, trans="T")
-        Q = self.basis.rotation
-        K, nc, p = Q.shape[0], self.basis.ncomp, x.shape[1]
-        local = np.concatenate([y[nc:].reshape(K, 2, p), x.reshape(K, 4, p)], axis=1)
-        return np.concatenate([y[:nc], np.matmul(Q, local).reshape(6 * K, p)])
+        return self._unrotate(-_lower_solve(L, W @ x, trans="T"), x)
 
     def _closed_part(self, v: np.ndarray):
         """(w, C^T G v), where C w is the G-orthogonal projection of v
@@ -402,7 +446,7 @@ class CurlOperator:
         modes = np.einsum("kbp,kb->kp", self.basis.rotation[:, :, :2],
                           Gv[nc:].reshape(-1, 6))
         ctg = np.concatenate([Gv[:nc], modes.ravel()])
-        return sla.cho_solve((L, True), ctg), ctg
+        return sla.cho_solve((L, True), ctg, check_finite=False), ctg
 
     def coexact_residual_packed(self, v: np.ndarray) -> float:
         """Weighted norm of the closed-form component of a packed vector."""
@@ -424,21 +468,27 @@ class CurlOperator:
     def spectrum(self, **subset):
         """Nonzero eigenvalues (ascending) and packed eigenvectors of B v = lambda G v.
 
-        One `eigh` of the reduced pencil (d, S); subset (subset_by_index or
-        subset_by_value) is passed on, so only those eigenvectors are
-        computed. The eigenvectors are G-normalized and coexact.
+        With S = R R^T (`_schur_factor`), the reduced pencil (d, S) is the
+        standard problem C y = lambda y, C = R^{-1} d R^{-T} (`dsygst`),
+        and x = R^{-T} y. This is the sequence LAPACK's generalized
+        driver `dsygvx` runs, with the factor shared instead of hidden.
+        The subset (subset_by_index or subset_by_value) is passed on to
+        the one `evx` solve, so only those eigenvectors are computed. The
+        eigenvectors are G-normalized and coexact.
         """
-        _, _, S = self._reduction
-        vals, x = sla.eigh(np.diag(self.basis.d), S, overwrite_a=True, **subset)
-        return vals, self._lift(x)
+        R = self._schur_factor
+        C, _ = sla.lapack.dsygst(np.diag(self.basis.d), R, itype=1, lower=1)
+        vals, y = sla.eigh(C, lower=True, driver="evx", overwrite_a=True, **subset)
+        return vals, self._lift(_lower_solve(R, y, trans="T"))
 
     def residual(self, form: FourierField, eigenvalue: float) -> float:
         """|| *d alpha - lambda alpha || / || alpha || in the weighted norm."""
         v = self.basis.pack(self._coerce(form).coeffs)
-        nv = np.sqrt(self._weighted_sq(v))
+        Gv = self._gram_mult(v)
+        nv = np.sqrt(float(v @ Gv))
         if nv == 0.0:
             raise ValueError("residual of the zero form is undefined")
-        r = self.pairing_apply(v) - eigenvalue * self._gram_mult(v)
+        r = self.pairing_apply(v) - eigenvalue * Gv
         # r lives in the dual: measure with the inverse Gram
         return float(np.sqrt(max(r @ self.gram_solve(r), 0.0)) / nv)
 
@@ -450,6 +500,13 @@ class CurlOperator:
 
     def _weighted_sq(self, v: np.ndarray) -> float:
         return float(v @ self._gram_mult(v))
+
+
+def _lower_solve(factor: np.ndarray, b: np.ndarray, trans: str = "N") -> np.ndarray:
+    """factor^{-1} b, or factor^{-T} b, for a cached lower triangular factor;
+    the factor was checked finite when it was made."""
+    return sla.solve_triangular(factor, b, lower=True, trans=trans,
+                                check_finite=False)
 
 
 def assemble(metric: MetricField, truncation: int) -> CurlOperator:
@@ -527,7 +584,8 @@ def eigenpairs(
     clusters closer than GAP_TOL * max|d| = GAP_TOL * N sqrt(3) are
     flagged through cluster ids.
 
-    One `eigh` of the reduced pencil computes the window's eigenvectors
+    One `eigh` of the reduced pencil, in standard form through the
+    operator's Cholesky factor of S, computes the window's eigenvectors
     only: a count window k solves for the k eigenvalues nearest 0 of each
     sign, an interval window for the values inside it. The window's size
     is known before the solve (the index bracket, or the Sylvester
@@ -535,9 +593,13 @@ def eigenpairs(
     returns another number of pairs raises EigensolverError with
     diagnostics {window, expected, returned}. A count window also fails
     when the truncation has fewer than `count` nonzero eigenvalues.
+    A given operator must be the one for this metric and truncation;
+    another raises ValueError.
     """
     spec = parse_window(window)
     op = operator or assemble(metric, truncation)
+    if op.metric is not metric or op.truncation != truncation:
+        raise ValueError("operator was built for another metric or truncation")
     n_reduced = op.basis.d.size
     half = n_reduced // 2  # negative eigenvalues, by Sylvester's law
     if spec[0] == "count":

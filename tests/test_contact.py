@@ -13,7 +13,7 @@ from curllab.contact import (
     reeb_rescaled,
     tight_form,
 )
-from curllab.errors import HasZerosError, NotContactError
+from curllab.errors import FrameError, HasZerosError, NotContactError
 from curllab.fields import (
     CollocationGrid,
     FourierField,
@@ -21,7 +21,7 @@ from curllab.fields import (
     sharp,
 )
 from test_curlspec import abc_one_form
-from conftest import shear_one_form
+from conftest import shear_one_form, sin_mode
 
 
 class TestTightForms:
@@ -139,6 +139,27 @@ class TestFrames:
             assert abs(a @ f1) <= 1e-12 and abs(a @ f2) <= 1e-12
             A = _two_form_matrix(np.asarray(exterior_d(tf.form).eval(x)))
             assert f1 @ A @ f2 == pytest.approx(1.0, abs=1e-10)
+
+    def test_points_at_once_match_one_at_a_time(self, rng):
+        frame = ContactFrameEvaluator(tight_form(2))
+        points = rng.uniform(0, 2 * np.pi, (5, 3))
+        f1s, f2s = frame.at(points)
+        assert f1s.shape == f2s.shape == (5, 3)
+        for x, f1, f2 in zip(points, f1s, f2s):
+            np.testing.assert_allclose(np.stack([f1, f2]), frame.at(x),
+                                       rtol=0, atol=1e-14)
+
+    def test_first_degenerate_point_is_named(self):
+        # dz + sin(x) dy: d(alpha) = cos(x) dx^dy vanishes on the kernel
+        # planes at x = pi/2, off the frame's grid
+        alpha = FourierField.constant("one_form", [0.0, 0.0, 1.0]) + sin_mode(
+            "one_form", 1, (1, 0, 0), 1)
+        frame = ContactFrameEvaluator(alpha)
+        points = np.array([[0.3, 0.0, 0.0], [np.pi / 2, 0.5, 0.25],
+                           [np.pi / 2, 1.0, 1.0]])
+        frame.at(points[0])
+        with pytest.raises(FrameError, match=r"degenerate .* at \(1.57\d*, 0.5, 0.25\)"):
+            frame.at(points)
 
 
 class TestAdaptedMetric:

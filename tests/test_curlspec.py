@@ -210,6 +210,12 @@ class TestEigenpairs:
         vals = sorted(p.eigenvalue for p in pairs)
         np.testing.assert_allclose(vals, sorted(-v for v in vals), atol=1e-10)
 
+    def test_operator_of_another_problem_rejected(self, flat, bumpy):
+        with pytest.raises(ValueError, match="another metric or truncation"):
+            eigenpairs(bumpy, 2, {"count": 6}, operator=assemble(bumpy, 1))
+        with pytest.raises(ValueError, match="another metric or truncation"):
+            eigenpairs(flat, 2, {"count": 6}, operator=assemble(bumpy, 2))
+
     def test_window_containing_zero_rejected(self, flat):
         with pytest.raises(ValueError, match="exclude"):
             eigenpairs(flat, 2, {"interval": [-1.0, 1.0]})
@@ -316,20 +322,25 @@ class TestReducedPencil:
 
     def test_count_window_is_one_subset_eigh_of_the_reduced_pencil(
             self, bumpy, monkeypatch):
+        # the closed block's factor L, then the one factor R of S, which
+        # reduces the pencil to standard form for one subset `evx` solve
         calls = []
-        eigh = curlspec.sla.eigh
+        for name in ("cholesky", "eigh"):
+            def spy(a, *args, _name=name, _original=getattr(curlspec.sla, name),
+                    **kwargs):
+                calls.append((_name, a.shape, args, kwargs))
+                return _original(a, *args, **kwargs)
 
-        def spy(a, b=None, **kwargs):
-            calls.append((a.shape, b.shape, sorted(kwargs)))
-            return eigh(a, b, **kwargs)
-
-        monkeypatch.setattr(curlspec.sla, "eigh", spy)
+            monkeypatch.setattr(curlspec.sla, name, spy)
         assert len(eigenpairs(bumpy, 3, {"count": 6})) == 6
-        # N = 3: 171 half modes, so 4K = 684 against 1029 packed dofs
-        assert len(calls) == 1
-        a_shape, b_shape, keys = calls[0]
-        assert a_shape == b_shape == (684, 684)
-        assert "subset_by_index" in keys
+        # N = 3: 171 half modes, so 2K + 3 = 345 closed coordinates and
+        # 4K = 684 helical ones against 1029 packed dofs
+        assert [(name, shape) for name, shape, _, _ in calls] == [
+            ("cholesky", (345, 345)), ("cholesky", (684, 684)),
+            ("eigh", (684, 684))]
+        _, _, args, kwargs = calls[-1]
+        assert args == () and "b" not in kwargs  # a standard problem
+        assert kwargs["driver"] == "evx" and "subset_by_index" in kwargs
 
     @pytest.mark.parametrize("window, expected", [
         ({"count": 6}, 12),  # the index bracket holds 6 of each sign
@@ -387,6 +398,53 @@ class TestReductionProperties:
         Aa, Ab = op.apply(a), op.apply(b)
         scale = op.norm(Aa) * op.norm(b) + op.norm(a) * op.norm(Ab)
         assert abs(op.inner(Aa, b) - op.inner(a, Ab)) <= 1e3 * np.finfo(float).eps * scale
+
+
+class TestOneFactorization:
+    """The Cholesky factor of the Schur complement S serves the eigensolve,
+    the Gram solves and the pair checks; the packed Gram is never factored."""
+
+    def test_pairs_are_checked_without_factoring_the_gram(
+            self, bumpy, monkeypatch, rng):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the packed Gram must not be factored")
+
+        monkeypatch.setattr(curlspec.sla, "cho_factor", refuse)
+        op = assemble(bumpy, 2)
+        pairs = eigenpairs(bumpy, 2, {"count": 8}, operator=op)
+        assert len(pairs) == 8
+        for p in pairs:
+            assert p.residual <= 1e-12 and p.coexact_residual <= 1e-12
+            np.testing.assert_allclose(op.apply(p.form).coeffs,
+                                       p.eigenvalue * p.form.coeffs, atol=1e-12)
+        form = random_one_form(2, rng)
+        assert op.residual(form, 1.0) > 0.1
+
+    @settings(max_examples=12, deadline=None)
+    @given(seed=seeds, amplitude=amplitudes, truncation=st.integers(1, 3))
+    def test_gram_solve_matches_a_dense_solve(self, seed, amplitude, truncation):
+        op = assemble(random_metric(2.0, amplitude, seed), truncation)
+        v = np.random.default_rng(seed).standard_normal((op.dim, 3))
+        expect = np.linalg.solve(op.gram_matrix, v)
+        for got, want in ((op.gram_solve(v), expect),
+                          (op.gram_solve(v[:, 0]), expect[:, 0])):
+            assert got.shape == want.shape
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("subset", [
+        {"subset_by_index": [118, 129]},  # the count window of 6 at N = 2
+        {"subset_by_value": [0.7, 1.5]},
+    ])
+    def test_spectrum_matches_the_generalized_reference(self, bumpy, subset):
+        op = assemble(bumpy, 2)
+        _, _, S = op._reduction
+        ref_vals, x = sla.eigh(np.diag(op.basis.d), S, **subset)
+        ref_vecs = op._lift(x)
+        vals, vecs = op.spectrum(**subset)
+        assert len(vals) == len(ref_vals) > 0
+        np.testing.assert_allclose(vals, ref_vals, rtol=0, atol=1e-13)
+        signs = np.sign(np.einsum("ip,ip->p", vecs, ref_vecs))
+        np.testing.assert_allclose(vecs * signs, ref_vecs, rtol=0, atol=1e-13)
 
 
 class TestGramMatrix:
