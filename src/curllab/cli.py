@@ -100,6 +100,32 @@ def _section(text: str) -> dict:
     return {"axis": SECTION_AXES[name], "offset": offset}
 
 
+def _at_least(minimum: int):
+    """type= checker of an integer option >= minimum."""
+    def integer(text: str) -> int:
+        try:
+            value = int(text)
+            if value < minimum:
+                raise ValueError
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {minimum}, got {text!r}") from None
+        return value
+    return integer
+
+
+def _horizon(text: str) -> float:
+    """--t-max as a finite time > 0."""
+    try:
+        value = float(text)
+        if not 0.0 < value < math.inf:
+            raise ValueError
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a finite time > 0, got {text!r}") from None
+    return value
+
+
 def _budget(spec: str) -> CertifyBudget:
     """--budget as a preset name, inline JSON of budget fields (an object,
     so it starts with "{") or the path of a file holding that JSON."""
@@ -247,9 +273,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric", default="flat",
                    help="metric file or name (flat, conformal(c), "
                         "random_cr(r,eps,seed))")
-    p.add_argument("--truncation", type=int, required=True)
+    p.add_argument("--truncation", type=_at_least(1), required=True)
     p.add_argument("--window", type=_window, help="interval a,b excluding 0")
-    p.add_argument("--count", type=int, default=12,
+    p.add_argument("--count", type=_at_least(1), default=12,
                    help="number of eigenvalues nearest zero (used when no "
                         "--window is given)")
     p.add_argument("--out", help="JSON-lines output path (default stdout)")
@@ -269,9 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("orbits", help="hunt periodic orbits")
     p.add_argument("--field", required=True)
     p.add_argument("--metric", default="flat")
-    p.add_argument("--t-max", type=float, default=30.0)
-    p.add_argument("--seeds", type=int, default=16)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--t-max", type=_horizon, default=30.0)
+    p.add_argument("--seeds", type=_at_least(0), default=16)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--section", type=_section,
                    help="axis,offset seeding plane, e.g. z,0.0")
     p.add_argument("--trajectories", action="store_true",
@@ -293,8 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("instability", help="certify one eigenpair")
     p.add_argument("--metric", required=True)
-    p.add_argument("--truncation", type=int, required=True)
-    p.add_argument("--eigen-index", type=int, default=0)
+    p.add_argument("--truncation", type=_at_least(1), required=True)
+    p.add_argument("--eigen-index", type=_at_least(0), default=0)
     p.add_argument("--budget", type=_budget, default="default",
                    help="preset name, JSON file, or inline JSON")
     p.add_argument("--out")
@@ -313,9 +339,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify-all", help="certify every pair in a window")
     p.add_argument("--metric", required=True)
-    p.add_argument("--truncation", type=int, required=True)
+    p.add_argument("--truncation", type=_at_least(1), required=True)
     p.add_argument("--window", type=_window, help="interval a,b excluding 0")
-    p.add_argument("--count", type=int, default=6)
+    p.add_argument("--count", type=_at_least(1), default=6)
     p.add_argument("--budget", type=_budget, default="fast",
                    help="preset name, JSON file, or inline JSON")
     p.add_argument("--out")

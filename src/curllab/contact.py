@@ -428,7 +428,7 @@ def conley_zehnder(orbit: PeriodicOrbitRecord, contact_form, field) -> int:
 
 
 def reeb_rescaled(u, metric: MetricField):
-    """Pointwise evaluator of X = u / |u|_g^2 and its Jacobian.
+    """Evaluator of X = u / |u|_g^2 and its Jacobian, at x (3,) or rows (P, 3).
 
     The flow of X reparametrizes the flowlines of u; for a curl
     eigenfield dual to alpha it is the Reeb flow of alpha, whose
@@ -443,6 +443,8 @@ def reeb_rescaled(u, metric: MetricField):
 
         @staticmethod
         def value(x):
+            if np.ndim(x) == 2:
+                return np.array([_Rescaled.value(p) for p in x])
             v = jet.value(x)
             g, _ = mjet.value_and_gradient(x)
             return v / (v @ g @ v)
@@ -457,5 +459,10 @@ def reeb_rescaled(u, metric: MetricField):
             X = v / s
             DX = Dv / s - np.outer(v, grad_s) / s**2
             return X, DX
+
+        @staticmethod
+        def values_and_jacobians(points):
+            rows = [_Rescaled.value_and_jacobian(x) for x in points]
+            return tuple(np.array(part) for part in zip(*rows))
 
     return _Rescaled()

@@ -1,13 +1,14 @@
 """Flowlines, fixed points, periodic orbits, and their linearized invariants.
 
 Vector fields are integrated in the universal cover (positions are never
-wrapped during integration, so winding numbers come for free) with
-adaptive embedded Runge-Kutta stepping: one trajectory per solve_ivp
-call, or many trajectories as the lanes of one solve_lanes call, each
-lane with its own step size. Recurrence analysis proceeds in
-two phases: a cheap close-return scan over seed trajectories, then
-Newton shooting on (point, period) with a phase condition, using the
-monodromy from the variational equations as the exact Jacobian.
+wrapped during integration, so winding numbers come for free) by
+solve_lanes: DOP853 over [0, T], T finite and > 0, each trajectory a lane
+with its own step size and numbers that its neighbours do not change.
+flow and variational_flow solve one lane, the recurrence scan all its
+seeds at once. Recurrence analysis proceeds in two phases: a cheap
+close-return scan over seed trajectories, then Newton shooting on
+(point, period) with a phase condition, using the monodromy from the
+variational equations as the exact Jacobian.
 
 Orbits are classified through the linearized return map on a transverse
 plane: Floquet multipliers, area preservation, nondegeneracy, and
@@ -22,12 +23,12 @@ curl eigenfield from the orbit's own linearized flow.
 from __future__ import annotations
 
 import logging
-import weakref
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import solve_ivp  # noqa: F401  patched by perfbench/tracing.py
 from scipy.integrate._ivp import dop853_coefficients as dop853
 
 from .errors import StiffnessError
@@ -127,54 +128,43 @@ class Trajectory:
         return self.points[-1]
 
 
-def _solve(rhs, y0, T, rtol, atol, t_eval=None):
-    sol = solve_ivp(
-        rhs, (0.0, T), np.asarray(y0, float), method="DOP853",
-        rtol=rtol, atol=atol, t_eval=t_eval,
-    )
-    if not sol.success:
-        raise StiffnessError(f"integrator failed: {sol.message}")
-    return sol
-
-
 def flow(u, x0, T: float, tol: float = 1e-10,
          n_samples: int | None = None) -> Trajectory:
-    """Integrate dx/dt = u(x) from x0 for time T with local error <= tol."""
+    """Integrate dx/dt = u(x) from x0 for a time T (finite, > 0) with local
+    error <= tol, sampled at linspace(0, T, n_samples) or, without
+    n_samples, at 0 and T: one lane of solve_lanes, the same bit for bit
+    as an orbit scan's lane. u is a field or a jet taking points (P, 3)."""
     jet = as_jet(u)
-    # solve_ivp leaves a reference cycle holding rhs; a weak reference
-    # keeps that cycle from holding the jet and its coefficient block too
-    jet_ref = weakref.ref(jet)
-
-    def rhs(_, y):
-        return jet_ref().value(y)
-
-    t_eval = np.linspace(0.0, T, n_samples) if n_samples else None
-    sol = _solve(rhs, x0, T, rtol=tol, atol=tol * 1e-2, t_eval=t_eval)
-    return Trajectory(ts=sol.t, points=sol.y.T)
+    return _one_lane(lambda _, y: jet.value(y), x0, T, n_samples,
+                     rtol=tol, atol=tol * 1e-2)[0]
 
 
 def variational_flow(u, x0, T: float, *, rtol: float = 1e-11,
                      atol: float = 1e-12, n_samples: int | None = None):
-    """Flow plus the fundamental solution of the linearized equations.
-
-    Returns (Trajectory, Ms) with Ms[i] the 3x3 state transition matrix
-    from time 0 to ts[i].
-    """
+    """Flow and linearized flow for a time T (finite, > 0), sampled as flow
+    is, as one lane of solve_lanes, which no other lane changes:
+    (Trajectory, Ms) with Ms[i] the 3x3 state transition matrix from time
+    0 to ts[i]. u is a field or a jet with values_and_jacobians."""
     jet = as_jet(u)
-    jet_ref = weakref.ref(jet)  # as in flow
 
     def rhs(_, y):
-        x = y[:3]
-        M = y[3:].reshape(3, 3)
-        val, jac = jet_ref().value_and_jacobian(x)
-        return np.concatenate([val, (jac @ M).ravel()])
+        vals, jacs = jet.values_and_jacobians(y[:, :3])
+        return np.concatenate(
+            [vals, (jacs @ y[:, 3:].reshape(-1, 3, 3)).reshape(-1, 9)], axis=1)
 
-    y0 = np.concatenate([np.asarray(x0, float), np.eye(3).ravel()])
-    t_eval = np.linspace(0.0, T, n_samples) if n_samples else None
-    sol = _solve(rhs, y0, T, rtol=rtol, atol=atol, t_eval=t_eval)
-    traj = Trajectory(ts=sol.t, points=sol.y[:3].T)
-    Ms = sol.y[3:].T.reshape(-1, 3, 3)
-    return traj, Ms
+    traj, ys = _one_lane(rhs, np.r_[x0, np.eye(3).ravel()], T, n_samples,
+                         rtol=rtol, atol=atol)
+    return traj, ys[:, 3:].reshape(-1, 3, 3)
+
+
+def _one_lane(rhs, y0, T, n_samples, *, rtol, atol):
+    """solve_lanes on the one lane y0: the Trajectory of its first three
+    components and its samples. StiffnessError when the lane fails."""
+    n_samples = 2 if n_samples is None else n_samples
+    (ys,), (failed,) = solve_lanes(rhs, [y0], T, n_samples, rtol=rtol, atol=atol)
+    if failed:
+        raise StiffnessError(f"the integration from {y0[:3]} failed before T = {T}")
+    return Trajectory(ts=np.linspace(0.0, T, n_samples), points=ys[:, :3]), ys
 
 
 # Step-size control of scipy's RungeKutta solvers (Hairer, Norsett and
@@ -212,6 +202,20 @@ def _initial_steps(rhs, y0, f0, T, rtol, atol) -> np.ndarray:
     return np.minimum(np.minimum(100 * h0, h1), T)
 
 
+def check_horizon(T, name: str) -> None:
+    """ValueError naming T unless it is a finite real > 0 (not a bool)."""
+    if (isinstance(T, bool) or not isinstance(T, numbers.Real)
+            or not 0.0 < T < np.inf):
+        raise ValueError(f"{name} must be a finite real > 0, got {T!r}")
+
+
+def check_count(n, name: str, minimum: int = 0) -> None:
+    """ValueError naming n unless it is an integer >= minimum (not a bool)."""
+    if (isinstance(n, bool) or not isinstance(n, numbers.Integral)
+            or n < minimum):
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {n!r}")
+
+
 def solve_lanes(rhs, y0, T: float, n_samples: int, *, rtol: float,
                 atol: float):
     """DOP853 on every row of y0 (P, d) over [0, T], the rows as lanes.
@@ -229,8 +233,11 @@ def solve_lanes(rhs, y0, T: float, n_samples: int, *, rtol: float,
     numbers do not depend on which lanes share the solve.
 
     Returns the samples (P, n_samples, d), NaN after a lane fails, and
-    the failed mask (P,).
+    the failed mask (P,). T must be finite and > 0 and n_samples an
+    integer >= 2 (ValueError): no caller integrates backward.
     """
+    check_horizon(T, "T")
+    check_count(n_samples, "n_samples", 2)
     y = np.array(y0, dtype=float)
     n_lanes, dim = y.shape
     ts = np.linspace(0.0, T, n_samples)
@@ -633,23 +640,30 @@ def find_periodic_orbits(
     """Periodic orbits up to T_max by close-return scanning plus shooting.
 
     Seeds are drawn uniformly (deterministic in `seed`) or on a section
-    plane given as {"axis": 0|1|2|"x"|"y"|"z", "offset": float}. Close
-    returns are detected in the universal cover with integer winding
-    match, refined by Newton shooting on (point, period), reduced to
-    primitive period, deduplicated by orbit distance, and classified by
-    the return map on the section plane u0-perp (orthogonal to the flow
-    direction u0 at the orbit seed).
-    Shooting failures are recorded in `diagnostics` (when given), never
-    raised. Degenerate (multiplier-one) orbits are legitimate results:
-    integrable fields produce whole families of them.
+    plane given as {"axis": 0|1|2|"x"|"y"|"z", "offset": float}, and
+    flowed as the lanes of one solve. Close returns are detected in the
+    universal cover with integer winding match, refined by Newton
+    shooting on (point, period), reduced to primitive period,
+    deduplicated by orbit distance, and classified by the return map on
+    the section plane u0-perp (orthogonal to the flow direction u0 at the
+    orbit seed). A failed seed lane and shooting failures are recorded
+    in `diagnostics` (when given), never raised. Degenerate
+    (multiplier-one) orbits are legitimate results: integrable fields
+    produce whole families of them. T_max must be finite and > 0,
+    n_seeds an integer >= 0 and a section's offset finite (ValueError).
     """
+    check_horizon(T_max, "T_max")
+    check_count(n_seeds, "n_seeds")
     jet = as_jet(u)
     rng = np.random.default_rng(seed)
     if section_spec is not None:
         axis = section_spec.get("axis", 2)
-        if isinstance(axis, str):
-            axis = "xyz".index(axis)
+        if isinstance(axis, (bool, float)) or axis not in (0, 1, 2, "x", "y", "z"):
+            raise ValueError(f"section axis must be 0, 1, 2, x, y or z, got {axis!r}")
+        axis = "xyz".index(axis) if isinstance(axis, str) else int(axis)
         offset = float(section_spec.get("offset", 0.0))
+        if not np.isfinite(offset):
+            raise ValueError(f"section offset must be finite, got {offset!r}")
         side = max(int(np.ceil(np.sqrt(n_seeds))), 1)
         coords = TAU * (np.arange(side) + 0.5) / side
         a, b = np.meshgrid(coords, coords, indexing="ij")
@@ -664,14 +678,15 @@ def find_periodic_orbits(
 
     stats = {"candidates": 0, "unresolved": 0, "duplicates": 0}
     records: list[PeriodicOrbitRecord] = []
-    for x_seed in seeds:
-        n_scan = max(int(T_max / 0.05), 64)
-        try:
-            traj = flow(jet, x_seed, T_max, tol=SCAN_TOL, n_samples=n_scan)
-        except StiffnessError:
+    n_scan = max(int(T_max / 0.05), 64)
+    ts = np.linspace(0.0, T_max, n_scan)
+    scans, failed = solve_lanes(lambda _, y: jet.value(y), seeds, T_max, n_scan,
+                                rtol=SCAN_TOL, atol=SCAN_TOL * 1e-2)  # as in flow
+    for x_seed, points, lost in zip(seeds, scans, failed):
+        if lost:
             stats["unresolved"] += 1
             continue
-        for T0, winding, _ in _close_return_candidates(traj):
+        for T0, winding, _ in _close_return_candidates(Trajectory(ts, points)):
             stats["candidates"] += 1
             hit = _newton_shoot(
                 jet, x_seed, T0, winding,

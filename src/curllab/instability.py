@@ -57,7 +57,6 @@ only removes per-solve overhead, and a pair certifies the same alone.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -72,6 +71,8 @@ from .dynamics import (
     PeriodicOrbitRecord,
     _newton_shoot,
     _orthonormal_complement,
+    check_count,
+    check_horizon,
     find_fixed_points,
     find_periodic_orbits,
     newton_zero,
@@ -151,6 +152,7 @@ def wkb_exponent(
     for a lane that failed. A packet's numbers are the same whichever
     packets share its solve, so a single packet is a batch of one.
     """
+    check_horizon(T, "T")  # before solve_lanes does: n_samples needs a finite T
     jets, lane_jet, y0 = {}, [], []
     for u, x0, xi0 in packets:
         if id(u) not in jets:
@@ -236,15 +238,9 @@ class CertifyBudget:
 
     def __post_init__(self):
         for name in ("T_max", "wkb_T"):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not 0.0 < value < np.inf):
-                raise ValueError(f"{name} must be a finite real > 0, got {value!r}")
+            check_horizon(getattr(self, name), name)
         for name in ("n_seeds", "orbit_seeds", "seed"):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-                    or value < 0):
-                raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
+            check_count(getattr(self, name), name)
 
 
 @dataclass

@@ -131,6 +131,31 @@ class TestDynamicsCommands:
         np.testing.assert_array_equal(u.coeffs, expect.coeffs)
 
 
+class TestOptionRanges:
+    @pytest.mark.parametrize("argv, option", [
+        (["spectrum", "--truncation", "2", "--count", "0"], "--count"),
+        (["spectrum", "--truncation", "0"], "--truncation"),
+        (["spectrum", "--truncation", "two"], "--truncation"),
+        (["certify-all", "--metric", "flat", "--truncation", "2",
+          "--count", "0"], "--count"),
+        (["instability", "--metric", "flat", "--truncation", "2",
+          "--eigen-index", "-1"], "--eigen-index"),
+        (["orbits", "--field", "abc:1,1,1", "--t-max", "-1"], "--t-max"),
+        (["orbits", "--field", "abc:1,1,1", "--t-max", "nan"], "--t-max"),
+        (["orbits", "--field", "abc:1,1,1", "--t-max", "inf"], "--t-max"),
+        (["orbits", "--field", "abc:1,1,1", "--seeds", "-1"], "--seeds"),
+        (["orbits", "--field", "abc:1,1,1", "--seed", "-1"], "--seed"),
+    ])
+    def test_out_of_range_value_is_a_usage_error(self, argv, option, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert f"argument {option}:" in err
+        assert "Traceback" not in err
+
+
 class TestContactCommands:
     def test_adapted_metric_unit_form_is_flat(self, tmp_path, capsys):
         out = tmp_path / "metric.json"

@@ -265,6 +265,27 @@ class TestRescalingInvariance:
 
 
 class TestReebRescaledEvaluator:
+    def test_rows_match_one_point_calls(self, bumpy, rng):
+        resc = reeb_rescaled(sharp(bumpy, shear_one_form(1)), bumpy)
+        points = rng.uniform(0, 2 * np.pi, (4, 3))
+        vals, jacs = resc.values_and_jacobians(points)
+        np.testing.assert_array_equal(resc.value(points),
+                                      [resc.value(x) for x in points])
+        for x, val, jac in zip(points, vals, jacs):
+            one_val, one_jac = resc.value_and_jacobian(x)
+            np.testing.assert_array_equal(val, one_val)
+            np.testing.assert_array_equal(jac, one_jac)
+
+    def test_flows_as_the_field_at_unit_speed(self, flat):
+        # |u| = 1 for the tight shear, so X = u up to rounding
+        from curllab.dynamics import flow
+
+        u = sharp(flat, shear_one_form(2))
+        x0 = (0.3, 1.1, 2.0)
+        np.testing.assert_allclose(
+            flow(reeb_rescaled(u, flat), x0, 3.0, n_samples=7).points,
+            flow(u, x0, 3.0, n_samples=7).points, atol=1e-9)
+
     def test_matches_reeb_field(self, flat, rng):
         u = sharp(flat, shear_one_form(2))
         X_field = reeb_field(tight_form(2))

@@ -4,16 +4,18 @@ import gc
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.linalg as sla
 import scipy.optimize
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from curllab import contact
+from curllab import contact, dynamics
 from curllab.contact import conley_zehnder
 from curllab.dynamics import (
     EIG_TOL,
     NEWTON_TOL,
+    SCAN_TOL,
     Trajectory,
     _orthonormal_complement,
     _project_return_map,
@@ -25,10 +27,11 @@ from curllab.dynamics import (
     named_field,
     newton_zero,
     shear_field,
+    solve_lanes,
     torus_distance,
     variational_flow,
 )
-from curllab.errors import FrameError
+from curllab.errors import FrameError, StiffnessError
 from curllab.fields import FieldJet, FourierField, flat as lower_index, flat_metric
 
 
@@ -59,8 +62,8 @@ class FrozenJet:
 class TestFlow:
     @pytest.mark.parametrize("integrate", [flow, variational_flow])
     def test_jet_does_not_outlive_its_flow(self, integrate):
-        # solve_ivp leaves a reference cycle around the right-hand side;
-        # the jet built for the flow must still die with its last reference
+        # the jet built for the flow must die with its last reference:
+        # nothing the integration leaves behind may hold it
         gc.collect()
         gc.disable()
         try:
@@ -103,6 +106,153 @@ class TestFlow:
         traj = flow(shear_field(1), (0.3, 0.4, 1.1), 20.0, tol=tol,
                     n_samples=200)
         assert np.abs(traj.points[:, 2] - 1.1).max() <= 10 * tol
+
+    def test_sample_times(self):
+        u = abc_field(1, 1, 1)
+        assert flow(u, (0.1, 0.2, 0.3), 2.5).ts.tolist() == [0.0, 2.5]
+        traj, Ms = variational_flow(u, (0.1, 0.2, 0.3), 2.5, n_samples=6)
+        np.testing.assert_array_equal(traj.ts, np.linspace(0.0, 2.5, 6))
+        assert traj.points.shape == (6, 3) and Ms.shape == (6, 3, 3)
+        np.testing.assert_array_equal(Ms[0], np.eye(3))
+
+    @pytest.mark.parametrize("T", [0.0, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("integrate", [flow, variational_flow])
+    def test_bad_horizon_is_refused(self, integrate, T):
+        # no caller integrates backward: a T that is not finite and > 0
+        # is refused before any step, and named
+        with pytest.raises(ValueError, match=r"T must be a finite real > 0"):
+            integrate(abc_field(1, 1, 1), (0.1, 0.2, 0.3), T, n_samples=3)
+
+    def test_failed_lane_raises(self):
+        class Blowup:
+            """x' = x * x in each coordinate: infinite at t = 1 from x = 1."""
+
+            @staticmethod
+            def value(y):
+                return y * y
+
+        with pytest.raises(StiffnessError, match="failed"):
+            flow(Blowup(), (1.0, 1.0, 1.0), 2.0)
+
+
+class TestOneIntegrator:
+    """flow, variational_flow and the orbit scan are lanes of solve_lanes."""
+
+    X0 = (0.1, 0.2, 0.3)
+    T = 7.8
+
+    def test_flow_matches_solve_ivp(self):
+        # the reference integrator lives in the tests only
+        jet = FieldJet(abc_field(1, 1, 1))
+        ts = np.linspace(0.0, self.T, 50)
+        traj = flow(jet, self.X0, self.T, tol=1e-10, n_samples=len(ts))
+        ref = scipy.integrate.solve_ivp(
+            lambda _, y: jet.value(y), (0.0, self.T), self.X0,
+            method="DOP853", rtol=1e-10, atol=1e-12, t_eval=ts)
+        assert np.abs(traj.points - ref.y.T).max() <= 1e-12 * np.abs(ref.y).max()
+
+    def test_variational_flow_matches_solve_ivp(self):
+        jet = FieldJet(abc_field(1, 1, 1))
+
+        def rhs(_, y):
+            val, jac = jet.value_and_jacobian(y[:3])
+            return np.concatenate([val, (jac @ y[3:].reshape(3, 3)).ravel()])
+
+        ts = np.linspace(0.0, self.T, 50)
+        traj, Ms = variational_flow(jet, self.X0, self.T, n_samples=len(ts))
+        ref = scipy.integrate.solve_ivp(
+            rhs, (0.0, self.T), np.r_[self.X0, np.eye(3).ravel()],
+            method="DOP853", rtol=1e-11, atol=1e-12, t_eval=ts)
+        assert np.abs(traj.points - ref.y[:3].T).max() <= \
+            1e-12 * np.abs(ref.y[:3]).max()
+        assert np.abs(Ms.reshape(-1, 9) - ref.y[3:].T).max() <= \
+            1e-12 * np.abs(ref.y[3:]).max()
+
+    @staticmethod
+    def spy(monkeypatch):
+        calls = []
+
+        def spying(rhs, y0, T, n_samples, **kwargs):
+            samples, failed = solve_lanes(rhs, y0, T, n_samples, **kwargs)
+            calls.append((np.array(y0), T, n_samples, samples, failed))
+            return samples, failed
+
+        monkeypatch.setattr(dynamics, "solve_lanes", spying)
+        return calls
+
+    def test_scan_seed_is_the_same_alone_and_among_lanes(self, monkeypatch):
+        jet = FieldJet(abc_field(1.0, 0.7, 0.3))
+        calls = self.spy(monkeypatch)
+        monkeypatch.setattr(dynamics, "_close_return_candidates", lambda _: [])
+        assert find_periodic_orbits(jet, T_max=5.0, n_seeds=4, seed=2) == []
+        ((seeds, T, n_scan, samples, failed),) = calls
+        assert len(seeds) == 4 and not failed.any()
+        for x0, lane in zip(seeds, samples):
+            alone = flow(jet, x0, T, tol=SCAN_TOL, n_samples=n_scan)
+            np.testing.assert_array_equal(alone.points, lane)
+
+    def test_one_lane_solve_per_scan(self, monkeypatch):
+        # the scan's seeds share one solve; shooting, primitive-period
+        # probes and the orbit records are solves of one lane each
+        calls = self.spy(monkeypatch)
+        diagnostics = {}
+        records = find_periodic_orbits(shear_field(1), T_max=8.0, n_seeds=4,
+                                       section_spec={"axis": "z"},
+                                       diagnostics=diagnostics)
+        assert records and diagnostics["candidates"] > 0
+        lanes = [len(y0) for y0, *_ in calls]
+        assert lanes[0] == 4 and calls[0][1] == 8.0
+        assert lanes[1:] and set(lanes[1:]) == {1}
+
+    def test_orbit_stage_runs_without_solve_ivp(self, abc_orbits, monkeypatch):
+        from curllab.curlspec import EigenPair
+        from curllab.fields import l2_norm
+        from curllab.instability import CertifyBudget, certify
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("solve_ivp called")
+
+        monkeypatch.setattr(scipy.integrate, "solve_ivp", refuse)
+        monkeypatch.setattr(dynamics, "solve_ivp", refuse)
+        u = abc_field(1, 1, 1)
+        alpha = lower_index(flat_metric(), u)
+        orbit = next(r for r in abc_orbits if r.nondegenerate)
+        assert conley_zehnder(orbit, alpha, u) == 2
+        assert find_periodic_orbits(u, T_max=8.0, n_seeds=2, seed=3)
+        # a zero-free eigenfield certifies through the orbit stage
+        flat = flat_metric()
+        v = abc_field(1.0, 0.7, 0.3)
+        form = lower_index(flat, v)
+        pair = EigenPair(eigenvalue=1.0, form=(1.0 / l2_norm(flat, form)) * form,
+                         residual=0.0, index=0)
+        budget = CertifyBudget(T_max=20.0, orbit_seeds=10, n_seeds=2, seed=1)
+        assert certify(flat, pair, budget).mechanism == "hyperbolic_orbit"
+
+
+class TestOrbitSearchArguments:
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"T_max": -1.0}, "T_max must be a finite real > 0"),
+        ({"T_max": 0.0}, "T_max must be a finite real > 0"),
+        ({"T_max": np.nan}, "T_max must be a finite real > 0"),
+        ({"n_seeds": -1}, "n_seeds must be an integer >= 0"),
+        ({"n_seeds": 2.5}, "n_seeds must be an integer >= 0"),
+        ({"section_spec": {"axis": 5}}, "section axis"),
+        ({"section_spec": {"axis": "w"}}, "section axis"),
+        ({"section_spec": {"axis": "xy"}}, "section axis"),
+        ({"section_spec": {"axis": 1.0}}, "section axis"),
+        ({"section_spec": {"axis": "z", "offset": np.inf}}, "section offset"),
+    ])
+    def test_bad_arguments_are_refused(self, kwargs, match):
+        # each bad argument is named before any seed is drawn or flowed
+        with pytest.raises(ValueError, match=match):
+            find_periodic_orbits(abc_field(1, 1, 1), **{"T_max": 2.0, **kwargs})
+
+    def test_no_seeds_no_orbits(self):
+        diagnostics = {}
+        assert find_periodic_orbits(abc_field(1, 1, 1), T_max=2.0, n_seeds=0,
+                                    diagnostics=diagnostics) == []
+        assert diagnostics == {"candidates": 0, "unresolved": 0,
+                               "duplicates": 0}
 
 
 class TestFixedPoints:

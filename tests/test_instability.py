@@ -42,6 +42,12 @@ def make_pair(metric, form, eigenvalue):
 
 
 class TestWKBExponent:
+    @pytest.mark.parametrize("T", [0.0, -5.0, np.nan, np.inf])
+    def test_bad_horizon_is_refused(self, T):
+        with pytest.raises(ValueError, match="T must be a finite real > 0"):
+            wkb_exponent([(abc_field(1, 1, 1), (0.1, 0.2, 0.3), (1.0, 0.0, 0.0))],
+                         T=T)
+
     def test_constant_field_no_growth(self):
         u = FourierField.constant("vector", [0.3, -1.0, 0.7])
         exp = one_packet(u, (0.1, 0.2, 0.3), (1.0, 0.0, 0.0), T=50.0).exponent
