@@ -100,18 +100,22 @@ def _section(text: str) -> dict:
     return {"axis": SECTION_AXES[name], "offset": offset}
 
 
-def _at_least(minimum: int):
-    """type= checker of an integer option >= minimum."""
+def _integer(accept, expected: str):
+    """type= checker of an integer option whose value passes accept."""
     def integer(text: str) -> int:
         try:
             value = int(text)
-            if value < minimum:
+            if not accept(value):
                 raise ValueError
         except ValueError:
             raise argparse.ArgumentTypeError(
-                f"expected an integer >= {minimum}, got {text!r}") from None
+                f"expected {expected}, got {text!r}") from None
         return value
     return integer
+
+
+def _at_least(minimum: int):
+    return _integer(lambda value: value >= minimum, f"an integer >= {minimum}")
 
 
 def _horizon(text: str) -> float:
@@ -308,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("adapted-metric",
                        help="metric adapted to a canonical tight form")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_integer(bool, "a nonzero integer"), required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_adapted_metric)
 
@@ -331,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sweep config JSON file")
     p.add_argument("--out-jsonl")
     p.add_argument("--out-csv")
-    p.add_argument("--threads", type=int, default=1,
+    p.add_argument("--threads", type=_at_least(1), default=1,
                    help="worker processes (default: 1); "
                         "with more than one, set OPENBLAS_NUM_THREADS=1 so "
                         "BLAS threads do not oversubscribe the cores")

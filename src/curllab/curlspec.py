@@ -41,14 +41,19 @@ v = V x - C (C^T G C)^{-1} C^T G V x, which is G-orthogonal to every
 closed form, so coexact. The frames and d depend only on the truncation
 and are built once per truncation (`mode_basis`).
 
+G is assembled and held in frame coordinates only (the constants, then
+the closed coordinates of every mode, then the helical ones), so
+C^T G C, C^T G V and V^T G V are slices of it; the packed Gram is never
+formed. Vectors cross over with `ModeBasis.to_frames` and `from_frames`.
+
 Besides the closed block C^T G C = L L^T, the operator factors one
 dense matrix: S = R R^T, with R lower triangular (Cholesky). R turns
 the reduced pencil into the standard problem C y = lambda y, with
 C = R^{-1} d R^{-T} and x = R^{-T} y, so each window takes one standard
 `eigh` of C that computes only the window's eigenvectors. With L and
 W = L^{-1} C^T G V, R also completes the block factor
-[[L, 0], [W^T, R]] of the Gram in the frames. Every Gram solve, and so
-every pair check, runs through it; the packed Gram is never factored.
+[[L, 0], [W^T, R]] of G. Every Gram solve, and so every pair check,
+runs through it.
 
 By Sylvester's law of inertia the reduced pencil has exactly 2K
 negative eigenvalues, as d has, so the k eigenvalues of smallest
@@ -66,6 +71,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
+import scipy.fft
 import scipy.linalg as sla
 
 from .errors import EigensolverError, UnsupportedRankError
@@ -85,6 +91,7 @@ GAP_TOL = 1e-6
 
 _SCALE = TAU ** 1.5
 _SQRT2 = np.sqrt(2.0)
+_CHUNK_ROWS = 8  # row modes per chunk of the Gram assembly
 
 
 class ModeBasis:
@@ -97,7 +104,9 @@ class ModeBasis:
 
     rotation[j] is the orthogonal 6 x 6 frame [C_m | V_m] of half mode
     j's dofs and d the helical diagonal, (|m|, |m|, -|m|, -|m|) per mode.
-    All arrays are read-only: `mode_basis` shares one basis between the
+    Frame coordinates (`to_frames`) are the constants, the closed ones (two
+    per mode) up to n_closed, then the helical ones (four per mode). All
+    arrays are read-only: `mode_basis` shares one basis between the
     operators of every metric at a truncation, across threads too.
     """
 
@@ -121,6 +130,7 @@ class ModeBasis:
         self.neg_index = (neg[:, 0], neg[:, 1], neg[:, 2])
         self.n_half = idx.shape[0]
         self.dim = self.ncomp * (1 + 2 * self.n_half)
+        self.n_closed = self.ncomp + 2 * self.n_half
 
         m = self.half_modes.astype(float)
         length = np.linalg.norm(m, axis=1)
@@ -165,17 +175,31 @@ class ModeBasis:
         )
         return coeffs
 
+    def to_frames(self, v: np.ndarray) -> np.ndarray:
+        """Frame coordinates of a packed vector (or of the columns of v)."""
+        K, nc = self.n_half, self.ncomp
+        cols = v.reshape(self.dim, -1)
+        local = np.matmul(self.rotation.transpose(0, 2, 1),
+                          cols[nc:].reshape(K, 6, -1))
+        return np.concatenate([cols[:nc], local[:, :2].reshape(2 * K, -1),
+                               local[:, 2:].reshape(4 * K, -1)]).reshape(v.shape)
+
+    def from_frames(self, f: np.ndarray) -> np.ndarray:
+        """Packed vector (or columns) of frame coordinates f: the inverse,
+        and the transpose, of `to_frames`, as every frame is orthogonal."""
+        K, nc = self.n_half, self.ncomp
+        cols = f.reshape(self.dim, -1)
+        local = np.concatenate([cols[nc:self.n_closed].reshape(K, 2, -1),
+                                cols[self.n_closed:].reshape(K, 4, -1)], axis=1)
+        return np.concatenate([cols[:nc], np.matmul(self.rotation, local)
+                               .reshape(6 * K, -1)]).reshape(f.shape)
+
     def cross_matrices(self) -> np.ndarray:
         """(K_h, 3, 3) matrices C with C a = m x a per half mode."""
         m = self.half_modes.astype(float)
-        K = m.shape[0]
-        C = np.zeros((K, 3, 3))
-        C[:, 0, 1] = -m[:, 2]
-        C[:, 0, 2] = m[:, 1]
-        C[:, 1, 0] = m[:, 2]
-        C[:, 1, 2] = -m[:, 0]
-        C[:, 2, 0] = -m[:, 1]
-        C[:, 2, 1] = m[:, 0]
+        C = np.zeros((self.n_half, 3, 3))
+        C[:, [2, 0, 1], [1, 2, 0]] = m  # C[2, 1] = m_0, C[0, 2] = m_1, ...
+        C[:, [1, 2, 0], [2, 0, 1]] = -m
         return C
 
 
@@ -276,64 +300,57 @@ class CurlOperator:
 
     @cached_property
     def gram_matrix(self) -> np.ndarray:
-        """Dense quadrature Gram of the weighted 1-form inner product.
-
-        Assembled from the Fourier transform of the pointwise weight
-        sqrt(det g) g^{-1}: the (m, m') entry only needs the weight
-        coefficients at m -+ m', gathered with the same mod-M folding the
-        grid quadrature performs.
+        """Dense quadrature Gram of the weighted 1-form inner product in
+        frame coordinates. The packed block of half modes m, m' maps the
+        coefficients u' of m' to w(m - m') u' + w(m + m') conj(u'), w from
+        `_weight_maps`. Each chunk of row modes is gathered against the
+        modes from the chunk on, rotated by their frames, then by its own
+        frames straight into G, and mirrored, so G is exactly symmetric.
         """
         c = self._gram_scalar
         if c is not None:
             return c * np.eye(self.dim)
-        ms = self.metric.samples(self.grid)
-        M = self.grid.resolution
-        what = np.fft.fftn(np.moveaxis(ms.weight, (-2, -1), (0, 1)),
-                           axes=(-3, -2, -1)) / M**3  # (3, 3, M, M, M)
         basis = self.basis
-        modes = basis.half_modes  # (K, 3)
-        diff = (modes[:, None, :] - modes[None, :, :]) % M  # m - m'
-        summ = (modes[:, None, :] + modes[None, :, :]) % M  # m + m'
-        K = modes.shape[0]
-        G = np.empty((basis.dim, basis.dim))
-        nc = basis.ncomp
-        # (K, 6, K, 6) view of the mode block: blocks[j, a, k, b] is the
-        # entry of component a of mode j against component b of mode k.
-        # Each (3, 3, K, K) block x is symmetrized in place before it is
-        # written, (x + x') * 0.5 with x' the mirror entries of G:
-        # G[j, a, k, b] mirrors G[k, b, j, a], which is (b, a, k, j).
-        blocks = G[nc:, nc:].reshape(K, 6, K, 6)
-        order = (2, 0, 3, 1)  # (a, b, j, k) -> (j, a, k, b)
-        mirror = (1, 0, 3, 2)  # (a, b, j, k) -> (b, a, k, j)
-
-        def gather(w, index):  # weight coefficients at m -+ m', (3, 3, K, K)
-            return w[:, :, index[..., 0], index[..., 1], index[..., 2]]
-
-        Wd, Ws = gather(what.real, diff), gather(what.real, summ)
-        for rows, x in ((slice(0, 3), Wd + Ws), (slice(3, 6), Wd - Ws)):
-            x += x.transpose(mirror)
-            x *= 0.5
-            blocks[:, rows, :, rows] = np.transpose(x, order)
-        del Wd, Ws, x
-        Wd, Ws = gather(what.imag, diff), gather(what.imag, summ)
-        x = -Wd + Ws  # Re-Im block; its mirror is the Im-Re block Wd + Ws
-        x += (Wd + Ws).transpose(mirror)
-        del Wd, Ws
-        x *= 0.5
-        blocks[:, 0:3, :, 3:6] = np.transpose(x, order)
-        blocks[:, 3:6, :, 0:3] = np.transpose(x.transpose(mirror), order)
-        del x, blocks
-        mz = modes % M  # (K, 3) single-mode rows against the constants
-        W0 = what[:, :, mz[:, 0], mz[:, 1], mz[:, 2]]  # (3, 3, K)
-        row_re = np.sqrt(2.0) * W0.real  # (3, 3, K): comp i, comp j, mode
-        row_im = np.sqrt(2.0) * W0.imag
-        cross = np.empty((3, K, 6))
-        cross[:, :, 0:3] = np.moveaxis(row_re, (0, 1), (0, 2))
-        cross[:, :, 3:6] = np.moveaxis(row_im, (0, 1), (0, 2))
-        G[:nc, nc:] = cross.reshape(3, 6 * K)
-        G[nc:, :nc] = G[:nc, nc:].T
-        const = what[:, :, 0, 0, 0].real
-        G[:nc, :nc] = (const + const.T) * 0.5
+        K, nc, Q = basis.n_half, basis.ncomp, basis.rotation
+        reach = 2 * self.truncation  # the largest |q_i| of q = m -+ m'
+        linear, antilinear = _weight_maps(self.metric.samples(self.grid), reach)
+        L = 2 * reach + 1
+        key = basis.half_modes @ np.array([L * L, L, 1])
+        center = reach * (L * L + L + 1)  # the tables' row of q is center + key(q)
+        G = np.empty((self.dim, self.dim))
+        # frame columns, first coordinate and width: closed, then helical
+        groups = ((slice(0, 2), nc, 2), (slice(2, 6), basis.n_closed, 4))
+        for j0 in range(0, K, _CHUNK_ROWS):
+            j1, n = min(j0 + _CHUNK_ROWS, K), K - j0
+            own, later = ([slice(f + w * lo, f + w * hi) for _, f, w in groups]
+                          for lo, hi in ((j0, j1), (j1, K)))
+            # packed blocks [k, (j, a), b] of row modes j0..j1 against j0..K
+            m, m2 = key[None, j0:j1], key[j0:, None]
+            blocks = (np.take(linear, center + m - m2, axis=0)
+                      + np.take(antilinear, center + m + m2, axis=0))
+            for cols, first, width in groups:
+                # Y[j, a, k] = block_jk Q_k[:, cols], batched over k
+                Y = np.empty((j1 - j0, 6, n, width))
+                np.matmul(blocks.reshape(n, -1, 6), Q[j0:, :, cols],
+                          out=Y.reshape(-1, n, width).transpose(1, 0, 2))
+                for (rcols, _, _), rows in zip(groups, own):  # Q_j[:, rcols]^T Y[j]
+                    out = G[rows, first + width * j0:first + width * K]
+                    np.matmul(Q[j0:j1, :, rcols].transpose(0, 2, 1),
+                              Y.reshape(j1 - j0, 6, -1),
+                              out=out.reshape(j1 - j0, -1, n * width))
+            # the chunk's pairs among themselves came out both ways: average
+            # them, then mirror the chunk's rows into its columns
+            a, b = own
+            for r, s in ((a, a), (b, b), (a, b)):
+                G[r, s] = (G[r, s] + G[s, r].T) * 0.5
+            for r, s in [(a, b)] + [(r, s) for r in own for s in later]:
+                G[s, r] = G[r, s].T
+        # the constants are closed and keep their coordinates; their packed
+        # rows against mode m are sqrt(2) (Re w(m), Im w(m))
+        modes = _SQRT2 * np.moveaxis(linear[center - key, :3], 1, 0)
+        G[:nc] = basis.to_frames(np.hstack([linear[center, :3, :3],
+                                            modes.reshape(nc, -1)]).T).T
+        G[:, :nc] = G[:nc].T
         return G
 
     def gram_solve(self, v: np.ndarray) -> np.ndarray:
@@ -345,16 +362,13 @@ class CurlOperator:
             return v / c
         L, W, _ = self._reduction
         R = self._schur_factor
-        Q, nc = self.basis.rotation, self.basis.ncomp
-        K = Q.shape[0]
-        cols = v.reshape(v.shape[0], -1)
-        local = np.matmul(Q.transpose(0, 2, 1), cols[nc:].reshape(K, 6, -1))
-        y = _lower_solve(L, np.concatenate([cols[:nc],
-                                            local[:, :2].reshape(2 * K, -1)]))
-        x = _lower_solve(R, local[:, 2:].reshape(4 * K, -1) - W.T @ y)
+        n = self.basis.n_closed
+        f = self.basis.to_frames(v)
+        y = _lower_solve(L, f[:n])
+        x = _lower_solve(R, f[n:] - W.T @ y)
         x = _lower_solve(R, x, trans="T")
         y = _lower_solve(L, y - W @ x, trans="T")
-        return self._unrotate(y, x).reshape(v.shape)
+        return self.basis.from_frames(np.concatenate([y, x]))
 
     # -- public operations ----------------------------------------------
 
@@ -382,38 +396,17 @@ class CurlOperator:
 
     @cached_property
     def _reduction(self):
-        """(L, W, S): the closed coordinates eliminated from (B, G).
-
-        L is the lower Cholesky factor of C^T G C (constants first, then
-        two closed coordinates per mode), W = L^{-1} C^T G V and S is the
-        Schur complement V^T G V - W^T W, which `_schur_factor` factors
-        once for the eigensolve and the Gram solves. The rotated Gram blocks
-        Q_j^T G_jk Q_k, with Q_j = [C_m | V_m], come from the
-        (K, 6, K, 6) view of gram_matrix by two batched products; the
-        constants are closed and keep their coordinates.
+        """(L, W, S): the closed coordinates eliminated from (B, G), with
+        slices of the frame Gram. L is the lower Cholesky factor of
+        C^T G C, W = L^{-1} C^T G V and S is the Schur complement
+        V^T G V - W^T W, which `_schur_factor` factors once for the
+        eigensolve and the Gram solves.
         """
-        G = self.gram_matrix
-        Q = self.basis.rotation
-        K = Q.shape[0]
-        nc = self.basis.ncomp
-        left = np.matmul(Q.transpose(0, 2, 1), G[nc:, nc:].reshape(K, 6, 6 * K))
-        rotated = np.empty((6 * K, K, 6))
-        np.matmul(left.reshape(6 * K, K, 6).transpose(1, 0, 2), Q,
-                  out=rotated.transpose(1, 0, 2))
-        del left
-        rotated = rotated.reshape(K, 6, K, 6)
-        const = np.einsum("ikb,kbq->ikq", G[:nc, nc:].reshape(nc, K, 6), Q)
-        closed = np.empty((nc + 2 * K, nc + 2 * K))
-        closed[:nc, :nc] = G[:nc, :nc]
-        closed[:nc, nc:] = const[:, :, :2].reshape(nc, 2 * K)
-        closed[nc:, :nc] = closed[:nc, nc:].T
-        closed[nc:, nc:] = rotated[:, :2, :, :2].reshape(2 * K, 2 * K)
-        cross = np.concatenate([const[:, :, 2:].reshape(nc, 4 * K),
-                                rotated[:, :2, :, 2:].reshape(2 * K, 4 * K)])
-        L = sla.cholesky(closed, lower=True)
-        W = sla.solve_triangular(L, cross, lower=True)
-        S = rotated[:, 2:, :, 2:].reshape(4 * K, 4 * K)
-        S -= W.T @ W
+        G, n = self.gram_matrix, self.basis.n_closed
+        L = sla.cholesky(G[:n, :n], lower=True)
+        W = sla.solve_triangular(L, G[:n, n:], lower=True)
+        S = W.T @ W
+        np.subtract(G[n:, n:], S, out=S)
         return L, W, S
 
     @cached_property
@@ -423,35 +416,18 @@ class CurlOperator:
         _, _, S = self._reduction
         return sla.cholesky(S, lower=True)
 
-    def _unrotate(self, closed: np.ndarray, helical: np.ndarray) -> np.ndarray:
-        """Packed columns from closed (constants, then two per mode) and
-        helical (four per mode) frame coordinates."""
-        Q = self.basis.rotation
-        K, nc, p = Q.shape[0], self.basis.ncomp, helical.shape[1]
-        local = np.concatenate([closed[nc:].reshape(K, 2, p),
-                                helical.reshape(K, 4, p)], axis=1)
-        return np.concatenate([closed[:nc], np.matmul(Q, local).reshape(6 * K, p)])
-
     def _lift(self, x: np.ndarray) -> np.ndarray:
         """Packed v = V x - C (C^T G C)^{-1} C^T G V x for columns x."""
         L, W, _ = self._reduction
-        return self._unrotate(-_lower_solve(L, W @ x, trans="T"), x)
-
-    def _closed_part(self, v: np.ndarray):
-        """(w, C^T G v), where C w is the G-orthogonal projection of v
-        onto the closed forms."""
-        L, _, _ = self._reduction
-        Gv = self._gram_mult(v)
-        nc = self.basis.ncomp
-        modes = np.einsum("kbp,kb->kp", self.basis.rotation[:, :, :2],
-                          Gv[nc:].reshape(-1, 6))
-        ctg = np.concatenate([Gv[:nc], modes.ravel()])
-        return sla.cho_solve((L, True), ctg, check_finite=False), ctg
+        closed = -_lower_solve(L, W @ x, trans="T")
+        return self.basis.from_frames(np.concatenate([closed, x]))
 
     def coexact_residual_packed(self, v: np.ndarray) -> float:
-        """Weighted norm of the closed-form component of a packed vector."""
-        w, ctg = self._closed_part(v)
-        return float(np.sqrt(max(w @ ctg, 0.0)))
+        """Weighted norm of the closed-form component of a packed vector,
+        the G-orthogonal projection C (C^T G C)^{-1} C^T G v: |L^{-1} C^T G v|."""
+        L, _, _ = self._reduction
+        ctg = self.gram_matrix[:self.basis.n_closed] @ self.basis.to_frames(v)
+        return float(np.linalg.norm(_lower_solve(L, ctg)))
 
     def count_below(self, sigma: float) -> int:
         """Nonzero eigenvalues below sigma: the negative inertia of d - sigma S.
@@ -496,10 +472,23 @@ class CurlOperator:
         c = self._gram_scalar
         if c is not None:
             return c * v
-        return self.gram_matrix @ v
+        return self.basis.from_frames(self.gram_matrix @ self.basis.to_frames(v))
 
-    def _weighted_sq(self, v: np.ndarray) -> float:
-        return float(v @ self._gram_mult(v))
+
+def _weight_maps(samples, reach: int):
+    """Real 6 x 6 forms, on (Re, Im) coefficient pairs, of u -> w(q) u and
+    u -> w(q) conj(u) for |q_i| <= reach, q in row (q + reach) . (L^2, L, 1)
+    with L = 2 reach + 1. w(q) is the Fourier coefficient of the sampled
+    weight sqrt(det g) g^{-1}, gathered with the mod-M folding of the grid
+    quadrature and symmetrized, as the weight is symmetric.
+    """
+    M = samples.grid.resolution
+    fold = np.arange(-reach, reach + 1) % M
+    w = scipy.fft.fftn(samples.weight, axes=(0, 1, 2))[np.ix_(fold, fold, fold)]
+    w = w.reshape(-1, 3, 3) / M**3
+    w = (w + w.transpose(0, 2, 1)) * 0.5
+    re, im = w.real, w.imag
+    return np.block([[re, -im], [im, re]]), np.block([[re, im], [im, -re]])
 
 
 def _lower_solve(factor: np.ndarray, b: np.ndarray, trans: str = "N") -> np.ndarray:
@@ -530,7 +519,7 @@ def parse_window(window) -> tuple:
         raise ValueError(f"unrecognized window spec {window!r}")
     if "count" in window:
         k = window["count"]
-        if not isinstance(k, (int, np.integer)):
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
             raise ValueError(f"count window needs an integer, got {k!r}")
         if k < 1:
             raise ValueError("count window must request at least one pair")
@@ -632,7 +621,7 @@ def eigenpairs(
     pairs: list[EigenPair] = []
     for rank, i in enumerate(sel):
         v = vecs[:, i]
-        v = v / np.sqrt(op._weighted_sq(v))
+        v = v / np.sqrt(v @ op._gram_mult(v))
         coeffs = _fix_sign(op.basis.unpack(v))
         form = FourierField("one_form", coeffs)
         res = op.residual(form, float(vals[i]))

@@ -22,7 +22,8 @@ from dataclasses import field as dataclass_field, fields as dataclass_fields
 
 import numpy as np
 
-from .curlspec import assemble, eigenpairs
+from .curlspec import assemble, eigenpairs, parse_window
+from .dynamics import check_count
 from .fields import MetricField, named_metric, random_metric
 # certify is unused here; perfbench/tracing.py patches lab.certify
 from .instability import CertifyBudget, certify, certify_batch  # noqa: F401
@@ -45,7 +46,7 @@ class SweepConfig:
     configuration hash, so where results land never changes what they
     contain. budget holds CertifyBudget effort fields; any other key
     (seed included: the sweep draws one per pair), or a value that
-    CertifyBudget rejects, is a ValueError.
+    CertifyBudget rejects, is a ValueError, as is a bad window or truncation.
     """
 
     base_metric: str = "flat"
@@ -71,6 +72,8 @@ class SweepConfig:
                 raise ValueError(f"unknown budget key {key!r}; a sweep budget "
                                  f"takes {', '.join(efforts)}")
         CertifyBudget(**self.budget)  # raises on a bad value
+        parse_window(self.window)
+        check_count(self.truncation, "truncation", minimum=1)
 
     def to_json_dict(self, include_paths: bool = True) -> dict:
         data = asdict(self)

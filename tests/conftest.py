@@ -65,6 +65,14 @@ def pairing_matrix(op) -> np.ndarray:
     return B
 
 
+def packed_gram(op) -> np.ndarray:
+    """Dense Gram of a CurlOperator in packed coordinates, mapped back from
+    its frame Gram; the solver never builds it."""
+    basis = op.basis
+    G = basis.from_frames(basis.from_frames(op.gram_matrix).T)
+    return (G + G.T) * 0.5
+
+
 def random_scalar(truncation: int, rng: np.random.Generator) -> FourierField:
     L = 2 * truncation + 1
     c = rng.standard_normal((1, L, L, L)) + 1j * rng.standard_normal((1, L, L, L))

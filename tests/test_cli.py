@@ -145,6 +145,12 @@ class TestOptionRanges:
         (["orbits", "--field", "abc:1,1,1", "--t-max", "inf"], "--t-max"),
         (["orbits", "--field", "abc:1,1,1", "--seeds", "-1"], "--seeds"),
         (["orbits", "--field", "abc:1,1,1", "--seed", "-1"], "--seed"),
+        (["adapted-metric", "--k", "0", "--out", "m.json"], "--k"),
+        (["adapted-metric", "--k", "one", "--out", "m.json"], "--k"),
+        (["genericity-sweep", "--threads", "-3", "--config", "c.json"],
+         "--threads"),
+        (["genericity-sweep", "--threads", "0", "--config", "c.json"],
+         "--threads"),
     ])
     def test_out_of_range_value_is_a_usage_error(self, argv, option, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -276,6 +282,8 @@ class TestSweepCommand:
         ('{"samples": 1, "certify_pairs": true, "budget": {"bogus": 1}}', "bogus"),
         ('{"samples": 1, "certify_pairs": true, "budget": {"seed": 3}}', "seed"),
         ('{"samples": 1, "bogus": 1}', "bogus"),
+        ('{"samples": 2, "window": {"interval": [-1, 1]}}', "exclude the kernel"),
+        ('{"samples": 2, "truncation": 0}', "truncation"),
         ("not json", "sweep.json"),
     ])
     def test_bad_config_is_a_usage_error(self, tmp_path, text, named, capsys,

@@ -1,5 +1,7 @@
 """Curl operator assembly, the coexact residual, and the eigenproblem."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -23,6 +25,7 @@ from curllab.fields import (
 )
 from conftest import (
     cos_mode,
+    packed_gram,
     pairing_matrix,
     random_one_form,
     self_adjointness_residual,
@@ -226,6 +229,7 @@ class TestEigenpairs:
         ({"interval": [-float("inf"), -0.5]}, "finite"),
         ({"count": 2.7}, "integer"),
         ({"count": "3"}, "integer"),
+        ({"count": True}, "integer"),  # a bool is not a count of one pair
     ])
     def test_malformed_window_rejected_at_parse_time(self, window, message):
         # a non-finite bound would otherwise reach LAPACK, and int() would
@@ -255,9 +259,10 @@ class TestEigenpairs:
         # pivots of LDL^T(B - sigma G) is the number of eigenvalues of
         # B v = lambda G v below sigma.
         op = assemble(bumpy, 2)
+        G = packed_gram(op)
 
         def below(sigma):
-            _, d, _ = sla.ldl(pairing_matrix(op) - sigma * op.gram_matrix)
+            _, d, _ = sla.ldl(pairing_matrix(op) - sigma * G)
             return int((np.linalg.eigvalsh(d) < 0).sum())
 
         expected = below(interval[1]) - below(interval[0])
@@ -370,7 +375,7 @@ class TestReductionProperties:
     def test_reduced_spectrum_is_the_nonzero_spectrum(
             self, seed, amplitude, truncation):
         op = assemble(random_metric(2.0, amplitude, seed), truncation)
-        B, G = pairing_matrix(op), op.gram_matrix
+        B, G = pairing_matrix(op), packed_gram(op)
         # reference: the dense pencil, whose kernel is the closed forms
         full = sla.eigh(B, G, eigvals_only=True)
         radius = np.abs(full).max()
@@ -390,7 +395,7 @@ class TestReductionProperties:
     def test_weak_curl_is_symmetric_and_self_adjoint(
             self, seed, amplitude, truncation):
         op = assemble(random_metric(2.0, amplitude, seed), truncation)
-        B, G = pairing_matrix(op), op.gram_matrix
+        B, G = pairing_matrix(op), op.gram_matrix  # G in frame coordinates
         assert np.array_equal(B, B.T) and np.array_equal(G, G.T)
         rng = np.random.default_rng(seed)
         a = random_one_form(truncation, rng)
@@ -425,7 +430,7 @@ class TestOneFactorization:
     def test_gram_solve_matches_a_dense_solve(self, seed, amplitude, truncation):
         op = assemble(random_metric(2.0, amplitude, seed), truncation)
         v = np.random.default_rng(seed).standard_normal((op.dim, 3))
-        expect = np.linalg.solve(op.gram_matrix, v)
+        expect = np.linalg.solve(packed_gram(op), v)
         for got, want in ((op.gram_solve(v), expect),
                           (op.gram_solve(v[:, 0]), expect[:, 0])):
             assert got.shape == want.shape
@@ -451,13 +456,49 @@ class TestGramMatrix:
     def test_indexed_assembly_matches_quadrature_operator(self, bumpy, rng):
         # the dense Gram must agree with the FFT-based quadrature applier
         op = assemble(bumpy, 2)
-        G = op.gram_matrix
+        G = packed_gram(op)
         for _ in range(3):
             v = rng.standard_normal(op.dim)
             direct = op.basis.pack(
                 op.gram_apply_coeffs(op.basis.unpack(v)[None])[0]
             )
             np.testing.assert_allclose(G @ v, direct, atol=1e-10 * op.dim)
+
+    @settings(max_examples=12, deadline=None)
+    @given(seed=seeds, amplitude=amplitudes, truncation=st.integers(1, 3))
+    def test_frame_gram_matches_quadrature_operator(
+            self, seed, amplitude, truncation):
+        # the solver's Gram, in frame coordinates, against the FFT quadrature
+        op = assemble(random_metric(2.0, amplitude, seed), truncation)
+        basis = op.basis
+        f = np.random.default_rng(seed).standard_normal((op.dim, 3))
+        coeffs = np.stack([basis.unpack(v) for v in basis.from_frames(f).T])
+        direct = np.stack([basis.pack(c) for c in op.gram_apply_coeffs(coeffs)])
+        expect = basis.to_frames(direct.T)
+        got = op.gram_matrix @ f
+        assert np.linalg.norm(got - expect) <= 1e-13 * np.linalg.norm(expect)
+
+    def test_frame_maps_are_inverse_orthogonal_maps(self, rng):
+        basis = ModeBasis(2)
+        v = rng.standard_normal((basis.dim, 4))
+        f = basis.to_frames(v)
+        np.testing.assert_allclose(basis.from_frames(f), v, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(f.T @ f, v.T @ v, rtol=1e-14)
+        assert basis.to_frames(v[:, 0]).shape == (basis.dim,)
+        np.testing.assert_allclose(basis.to_frames(v[:, 0]), f[:, 0], rtol=0,
+                                   atol=1e-14)
+
+    def test_reduction_peak_memory_is_bounded_by_the_gram(self):
+        # the Gram is assembled in chunks and reduced through slices of
+        # itself, so no packed dim x dim Gram or rotated copy of it is alive
+        op = assemble(random_metric(2.0, 1e-2, 5), 4)
+        tracemalloc.start()
+        try:
+            op._reduction
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * op.gram_matrix.nbytes
 
     def test_matches_l2_inner(self, bumpy, rng):
         from curllab.fields import l2_inner
@@ -467,7 +508,7 @@ class TestGramMatrix:
         b = random_one_form(2, rng)
         va, vb = op.basis.pack(a.coeffs), op.basis.pack(b.coeffs)
         quad = l2_inner(bumpy, a, b, op.grid)
-        assert float(va @ op.gram_matrix @ vb) == pytest.approx(quad, rel=1e-11)
+        assert float(va @ packed_gram(op) @ vb) == pytest.approx(quad, rel=1e-11)
 
 
 class TestSelfAdjointness:

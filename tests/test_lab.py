@@ -271,3 +271,31 @@ class TestConfigBudget:
     def test_effort_fields_accepted(self):
         budget = {"T_max": 6.0, "orbit_seeds": 2, "n_seeds": 2, "wkb_T": 20.0}
         assert SweepConfig(certify_pairs=True, budget=budget).budget == budget
+
+
+class TestConfigProblem:
+    # a window or truncation that no sample can solve would fail every
+    # sample alike, so it is refused where the config is built
+    @pytest.mark.parametrize("problem, message", [
+        ({"window": {"interval": [-1.0, 1.0]}}, "exclude"),
+        ({"window": {"count": 0}}, "at least one"),
+        ({"window": {"count": True}}, "integer"),
+        ({"window": {"band": [0.9, 1.1]}}, "count"),
+        ({"truncation": 0}, "truncation"),
+        ({"truncation": 2.0}, "truncation"),
+    ])
+    def test_unsolvable_problem_rejected_where_built(self, problem, message,
+                                                     monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a sample ran before the config was checked")
+
+        monkeypatch.setattr("curllab.lab.eigenpairs", no_solve)
+        with pytest.raises(ValueError, match=message):
+            run_sweep(SweepConfig(samples=2, **problem))
+
+    def test_checks_leave_the_config_hash(self):
+        # the checks add no field, so every config keeps its hash and its
+        # samples
+        assert SMALL.config_hash == "7e525b513784caf3"
+        assert SweepConfig().config_hash == "49f78bd99fa60161"
+
