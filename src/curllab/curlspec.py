@@ -49,30 +49,39 @@ formed. Vectors cross over with `ModeBasis.to_frames` and `from_frames`.
 Besides the closed block C^T G C = L L^T, the operator factors one
 dense matrix: S = R R^T, with R lower triangular (Cholesky). R turns
 the reduced pencil into the standard problem C y = lambda y, with
-C = R^{-1} d R^{-T} and x = R^{-T} y, so each window takes one standard
-`eigh` of C that computes only the window's eigenvectors. With L and
-W = L^{-1} C^T G V, R also completes the block factor
-[[L, 0], [W^T, R]] of G. Every Gram solve, and so every pair check,
-runs through it.
+C = R^{-1} d R^{-T} and x = R^{-T} y. With L and W = L^{-1} C^T G V, R
+also completes the block factor [[L, 0], [W^T, R]] of G. Every Gram
+solve, and so every pair check, runs through it.
 
 By Sylvester's law of inertia the reduced pencil has exactly 2K
 negative eigenvalues, as d has, so the k eigenvalues of smallest
 magnitude lie among the 2k with indices 2K - k .. 2K + k - 1 in
-ascending order. An interval window [a, b] is counted beforehand by the
-inertia of d - sigma S (an LDL^T factorization) at sigma = a and just
-above b (Parlett, *The Symmetric Eigenvalue Problem*). A solve that
-returns a different number of pairs than its window holds raises
-EigensolverError, so no window loses pairs silently.
+ascending order. The inertia of d - sigma S (a Bunch-Kaufman LDL^T
+factorization) counts the eigenvalues below any sigma (Parlett, *The
+Symmetric Eigenvalue Problem*); an interval window [a, b] is counted at
+sigma = a and just above b before it is solved.
+
+A window takes one of two solvers. A small one is solved by ARPACK's
+Lanczos (Lehoucq, Sorensen & Yang, *ARPACK Users' Guide*, 1998) on
+C^{-1} = R^T d^{-1} R, whose extreme eigenvalues 1/lambda belong to the
+lambda nearest 0, and every answer is checked by Sylvester counts
+(`CurlOperator._lanczos`). A large one, and the full spectrum, is
+solved densely: C by `dsygst`, then one subset `evx` that computes only
+the window's eigenvectors. A solve that returns a different number of
+pairs than its window holds, or a Lanczos answer the counts refute,
+raises EigensolverError, so no window loses pairs silently.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.fft
 import scipy.linalg as sla
+import scipy.sparse.linalg as spla
 
 from .errors import EigensolverError, UnsupportedRankError
 from .fields import (
@@ -88,6 +97,14 @@ from .fields import (
 # is known before it, equals the radius for the flat metric and lies
 # within 1.2% of it at metric amplitude 1e-2 (25% at 0.15).
 GAP_TOL = 1e-6
+
+# A window goes to Lanczos when ARPACK's default subspace of
+# max(2 nev + 1, 20) vectors is below this fraction of the reduced
+# dimension 4K; larger windows take the dense `evx`. Measured crossover
+# (BENCH_18.json, bumpy metric): at N = 2 (4K = 248) the dense path wins
+# on every window (subspace 8% of 4K and up), at N = 3 the two tie at
+# 7-14%, and at N = 4 Lanczos with its guard still wins at 6.7%.
+LANCZOS_FRACTION = 0.07
 
 _SCALE = TAU ** 1.5
 _SQRT2 = np.sqrt(2.0)
@@ -258,6 +275,7 @@ class CurlOperator:
         self.grid = CollocationGrid.for_truncation(max(truncation, metric.truncation))
         self.metric.samples(self.grid)  # SPD validation up front
         self.basis = mode_basis(truncation)
+        self._below: dict[float, int] = {}  # count_below by shift
 
     @property
     def dim(self) -> int:
@@ -432,30 +450,171 @@ class CurlOperator:
     def count_below(self, sigma: float) -> int:
         """Nonzero eigenvalues below sigma: the negative inertia of d - sigma S.
 
-        S is positive definite, so by Sylvester's law the LDL^T pivots of
-        d - sigma S have as many negative eigenvalues as the pencil has
-        eigenvalues below sigma.
+        S is positive definite, so by Sylvester's law d - sigma S has as
+        many negative eigenvalues as the pencil has eigenvalues below
+        sigma. They are read from the 1 x 1 and 2 x 2 pivots of one
+        Bunch-Kaufman factorization (`dsytrf`), made in place in a
+        Fortran-ordered buffer. Counts are kept per sigma, so the guard of
+        a Lanczos window and the count of an interval window share them.
         """
+        if sigma in self._below:
+            return self._below[sigma]
         _, _, S = self._reduction
-        _, D, _ = sla.ldl(np.diag(self.basis.d) - sigma * S)
-        pivots = sla.eigvalsh_tridiagonal(np.diag(D), np.diag(D, -1))
-        return int(np.count_nonzero(pivots < 0))
+        n = S.shape[0]
+        A = np.empty((n, n), order="F")
+        np.multiply(S.T, -sigma, out=A)  # S.T is S, laid out for LAPACK
+        A.reshape(-1, order="F")[:: n + 1] += self.basis.d
+        lwork = int(sla.lapack.dsytrf_lwork(n, lower=1)[0])
+        ldu, ipiv, info = sla.lapack.dsytrf(A, lower=1, lwork=lwork, overwrite_a=1)
+        if info < 0:
+            raise ValueError(f"dsytrf rejected argument {-info}")
+        diag = ldu.diagonal()
+        first = np.flatnonzero(ipiv < 0)[::2]  # 2 x 2 pivots: rows k, k + 1
+        blocks = np.empty((first.size, 2, 2))
+        blocks[:, 0, 0], blocks[:, 1, 1] = diag[first], diag[first + 1]
+        blocks[:, 0, 1] = blocks[:, 1, 0] = ldu[first + 1, first]
+        count = int(np.count_nonzero(diag[ipiv > 0] < 0)
+                    + np.count_nonzero(np.linalg.eigvalsh(blocks) < 0))
+        self._below[sigma] = count
+        return count
 
     def spectrum(self, **subset):
         """Nonzero eigenvalues (ascending) and packed eigenvectors of B v = lambda G v.
 
-        With S = R R^T (`_schur_factor`), the reduced pencil (d, S) is the
-        standard problem C y = lambda y, C = R^{-1} d R^{-T} (`dsygst`),
-        and x = R^{-T} y. This is the sequence LAPACK's generalized
-        driver `dsygvx` runs, with the factor shared instead of hidden.
-        The subset (subset_by_index or subset_by_value) is passed on to
-        the one `evx` solve, so only those eigenvectors are computed. The
-        eigenvectors are G-normalized and coexact.
+        With S = R R^T (`_schur_factor`) the reduced pencil (d, S) is the
+        standard problem C y = lambda y, C = R^{-1} d R^{-T}, x = R^{-T} y.
+        A window (subset_by_index, or subset_by_value on one side of 0)
+        whose Lanczos subspace is small (`LANCZOS_FRACTION`) is solved by
+        `_lanczos` on C^{-1} = R^T d^{-1} R, whose extremes are the
+        eigenvalues nearest 0, and checked by Sylvester counts. Every other
+        call, and the full spectrum that tests use as the reference, takes
+        the dense path: C by `dsygst`, then one `evx` solve that computes
+        only the subset's eigenvectors, the sequence LAPACK's `dsygvx`
+        runs, with the factor shared instead of hidden. The eigenvectors
+        are G-normalized and coexact.
         """
         R = self._schur_factor
-        C, _ = sla.lapack.dsygst(np.diag(self.basis.d), R, itype=1, lower=1)
-        vals, y = sla.eigh(C, lower=True, driver="evx", overwrite_a=True, **subset)
+        wanted = self._lanczos_window(**subset)
+        if wanted is not None:
+            vals, y = self._lanczos(*wanted)
+        else:
+            C, _ = sla.lapack.dsygst(np.diag(self.basis.d), R, itype=1, lower=1)
+            vals, y = sla.eigh(C, lower=True, driver="evx", overwrite_a=True,
+                               **subset)
         return vals, self._lift(_lower_solve(R, y, trans="T"))
+
+    def _lanczos_window(self, subset_by_index=None, subset_by_value=None):
+        """(n_top, n_bottom, cuts, keep) for a window small enough for
+        Lanczos, else None. The window's positive eigenvalues are among the
+        n_top nearest 0 and its negative ones among the n_bottom nearest 0.
+        cuts(vals) gives the shifts at which Sylvester counts must match the
+        returned values, keep(vals) the window's part of them.
+        """
+        half = self.basis.d.size // 2  # negative eigenvalues, by Sylvester
+        tol = GAP_TOL * np.abs(self.basis.d).max()
+        if subset_by_index is not None:
+            lo, hi = subset_by_index
+            n_top, n_bottom = max(hi - half + 1, 0), max(half - lo, 0)
+
+            def cuts(vals):
+                # just inside the outermost value of each sign: a window may
+                # end inside a cluster, and then any of its members will do
+                return ([vals[-1] - tol] if n_top else []) + (
+                    [vals[0] + tol] if n_bottom else [])
+
+            def keep(vals):  # vals[i] has index half - n_bottom + i
+                return np.arange(lo, hi + 1) - (half - n_bottom)
+        elif subset_by_value is not None:
+            lo, hi = subset_by_value
+            if lo < 0.0 < hi:
+                return None
+            above = np.nextafter(hi if hi > 0 else lo, np.inf)
+            n_top = self.count_below(above) - half if hi > 0 else 0
+            n_bottom = half - self.count_below(above) if hi <= 0 else 0
+
+            def cuts(vals):
+                return [above]
+
+            def keep(vals):
+                return np.flatnonzero((vals > lo) & (vals <= hi))
+        else:
+            return None
+        nev, _ = _arpack_request(n_top, n_bottom)
+        ncv = max(2 * nev + 1, 20)  # eigsh's default subspace size
+        if nev == 0 or ncv >= LANCZOS_FRACTION * self.basis.d.size:
+            return None
+        return n_top, n_bottom, cuts, keep
+
+    def _lanczos(self, n_top, n_bottom, cuts, keep):
+        """Eigenvalues (ascending) and standard-form eigenvectors y of the
+        window that `_lanczos_window` described, by ARPACK (`eigsh`) on
+        C^{-1} = R^T d^{-1} R: two `dtrmv` with R per application, with no
+        copy of R. Its n_top largest eigenvalues 1/lambda are the positive
+        lambda nearest 0 and its n_bottom smallest the negative ones.
+
+        The guard: at each shift sigma of cuts(vals), the Sylvester count
+        (`count_below`) of eigenvalues between 0 and sigma must equal the
+        number returned there. Lanczos from one start vector sees one
+        direction of an eigenspace, so a multiple eigenvalue (flat and
+        constant metrics) shows as a failed count. The solve then repeats
+        on the complement of every vector found so far, from the next
+        start vector, until the counts hold. A round that brings no value
+        into the window raises EigensolverError with diagnostics
+        {sigma, expected, returned}. Start vectors are fixed (round r
+        starts from default_rng(r)), so a solve is deterministic.
+        """
+        R, d = self._schur_factor, self.basis.d
+        n = d.size
+        trmv = sla.blas.dtrmv
+        nev, which = _arpack_request(n_top, n_bottom)
+        mus, Y = np.empty(0), np.empty((n, 0))
+        for start in itertools.count():
+            def apply(y, Y=Y):  # on the complement of the columns of Y
+                y = y.reshape(n) - Y @ (Y.T @ y.reshape(n))
+                z = trmv(R, y, lower=1)
+                z /= d
+                z = trmv(R, z, lower=1, trans=1, overwrite_x=1)
+                return z - Y @ (Y.T @ z)
+
+            v0 = np.random.default_rng(start).standard_normal(n)
+            v0 -= Y @ (Y.T @ v0)
+            try:
+                mu, y = spla.eigsh(spla.LinearOperator((n, n), matvec=apply,
+                                                       dtype=float),
+                                   k=nev, which=which, v0=v0, tol=0)
+            except spla.ArpackNoConvergence as err:
+                raise EigensolverError(
+                    f"Lanczos did not converge: {err}",
+                    diagnostics={"nev": nev, "which": which, "round": start},
+                ) from err
+            mus, Y = np.concatenate([mus, mu]), np.hstack([Y, y])
+            order = np.argsort(mus, kind="stable")
+            best = np.concatenate([order[:n_bottom], order[len(order) - n_top:]])
+            if start and np.all(best < len(mus) - len(mu)):
+                break  # this round brought nothing new into the window
+            chosen = best[np.argsort(1.0 / mus[best], kind="stable")]
+            vals = 1.0 / mus[chosen]
+            misses = [(sigma, *self._inside(vals, sigma)) for sigma in cuts(vals)]
+            misses = [m for m in misses if m[1] != m[2]]
+            if not misses:
+                window = keep(vals)
+                return vals[window], Y[:, chosen[window]]
+        sigma, expected, returned = misses[0]
+        raise EigensolverError(
+            f"Lanczos returned {returned} eigenvalues between 0 and {sigma:.17g}, "
+            f"Sylvester's law counts {expected}",
+            diagnostics={"sigma": float(sigma), "expected": expected,
+                         "returned": returned},
+        )
+
+    def _inside(self, vals, sigma):
+        """(Sylvester count, returned count) of eigenvalues between 0 and sigma."""
+        half = self.basis.d.size // 2
+        if sigma > 0:
+            return (self.count_below(sigma) - half,
+                    int(np.count_nonzero((vals > 0) & (vals < sigma))))
+        return (half - self.count_below(sigma),
+                int(np.count_nonzero((vals < 0) & (vals >= sigma))))
 
     def residual(self, form: FourierField, eigenvalue: float) -> float:
         """|| *d alpha - lambda alpha || / || alpha || in the weighted norm."""
@@ -489,6 +648,13 @@ def _weight_maps(samples, reach: int):
     w = (w + w.transpose(0, 2, 1)) * 0.5
     re, im = w.real, w.imag
     return np.block([[re, -im], [im, re]]), np.block([[re, im], [im, -re]])
+
+
+def _arpack_request(n_top, n_bottom):
+    """(k, which) for eigsh: "BE" splits k evenly between the two ends."""
+    if n_top and n_bottom:
+        return 2 * max(n_top, n_bottom), "BE"
+    return n_top + n_bottom, "LA" if n_top else "SA"
 
 
 def _lower_solve(factor: np.ndarray, b: np.ndarray, trans: str = "N") -> np.ndarray:
@@ -573,17 +739,23 @@ def eigenpairs(
     clusters closer than GAP_TOL * max|d| = GAP_TOL * N sqrt(3) are
     flagged through cluster ids.
 
-    One `eigh` of the reduced pencil, in standard form through the
-    operator's Cholesky factor of S, computes the window's eigenvectors
-    only: a count window k solves for the k eigenvalues nearest 0 of each
-    sign, an interval window for the values inside it. The window's size
-    is known before the solve (the index bracket, or the Sylvester
-    inertia count at both ends of the interval), and a solve that
-    returns another number of pairs raises EigensolverError with
-    diagnostics {window, expected, returned}. A count window also fails
-    when the truncation has fewer than `count` nonzero eigenvalues.
-    A given operator must be the one for this metric and truncation;
-    another raises ValueError.
+    One solve of the reduced pencil (`CurlOperator.spectrum`) computes
+    the window's eigenvectors only: a count window k solves for the k
+    eigenvalues nearest 0 of each sign, an interval window for the values
+    inside it. A small window is solved by Lanczos from fixed start
+    vectors, so the result is deterministic, and a large one by the dense
+    subset `evx`. The window's size is known before the solve (the index
+    bracket, or the Sylvester inertia count at both ends of the
+    interval), and a solve that returns another number of pairs raises
+    EigensolverError with diagnostics {window, expected, returned}. A
+    Lanczos answer is also checked by Sylvester counts between 0 and a
+    shift just inside its outermost value of each sign (a count window)
+    or the interval's far end; a count that refutes it raises
+    EigensolverError with diagnostics {window, sigma, expected,
+    returned}, the count and the values returned between 0 and sigma. A
+    count window also fails when the truncation has fewer than `count`
+    nonzero eigenvalues. A given operator must be the one for this
+    metric and truncation; another raises ValueError.
     """
     spec = parse_window(window)
     op = operator or assemble(metric, truncation)
@@ -605,7 +777,11 @@ def eigenpairs(
         # LAPACK's value range is half-open (lo, hi]: widen it to hold a
         subset = {"subset_by_value": [np.nextafter(a, -np.inf), b]}
         expected = op.count_below(np.nextafter(b, np.inf)) - op.count_below(a)
-    vals, vecs = op.spectrum(**subset)
+    try:
+        vals, vecs = op.spectrum(**subset)
+    except EigensolverError as err:
+        err.diagnostics["window"] = window
+        raise
     if len(vals) != expected:
         raise EigensolverError(
             f"eigensolver returned {len(vals)} pairs, window holds {expected}",

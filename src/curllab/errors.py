@@ -54,7 +54,10 @@ class EigensolverError(CurlLabError):
     Raised when a count window asks for more pairs than the truncation
     has nonzero eigenvalues (4K for K half modes), or when a solve returns
     another number of pairs than its window holds, with diagnostics
-    {window, expected, returned}.
+    {window, expected, returned}. A Lanczos solve also raises it when
+    Sylvester's law counts another number of eigenvalues between 0 and a
+    shift sigma than it returned there ({window, sigma, expected,
+    returned}), or when ARPACK does not converge.
     """
 
     def __init__(self, message, diagnostics=None):

@@ -295,8 +295,10 @@ def run_sweep(config: SweepConfig, *, n_threads: int = 1):
     (OPENBLAS_NUM_THREADS=1 before numpy is imported): each worker has
     its own BLAS thread pool, the jet kernel's matrix-vector products
     are large enough to start it, and workers times BLAS threads
-    oversubscribe the cores.
+    oversubscribe the cores. n_threads must be an integer >= 1; anything
+    else is a ValueError, raised before any sample runs.
     """
+    check_count(n_threads, "n_threads", minimum=1)
     ids = range(config.samples)
     workers = min(n_threads, config.samples)
     if workers <= 1:

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy.sparse.linalg import ArpackNoConvergence
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,7 +20,9 @@ from curllab.curlspec import (
 from curllab.errors import EigensolverError
 from curllab.fields import (
     FourierField,
+    MetricField,
     exterior_d,
+    flat_metric,
     l2_norm,
     random_metric,
 )
@@ -327,31 +330,41 @@ class TestReducedPencil:
 
     def test_count_window_is_one_subset_eigh_of_the_reduced_pencil(
             self, bumpy, monkeypatch):
-        # the closed block's factor L, then the one factor R of S, which
-        # reduces the pencil to standard form for one subset `evx` solve
-        calls = []
-        for name in ("cholesky", "eigh"):
-            def spy(a, *args, _name=name, _original=getattr(curlspec.sla, name),
-                    **kwargs):
-                calls.append((_name, a.shape, args, kwargs))
-                return _original(a, *args, **kwargs)
-
-            monkeypatch.setattr(curlspec.sla, name, spy)
-        assert len(eigenpairs(bumpy, 3, {"count": 6})) == 6
-        # N = 3: 171 half modes, so 2K + 3 = 345 closed coordinates and
-        # 4K = 684 helical ones against 1029 packed dofs
+        # at N = 2 a count window is too large for Lanczos: the closed
+        # block's factor L, then the one factor R of S, which reduces the
+        # pencil to standard form for one subset `evx` solve
+        calls = spy_on(monkeypatch, curlspec.sla, "cholesky", "eigh")
+        spy_on(monkeypatch, curlspec.spla, "eigsh", calls=calls)
+        assert len(eigenpairs(bumpy, 2, {"count": 6})) == 6
+        # N = 2: 62 half modes, so 2K + 3 = 127 closed coordinates and
+        # 4K = 248 helical ones against 375 packed dofs
         assert [(name, shape) for name, shape, _, _ in calls] == [
-            ("cholesky", (345, 345)), ("cholesky", (684, 684)),
-            ("eigh", (684, 684))]
+            ("cholesky", (127, 127)), ("cholesky", (248, 248)),
+            ("eigh", (248, 248))]
         _, _, args, kwargs = calls[-1]
         assert args == () and "b" not in kwargs  # a standard problem
         assert kwargs["driver"] == "evx" and "subset_by_index" in kwargs
+
+    def test_small_count_window_is_one_lanczos_solve(self, bumpy, monkeypatch):
+        # from N = 3 on a count window of 6 goes to Lanczos on R^T d^-1 R:
+        # the same two Cholesky factors, no dense eigh and no dsygst
+        calls = spy_on(monkeypatch, curlspec.sla, "cholesky", "eigh")
+        spy_on(monkeypatch, curlspec.spla, "eigsh", calls=calls)
+        spy_on(monkeypatch, curlspec.sla.lapack, "dsygst", calls=calls)
+        assert len(eigenpairs(bumpy, 3, {"count": 6})) == 6
+        # N = 3: 171 half modes, 345 closed and 684 helical coordinates
+        assert [(name, shape) for name, shape, _, _ in calls] == [
+            ("cholesky", (345, 345)), ("cholesky", (684, 684)),
+            ("eigsh", (684, 684))]
+        _, _, _, kwargs = calls[-1]
+        assert kwargs["k"] == 12 and kwargs["which"] == "BE"
 
     @pytest.mark.parametrize("window, expected", [
         ({"count": 6}, 12),  # the index bracket holds 6 of each sign
         ({"interval": [0.7, 1.5]}, 18),
     ])
     def test_short_solve_raises(self, bumpy, monkeypatch, window, expected):
+        # N = 2 windows take the dense path
         eigh = curlspec.sla.eigh
 
         def drop_one(*args, **kwargs):
@@ -363,6 +376,136 @@ class TestReducedPencil:
             eigenpairs(bumpy, 2, window)
         assert err.value.diagnostics == {
             "window": window, "expected": expected, "returned": expected - 1}
+
+
+def spy_on(monkeypatch, owner, *names, calls=None):
+    """Record (name, shape of the first argument, args, kwargs) of each call."""
+    calls = [] if calls is None else calls
+    for name in names:
+        def spy(a, *args, _name=name, _original=getattr(owner, name), **kwargs):
+            calls.append((_name, a.shape, args, kwargs))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+def constant_anisotropic_metric():
+    """A constant metric that is not a multiple of the identity: its
+    eigenvalues come in exact pairs (u and i u on one mode)."""
+    entries = [1.3, 0.9, 1.1, 0.05, 0.1, 0.2]  # g11, g22, g33, g23, g13, g12
+    return MetricField([FourierField.constant("scalar", [g]) for g in entries])
+
+
+LANCZOS_METRICS = {
+    "flat": flat_metric,  # exact 6-fold clusters
+    "constant": constant_anisotropic_metric,  # exact 2-fold clusters
+    "random": lambda: random_metric(2.0, 1e-2, 11),  # simple eigenvalues
+}
+
+
+class TestLanczos:
+    """Small windows from N = 3 on are solved by Lanczos on the Schur
+    factor; the dense subset `evx` of the same window is the reference."""
+
+    @pytest.mark.parametrize("truncation", [3, 4])
+    @pytest.mark.parametrize("metric_name", sorted(LANCZOS_METRICS))
+    def test_matches_the_dense_spectrum(self, metric_name, truncation,
+                                        monkeypatch):
+        op = assemble(LANCZOS_METRICS[metric_name](), truncation)
+        half = op.basis.d.size // 2
+        B, G = pairing_matrix(op), packed_gram(op)
+        for subset in ({"subset_by_index": [half - 6, half + 5]},  # count 6
+                       {"subset_by_index": [half + 2, half + 4]},
+                       {"subset_by_value": [0.7, 1.5]},
+                       {"subset_by_value": [-1.1, -0.9]}):
+            assert op._lanczos_window(**subset) is not None, subset
+            vals, vecs = op.spectrum(**subset)
+            monkeypatch.setattr(curlspec, "LANCZOS_FRACTION", 0.0)
+            ref, _ = op.spectrum(**subset)  # the dense subset evx
+            monkeypatch.undo()
+            assert len(vals) == len(ref) > 0
+            np.testing.assert_allclose(vals, ref, rtol=0, atol=1e-13)
+            # G-orthonormal eigenvectors, as many as the window holds, so
+            # they span its eigenspaces whatever the multiplicities
+            np.testing.assert_allclose(vecs.T @ G @ vecs, np.eye(len(vals)),
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(B @ vecs, G @ vecs * vals, rtol=0,
+                                       atol=1e-12)
+
+    def test_eigenpairs_match_the_dense_path(self, monkeypatch):
+        metric = LANCZOS_METRICS["random"]()
+        op = assemble(metric, 3)
+        for window in ({"count": 6}, {"interval": [0.9, 1.1]}):
+            pairs = eigenpairs(metric, 3, window, operator=op)
+            monkeypatch.setattr(curlspec, "LANCZOS_FRACTION", 0.0)
+            dense = eigenpairs(metric, 3, window, operator=op)
+            monkeypatch.undo()
+            assert len(pairs) == len(dense) == 6
+            for p, q in zip(pairs, dense):
+                assert p.eigenvalue == pytest.approx(q.eigenvalue, abs=1e-14)
+                assert (p.cluster_id, p.cluster_size) == (q.cluster_id,
+                                                          q.cluster_size)
+                assert p.residual <= 1e-12 and p.coexact_residual <= 1e-12
+                # simple eigenvalues: the same form, up to round-off
+                np.testing.assert_allclose(p.form.coeffs, q.form.coeffs,
+                                           rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("metric_name", ["random", "flat"])
+    def test_deterministic(self, metric_name):
+        metric = LANCZOS_METRICS[metric_name]()
+        op = assemble(metric, 3)
+        runs = [eigenpairs(metric, 3, {"count": 6}, operator=op),
+                eigenpairs(metric, 3, {"count": 6}, operator=op),
+                eigenpairs(metric, 3, {"count": 6})]  # a fresh operator
+        for pairs in runs[1:]:
+            assert [p.eigenvalue for p in pairs] == [p.eigenvalue for p in runs[0]]
+            for p, q in zip(pairs, runs[0]):
+                assert np.array_equal(p.form.coeffs, q.form.coeffs)
+
+    @pytest.mark.parametrize("window, side", [
+        ({"count": 6}, +1),
+        ({"interval": [0.9, 1.1]}, +1),
+        ({"interval": [-1.1, -0.9]}, -1),
+    ])
+    def test_a_missed_pair_raises(self, bumpy, monkeypatch, window, side):
+        # eigsh drops the wanted pair nearest 0 on one side and returns the
+        # next one instead, in every round: Sylvester's law catches it
+        eigsh = curlspec.spla.eigsh
+
+        def skip_one(A, k, which, **kwargs):
+            extra = 2 if which == "BE" else 1  # "BE" adds one at each end
+            mu, y = eigsh(A, k + extra, which=which, **kwargs)
+            keep = np.ones(len(mu), bool)
+            keep[-1 if side > 0 else 0] = False  # the largest |1/lambda|
+            if which == "BE":
+                keep[0 if side > 0 else -1] = False  # the spare on the other end
+            return mu[keep], y[:, keep]
+
+        monkeypatch.setattr(curlspec.spla, "eigsh", skip_one)
+        with pytest.raises(EigensolverError) as err:
+            eigenpairs(bumpy, 3, window)
+        info = err.value.diagnostics
+        assert info["window"] == window
+        assert info["expected"] - info["returned"] == 1
+        assert np.sign(info["sigma"]) == side
+
+    def test_no_convergence_raises(self, bumpy, monkeypatch):
+        def stalled(A, k, which, **kwargs):
+            raise ArpackNoConvergence("no convergence", np.empty(0),
+                                      np.empty((A.shape[0], 0)))
+
+        monkeypatch.setattr(curlspec.spla, "eigsh", stalled)
+        with pytest.raises(EigensolverError, match="did not converge") as err:
+            eigenpairs(bumpy, 3, {"count": 6})
+        assert err.value.diagnostics["window"] == {"count": 6}
+
+    def test_count_below_matches_the_spectrum(self, bumpy):
+        # the inertia read from dsytrf's 1 x 1 and 2 x 2 pivots
+        op = assemble(bumpy, 2)
+        vals, _ = op.spectrum()
+        for sigma in np.linspace(-4.0, 4.0, 41) + 0.013:
+            assert op.count_below(sigma) == np.count_nonzero(vals < sigma)
 
 
 seeds = st.integers(0, 2**32 - 1)

@@ -94,6 +94,16 @@ class TestRunSweep:
         assert [r.sample for r in records] == list(range(samples))
         assert len(out.read_text().splitlines()) == 1 + samples
 
+    @pytest.mark.parametrize("n_threads", [-3, 0, 2.0, True, "2", None])
+    def test_bad_thread_count_is_refused(self, n_threads, monkeypatch):
+        # a count below 1 used to run the samples serially without a word
+        def no_sample(*args):
+            raise AssertionError("a sample ran")
+
+        monkeypatch.setattr(lab, "_run_one_sample", no_sample)
+        with pytest.raises(ValueError, match="n_threads"):
+            run_sweep(SweepConfig(samples=2, seed=1), n_threads=n_threads)
+
     def test_worker_error_reaches_caller(self, monkeypatch):
         def broken(*args):
             raise RuntimeError("generator broke")
