@@ -61,19 +61,23 @@ factorization) counts the eigenvalues below any sigma (Parlett, *The
 Symmetric Eigenvalue Problem*); an interval window [a, b] is counted at
 sigma = a and just above b before it is solved.
 
-A window takes one of two solvers. A small one is solved by ARPACK's
-Lanczos (Lehoucq, Sorensen & Yang, *ARPACK Users' Guide*, 1998) on
-C^{-1} = R^T d^{-1} R, whose extreme eigenvalues 1/lambda belong to the
-lambda nearest 0, and every answer is checked by Sylvester counts
-(`CurlOperator._lanczos`). A large one, and the full spectrum, is
+A window takes one of two solvers. A small window on a large operator
+(at most LANCZOS_MAX_VALUES values, reduced dimension LANCZOS_MIN_DIM or
+more, so N >= 5) is solved by ARPACK's Lanczos (Lehoucq, Sorensen &
+Yang, *ARPACK Users' Guide*, 1998) on C^{-1} = R^T d^{-1} R, whose
+extreme eigenvalues 1/lambda belong to the lambda nearest 0, from fixed
+start vectors, and every answer is checked by Sylvester counts
+(`CurlOperator._lanczos`). Every other window, the full spectrum, and a
+Lanczos window that does not converge or that the counts refute, is
 solved densely: C by `dsygst`, then one subset `evx` that computes only
 the window's eigenvectors. A solve that returns a different number of
-pairs than its window holds, or a Lanczos answer the counts refute,
-raises EigensolverError, so no window loses pairs silently.
+pairs than its window holds raises EigensolverError, so no window loses
+pairs silently.
 """
 
 from __future__ import annotations
 
+import inspect
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -98,13 +102,30 @@ from .fields import (
 # within 1.2% of it at metric amplitude 1e-2 (25% at 0.15).
 GAP_TOL = 1e-6
 
-# A window goes to Lanczos when ARPACK's default subspace of
-# max(2 nev + 1, 20) vectors is below this fraction of the reduced
-# dimension 4K; larger windows take the dense `evx`. Measured crossover
-# (BENCH_18.json, bumpy metric): at N = 2 (4K = 248) the dense path wins
-# on every window (subspace 8% of 4K and up), at N = 3 the two tie at
-# 7-14%, and at N = 4 Lanczos with its guard still wins at 6.7%.
-LANCZOS_FRACTION = 0.07
+# Which windows go to Lanczos, from the measured paths (BENCH_18.json):
+# from a reduced dimension 4K of 2660 (N = 5) on, Lanczos with its guard
+# won or tied on every measured window, of up to 48 values (24 of each
+# sign), flat and bumpy; at N = 3 and 4 the dense path was faster on 10
+# of 20. Smaller operators and larger windows stay dense.
+LANCZOS_MIN_DIM = 2660
+LANCZOS_MAX_VALUES = 48
+
+# ARPACK restarts allowed per Lanczos round. The measured windows need 4
+# to 35 (the benchmark's count of 6: 6). A window that ends inside a
+# cluster split far below GAP_TOL needs hundreds or never converges; it
+# is solved densely once the cap is hit.
+LANCZOS_MAXITER = 50
+
+# A count window's Sylvester counts are taken this far (relative to
+# max|d|) inside its outermost returned value of each sign: far above the
+# rounding of the counts and of the Ritz values (Lanczos and the dense
+# path agree to 5e-15 at N = 5), so only members of the window's edge
+# cluster closer than this may stand in for one another.
+GUARD_TOL = 1e-11
+
+# eigsh draws a random vector when ARPACK restarts from an invariant
+# subspace; SciPy versions that take its generator get a fixed one
+_EIGSH_TAKES_RNG = "rng" in inspect.signature(spla.eigsh).parameters
 
 _SCALE = TAU ** 1.5
 _SQRT2 = np.sqrt(2.0)
@@ -276,6 +297,7 @@ class CurlOperator:
         self.metric.samples(self.grid)  # SPD validation up front
         self.basis = mode_basis(truncation)
         self._below: dict[float, int] = {}  # count_below by shift
+        self.lanczos_fallbacks: list[dict] = []  # see `spectrum`
 
     @property
     def dim(self) -> int:
@@ -455,7 +477,8 @@ class CurlOperator:
         sigma. They are read from the 1 x 1 and 2 x 2 pivots of one
         Bunch-Kaufman factorization (`dsytrf`), made in place in a
         Fortran-ordered buffer. Counts are kept per sigma, so the guard of
-        a Lanczos window and the count of an interval window share them.
+        a Lanczos window (`_lanczos`) and the count of an interval window
+        share them.
         """
         if sigma in self._below:
             return self._below[sigma]
@@ -483,44 +506,55 @@ class CurlOperator:
 
         With S = R R^T (`_schur_factor`) the reduced pencil (d, S) is the
         standard problem C y = lambda y, C = R^{-1} d R^{-T}, x = R^{-T} y.
-        A window (subset_by_index, or subset_by_value on one side of 0)
-        whose Lanczos subspace is small (`LANCZOS_FRACTION`) is solved by
-        `_lanczos` on C^{-1} = R^T d^{-1} R, whose extremes are the
-        eigenvalues nearest 0, and checked by Sylvester counts. Every other
-        call, and the full spectrum that tests use as the reference, takes
-        the dense path: C by `dsygst`, then one `evx` solve that computes
-        only the subset's eigenvectors, the sequence LAPACK's `dsygvx`
-        runs, with the factor shared instead of hidden. The eigenvectors
-        are G-normalized and coexact.
+        A window (subset_by_index, or subset_by_value on one side of 0) of
+        at most LANCZOS_MAX_VALUES values on an operator of reduced
+        dimension LANCZOS_MIN_DIM or more (N >= 5) is solved by `_lanczos`
+        on C^{-1} = R^T d^{-1} R, whose extremes are the eigenvalues
+        nearest 0, and checked by Sylvester counts. Should ARPACK not
+        converge within LANCZOS_MAXITER restarts, or the counts refute its
+        answer, the window is solved densely instead and the reason is
+        appended to `lanczos_fallbacks`. Every other call, and the full
+        spectrum that tests use as the reference, takes the dense path: C
+        by `dsygst`, then one `evx` solve that computes only the subset's
+        eigenvectors, the sequence LAPACK's `dsygvx` runs, with the factor
+        shared instead of hidden. The eigenvectors are G-normalized and
+        coexact.
         """
         R = self._schur_factor
         wanted = self._lanczos_window(**subset)
         if wanted is not None:
-            vals, y = self._lanczos(*wanted)
-        else:
+            try:
+                vals, y = self._lanczos(*wanted)
+            except EigensolverError as err:
+                self.lanczos_fallbacks.append({"error": str(err),
+                                               **err.diagnostics})
+                wanted = None
+        if wanted is None:
             C, _ = sla.lapack.dsygst(np.diag(self.basis.d), R, itype=1, lower=1)
             vals, y = sla.eigh(C, lower=True, driver="evx", overwrite_a=True,
                                **subset)
         return vals, self._lift(_lower_solve(R, y, trans="T"))
 
     def _lanczos_window(self, subset_by_index=None, subset_by_value=None):
-        """(n_top, n_bottom, cuts, keep) for a window small enough for
-        Lanczos, else None. The window's positive eigenvalues are among the
-        n_top nearest 0 and its negative ones among the n_bottom nearest 0.
+        """(n_top, n_bottom, cuts, keep) for a window that Lanczos takes,
+        else None. The window's positive eigenvalues are among the n_top
+        nearest 0 and its negative ones among the n_bottom nearest 0.
         cuts(vals) gives the shifts at which Sylvester counts must match the
         returned values, keep(vals) the window's part of them.
         """
         half = self.basis.d.size // 2  # negative eigenvalues, by Sylvester
-        tol = GAP_TOL * np.abs(self.basis.d).max()
+        if 2 * half < LANCZOS_MIN_DIM:
+            return None
         if subset_by_index is not None:
             lo, hi = subset_by_index
             n_top, n_bottom = max(hi - half + 1, 0), max(half - lo, 0)
+            margin = GUARD_TOL * np.abs(self.basis.d).max()
 
             def cuts(vals):
                 # just inside the outermost value of each sign: a window may
                 # end inside a cluster, and then any of its members will do
-                return ([vals[-1] - tol] if n_top else []) + (
-                    [vals[0] + tol] if n_bottom else [])
+                return ([vals[-1] - margin] if n_top else []) + (
+                    [vals[0] + margin] if n_bottom else [])
 
             def keep(vals):  # vals[i] has index half - n_bottom + i
                 return np.arange(lo, hi + 1) - (half - n_bottom)
@@ -540,8 +574,7 @@ class CurlOperator:
         else:
             return None
         nev, _ = _arpack_request(n_top, n_bottom)
-        ncv = max(2 * nev + 1, 20)  # eigsh's default subspace size
-        if nev == 0 or ncv >= LANCZOS_FRACTION * self.basis.d.size:
+        if not 0 < nev <= LANCZOS_MAX_VALUES:
             return None
         return n_top, n_bottom, cuts, keep
 
@@ -560,8 +593,10 @@ class CurlOperator:
         on the complement of every vector found so far, from the next
         start vector, until the counts hold. A round that brings no value
         into the window raises EigensolverError with diagnostics
-        {sigma, expected, returned}. Start vectors are fixed (round r
-        starts from default_rng(r)), so a solve is deterministic.
+        {sigma, expected, returned}, and one that does not converge within
+        LANCZOS_MAXITER restarts raises it with {nev, which, round}.
+        Start vectors are fixed (round r starts from default_rng(r)), so a
+        solve is deterministic.
         """
         R, d = self._schur_factor, self.basis.d
         n = d.size
@@ -576,12 +611,15 @@ class CurlOperator:
                 z = trmv(R, z, lower=1, trans=1, overwrite_x=1)
                 return z - Y @ (Y.T @ z)
 
-            v0 = np.random.default_rng(start).standard_normal(n)
+            rng = np.random.default_rng(start)
+            v0 = rng.standard_normal(n)
             v0 -= Y @ (Y.T @ v0)
             try:
                 mu, y = spla.eigsh(spla.LinearOperator((n, n), matvec=apply,
                                                        dtype=float),
-                                   k=nev, which=which, v0=v0, tol=0)
+                                   k=nev, which=which, v0=v0, tol=0,
+                                   maxiter=LANCZOS_MAXITER,
+                                   **({"rng": rng} if _EIGSH_TAKES_RNG else {}))
             except spla.ArpackNoConvergence as err:
                 raise EigensolverError(
                     f"Lanczos did not converge: {err}",
@@ -742,20 +780,25 @@ def eigenpairs(
     One solve of the reduced pencil (`CurlOperator.spectrum`) computes
     the window's eigenvectors only: a count window k solves for the k
     eigenvalues nearest 0 of each sign, an interval window for the values
-    inside it. A small window is solved by Lanczos from fixed start
-    vectors, so the result is deterministic, and a large one by the dense
-    subset `evx`. The window's size is known before the solve (the index
+    inside it. The window's size is known before the solve (the index
     bracket, or the Sylvester inertia count at both ends of the
     interval), and a solve that returns another number of pairs raises
     EigensolverError with diagnostics {window, expected, returned}. A
-    Lanczos answer is also checked by Sylvester counts between 0 and a
-    shift just inside its outermost value of each sign (a count window)
-    or the interval's far end; a count that refutes it raises
-    EigensolverError with diagnostics {window, sigma, expected,
-    returned}, the count and the values returned between 0 and sigma. A
     count window also fails when the truncation has fewer than `count`
     nonzero eigenvalues. A given operator must be the one for this
     metric and truncation; another raises ValueError.
+
+    From N = 5 on, a count window of up to 24, or an interval with at
+    most 48 values between 0 and its far end, is solved by Lanczos from
+    fixed start vectors, so the result is deterministic, and every other
+    window by the dense subset `evx`. A Lanczos answer is
+    checked by Sylvester counts between 0 and a shift GUARD_TOL * max|d|
+    inside its outermost value of each sign (a count window) or just
+    beyond the interval's far end. A window that the counts refute, or
+    on which ARPACK does not converge, is solved by the dense path, and
+    the reason is recorded in the operator's `lanczos_fallbacks`. So both
+    paths return the same window, except that members of its edge
+    cluster closer than GUARD_TOL * max|d| may stand in for one another.
     """
     spec = parse_window(window)
     op = operator or assemble(metric, truncation)
@@ -777,11 +820,7 @@ def eigenpairs(
         # LAPACK's value range is half-open (lo, hi]: widen it to hold a
         subset = {"subset_by_value": [np.nextafter(a, -np.inf), b]}
         expected = op.count_below(np.nextafter(b, np.inf)) - op.count_below(a)
-    try:
-        vals, vecs = op.spectrum(**subset)
-    except EigensolverError as err:
-        err.diagnostics["window"] = window
-        raise
+    vals, vecs = op.spectrum(**subset)
     if len(vals) != expected:
         raise EigensolverError(
             f"eigensolver returned {len(vals)} pairs, window holds {expected}",

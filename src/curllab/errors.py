@@ -56,8 +56,9 @@ class EigensolverError(CurlLabError):
     another number of pairs than its window holds, with diagnostics
     {window, expected, returned}. A Lanczos solve also raises it when
     Sylvester's law counts another number of eigenvalues between 0 and a
-    shift sigma than it returned there ({window, sigma, expected,
-    returned}), or when ARPACK does not converge.
+    shift sigma than it returned there ({sigma, expected, returned}), or
+    when ARPACK does not converge; `CurlOperator.spectrum` then solves the
+    window densely and keeps the diagnostics in `lanczos_fallbacks`.
     """
 
     def __init__(self, message, diagnostics=None):

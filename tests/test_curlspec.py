@@ -1,5 +1,6 @@
 """Curl operator assembly, the coexact residual, and the eigenproblem."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -330,41 +331,59 @@ class TestReducedPencil:
 
     def test_count_window_is_one_subset_eigh_of_the_reduced_pencil(
             self, bumpy, monkeypatch):
-        # at N = 2 a count window is too large for Lanczos: the closed
-        # block's factor L, then the one factor R of S, which reduces the
-        # pencil to standard form for one subset `evx` solve
+        # the closed block's factor L, then the one factor R of S, which
+        # reduces the pencil to standard form for one subset `evx` solve
+        # (below N = 5 every window takes the dense path)
         calls = spy_on(monkeypatch, curlspec.sla, "cholesky", "eigh")
         spy_on(monkeypatch, curlspec.spla, "eigsh", calls=calls)
-        assert len(eigenpairs(bumpy, 2, {"count": 6})) == 6
-        # N = 2: 62 half modes, so 2K + 3 = 127 closed coordinates and
-        # 4K = 248 helical ones against 375 packed dofs
+        assert len(eigenpairs(bumpy, 3, {"count": 6})) == 6
+        # N = 3: 171 half modes, so 2K + 3 = 345 closed coordinates and
+        # 4K = 684 helical ones against 1029 packed dofs
         assert [(name, shape) for name, shape, _, _ in calls] == [
-            ("cholesky", (127, 127)), ("cholesky", (248, 248)),
-            ("eigh", (248, 248))]
+            ("cholesky", (345, 345)), ("cholesky", (684, 684)),
+            ("eigh", (684, 684))]
         _, _, args, kwargs = calls[-1]
         assert args == () and "b" not in kwargs  # a standard problem
         assert kwargs["driver"] == "evx" and "subset_by_index" in kwargs
 
-    def test_small_count_window_is_one_lanczos_solve(self, bumpy, monkeypatch):
-        # from N = 3 on a count window of 6 goes to Lanczos on R^T d^-1 R:
-        # the same two Cholesky factors, no dense eigh and no dsygst
+    def test_lanczos_count_window_is_one_lanczos_solve(self, bumpy,
+                                                       monkeypatch):
+        # on the Lanczos path (here moved down to N = 3) a count window of
+        # 6 makes the same two Cholesky factors, then one eigsh on
+        # R^T d^-1 R with its restarts capped: no dense eigh and no dsygst
+        monkeypatch.setattr(curlspec, "LANCZOS_MIN_DIM", 684)
         calls = spy_on(monkeypatch, curlspec.sla, "cholesky", "eigh")
         spy_on(monkeypatch, curlspec.spla, "eigsh", calls=calls)
         spy_on(monkeypatch, curlspec.sla.lapack, "dsygst", calls=calls)
         assert len(eigenpairs(bumpy, 3, {"count": 6})) == 6
-        # N = 3: 171 half modes, 345 closed and 684 helical coordinates
         assert [(name, shape) for name, shape, _, _ in calls] == [
             ("cholesky", (345, 345)), ("cholesky", (684, 684)),
             ("eigsh", (684, 684))]
         _, _, _, kwargs = calls[-1]
         assert kwargs["k"] == 12 and kwargs["which"] == "BE"
+        assert kwargs["maxiter"] == curlspec.LANCZOS_MAXITER
+
+    @pytest.mark.parametrize("truncation, count, lanczos", [
+        (2, 6, False), (3, 6, False), (4, 6, False),  # 4K = 248, 684, 1456
+        (5, 1, True), (5, 24, True), (5, 25, False),  # 4K = 2660
+    ])
+    def test_lanczos_takes_small_windows_from_n5_on(self, flat, truncation,
+                                                    count, lanczos):
+        op = CurlOperator(flat, truncation)
+        half = op.basis.d.size // 2
+        window = op._lanczos_window(subset_by_index=[half - count,
+                                                     half + count - 1])
+        assert (window is not None) == lanczos
+        # a value window below N = 5 goes dense before any count is made
+        if truncation < 5:
+            assert op._lanczos_window(subset_by_value=[0.9, 1.1]) is None
+            assert op._below == {}
 
     @pytest.mark.parametrize("window, expected", [
         ({"count": 6}, 12),  # the index bracket holds 6 of each sign
         ({"interval": [0.7, 1.5]}, 18),
     ])
     def test_short_solve_raises(self, bumpy, monkeypatch, window, expected):
-        # N = 2 windows take the dense path
         eigh = curlspec.sla.eigh
 
         def drop_one(*args, **kwargs):
@@ -390,6 +409,39 @@ def spy_on(monkeypatch, owner, *names, calls=None):
     return calls
 
 
+def on_dense_path(call, *args, **kwargs):
+    """call(*args, **kwargs) with every window on the dense subset `evx`."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(curlspec, "LANCZOS_MIN_DIM", np.inf)
+        return call(*args, **kwargs)
+
+
+def skipping_eigsh(side, spare=1, rounds=None):
+    """eigsh that leaves out the wanted value nearest 0 on one side
+    (side = +1 or -1) and returns the next one in its place. It solves for
+    `spare` more values at each end of the spectrum it is asked for, to
+    convergence (such a window ends inside a cluster); from round `rounds`
+    on it passes through."""
+    eigsh = curlspec.spla.eigsh
+    calls = itertools.count()
+
+    def patched(A, k, which, **kwargs):
+        if rounds is not None and next(calls) >= rounds:
+            return eigsh(A, k, which=which, **kwargs)
+        ends = 2 if which == "BE" else 1
+        kwargs.pop("maxiter")
+        mu, y = eigsh(A, k + ends * spare, which=which, **kwargs)
+        # ascending mu = 1 / lambda: the negative lambda nearest 0 first,
+        # the positive ones nearest 0 last
+        top = {"BE": k // 2, "LA": k, "SA": 0}[which]
+        low = np.arange(k - top) + (side < 0)
+        high = len(mu) - top + np.arange(top) - (side > 0)
+        keep = np.concatenate([low, high])
+        return mu[keep], y[:, keep]
+
+    return patched
+
+
 def constant_anisotropic_metric():
     """A constant metric that is not a multiple of the identity: its
     eigenvalues come in exact pairs (u and i u on one mode)."""
@@ -405,13 +457,17 @@ LANCZOS_METRICS = {
 
 
 class TestLanczos:
-    """Small windows from N = 3 on are solved by Lanczos on the Schur
-    factor; the dense subset `evx` of the same window is the reference."""
+    """Small windows from N = 5 on are solved by Lanczos on the Schur
+    factor. These tests run that path at N = 3 and 4, where the dense
+    subset `evx` of the same window is a cheap reference."""
+
+    @pytest.fixture(autouse=True)
+    def lanczos_below_n5(self, monkeypatch):
+        monkeypatch.setattr(curlspec, "LANCZOS_MIN_DIM", 0)
 
     @pytest.mark.parametrize("truncation", [3, 4])
     @pytest.mark.parametrize("metric_name", sorted(LANCZOS_METRICS))
-    def test_matches_the_dense_spectrum(self, metric_name, truncation,
-                                        monkeypatch):
+    def test_matches_the_dense_spectrum(self, metric_name, truncation):
         op = assemble(LANCZOS_METRICS[metric_name](), truncation)
         half = op.basis.d.size // 2
         B, G = pairing_matrix(op), packed_gram(op)
@@ -421,9 +477,8 @@ class TestLanczos:
                        {"subset_by_value": [-1.1, -0.9]}):
             assert op._lanczos_window(**subset) is not None, subset
             vals, vecs = op.spectrum(**subset)
-            monkeypatch.setattr(curlspec, "LANCZOS_FRACTION", 0.0)
-            ref, _ = op.spectrum(**subset)  # the dense subset evx
-            monkeypatch.undo()
+            assert op.lanczos_fallbacks == []  # Lanczos answered
+            ref, _ = on_dense_path(op.spectrum, **subset)
             assert len(vals) == len(ref) > 0
             np.testing.assert_allclose(vals, ref, rtol=0, atol=1e-13)
             # G-orthonormal eigenvectors, as many as the window holds, so
@@ -433,14 +488,12 @@ class TestLanczos:
             np.testing.assert_allclose(B @ vecs, G @ vecs * vals, rtol=0,
                                        atol=1e-12)
 
-    def test_eigenpairs_match_the_dense_path(self, monkeypatch):
+    def test_eigenpairs_match_the_dense_path(self):
         metric = LANCZOS_METRICS["random"]()
         op = assemble(metric, 3)
         for window in ({"count": 6}, {"interval": [0.9, 1.1]}):
             pairs = eigenpairs(metric, 3, window, operator=op)
-            monkeypatch.setattr(curlspec, "LANCZOS_FRACTION", 0.0)
-            dense = eigenpairs(metric, 3, window, operator=op)
-            monkeypatch.undo()
+            dense = on_dense_path(eigenpairs, metric, 3, window, operator=op)
             assert len(pairs) == len(dense) == 6
             for p, q in zip(pairs, dense):
                 assert p.eigenvalue == pytest.approx(q.eigenvalue, abs=1e-14)
@@ -450,6 +503,7 @@ class TestLanczos:
                 # simple eigenvalues: the same form, up to round-off
                 np.testing.assert_allclose(p.form.coeffs, q.form.coeffs,
                                            rtol=0, atol=1e-10)
+        assert op.lanczos_fallbacks == []
 
     @pytest.mark.parametrize("metric_name", ["random", "flat"])
     def test_deterministic(self, metric_name):
@@ -468,37 +522,72 @@ class TestLanczos:
         ({"interval": [0.9, 1.1]}, +1),
         ({"interval": [-1.1, -0.9]}, -1),
     ])
-    def test_a_missed_pair_raises(self, bumpy, monkeypatch, window, side):
+    def test_a_missed_pair_falls_back_to_dense(self, bumpy, monkeypatch,
+                                               window, side):
         # eigsh drops the wanted pair nearest 0 on one side and returns the
-        # next one instead, in every round: Sylvester's law catches it
-        eigsh = curlspec.spla.eigsh
-
-        def skip_one(A, k, which, **kwargs):
-            extra = 2 if which == "BE" else 1  # "BE" adds one at each end
-            mu, y = eigsh(A, k + extra, which=which, **kwargs)
-            keep = np.ones(len(mu), bool)
-            keep[-1 if side > 0 else 0] = False  # the largest |1/lambda|
-            if which == "BE":
-                keep[0 if side > 0 else -1] = False  # the spare on the other end
-            return mu[keep], y[:, keep]
-
-        monkeypatch.setattr(curlspec.spla, "eigsh", skip_one)
-        with pytest.raises(EigensolverError) as err:
-            eigenpairs(bumpy, 3, window)
-        info = err.value.diagnostics
-        assert info["window"] == window
+        # next one instead, in every round: Sylvester's law catches it, and
+        # the window is solved densely
+        op = assemble(bumpy, 3)
+        dense = on_dense_path(eigenpairs, bumpy, 3, window, operator=op)
+        monkeypatch.setattr(curlspec.spla, "eigsh", skipping_eigsh(side))
+        pairs = eigenpairs(bumpy, 3, window, operator=op)
+        [info] = op.lanczos_fallbacks
+        assert "Sylvester's law counts" in info["error"]
         assert info["expected"] - info["returned"] == 1
         assert np.sign(info["sigma"]) == side
+        assert [p.eigenvalue for p in pairs] == [p.eigenvalue for p in dense]
+        for p, q in zip(pairs, dense):
+            assert np.array_equal(p.form.coeffs, q.form.coeffs)
 
-    def test_no_convergence_raises(self, bumpy, monkeypatch):
+    def test_a_swap_inside_a_split_cluster_is_caught(self, monkeypatch):
+        # the first shell of this metric is split by 1e-10 to 1e-8, far
+        # below the clustering tolerance GAP_TOL * max|d| = 5e-6. eigsh's
+        # first round returns the second to fourth positive values for the
+        # three nearest 0; the counts just inside the fourth refute it, and
+        # the next round finds the first
+        metric = random_metric(2.0, 1e-7, 1000)
+        op = assemble(metric, 3)
+        dense = on_dense_path(eigenpairs, metric, 3, {"count": 3}, operator=op)
+        calls = []
+        monkeypatch.setattr(curlspec.spla, "eigsh",
+                            skipping_eigsh(+1, spare=3, rounds=1))
+        spy_on(monkeypatch, curlspec.spla, "eigsh", calls=calls)
+        pairs = eigenpairs(metric, 3, {"count": 3}, operator=op)
+        assert len(calls) == 2 and op.lanczos_fallbacks == []
+        np.testing.assert_allclose([p.eigenvalue for p in pairs],
+                                   [p.eigenvalue for p in dense],
+                                   rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("count", [3, 11])
+    def test_nearly_flat_metric_falls_back_to_dense(self, monkeypatch, count):
+        # both windows end inside a cluster split by about 1e-10, which
+        # ARPACK does not resolve to its tolerance: after LANCZOS_MAXITER
+        # restarts the window is solved densely
+        metric = random_metric(2.0, 1e-10, 1000)
+        op = assemble(metric, 3)
+        calls = spy_on(monkeypatch, curlspec.spla, "eigsh")
+        pairs = eigenpairs(metric, 3, {"count": count}, operator=op)
+        assert [kwargs["maxiter"] for _, _, _, kwargs in calls] == [
+            curlspec.LANCZOS_MAXITER]
+        [info] = op.lanczos_fallbacks
+        assert "did not converge" in info["error"]
+        dense = on_dense_path(eigenpairs, metric, 3, {"count": count},
+                              operator=op)
+        assert [p.eigenvalue for p in pairs] == [p.eigenvalue for p in dense]
+
+    def test_no_convergence_falls_back_to_dense(self, bumpy, monkeypatch):
         def stalled(A, k, which, **kwargs):
             raise ArpackNoConvergence("no convergence", np.empty(0),
                                       np.empty((A.shape[0], 0)))
 
+        op = assemble(bumpy, 3)
+        dense = on_dense_path(eigenpairs, bumpy, 3, {"count": 6}, operator=op)
         monkeypatch.setattr(curlspec.spla, "eigsh", stalled)
-        with pytest.raises(EigensolverError, match="did not converge") as err:
-            eigenpairs(bumpy, 3, {"count": 6})
-        assert err.value.diagnostics["window"] == {"count": 6}
+        pairs = eigenpairs(bumpy, 3, {"count": 6}, operator=op)
+        [info] = op.lanczos_fallbacks
+        assert "did not converge" in info["error"]
+        assert (info["nev"], info["which"], info["round"]) == (12, "BE", 0)
+        assert [p.eigenvalue for p in pairs] == [p.eigenvalue for p in dense]
 
     def test_count_below_matches_the_spectrum(self, bumpy):
         # the inertia read from dsytrf's 1 x 1 and 2 x 2 pivots
