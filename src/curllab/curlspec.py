@@ -15,15 +15,11 @@ nonzero eigenvalues automatically carry coexact eigenvectors. Each
 eigenpair checks that claim with coexact_residual_packed, the weighted
 norm of the G-orthogonal projection of its vector onto the closed forms.
 
-Real coefficient coordinates are used throughout ("packed" vectors):
-one real degree of freedom per constant component and a (Re, Im) pair
-per half-lattice wavevector, scaled so the flat inner product is the
-Euclidean dot product.
-
 The pencil B v = lambda G v is solved on the complement of its kernel.
-Every half mode m gets a fixed orthonormal frame of its six packed dofs:
-the closed frame C_m = {(m^, 0), (0, m^)} in (Re, Im) coordinates and
-the helical frame (Waleffe 1992, Phys. Fluids A 4:350)
+The six real coefficients of every half-lattice wavevector m, the (Re,
+Im) pair of each component, get a fixed orthonormal frame: the closed
+frame C_m = {(m^, 0), (0, m^)} and the helical frame (Waleffe 1992,
+Phys. Fluids A 4:350)
 
     V_m = {(e1, e2), (e2, -e1), (e1, -e2), (e2, e1)} / sqrt(2),
 
@@ -41,10 +37,13 @@ v = V x - C (C^T G C)^{-1} C^T G V x, which is G-orthogonal to every
 closed form, so coexact. The frames and d depend only on the truncation
 and are built once per truncation (`mode_basis`).
 
-G is assembled and held in frame coordinates only (the constants, then
-the closed coordinates of every mode, then the helical ones), so
-C^T G C, C^T G V and V^T G V are slices of it; the packed Gram is never
-formed. Vectors cross over with `ModeBasis.to_frames` and `from_frames`.
+Every vector is held in these frame coordinates ("packed" vectors,
+`ModeBasis.pack`): the constants, then the closed coordinates of every
+mode, then the helical ones, scaled so the flat inner product is the
+Euclidean dot product. In them B = diag(0, d), and G is assembled
+directly, so C^T G C, C^T G V and V^T G V are slices of it. The name
+`coexact_residual_packed` predates the frames; it stays because
+perfbench/tracing.py wraps it by name.
 
 Besides the closed block C^T G C = L L^T, the operator factors one
 dense matrix: S = R R^T, with R lower triangular (Cholesky). R turns
@@ -133,19 +132,20 @@ _CHUNK_ROWS = 8  # row modes per chunk of the Gram assembly
 
 
 class ModeBasis:
-    """Packing between Hermitian coefficient arrays and real vectors.
+    """Packing between Hermitian coefficient arrays and real vectors of
+    frame coordinates.
 
-    Layout is mode-major: first one real dof per component at m = 0,
-    then for every half-lattice mode (first nonzero entry positive, in
-    lexicographic order) six dofs [Re c_0..2, Im c_0..2]. The scaling
-    makes the flat L2 inner product the Euclidean dot product.
-
-    rotation[j] is the orthogonal 6 x 6 frame [C_m | V_m] of half mode
-    j's dofs and d the helical diagonal, (|m|, |m|, -|m|, -|m|) per mode.
-    Frame coordinates (`to_frames`) are the constants, the closed ones (two
-    per mode) up to n_closed, then the helical ones (four per mode). All
-    arrays are read-only: `mode_basis` shares one basis between the
-    operators of every metric at a truncation, across threads too.
+    The half-lattice modes are those whose first nonzero entry is
+    positive, in lexicographic order; half mode j has six real dofs
+    u_j = [Re c_0..2, Im c_0..2] * sqrt(2) TAU^1.5, and rotation[j] is
+    their orthogonal 6 x 6 frame [C_m | V_m]. A packed vector holds the
+    three constants * TAU^1.5, then the closed coordinates
+    (rotation[j]^T u_j)[:2] of every mode up to n_closed, then the helical
+    ones (rotation[j]^T u_j)[2:]. The scaling makes the flat L2 inner
+    product the Euclidean dot product. d is the helical diagonal, (|m|,
+    |m|, -|m|, -|m|) per mode. All arrays are read-only: `mode_basis`
+    shares one basis between the operators of every metric at a
+    truncation, across threads too.
     """
 
     def __init__(self, truncation: int):
@@ -189,56 +189,31 @@ class ModeBasis:
             a.flags.writeable = False
 
     def pack(self, coeffs: np.ndarray) -> np.ndarray:
-        n = self.truncation
-        out = np.empty(self.dim)
-        out[: self.ncomp] = coeffs[:, n, n, n].real * _SCALE
+        """Frame coordinates of a 1-form's coefficient array."""
+        n, K = self.truncation, self.n_half
         half = coeffs[:, self.half_index[0], self.half_index[1],
                       self.half_index[2]].T * (_SQRT2 * _SCALE)  # (K_h, ncomp)
-        rest = out[self.ncomp:].reshape(self.n_half, 2, self.ncomp)
-        rest[:, 0, :] = half.real
-        rest[:, 1, :] = half.imag
-        return out
+        local = np.matmul(self.rotation.transpose(0, 2, 1),
+                          np.hstack([half.real, half.imag]).reshape(K, 6, 1))
+        return np.concatenate([coeffs[:, n, n, n].real * _SCALE,
+                               local[:, :2].ravel(), local[:, 2:].ravel()])
 
     def unpack(self, vector: np.ndarray) -> np.ndarray:
+        """Coefficient array of frame coordinates: the inverse of `pack`."""
         v = np.asarray(vector, dtype=float)
-        n = self.truncation
+        n, K, nc = self.truncation, self.n_half, self.ncomp
         L = 2 * n + 1
-        coeffs = np.zeros((self.ncomp, L, L, L), np.complex128)
-        coeffs[:, n, n, n] = v[: self.ncomp] / _SCALE
-        rest = v[self.ncomp:].reshape(self.n_half, 2, self.ncomp)
-        half = ((rest[:, 0, :] + 1j * rest[:, 1, :]) / (_SQRT2 * _SCALE)).T
+        coeffs = np.zeros((nc, L, L, L), np.complex128)
+        coeffs[:, n, n, n] = v[:nc] / _SCALE
+        local = np.concatenate([v[nc:self.n_closed].reshape(K, 2, 1),
+                                v[self.n_closed:].reshape(K, 4, 1)], axis=1)
+        rest = np.matmul(self.rotation, local).reshape(K, 6)
+        half = ((rest[:, :nc] + 1j * rest[:, nc:]) / (_SQRT2 * _SCALE)).T
         coeffs[:, self.half_index[0], self.half_index[1], self.half_index[2]] = half
         coeffs[:, self.neg_index[0], self.neg_index[1], self.neg_index[2]] = (
             half.conj()
         )
         return coeffs
-
-    def to_frames(self, v: np.ndarray) -> np.ndarray:
-        """Frame coordinates of a packed vector (or of the columns of v)."""
-        K, nc = self.n_half, self.ncomp
-        cols = v.reshape(self.dim, -1)
-        local = np.matmul(self.rotation.transpose(0, 2, 1),
-                          cols[nc:].reshape(K, 6, -1))
-        return np.concatenate([cols[:nc], local[:, :2].reshape(2 * K, -1),
-                               local[:, 2:].reshape(4 * K, -1)]).reshape(v.shape)
-
-    def from_frames(self, f: np.ndarray) -> np.ndarray:
-        """Packed vector (or columns) of frame coordinates f: the inverse,
-        and the transpose, of `to_frames`, as every frame is orthogonal."""
-        K, nc = self.n_half, self.ncomp
-        cols = f.reshape(self.dim, -1)
-        local = np.concatenate([cols[nc:self.n_closed].reshape(K, 2, -1),
-                                cols[self.n_closed:].reshape(K, 4, -1)], axis=1)
-        return np.concatenate([cols[:nc], np.matmul(self.rotation, local)
-                               .reshape(6 * K, -1)]).reshape(f.shape)
-
-    def cross_matrices(self) -> np.ndarray:
-        """(K_h, 3, 3) matrices C with C a = m x a per half mode."""
-        m = self.half_modes.astype(float)
-        C = np.zeros((self.n_half, 3, 3))
-        C[:, [2, 0, 1], [1, 2, 0]] = m  # C[2, 1] = m_0, C[0, 2] = m_1, ...
-        C[:, [1, 2, 0], [2, 0, 1]] = -m
-        return C
 
 
 @lru_cache(maxsize=8)
@@ -306,19 +281,11 @@ class CurlOperator:
     # -- matrix-free building blocks -----------------------------------
 
     def pairing_apply(self, v: np.ndarray) -> np.ndarray:
-        """B v, the exact wedge pairing against d(alpha)."""
-        basis = self.basis
+        """B v, the exact wedge pairing against d(alpha): B = diag(0, d)."""
+        n = self.basis.n_closed
         out = np.zeros_like(v)
-        rest = v[basis.ncomp:].reshape(basis.n_half, 2, 3)
-        C = self._cross
-        orest = out[basis.ncomp:].reshape(basis.n_half, 2, 3)
-        orest[:, 0, :] = -np.einsum("jab,jb->ja", C, rest[:, 1, :])
-        orest[:, 1, :] = np.einsum("jab,jb->ja", C, rest[:, 0, :])
+        out[n:] = self.basis.d * v[n:]
         return out
-
-    @cached_property
-    def _cross(self):
-        return self.basis.cross_matrices()
 
     def gram_apply_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
         """Quadrature Gram operator on a batch of coefficient arrays."""
@@ -341,7 +308,7 @@ class CurlOperator:
     @cached_property
     def gram_matrix(self) -> np.ndarray:
         """Dense quadrature Gram of the weighted 1-form inner product in
-        frame coordinates. The packed block of half modes m, m' maps the
+        frame coordinates. The (Re, Im) block of half modes m, m' maps the
         coefficients u' of m' to w(m - m') u' + w(m + m') conj(u'), w from
         `_weight_maps`. Each chunk of row modes is gathered against the
         modes from the chunk on, rotated by their frames, then by its own
@@ -364,7 +331,7 @@ class CurlOperator:
             j1, n = min(j0 + _CHUNK_ROWS, K), K - j0
             own, later = ([slice(f + w * lo, f + w * hi) for _, f, w in groups]
                           for lo, hi in ((j0, j1), (j1, K)))
-            # packed blocks [k, (j, a), b] of row modes j0..j1 against j0..K
+            # (Re, Im) blocks [k, (j, a), b] of row modes j0..j1 against j0..K
             m, m2 = key[None, j0:j1], key[j0:, None]
             blocks = (np.take(linear, center + m - m2, axis=0)
                       + np.take(antilinear, center + m + m2, axis=0))
@@ -385,30 +352,31 @@ class CurlOperator:
                 G[r, s] = (G[r, s] + G[s, r].T) * 0.5
             for r, s in [(a, b)] + [(r, s) for r in own for s in later]:
                 G[s, r] = G[r, s].T
-        # the constants are closed and keep their coordinates; their packed
-        # rows against mode m are sqrt(2) (Re w(m), Im w(m))
-        modes = _SQRT2 * np.moveaxis(linear[center - key, :3], 1, 0)
-        G[:nc] = basis.to_frames(np.hstack([linear[center, :3, :3],
-                                            modes.reshape(nc, -1)]).T).T
+        # the constants are closed and keep their coordinates; their rows
+        # against mode m are sqrt(2) (Re w(m), Im w(m)) in m's frame
+        modes = _SQRT2 * linear[center - key, :3].transpose(0, 2, 1)
+        local = np.matmul(Q.transpose(0, 2, 1), modes)  # (K, 6, nc)
+        G[:nc, :nc] = linear[center, :3, :3]
+        G[:nc, nc:basis.n_closed] = local[:, :2].reshape(2 * K, nc).T
+        G[:nc, basis.n_closed:] = local[:, 2:].reshape(4 * K, nc).T
         G[:, :nc] = G[:nc].T
         return G
 
     def gram_solve(self, v: np.ndarray) -> np.ndarray:
         """G^{-1} v for a packed vector (or the columns of v): two forward
         and two backward triangular solves with the block factor
-        [[L, 0], [W^T, R]] of the Gram in the per-mode frames."""
+        [[L, 0], [W^T, R]] of G."""
         c = self._gram_scalar
         if c is not None:
             return v / c
         L, W, _ = self._reduction
         R = self._schur_factor
         n = self.basis.n_closed
-        f = self.basis.to_frames(v)
-        y = _lower_solve(L, f[:n])
-        x = _lower_solve(R, f[n:] - W.T @ y)
+        y = _lower_solve(L, v[:n])
+        x = _lower_solve(R, v[n:] - W.T @ y)
         x = _lower_solve(R, x, trans="T")
         y = _lower_solve(L, y - W @ x, trans="T")
-        return self.basis.from_frames(np.concatenate([y, x]))
+        return np.concatenate([y, x])
 
     # -- public operations ----------------------------------------------
 
@@ -459,14 +427,13 @@ class CurlOperator:
     def _lift(self, x: np.ndarray) -> np.ndarray:
         """Packed v = V x - C (C^T G C)^{-1} C^T G V x for columns x."""
         L, W, _ = self._reduction
-        closed = -_lower_solve(L, W @ x, trans="T")
-        return self.basis.from_frames(np.concatenate([closed, x]))
+        return np.concatenate([-_lower_solve(L, W @ x, trans="T"), x])
 
     def coexact_residual_packed(self, v: np.ndarray) -> float:
         """Weighted norm of the closed-form component of a packed vector,
         the G-orthogonal projection C (C^T G C)^{-1} C^T G v: |L^{-1} C^T G v|."""
         L, _, _ = self._reduction
-        ctg = self.gram_matrix[:self.basis.n_closed] @ self.basis.to_frames(v)
+        ctg = self.gram_matrix[:self.basis.n_closed] @ v
         return float(np.linalg.norm(_lower_solve(L, ctg)))
 
     def count_below(self, sigma: float) -> int:
@@ -669,7 +636,7 @@ class CurlOperator:
         c = self._gram_scalar
         if c is not None:
             return c * v
-        return self.basis.from_frames(self.gram_matrix @ self.basis.to_frames(v))
+        return self.gram_matrix @ v
 
 
 def _weight_maps(samples, reach: int):

@@ -50,7 +50,7 @@ MAX_CANDIDATES_PER_SEED = 3
 N_RECORD_SAMPLES = 400  # samples of a recorded orbit's trajectory
 SHOOT_MAX_ITER = 25  # Newton iterations on (point, period)
 MAX_PERIOD_GROWTH = 3.0  # shooting gives up past this multiple of T0
-CZ_DEG_TOL = 1e-8    # |det(Psi(T) - 1)| / scale of a degenerate endpoint
+CZ_DEG_TOL = 1e-8    # |det(Psi(T) - 1)| / max(|Psi(T)_ij|, 1) when degenerate
 
 
 def torus_distance(a, b) -> float:
@@ -767,12 +767,14 @@ def cz_index_from_path(psis: np.ndarray) -> int:
     coarsely to unwrap (ValueError either way).
     """
     psis = np.asarray(psis, float)
-    # det(Psi - 1) in closed form: LAPACK's LU divides by a subnormal pivot
-    d = psis - np.eye(2)
-    g = d[:, 0, 0] * d[:, 1, 1] - d[:, 0, 1] * d[:, 1, 0]
-    if abs(g[-1]) <= CZ_DEG_TOL * max(np.abs(g).max(), 1.0):
-        raise ValueError("endpoint has a unit multiplier: degenerate path")
     end = psis[-1]
+    # det(Psi(T) - 1) in closed form: LAPACK's LU divides by a subnormal
+    # pivot. It is judged against Psi(T) alone, so whole loops appended to
+    # a path cannot change the verdict
+    d = end - np.eye(2)
+    if abs(d[0, 0] * d[1, 1] - d[0, 1] * d[1, 0]) <= CZ_DEG_TOL * max(
+            np.abs(end).max(), 1.0):
+        raise ValueError("endpoint has a unit multiplier: degenerate path")
     hyperbolic = abs(np.trace(end)) > 2.0
     v = np.linalg.eig(end)[1][:, 0].real if hyperbolic else np.array([1.0, 0.0])
     w = psis @ v

@@ -503,6 +503,8 @@ def random_metric(
 
 def named_metric(spec: str) -> MetricField:
     """Parse a named metric: "flat", "conformal(c)", "random_cr(r, eps, seed)"."""
+    if not isinstance(spec, str):
+        raise ValueError(f"unknown metric name {spec!r}")
     spec = spec.strip()
     if spec == "flat":
         return flat_metric()

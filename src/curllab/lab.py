@@ -15,7 +15,9 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 import multiprocessing
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from dataclasses import field as dataclass_field, fields as dataclass_fields
@@ -46,7 +48,8 @@ class SweepConfig:
     configuration hash, so where results land never changes what they
     contain. budget holds CertifyBudget effort fields; any other key
     (seed included: the sweep draws one per pair), or a value that
-    CertifyBudget rejects, is a ValueError, as is a bad window or truncation.
+    CertifyBudget rejects, is a ValueError, as is a bad window, truncation,
+    sample count, cutoff, smoothness, amplitude or base metric name.
     """
 
     base_metric: str = "flat"
@@ -74,6 +77,14 @@ class SweepConfig:
         CertifyBudget(**self.budget)  # raises on a bad value
         parse_window(self.window)
         check_count(self.truncation, "truncation", minimum=1)
+        check_count(self.samples, "samples", 0)
+        check_count(self.cutoff, "cutoff", 0)
+        for name in ("smoothness", "amplitude"):
+            x = getattr(self, name)
+            if (isinstance(x, bool) or not isinstance(x, numbers.Real)
+                    or not math.isfinite(x)):
+                raise ValueError(f"{name} must be a finite real, got {x!r}")
+        named_metric(self.base_metric)  # raises on an unknown name
 
     def to_json_dict(self, include_paths: bool = True) -> dict:
         data = asdict(self)

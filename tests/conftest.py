@@ -3,9 +3,12 @@ import pytest
 
 from curllab.dynamics import abc_field, find_periodic_orbits
 from curllab.fields import (
+    METRIC_COMPONENTS,
     FourierField,
+    MetricField,
     conformal_metric,
     flat_metric,
+    mode_range,
     random_metric,
 )
 
@@ -53,24 +56,42 @@ def self_adjointness_residual(op, n_trials: int, seed: int) -> float:
 
 
 def pairing_matrix(op) -> np.ndarray:
-    """Dense B of a CurlOperator; the solver never builds it, the frames
-    diagonalize it."""
+    """Dense B of a CurlOperator, diag(0, d) in its frame coordinates; the
+    solver never builds it."""
     basis = op.basis
-    B = np.zeros((basis.dim, basis.dim))
-    C = basis.cross_matrices()
-    for j in range(basis.n_half):
-        s = basis.ncomp + 6 * j
-        B[s:s + 3, s + 3:s + 6] = -C[j]
-        B[s + 3:s + 6, s:s + 3] = C[j]
-    return B
+    return np.diag(np.concatenate([np.zeros(basis.n_closed), basis.d]))
 
 
-def packed_gram(op) -> np.ndarray:
-    """Dense Gram of a CurlOperator in packed coordinates, mapped back from
-    its frame Gram; the solver never builds it."""
-    basis = op.basis
-    G = basis.from_frames(basis.from_frames(op.gram_matrix).T)
-    return (G + G.T) * 0.5
+def _metric_from_block(coeffs: np.ndarray) -> MetricField:
+    return MetricField(FourierField("scalar", c[None]) for c in coeffs)
+
+
+def translated_metric(metric: MetricField, shift) -> MetricField:
+    """g(x - shift): each coefficient of mode m times e^{-i m . shift}."""
+    m = mode_range(metric.truncation)
+    phase = np.exp(-1j * np.add.outer(np.add.outer(m * shift[0], m * shift[1]),
+                                      m * shift[2]))
+    return _metric_from_block(metric.block.coeffs * phase)
+
+
+def permuted_metric(metric: MetricField, p) -> MetricField:
+    """The metric pulled back by the axis permutation y -> x with
+    x[p[k]] = y[k]: entry (a, b) is g[p[a], p[b]], with the index axes of
+    the modes permuted alike."""
+    c = metric.block.coeffs
+    g = np.empty((3, 3) + c.shape[1:], complex)
+    for k, (i, j) in enumerate(METRIC_COMPONENTS):
+        g[i, j] = g[j, i] = c[k]
+    g = g[np.ix_(p, p)].transpose(0, 1, *(2 + np.asarray(p)))
+    return _metric_from_block(np.stack([g[i, j] for i, j in METRIC_COMPONENTS]))
+
+
+def reflected_metric(metric: MetricField) -> MetricField:
+    """The metric pulled back by x -> (-x0, x1, x2): axis 0 of the modes
+    flipped, g12 and g13 negated."""
+    c = metric.block.coeffs[:, ::-1].copy()
+    c[[METRIC_COMPONENTS.index((0, 2)), METRIC_COMPONENTS.index((0, 1))]] *= -1
+    return _metric_from_block(c)
 
 
 def random_scalar(truncation: int, rng: np.random.Generator) -> FourierField:

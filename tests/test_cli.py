@@ -284,6 +284,8 @@ class TestSweepCommand:
         ('{"samples": 1, "bogus": 1}', "bogus"),
         ('{"samples": 2, "window": {"interval": [-1, 1]}}', "exclude the kernel"),
         ('{"samples": 2, "truncation": 0}', "truncation"),
+        ('{"samples": -3}', "samples"),
+        ('{"samples": 2, "base_metric": "bogus"}', "bogus"),
         ("not json", "sweep.json"),
     ])
     def test_bad_config_is_a_usage_error(self, tmp_path, text, named, capsys,

@@ -20,6 +20,7 @@ from curllab.curlspec import (
 )
 from curllab.errors import EigensolverError
 from curllab.fields import (
+    TAU,
     FourierField,
     MetricField,
     exterior_d,
@@ -29,12 +30,14 @@ from curllab.fields import (
 )
 from conftest import (
     cos_mode,
-    packed_gram,
     pairing_matrix,
+    permuted_metric,
     random_one_form,
+    reflected_metric,
     self_adjointness_residual,
     shear_one_form,
     sin_mode,
+    translated_metric,
 )
 
 
@@ -263,7 +266,7 @@ class TestEigenpairs:
         # pivots of LDL^T(B - sigma G) is the number of eigenvalues of
         # B v = lambda G v below sigma.
         op = assemble(bumpy, 2)
-        G = packed_gram(op)
+        G = op.gram_matrix
 
         def below(sigma):
             _, d, _ = sla.ldl(pairing_matrix(op) - sigma * G)
@@ -307,17 +310,20 @@ class TestEigenpairs:
 
 class TestReducedPencil:
     def test_frames_diagonalize_the_pairing(self, flat):
+        # B(beta, alpha) = integral of beta ^ d(alpha) is the flat L2 pairing
+        # of beta with the 2-form d(alpha), and pack is a flat L2 isometry,
+        # so column j of B is the packed d of the form of unit vector e_j
         op = assemble(flat, 2)
-        Q, d = op.basis.rotation, op.basis.d
-        K = op.basis.n_half
-        B = pairing_matrix(op)[3:, 3:].reshape(K, 6, K, 6)
-        blocks = B[np.arange(K), :, np.arange(K), :]  # (K, 6, 6) per mode
+        basis = op.basis
+        Q, d, K = basis.rotation, basis.d, basis.n_half
         np.testing.assert_allclose(Q.transpose(0, 2, 1) @ Q, np.broadcast_to(
             np.eye(6), Q.shape), atol=1e-15)
-        rotated = Q.transpose(0, 2, 1) @ blocks @ Q
-        expect = np.zeros_like(rotated)
-        expect[:, np.arange(2, 6), np.arange(2, 6)] = d.reshape(K, 4)
-        np.testing.assert_allclose(rotated, expect, atol=1e-14)
+        B = np.stack([basis.pack(exterior_d(FourierField(
+            "one_form", basis.unpack(e))).coeffs) for e in np.eye(op.dim)],
+            axis=1)
+        np.testing.assert_allclose(B, pairing_matrix(op), rtol=0, atol=1e-14)
+        for e in np.eye(op.dim)[::7]:
+            assert np.array_equal(op.pairing_apply(e), pairing_matrix(op) @ e)
         assert np.all(d.reshape(K, 4)[:, :2] > 0)
 
     def test_frames_shared_per_truncation_and_read_only(self, flat, bumpy):
@@ -470,7 +476,7 @@ class TestLanczos:
     def test_matches_the_dense_spectrum(self, metric_name, truncation):
         op = assemble(LANCZOS_METRICS[metric_name](), truncation)
         half = op.basis.d.size // 2
-        B, G = pairing_matrix(op), packed_gram(op)
+        B, G = pairing_matrix(op), op.gram_matrix
         for subset in ({"subset_by_index": [half - 6, half + 5]},  # count 6
                        {"subset_by_index": [half + 2, half + 4]},
                        {"subset_by_value": [0.7, 1.5]},
@@ -607,7 +613,7 @@ class TestReductionProperties:
     def test_reduced_spectrum_is_the_nonzero_spectrum(
             self, seed, amplitude, truncation):
         op = assemble(random_metric(2.0, amplitude, seed), truncation)
-        B, G = pairing_matrix(op), packed_gram(op)
+        B, G = pairing_matrix(op), op.gram_matrix
         # reference: the dense pencil, whose kernel is the closed forms
         full = sla.eigh(B, G, eigvals_only=True)
         radius = np.abs(full).max()
@@ -627,7 +633,8 @@ class TestReductionProperties:
     def test_weak_curl_is_symmetric_and_self_adjoint(
             self, seed, amplitude, truncation):
         op = assemble(random_metric(2.0, amplitude, seed), truncation)
-        B, G = pairing_matrix(op), op.gram_matrix  # G in frame coordinates
+        B = np.stack([op.pairing_apply(e) for e in np.eye(op.dim)], axis=1)
+        G = op.gram_matrix
         assert np.array_equal(B, B.T) and np.array_equal(G, G.T)
         rng = np.random.default_rng(seed)
         a = random_one_form(truncation, rng)
@@ -635,6 +642,68 @@ class TestReductionProperties:
         Aa, Ab = op.apply(a), op.apply(b)
         scale = op.norm(Aa) * op.norm(b) + op.norm(a) * op.norm(Ab)
         assert abs(op.inner(Aa, b) - op.inner(a, Ab)) <= 1e3 * np.finfo(float).eps * scale
+
+
+SYMMETRY_PATHS = {"dense": (2, np.inf), "lanczos": (3, 0)}  # N, LANCZOS_MIN_DIM
+
+
+def window_values(metric, path, interval):
+    """Sorted eigenvalues of an interval window on the dense path at N = 2
+    or on the Lanczos path at N = 3."""
+    truncation, min_dim = SYMMETRY_PATHS[path]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(curlspec, "LANCZOS_MIN_DIM", min_dim)
+        op = assemble(metric, truncation)
+        lanczos = op._lanczos_window(subset_by_value=interval) is not None
+        assert lanczos == (path == "lanczos")
+        pairs = eigenpairs(metric, truncation, {"interval": interval},
+                           operator=op)
+        assert op.lanczos_fallbacks == []
+    return np.sort([p.eigenvalue for p in pairs])
+
+
+shifts = st.tuples(*[st.floats(0.0, 2 * np.pi)] * 3)
+small_amplitudes = st.floats(1e-3, 2e-2)
+
+
+@pytest.mark.parametrize("path", sorted(SYMMETRY_PATHS))
+class TestSpectralSymmetry:
+    """Isometries of the torus map a metric's curl spectrum onto that of
+    the pulled-back metric: a translation or a cyclic permutation of the
+    axes keeps it, and a reflection, which reverses the orientation,
+    negates it. The truncation cube and the quadrature grid are invariant,
+    so this holds to round-off; only a translation by a shift off the grid
+    moves the aliasing of the sampled weight, which is why the amplitude
+    stays small (at 0.15 a shift moved them by up to 2.3e-12)."""
+
+    @settings(max_examples=4, deadline=None)
+    @given(seed=seeds, amplitude=small_amplitudes, shift=shifts)
+    def test_translation_keeps_the_spectrum(self, path, seed, amplitude, shift):
+        g = random_metric(2.0, amplitude, seed)
+        base = window_values(g, path, [0.7, 1.5])
+        moved = window_values(translated_metric(g, shift), path, [0.7, 1.5])
+        assert len(base) > 0
+        np.testing.assert_allclose(moved, base, rtol=0, atol=1e-13)
+
+    @settings(max_examples=4, deadline=None)
+    @given(seed=seeds, amplitude=amplitudes,
+           p=st.sampled_from([(1, 2, 0), (2, 0, 1)]))
+    def test_cyclic_permutation_keeps_the_spectrum(self, path, seed, amplitude,
+                                                   p):
+        g = random_metric(2.0, amplitude, seed)
+        base = window_values(g, path, [0.7, 1.5])
+        moved = window_values(permuted_metric(g, p), path, [0.7, 1.5])
+        assert len(base) > 0
+        np.testing.assert_allclose(moved, base, rtol=0, atol=1e-13)
+
+    @settings(max_examples=4, deadline=None)
+    @given(seed=seeds, amplitude=amplitudes)
+    def test_reflection_negates_the_spectrum(self, path, seed, amplitude):
+        g = random_metric(2.0, amplitude, seed)
+        base = window_values(g, path, [0.7, 1.5])
+        mirrored = window_values(reflected_metric(g), path, [-1.5, -0.7])
+        assert len(base) > 0
+        np.testing.assert_allclose(-mirrored[::-1], base, rtol=0, atol=1e-13)
 
 
 class TestOneFactorization:
@@ -662,7 +731,7 @@ class TestOneFactorization:
     def test_gram_solve_matches_a_dense_solve(self, seed, amplitude, truncation):
         op = assemble(random_metric(2.0, amplitude, seed), truncation)
         v = np.random.default_rng(seed).standard_normal((op.dim, 3))
-        expect = np.linalg.solve(packed_gram(op), v)
+        expect = np.linalg.solve(op.gram_matrix, v)
         for got, want in ((op.gram_solve(v), expect),
                           (op.gram_solve(v[:, 0]), expect[:, 0])):
             assert got.shape == want.shape
@@ -688,7 +757,7 @@ class TestGramMatrix:
     def test_indexed_assembly_matches_quadrature_operator(self, bumpy, rng):
         # the dense Gram must agree with the FFT-based quadrature applier
         op = assemble(bumpy, 2)
-        G = packed_gram(op)
+        G = op.gram_matrix
         for _ in range(3):
             v = rng.standard_normal(op.dim)
             direct = op.basis.pack(
@@ -704,21 +773,23 @@ class TestGramMatrix:
         op = assemble(random_metric(2.0, amplitude, seed), truncation)
         basis = op.basis
         f = np.random.default_rng(seed).standard_normal((op.dim, 3))
-        coeffs = np.stack([basis.unpack(v) for v in basis.from_frames(f).T])
-        direct = np.stack([basis.pack(c) for c in op.gram_apply_coeffs(coeffs)])
-        expect = basis.to_frames(direct.T)
+        coeffs = np.stack([basis.unpack(v) for v in f.T])
+        expect = np.stack([basis.pack(c) for c in op.gram_apply_coeffs(coeffs)],
+                          axis=1)
         got = op.gram_matrix @ f
         assert np.linalg.norm(got - expect) <= 1e-13 * np.linalg.norm(expect)
 
     def test_frame_maps_are_inverse_orthogonal_maps(self, rng):
+        # unpack then pack is the identity on frame coordinates, and the
+        # dot product of packed vectors is the flat L2 inner product
+        # TAU^3 sum_m Re(a_m . conj(b_m)) of their coefficient arrays
         basis = ModeBasis(2)
         v = rng.standard_normal((basis.dim, 4))
-        f = basis.to_frames(v)
-        np.testing.assert_allclose(basis.from_frames(f), v, rtol=0, atol=1e-14)
-        np.testing.assert_allclose(f.T @ f, v.T @ v, rtol=1e-14)
-        assert basis.to_frames(v[:, 0]).shape == (basis.dim,)
-        np.testing.assert_allclose(basis.to_frames(v[:, 0]), f[:, 0], rtol=0,
-                                   atol=1e-14)
+        coeffs = [basis.unpack(col) for col in v.T]
+        np.testing.assert_allclose(np.stack([basis.pack(c) for c in coeffs],
+                                            axis=1), v, rtol=0, atol=1e-14)
+        flat_l2 = [[TAU**3 * np.vdot(b, a).real for b in coeffs] for a in coeffs]
+        np.testing.assert_allclose(v.T @ v, flat_l2, rtol=1e-14)
 
     def test_reduction_peak_memory_is_bounded_by_the_gram(self):
         # the Gram is assembled in chunks and reduced through slices of
@@ -740,7 +811,7 @@ class TestGramMatrix:
         b = random_one_form(2, rng)
         va, vb = op.basis.pack(a.coeffs), op.basis.pack(b.coeffs)
         quad = l2_inner(bumpy, a, b, op.grid)
-        assert float(va @ packed_gram(op) @ vb) == pytest.approx(quad, rel=1e-11)
+        assert float(va @ op.gram_matrix @ vb) == pytest.approx(quad, rel=1e-11)
 
 
 class TestSelfAdjointness:

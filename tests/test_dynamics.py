@@ -7,7 +7,7 @@ import pytest
 import scipy.integrate
 import scipy.linalg as sla
 import scipy.optimize
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from curllab import contact, dynamics
@@ -501,6 +501,9 @@ class TestCZProperties:
         stretch=st.floats(0.5, 2.0),
         turns=st.integers(-2, 2),
     )
+    # a nearly degenerate endpoint that a loop must not make degenerate:
+    # the same Psi(T) after a full turn, though det(Psi(t) - 1) reaches 4
+    @example(theta=0.0, nu=1e-4, shear=0.0, stretch=1.0, turns=1)
     def test_conjugation_and_full_turns(self, theta, nu, shear, stretch, turns):
         psis = rotating_path(theta, nu, 2000)
         try:

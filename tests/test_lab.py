@@ -303,6 +303,24 @@ class TestConfigProblem:
         with pytest.raises(ValueError, match=message):
             run_sweep(SweepConfig(samples=2, **problem))
 
+    # a bad ensemble field used to pass silently (a negative sample count)
+    # or fail every sample alike at run time
+    @pytest.mark.parametrize("ensemble, message", [
+        ({"samples": -3}, "samples"),
+        ({"samples": 2.5}, "samples"),
+        ({"cutoff": -1}, "cutoff"),
+        ({"cutoff": True}, "cutoff"),
+        ({"smoothness": float("nan")}, "smoothness"),
+        ({"amplitude": float("inf")}, "amplitude"),
+        ({"amplitude": "0.01"}, "amplitude"),
+        ({"amplitude": False}, "amplitude"),
+        ({"base_metric": "bogus"}, "unknown metric name"),
+        ({"base_metric": None}, "unknown metric name"),
+    ])
+    def test_bad_ensemble_rejected_where_built(self, ensemble, message):
+        with pytest.raises(ValueError, match=message):
+            SweepConfig(**ensemble)
+
     def test_checks_leave_the_config_hash(self):
         # the checks add no field, so every config keeps its hash and its
         # samples
