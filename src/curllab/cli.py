@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 from .contact import adapted_metric, reeb_field, tight_form
 from .curlspec import eigenpairs, parse_window
-from .dynamics import find_fixed_points, find_periodic_orbits, named_field
+from .dynamics import (check_count, check_horizon, find_fixed_points,
+                       find_periodic_orbits, named_field, parse_section)
 from .fields import FourierField, MetricField, named_metric, sharp
 from .instability import CertifyBudget, certify, certify_batch
 from .lab import SweepConfig, run_sweep
@@ -26,7 +26,6 @@ BUDGET_PRESETS = {
     "fast": {"T_max": 10.0, "n_seeds": 4, "orbit_seeds": 4, "wkb_T": 50.0},
     "thorough": {"T_max": 100.0, "n_seeds": 128, "orbit_seeds": 32},
 }
-SECTION_AXES = {"x": 0, "y": 1, "z": 2, "0": 0, "1": 1, "2": 2}
 
 
 def _dump(obj, path: str | None):
@@ -84,50 +83,42 @@ def _window(text: str) -> dict:
 
 
 def _section(text: str) -> dict:
-    """--section axis,offset as a seeding plane for find_periodic_orbits."""
+    """--section axis,offset as a seeding plane for find_periodic_orbits,
+    checked by dynamics.parse_section."""
     try:
         name, offset = (part.strip() for part in text.split(","))
-        if name not in SECTION_AXES:
-            raise ValueError(f"unknown axis {name!r}")
-        offset = float(offset)
-        if not math.isfinite(offset):
-            raise ValueError("the offset must be finite")
+        axis, offset = parse_section({"axis": name, "offset": offset})
     except ValueError as err:
         raise argparse.ArgumentTypeError(
             f"expected axis,offset with axis x, y, z, 0, 1 or 2 and a finite "
             f"offset, got {text!r} ({err})"
         ) from None
-    return {"axis": SECTION_AXES[name], "offset": offset}
+    return {"axis": axis, "offset": offset}
 
 
-def _integer(accept, expected: str):
-    """type= checker of an integer option whose value passes accept."""
-    def integer(text: str) -> int:
+def _checked(convert, check, expected: str):
+    """type= checker: convert the text, then check raises ValueError on a
+    value out of range."""
+    def parse(text: str):
         try:
-            value = int(text)
-            if not accept(value):
-                raise ValueError
+            value = convert(text)
+            check(value)
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"expected {expected}, got {text!r}") from None
         return value
-    return integer
+    return parse
 
 
 def _at_least(minimum: int):
-    return _integer(lambda value: value >= minimum, f"an integer >= {minimum}")
+    """An integer option >= minimum, checked by dynamics.check_count."""
+    return _checked(int, lambda n: check_count(n, "value", minimum),
+                    f"an integer >= {minimum}")
 
 
-def _horizon(text: str) -> float:
-    """--t-max as a finite time > 0."""
-    try:
-        value = float(text)
-        if not 0.0 < value < math.inf:
-            raise ValueError
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a finite time > 0, got {text!r}") from None
-    return value
+# --t-max as a finite time > 0, checked by dynamics.check_horizon
+_horizon = _checked(float, lambda T: check_horizon(T, "--t-max"),
+                    "a finite time > 0")
 
 
 def _budget(spec: str) -> CertifyBudget:
@@ -312,7 +303,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("adapted-metric",
                        help="metric adapted to a canonical tight form")
-    p.add_argument("--k", type=_integer(bool, "a nonzero integer"), required=True)
+    nonzero = _checked(int, lambda k: check_count(abs(k), "|k|", 1),
+                       "a nonzero integer")
+    p.add_argument("--k", type=nonzero, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_adapted_metric)
 

@@ -57,21 +57,24 @@ negative eigenvalues, as d has, so the k eigenvalues of smallest
 magnitude lie among the 2k with indices 2K - k .. 2K + k - 1 in
 ascending order. The inertia of d - sigma S (a Bunch-Kaufman LDL^T
 factorization) counts the eigenvalues below any sigma (Parlett, *The
-Symmetric Eigenvalue Problem*); an interval window [a, b] is counted at
-sigma = a and just above b before it is solved.
+Symmetric Eigenvalue Problem*). So every window is an index bracket
+lo..hi of the ascending nonzero spectrum before it is solved: a count
+window k is 2K - k .. 2K + k - 1, and an interval window [a, b] runs
+from the count below a to the count below the float just above b,
+minus one.
 
-A window takes one of two solvers. A small window on a large operator
+A bracket takes one of two solvers. A small bracket on a large operator
 (at most LANCZOS_MAX_VALUES values, reduced dimension LANCZOS_MIN_DIM or
 more, so N >= 5) is solved by ARPACK's Lanczos (Lehoucq, Sorensen &
 Yang, *ARPACK Users' Guide*, 1998) on C^{-1} = R^T d^{-1} R, whose
 extreme eigenvalues 1/lambda belong to the lambda nearest 0, from fixed
 start vectors, and every answer is checked by Sylvester counts
-(`CurlOperator._lanczos`). Every other window, the full spectrum, and a
-Lanczos window that does not converge or that the counts refute, is
-solved densely: C by `dsygst`, then one subset `evx` that computes only
-the window's eigenvectors. A solve that returns a different number of
-pairs than its window holds raises EigensolverError, so no window loses
-pairs silently.
+(`CurlOperator._lanczos`). Every other bracket, the full spectrum, and a
+Lanczos bracket that does not converge or that the counts refute, is
+solved densely: C by `dsygst`, then one subset `evx` by index that
+computes only the bracket's eigenvectors. A solve that returns a
+different number of pairs than its bracket holds raises
+EigensolverError, so no window loses pairs silently.
 """
 
 from __future__ import annotations
@@ -115,11 +118,12 @@ LANCZOS_MAX_VALUES = 48
 # is solved densely once the cap is hit.
 LANCZOS_MAXITER = 50
 
-# A count window's Sylvester counts are taken this far (relative to
-# max|d|) inside its outermost returned value of each sign: far above the
-# rounding of the counts and of the Ritz values (Lanczos and the dense
-# path agree to 5e-15 at N = 5), so only members of the window's edge
-# cluster closer than this may stand in for one another.
+# Where no shift is counted yet at a Lanczos bracket's far end (a count
+# window), its guard counts this far (relative to max|d|) inside the
+# outermost returned value of each sign: far above the rounding of the
+# counts and of the Ritz values (Lanczos and the dense path agree to
+# 5e-15 at N = 5), so only members of the window's edge cluster closer
+# than this may stand in for one another.
 GUARD_TOL = 1e-11
 
 # eigsh draws a random vector when ARPACK restarts from an invariant
@@ -468,107 +472,82 @@ class CurlOperator:
         self._below[sigma] = count
         return count
 
-    def spectrum(self, **subset):
-        """Nonzero eigenvalues (ascending) and packed eigenvectors of B v = lambda G v.
+    def spectrum(self, lo=None, hi=None):
+        """Eigenvalues lo..hi (ascending indices of the nonzero spectrum)
+        of B v = lambda G v and their packed eigenvectors; the full
+        spectrum when lo and hi are omitted.
 
         With S = R R^T (`_schur_factor`) the reduced pencil (d, S) is the
         standard problem C y = lambda y, C = R^{-1} d R^{-T}, x = R^{-T} y.
-        A window (subset_by_index, or subset_by_value on one side of 0) of
-        at most LANCZOS_MAX_VALUES values on an operator of reduced
-        dimension LANCZOS_MIN_DIM or more (N >= 5) is solved by `_lanczos`
-        on C^{-1} = R^T d^{-1} R, whose extremes are the eigenvalues
-        nearest 0, and checked by Sylvester counts. Should ARPACK not
-        converge within LANCZOS_MAXITER restarts, or the counts refute its
-        answer, the window is solved densely instead and the reason is
-        appended to `lanczos_fallbacks`. Every other call, and the full
-        spectrum that tests use as the reference, takes the dense path: C
-        by `dsygst`, then one `evx` solve that computes only the subset's
+        A bracket that `_lanczos_sides` accepts is solved by `_lanczos` on
+        C^{-1} = R^T d^{-1} R, whose extremes are the eigenvalues nearest
+        0, and checked by Sylvester counts. Should ARPACK not converge
+        within LANCZOS_MAXITER restarts, or the counts refute its answer,
+        the bracket is solved densely instead and the reason is appended
+        to `lanczos_fallbacks`. Every other bracket, and the full spectrum
+        that tests use as the reference, takes the dense path: C by
+        `dsygst`, then one `evx` solve that computes only the bracket's
         eigenvectors, the sequence LAPACK's `dsygvx` runs, with the factor
         shared instead of hidden. The eigenvectors are G-normalized and
         coexact.
         """
         R = self._schur_factor
-        wanted = self._lanczos_window(**subset)
-        if wanted is not None:
+        sides = None if lo is None else self._lanczos_sides(lo, hi)
+        if sides is not None:
             try:
-                vals, y = self._lanczos(*wanted)
+                vals, y = self._lanczos(lo, hi, *sides)
             except EigensolverError as err:
                 self.lanczos_fallbacks.append({"error": str(err),
                                                **err.diagnostics})
-                wanted = None
-        if wanted is None:
+                sides = None
+        if sides is None:
             C, _ = sla.lapack.dsygst(np.diag(self.basis.d), R, itype=1, lower=1)
             vals, y = sla.eigh(C, lower=True, driver="evx", overwrite_a=True,
-                               **subset)
+                               subset_by_index=None if lo is None else [lo, hi])
         return vals, self._lift(_lower_solve(R, y, trans="T"))
 
-    def _lanczos_window(self, subset_by_index=None, subset_by_value=None):
-        """(n_top, n_bottom, cuts, keep) for a window that Lanczos takes,
-        else None. The window's positive eigenvalues are among the n_top
-        nearest 0 and its negative ones among the n_bottom nearest 0.
-        cuts(vals) gives the shifts at which Sylvester counts must match the
-        returned values, keep(vals) the window's part of them.
-        """
+    def _lanczos_sides(self, lo, hi):
+        """(n_top, n_bottom) for a bracket that Lanczos takes, else None:
+        its positive eigenvalues are among the n_top nearest 0 and its
+        negative ones among the n_bottom nearest 0."""
         half = self.basis.d.size // 2  # negative eigenvalues, by Sylvester
         if 2 * half < LANCZOS_MIN_DIM:
             return None
-        if subset_by_index is not None:
-            lo, hi = subset_by_index
-            n_top, n_bottom = max(hi - half + 1, 0), max(half - lo, 0)
-            margin = GUARD_TOL * np.abs(self.basis.d).max()
-
-            def cuts(vals):
-                # just inside the outermost value of each sign: a window may
-                # end inside a cluster, and then any of its members will do
-                return ([vals[-1] - margin] if n_top else []) + (
-                    [vals[0] + margin] if n_bottom else [])
-
-            def keep(vals):  # vals[i] has index half - n_bottom + i
-                return np.arange(lo, hi + 1) - (half - n_bottom)
-        elif subset_by_value is not None:
-            lo, hi = subset_by_value
-            if lo < 0.0 < hi:
-                return None
-            above = np.nextafter(hi if hi > 0 else lo, np.inf)
-            n_top = self.count_below(above) - half if hi > 0 else 0
-            n_bottom = half - self.count_below(above) if hi <= 0 else 0
-
-            def cuts(vals):
-                return [above]
-
-            def keep(vals):
-                return np.flatnonzero((vals > lo) & (vals <= hi))
-        else:
-            return None
+        n_top, n_bottom = max(hi - half + 1, 0), max(half - lo, 0)
         nev, _ = _arpack_request(n_top, n_bottom)
-        if not 0 < nev <= LANCZOS_MAX_VALUES:
-            return None
-        return n_top, n_bottom, cuts, keep
+        return (n_top, n_bottom) if 0 < nev <= LANCZOS_MAX_VALUES else None
 
-    def _lanczos(self, n_top, n_bottom, cuts, keep):
-        """Eigenvalues (ascending) and standard-form eigenvectors y of the
-        window that `_lanczos_window` described, by ARPACK (`eigsh`) on
-        C^{-1} = R^T d^{-1} R: two `dtrmv` with R per application, with no
-        copy of R. Its n_top largest eigenvalues 1/lambda are the positive
-        lambda nearest 0 and its n_bottom smallest the negative ones.
+    def _lanczos(self, lo, hi, n_top, n_bottom):
+        """Eigenvalues lo..hi (ascending) and standard-form eigenvectors y,
+        by ARPACK (`eigsh`) on C^{-1} = R^T d^{-1} R: two `dtrmv` with R
+        per application, with no copy of R. Its n_top largest eigenvalues
+        1/lambda are the positive lambda nearest 0 and its n_bottom
+        smallest the negative ones.
 
-        The guard: at each shift sigma of cuts(vals), the Sylvester count
+        The guard checks one shift sigma per side: the Sylvester count
         (`count_below`) of eigenvalues between 0 and sigma must equal the
-        number returned there. Lanczos from one start vector sees one
-        direction of an eigenspace, so a multiple eigenvalue (flat and
-        constant metrics) shows as a failed count. The solve then repeats
-        on the complement of every vector found so far, from the next
-        start vector, until the counts hold. A round that brings no value
-        into the window raises EigensolverError with diagnostics
-        {sigma, expected, returned}, and one that does not converge within
-        LANCZOS_MAXITER restarts raises it with {nev, which, round}.
-        Start vectors are fixed (round r starts from default_rng(r)), so a
-        solve is deterministic.
+        number returned there. sigma is a shift already counted whose
+        count is the bracket's far end on that side (hi + 1 above 0, lo
+        below), as an interval window's end counts are; else a count is
+        taken GUARD_TOL * max|d| inside the outermost returned value, so
+        a bracket may end inside a cluster and any of its members will do.
+        Lanczos from one start vector sees one direction of an
+        eigenspace, so a multiple eigenvalue (flat and constant metrics)
+        shows as a failed count. The solve then repeats on the complement
+        of every vector found so far, from the next start vector, until
+        the counts hold. A round that brings no value into the bracket
+        raises EigensolverError with diagnostics {sigma, expected,
+        returned}, and one that does not converge within LANCZOS_MAXITER
+        restarts raises it with {nev, which, round}. Start vectors are
+        fixed (round r starts from default_rng(r)), so a solve is
+        deterministic.
         """
         R, d = self._schur_factor, self.basis.d
         n = d.size
         trmv = sla.blas.dtrmv
         nev, which = _arpack_request(n_top, n_bottom)
+        margin = GUARD_TOL * np.abs(d).max()
+        first = n // 2 - n_bottom  # the index of the bottom returned value
         mus, Y = np.empty(0), np.empty((n, 0))
         for start in itertools.count():
             def apply(y, Y=Y):  # on the complement of the columns of Y
@@ -596,13 +575,16 @@ class CurlOperator:
             order = np.argsort(mus, kind="stable")
             best = np.concatenate([order[:n_bottom], order[len(order) - n_top:]])
             if start and np.all(best < len(mus) - len(mu)):
-                break  # this round brought nothing new into the window
+                break  # this round brought nothing new into the bracket
             chosen = best[np.argsort(1.0 / mus[best], kind="stable")]
             vals = 1.0 / mus[chosen]
-            misses = [(sigma, *self._inside(vals, sigma)) for sigma in cuts(vals)]
+            counted = {count: sigma for sigma, count in self._below.items()}
+            shifts = ([counted.get(hi + 1, vals[-1] - margin)] if n_top else []) + (
+                [counted.get(lo, vals[0] + margin)] if n_bottom else [])
+            misses = [(sigma, *self._inside(vals, sigma)) for sigma in shifts]
             misses = [m for m in misses if m[1] != m[2]]
             if not misses:
-                window = keep(vals)
+                window = slice(lo - first, hi + 1 - first)
                 return vals[window], Y[:, chosen[window]]
         sigma, expected, returned = misses[0]
         raise EigensolverError(
@@ -744,12 +726,14 @@ def eigenpairs(
     clusters closer than GAP_TOL * max|d| = GAP_TOL * N sqrt(3) are
     flagged through cluster ids.
 
-    One solve of the reduced pencil (`CurlOperator.spectrum`) computes
-    the window's eigenvectors only: a count window k solves for the k
-    eigenvalues nearest 0 of each sign, an interval window for the values
-    inside it. The window's size is known before the solve (the index
-    bracket, or the Sylvester inertia count at both ends of the
-    interval), and a solve that returns another number of pairs raises
+    Every window becomes an index bracket lo..hi of the ascending
+    nonzero spectrum, and one solve of the reduced pencil
+    (`CurlOperator.spectrum(lo, hi)`) computes its eigenvectors only. A
+    count window k is the k eigenvalues nearest 0 of each sign,
+    2K - k .. 2K + k - 1; an interval window [a, b] is
+    count_below(a) .. count_below(just above b) - 1, two Sylvester
+    inertia counts, and an empty one returns [] without a solve. A solve
+    that returns another number of pairs than the bracket holds raises
     EigensolverError with diagnostics {window, expected, returned}. A
     count window also fails when the truncation has fewer than `count`
     nonzero eigenvalues. A given operator must be the one for this
@@ -758,12 +742,12 @@ def eigenpairs(
     From N = 5 on, a count window of up to 24, or an interval with at
     most 48 values between 0 and its far end, is solved by Lanczos from
     fixed start vectors, so the result is deterministic, and every other
-    window by the dense subset `evx`. A Lanczos answer is
-    checked by Sylvester counts between 0 and a shift GUARD_TOL * max|d|
-    inside its outermost value of each sign (a count window) or just
-    beyond the interval's far end. A window that the counts refute, or
-    on which ARPACK does not converge, is solved by the dense path, and
-    the reason is recorded in the operator's `lanczos_fallbacks`. So both
+    bracket by the dense subset `evx`. A Lanczos answer is checked by
+    one Sylvester count per side between 0 and a shift: an interval's
+    own end count beyond its far end, else GUARD_TOL * max|d| inside the
+    outermost returned value. A bracket that the counts refute, or on
+    which ARPACK does not converge, is solved by the dense path, and the
+    reason is recorded in the operator's `lanczos_fallbacks`. So both
     paths return the same window, except that members of its edge
     cluster closer than GUARD_TOL * max|d| may stand in for one another.
     """
@@ -772,22 +756,21 @@ def eigenpairs(
     if op.metric is not metric or op.truncation != truncation:
         raise ValueError("operator was built for another metric or truncation")
     n_reduced = op.basis.d.size
-    half = n_reduced // 2  # negative eigenvalues, by Sylvester's law
     if spec[0] == "count":
         count = spec[1]
         if count > n_reduced:
             raise EigensolverError(
                 f"window requested {count} pairs, only {n_reduced} available"
             )
+        half = n_reduced // 2  # negative eigenvalues, by Sylvester's law
         lo, hi = max(half - count, 0), min(half + count, n_reduced) - 1
-        subset = {"subset_by_index": [lo, hi]}
-        expected = hi - lo + 1
     else:
-        a, b = spec[1], spec[2]
-        # LAPACK's value range is half-open (lo, hi]: widen it to hold a
-        subset = {"subset_by_value": [np.nextafter(a, -np.inf), b]}
-        expected = op.count_below(np.nextafter(b, np.inf)) - op.count_below(a)
-    vals, vecs = op.spectrum(**subset)
+        _, a, b = spec
+        lo, hi = op.count_below(a), op.count_below(np.nextafter(b, np.inf)) - 1
+        if hi < lo:
+            return []
+    expected = hi - lo + 1
+    vals, vecs = op.spectrum(lo, hi)
     if len(vals) != expected:
         raise EigensolverError(
             f"eigensolver returned {len(vals)} pairs, window holds {expected}",

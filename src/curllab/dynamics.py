@@ -216,6 +216,21 @@ def check_count(n, name: str, minimum: int = 0) -> None:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {n!r}")
 
 
+def parse_section(spec) -> tuple[int, float]:
+    """(axis, offset) of a section plane {"axis": 0|1|2|"x"|"y"|"z" (or a
+    digit string; default 2), "offset": finite real (default 0)}; else
+    ValueError. The CLI parses --section with it too."""
+    axis = spec.get("axis", 2)
+    names = ("x", "y", "z")
+    if isinstance(axis, (bool, float)) or axis not in (0, 1, 2, "0", "1", "2",
+                                                       *names):
+        raise ValueError(f"section axis must be 0, 1, 2, x, y or z, got {axis!r}")
+    offset = float(spec.get("offset", 0.0))
+    if not np.isfinite(offset):
+        raise ValueError(f"section offset must be finite, got {offset!r}")
+    return names.index(axis) if axis in names else int(axis), offset
+
+
 def solve_lanes(rhs, y0, T: float, n_samples: int, *, rtol: float,
                 atol: float):
     """DOP853 on every row of y0 (P, d) over [0, T], the rows as lanes.
@@ -657,13 +672,7 @@ def find_periodic_orbits(
     jet = as_jet(u)
     rng = np.random.default_rng(seed)
     if section_spec is not None:
-        axis = section_spec.get("axis", 2)
-        if isinstance(axis, (bool, float)) or axis not in (0, 1, 2, "x", "y", "z"):
-            raise ValueError(f"section axis must be 0, 1, 2, x, y or z, got {axis!r}")
-        axis = "xyz".index(axis) if isinstance(axis, str) else int(axis)
-        offset = float(section_spec.get("offset", 0.0))
-        if not np.isfinite(offset):
-            raise ValueError(f"section offset must be finite, got {offset!r}")
+        axis, offset = parse_section(section_spec)
         side = max(int(np.ceil(np.sqrt(n_seeds))), 1)
         coords = TAU * (np.arange(side) + 0.5) / side
         a, b = np.meshgrid(coords, coords, indexing="ij")

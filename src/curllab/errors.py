@@ -51,14 +51,16 @@ class StiffnessError(CurlLabError):
 class EigensolverError(CurlLabError):
     """An eigensolve cannot deliver its window.
 
-    Raised when a count window asks for more pairs than the truncation
-    has nonzero eigenvalues (4K for K half modes), or when a solve returns
-    another number of pairs than its window holds, with diagnostics
-    {window, expected, returned}. A Lanczos solve also raises it when
-    Sylvester's law counts another number of eigenvalues between 0 and a
-    shift sigma than it returned there ({sigma, expected, returned}), or
-    when ARPACK does not converge; `CurlOperator.spectrum` then solves the
-    window densely and keeps the diagnostics in `lanczos_fallbacks`.
+    Every window is solved as an index bracket of the nonzero spectrum
+    (`curlspec.eigenpairs`). This is raised when a count window asks for
+    more pairs than the truncation has nonzero eigenvalues (4K for K half
+    modes), or when a solve returns another number of pairs than its
+    bracket holds, with diagnostics {window, expected, returned}. A
+    Lanczos solve also raises it when Sylvester's law counts another
+    number of eigenvalues between 0 and a shift sigma than it returned
+    there ({sigma, expected, returned}), or when ARPACK does not
+    converge; `CurlOperator.spectrum` then solves the bracket densely and
+    keeps the diagnostics in `lanczos_fallbacks`.
     """
 
     def __init__(self, message, diagnostics=None):

@@ -291,13 +291,22 @@ class FourierField:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "FourierField":
+        """Inverse of `to_json_dict`. An unknown rank raises
+        UnsupportedRankError, an entry outside the coefficient array
+        (component or |m_i| > N) ValueError."""
         rank = data["rank"]
+        if rank not in RANK_COMPONENTS:
+            raise UnsupportedRankError(f"unknown rank {rank!r}")
         n = int(data["N"])
         L = 2 * n + 1
         ncomp = RANK_COMPONENTS[rank]
         coeffs = np.zeros((ncomp, L, L, L), np.complex128)
         for m1, m2, m3, comp, re, im in data["coeffs"]:
-            coeffs[int(comp), int(m1) + n, int(m2) + n, int(m3) + n] = re + 1j * im
+            m1, m2, m3, comp = int(m1), int(m2), int(m3), int(comp)
+            if not 0 <= comp < ncomp or max(abs(m1), abs(m2), abs(m3)) > n:
+                raise ValueError(f"entry m = {(m1, m2, m3)}, component {comp} "
+                                 f"lies outside a {rank} field of N = {n}")
+            coeffs[comp, m1 + n, m2 + n, m3 + n] = re + 1j * im
         return cls(rank, coeffs)
 
     def save(self, path) -> None:

@@ -377,12 +377,12 @@ class TestReducedPencil:
                                                     count, lanczos):
         op = CurlOperator(flat, truncation)
         half = op.basis.d.size // 2
-        window = op._lanczos_window(subset_by_index=[half - count,
-                                                     half + count - 1])
-        assert (window is not None) == lanczos
-        # a value window below N = 5 goes dense before any count is made
+        sides = op._lanczos_sides(half - count, half + count - 1)
+        assert (sides is not None) == lanczos
+        # a one-sided bracket, as an interval window's, below N = 5 goes
+        # dense, and the choice makes no count
         if truncation < 5:
-            assert op._lanczos_window(subset_by_value=[0.9, 1.1]) is None
+            assert op._lanczos_sides(half + 2, half + 7) is None
             assert op._below == {}
 
     @pytest.mark.parametrize("window, expected", [
@@ -413,6 +413,12 @@ def spy_on(monkeypatch, owner, *names, calls=None):
 
         monkeypatch.setattr(owner, name, spy)
     return calls
+
+
+def interval_bracket(op, a, b):
+    """The index bracket of the interval window [a, b], as eigenpairs
+    makes it from two Sylvester counts."""
+    return [op.count_below(a), op.count_below(np.nextafter(b, np.inf)) - 1]
 
 
 def on_dense_path(call, *args, **kwargs):
@@ -477,14 +483,14 @@ class TestLanczos:
         op = assemble(LANCZOS_METRICS[metric_name](), truncation)
         half = op.basis.d.size // 2
         B, G = pairing_matrix(op), op.gram_matrix
-        for subset in ({"subset_by_index": [half - 6, half + 5]},  # count 6
-                       {"subset_by_index": [half + 2, half + 4]},
-                       {"subset_by_value": [0.7, 1.5]},
-                       {"subset_by_value": [-1.1, -0.9]}):
-            assert op._lanczos_window(**subset) is not None, subset
-            vals, vecs = op.spectrum(**subset)
+        for bracket in ([half - 6, half + 5],  # count 6
+                        [half + 2, half + 4],
+                        interval_bracket(op, 0.7, 1.5),
+                        interval_bracket(op, -1.1, -0.9)):
+            assert op._lanczos_sides(*bracket) is not None, bracket
+            vals, vecs = op.spectrum(*bracket)
             assert op.lanczos_fallbacks == []  # Lanczos answered
-            ref, _ = on_dense_path(op.spectrum, **subset)
+            ref, _ = on_dense_path(op.spectrum, *bracket)
             assert len(vals) == len(ref) > 0
             np.testing.assert_allclose(vals, ref, rtol=0, atol=1e-13)
             # G-orthonormal eigenvectors, as many as the window holds, so
@@ -654,7 +660,7 @@ def window_values(metric, path, interval):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(curlspec, "LANCZOS_MIN_DIM", min_dim)
         op = assemble(metric, truncation)
-        lanczos = op._lanczos_window(subset_by_value=interval) is not None
+        lanczos = op._lanczos_sides(*interval_bracket(op, *interval)) is not None
         assert lanczos == (path == "lanczos")
         pairs = eigenpairs(metric, truncation, {"interval": interval},
                            operator=op)
@@ -706,6 +712,45 @@ class TestSpectralSymmetry:
         np.testing.assert_allclose(-mirrored[::-1], base, rtol=0, atol=1e-13)
 
 
+@pytest.mark.parametrize("path", sorted(SYMMETRY_PATHS))
+class TestIntervalWindows:
+    """An interval window reaches the solver as the index bracket of its
+    two Sylvester end counts, on the dense and the Lanczos path alike."""
+
+    @pytest.mark.parametrize("seed", range(1, 11))
+    def test_ends_at_computed_eigenvalues(self, path, seed, monkeypatch):
+        # ends within round-off of an eigenvalue, where a solve by value
+        # can disagree with the counts: solved by value, a third or more
+        # of these windows raised on either path
+        monkeypatch.setattr(curlspec, "LANCZOS_MIN_DIM", SYMMETRY_PATHS[path][1])
+        metric = random_metric(2.0, 1e-2, seed)
+        op = assemble(metric, 2)
+        vals, _ = on_dense_path(op.spectrum)
+        pos = vals[vals > 0]
+        for i in range(14):
+            a, b = pos[i], pos[i + 4]
+            pairs = eigenpairs(metric, 2, {"interval": [a, b]}, operator=op)
+            expected = op.count_below(np.nextafter(b, np.inf)) - op.count_below(a)
+            assert len(pairs) == expected >= 3
+            assert all(a - 1e-12 <= p.eigenvalue <= b + 1e-12 for p in pairs)
+
+    @pytest.mark.parametrize("interval", [[0.9, 1.1], [-1.1, -0.9]])
+    def test_pays_only_its_end_counts(self, path, interval, bumpy,
+                                      monkeypatch):
+        # the guard of a Lanczos interval window checks its far end against
+        # that end's own count: no dsytrf beyond the two end counts
+        truncation, min_dim = SYMMETRY_PATHS[path]
+        monkeypatch.setattr(curlspec, "LANCZOS_MIN_DIM", min_dim)
+        calls = spy_on(monkeypatch, curlspec.sla.lapack, "dsytrf", "dsygst")
+        spy_on(monkeypatch, curlspec.spla, "eigsh", calls=calls)
+        op = assemble(bumpy, truncation)
+        pairs = eigenpairs(bumpy, truncation, {"interval": interval},
+                           operator=op)
+        assert len(pairs) == 6 and op.lanczos_fallbacks == []
+        solver = {"dense": "dsygst", "lanczos": "eigsh"}[path]
+        assert [name for name, _, _, _ in calls] == ["dsytrf", "dsytrf", solver]
+
+
 class TestOneFactorization:
     """The Cholesky factor of the Schur complement S serves the eigensolve,
     the Gram solves and the pair checks; the packed Gram is never factored."""
@@ -738,16 +783,21 @@ class TestOneFactorization:
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("subset", [
-        {"subset_by_index": [118, 129]},  # the count window of 6 at N = 2
-        {"subset_by_value": [0.7, 1.5]},
+        [118, 129],  # the count window of 6 at N = 2
+        {"interval": [0.7, 1.5]},  # solved as its index bracket
     ])
     def test_spectrum_matches_the_generalized_reference(self, bumpy, subset):
         op = assemble(bumpy, 2)
+        bracket = (subset if isinstance(subset, list)
+                   else interval_bracket(op, *subset["interval"]))
         _, _, S = op._reduction
-        ref_vals, x = sla.eigh(np.diag(op.basis.d), S, **subset)
+        ref_vals, x = sla.eigh(np.diag(op.basis.d), S, subset_by_index=bracket)
         ref_vecs = op._lift(x)
-        vals, vecs = op.spectrum(**subset)
+        vals, vecs = op.spectrum(*bracket)
         assert len(vals) == len(ref_vals) > 0
+        if isinstance(subset, dict):  # the bracket is the interval's values
+            assert np.all((ref_vals >= 0.7) & (ref_vals <= 1.5))
+            assert len(vals) == 18  # the split +1 and +sqrt(2) clusters
         np.testing.assert_allclose(vals, ref_vals, rtol=0, atol=1e-13)
         signs = np.sign(np.einsum("ip,ip->p", vecs, ref_vecs))
         np.testing.assert_allclose(vecs * signs, ref_vecs, rtol=0, atol=1e-13)

@@ -26,6 +26,7 @@ from curllab.dynamics import (
     flow,
     named_field,
     newton_zero,
+    parse_section,
     shear_field,
     solve_lanes,
     torus_distance,
@@ -246,6 +247,13 @@ class TestOrbitSearchArguments:
         # each bad argument is named before any seed is drawn or flowed
         with pytest.raises(ValueError, match=match):
             find_periodic_orbits(abc_field(1, 1, 1), **{"T_max": 2.0, **kwargs})
+
+    def test_section_names_and_defaults(self):
+        # find_periodic_orbits and the CLI's --section share this parser
+        assert parse_section({}) == (2, 0.0)
+        assert parse_section({"axis": "y", "offset": 1.5}) == (1, 1.5)
+        assert parse_section({"axis": "0", "offset": "-2"}) == (0, -2.0)
+        assert parse_section({"axis": np.int64(1)}) == (1, 0.0)
 
     def test_no_seeds_no_orbits(self):
         diagnostics = {}

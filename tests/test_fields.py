@@ -359,6 +359,21 @@ class TestSerialization:
             MetricField.from_json_dict(random_one_form(1, np.random.default_rng(0))
                                        .to_json_dict())
 
+    @pytest.mark.parametrize("fields, error, match", [
+        ({"coeffs": [[0, 0, 1, -1, 1.0, 0.0]]}, ValueError, "component -1 lies"),
+        ({"coeffs": [[0, 0, 1, 3, 1.0, 0.0]]}, ValueError, "component 3 lies"),
+        ({"coeffs": [[0, 0, 2, 0, 1.0, 0.0]]}, ValueError, "outside"),
+        ({"coeffs": [[0, -2, 0, 0, 1.0, 0.0]]}, ValueError, "outside"),
+        ({"rank": "three_form"}, UnsupportedRankError, "unknown rank"),
+    ])
+    def test_malformed_file_entries_are_refused(self, fields, error, match):
+        # a negative index would otherwise wrap silently into the last
+        # component or mode, one past the end raise a bare IndexError and
+        # an unknown rank a KeyError
+        data = {"rank": "one_form", "N": 1, "coeffs": [], **fields}
+        with pytest.raises(error, match=match):
+            FourierField.from_json_dict(data)
+
     def test_metric_roundtrip(self, tmp_path, bumpy):
         path = tmp_path / "metric.json"
         bumpy.save(path)
