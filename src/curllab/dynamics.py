@@ -4,8 +4,9 @@ Vector fields are integrated in the universal cover (positions are never
 wrapped during integration, so winding numbers come for free) by
 solve_lanes: DOP853 over [0, T], T finite and > 0, each trajectory a lane
 with its own step size and numbers that its neighbours do not change.
-flow and variational_flow solve one lane, the recurrence scan all its
-seeds at once. Recurrence analysis proceeds in two phases: a cheap
+flow and variational_flow solve one lane; the recurrence scan solves the
+seeds of a whole batch of orbit searches at once, on one stacked kernel
+call per right-hand side (fields.JetStack). Recurrence analysis proceeds in two phases: a cheap
 close-return scan over seed trajectories, then Newton shooting on
 (point, period) with a phase condition, using the monodromy from the
 variational equations as the exact Jacobian.
@@ -32,7 +33,7 @@ from scipy.integrate import solve_ivp  # noqa: F401  patched by perfbench/tracin
 from scipy.integrate._ivp import dop853_coefficients as dop853
 
 from .errors import StiffnessError
-from .fields import TAU, CollocationGrid, FourierField, _next_odd, as_jet
+from .fields import TAU, CollocationGrid, FourierField, JetStack, _next_odd, as_jet
 
 log = logging.getLogger(__name__)
 
@@ -643,6 +644,19 @@ def _orbit_distance(record: PeriodicOrbitRecord, x: np.ndarray) -> float:
     return float(np.sqrt(max(val, 0.0)))
 
 
+@dataclass
+class OrbitSearch:
+    """The arguments of one find_periodic_orbits call, as one entry of a
+    find_periodic_orbits_batch."""
+
+    u: object
+    T_max: float = 30.0
+    section_spec: dict | None = None
+    n_seeds: int = 16
+    seed: int = 0
+    diagnostics: dict | None = None
+
+
 def find_periodic_orbits(
     u,
     T_max: float = 30.0,
@@ -652,7 +666,8 @@ def find_periodic_orbits(
     seed: int = 0,
     diagnostics: dict | None = None,
 ) -> list[PeriodicOrbitRecord]:
-    """Periodic orbits up to T_max by close-return scanning plus shooting.
+    """Periodic orbits up to T_max by close-return scanning plus shooting:
+    find_periodic_orbits_batch on a batch of one, whose error is raised.
 
     Seeds are drawn uniformly (deterministic in `seed`) or on a section
     plane given as {"axis": 0|1|2|"x"|"y"|"z", "offset": float}, and
@@ -667,30 +682,83 @@ def find_periodic_orbits(
     produce whole families of them. T_max must be finite and > 0,
     n_seeds an integer >= 0 and a section's offset finite (ValueError).
     """
-    check_horizon(T_max, "T_max")
-    check_count(n_seeds, "n_seeds")
-    jet = as_jet(u)
-    rng = np.random.default_rng(seed)
-    if section_spec is not None:
-        axis, offset = parse_section(section_spec)
-        side = max(int(np.ceil(np.sqrt(n_seeds))), 1)
-        coords = TAU * (np.arange(side) + 0.5) / side
-        a, b = np.meshgrid(coords, coords, indexing="ij")
-        seeds = np.zeros((side * side, 3))
-        others = [i for i in range(3) if i != axis]
-        seeds[:, others[0]] = a.ravel()
-        seeds[:, others[1]] = b.ravel()
-        seeds[:, axis] = offset
-        seeds = seeds[:n_seeds] if n_seeds < len(seeds) else seeds
-    else:
-        seeds = rng.uniform(0.0, TAU, size=(n_seeds, 3))
+    (found,) = find_periodic_orbits_batch(
+        [OrbitSearch(u, T_max, section_spec, n_seeds, seed, diagnostics)])
+    if isinstance(found, Exception):
+        raise found
+    return found
 
+
+def find_periodic_orbits_batch(searches) -> list:
+    """find_periodic_orbits for several OrbitSearch entries at once.
+
+    Every argument is checked first (ValueError for the whole batch).
+    The recurrence scans of all searches with one T_max then run as the
+    lanes of one solve_lanes, on a JetStack of their jets, so the scan of
+    a batch costs one stacked kernel call per right-hand side. A lane's
+    numbers do not depend on the lanes beside it, so a search finds the
+    same orbits alone or in any batch. Each search then shoots its own
+    candidates. Entry k of the result is searches[k]'s records, or the
+    exception its scan or its shooting raised; the others still run.
+    """
+    seeds = []
+    for search in searches:
+        check_horizon(search.T_max, "T_max")
+        check_count(search.n_seeds, "n_seeds")
+        seeds.append(_orbit_seeds(search))
+    stack = JetStack([as_jet(search.u) for search in searches])
+    found: list = [None] * len(searches)
+    for T_max in dict.fromkeys(search.T_max for search in searches):
+        members = [k for k, search in enumerate(searches) if search.T_max == T_max]
+        counts = [len(seeds[k]) for k in members]
+        owner = np.repeat(members, counts)
+        n_scan = max(int(T_max / 0.05), 64)
+        try:
+            scans, failed = solve_lanes(
+                lambda lanes, y: stack.values(owner[lanes], y),
+                np.concatenate([seeds[k] for k in members]), T_max, n_scan,
+                rtol=SCAN_TOL, atol=SCAN_TOL * 1e-2)  # as in flow
+        except Exception as err:  # reported per search, as the caller decides
+            for k in members:
+                found[k] = err
+            continue
+        ts = np.linspace(0.0, T_max, n_scan)
+        cuts = np.cumsum(counts)[:-1]
+        for k, lanes, lost in zip(members, np.split(scans, cuts),
+                                  np.split(failed, cuts)):
+            try:
+                found[k] = _shoot_candidates(stack.jets[k], seeds[k], ts, lanes,
+                                             lost, searches[k].diagnostics)
+            except Exception as err:
+                found[k] = err
+    return found
+
+
+def _orbit_seeds(search: OrbitSearch) -> np.ndarray:
+    """The scan seeds (n_seeds, 3) of a search: a grid on its section
+    plane, or uniform draws from its seed."""
+    n_seeds = search.n_seeds
+    if search.section_spec is None:
+        return np.random.default_rng(search.seed).uniform(0.0, TAU,
+                                                           size=(n_seeds, 3))
+    axis, offset = parse_section(search.section_spec)
+    side = max(int(np.ceil(np.sqrt(n_seeds))), 1)
+    coords = TAU * (np.arange(side) + 0.5) / side
+    a, b = np.meshgrid(coords, coords, indexing="ij")
+    seeds = np.zeros((side * side, 3))
+    others = [i for i in range(3) if i != axis]
+    seeds[:, others[0]] = a.ravel()
+    seeds[:, others[1]] = b.ravel()
+    seeds[:, axis] = offset
+    return seeds[:n_seeds] if n_seeds < len(seeds) else seeds
+
+
+def _shoot_candidates(jet, seeds, ts, scans, failed,
+                      diagnostics) -> list[PeriodicOrbitRecord]:
+    """The orbits of one search from its scanned seed lanes: shoot each
+    close return, reduce, deduplicate and classify."""
     stats = {"candidates": 0, "unresolved": 0, "duplicates": 0}
     records: list[PeriodicOrbitRecord] = []
-    n_scan = max(int(T_max / 0.05), 64)
-    ts = np.linspace(0.0, T_max, n_scan)
-    scans, failed = solve_lanes(lambda _, y: jet.value(y), seeds, T_max, n_scan,
-                                rtol=SCAN_TOL, atol=SCAN_TOL * 1e-2)  # as in flow
     for x_seed, points, lost in zip(seeds, scans, failed):
         if lost:
             stats["unresolved"] += 1

@@ -260,15 +260,23 @@ class FourierField:
     # -- evaluation ----------------------------------------------------
 
     def eval(self, x) -> np.ndarray | float:
-        """Value at a point by staged trigonometric summation (_point_sum).
+        """Values by staged trigonometric summation (_point_sum) at a point
+        (3,) or at rows (P, 3).
 
-        Returns a float for scalars, otherwise an array of 3 components
-        in the coordinate frame.
+        A scalar field gives a float at a point and shape (P,) at rows;
+        any other rank its components in the coordinate frame, (ncomp,)
+        or (P, ncomp).
         """
+        out = _block_sum(self.half_block(), x)
+        if self.rank != "scalar":
+            return out
+        return float(out[0]) if out.ndim == 1 else out[:, 0]
+
+    def half_block(self) -> np.ndarray:
+        """The _half_block of the coefficients, built on first use."""
         if self._half is None:
             object.__setattr__(self, "_half", _half_block(self.coeffs))
-        out = _point_sum(self._half, x)
-        return float(out[0]) if self.rank == "scalar" else out
+        return self._half
 
     def sample(self, grid: CollocationGrid) -> np.ndarray:
         """Grid samples, shape (ncomp, M, M, M)."""
@@ -720,16 +728,21 @@ def contact_defect(form: FourierField, grid: CollocationGrid | None = None) -> f
 
 # ---------------------------------------------------------------------------
 # Fast point evaluation for flowline integration: FourierField.eval,
-# FieldJet and MetricJet all run _point_sum on a half block built once.
-# A real field's coefficients are Hermitian, c(-m) = conj c(m), so the
-# m_x < 0 half of the sum is the conjugate of the m_x > 0 half: the block
-# keeps the m_x >= 0 slices of the stacked coefficients (..., L, L, L),
-# L = 2N + 1, reshaped to (-1, L), with the m_x > 0 slices doubled, and
-# the real part of its sum is the field. _point_sum contracts z, then y,
-# then x, each as one matrix-vector product, so D stacked components
-# cost D (N + 1)(L^2 + L + 1) complex multiply-adds, about half of the
-# full block's D (L^3 + L^2 + L), in three BLAS calls plus 3 L
-# exponentials per point.
+# FieldJet, MetricJet and JetStack all run the one kernel _point_sum on
+# half blocks built once. A real field's coefficients are Hermitian,
+# c(-m) = conj c(m), so the m_x < 0 half of the sum is the conjugate of
+# the m_x > 0 half: a block keeps the m_x >= 0 slices of the stacked
+# coefficients (..., L, L, L), L = 2N + 1, reshaped to (-1, L), with the
+# m_x > 0 slices doubled, and the real part of its sum is the field.
+# _point_sum takes J such blocks of one shape stacked as (J, R, L) and K
+# points per block, (J, K, 3). It contracts z, then y, then x, each as one
+# stacked np.matmul, for which numpy issues one matrix-vector product
+# (zgemv) per (block, point): the BLAS call a lone point makes. So every
+# (j, k) row is bit-identical to block j's one-point call, whatever else
+# shares the stack. A point costs D (N + 1)(L^2 + L + 1) complex
+# multiply-adds for D stacked components, about half of the full block's
+# D (L^3 + L^2 + L), plus 3 L exponentials; the Python overhead is paid
+# once per call, however many blocks and points it holds.
 # ---------------------------------------------------------------------------
 
 
@@ -749,28 +762,31 @@ def _half_block(coeffs: np.ndarray) -> np.ndarray:
     return (half * weights[:, None, None]).reshape(-1, L)
 
 
-def _point_sum(block: np.ndarray, x) -> np.ndarray:
-    """Re sum_m c[r, m] e^{i m.x} for each leading index r of a block.
+def _point_sum(blocks: np.ndarray, points) -> np.ndarray:
+    """Re sum_m c[j, r, m] e^{i m.x[j, k]} for stacked half blocks.
 
-    block is a _half_block; x is one point (3,), with one entry per
-    leading index in C order, or points (P, 3), with one such row per
-    point. Each point gets its own chain of matrix-vector products, so its
-    result does not depend on the other points of the call. Points may
-    lie anywhere in the universal cover.
+    blocks is (J, R, L), J _half_blocks of one shape, and points (J, K, 3)
+    holds K points per block, anywhere in the universal cover. Returns the
+    (J, K, D) sums, D = R / ((N + 1) L) components in C order, C-contiguous.
+    Row (j, k) does not depend on the other blocks or points of the call.
     """
-    L = block.shape[1]
+    J, R, L = blocks.shape
     n = (L - 1) // 2
-    p = np.exp(1j * np.multiply.outer(np.asarray(x, dtype=float),
-                                      np.arange(-n, n + 1)))
-    if p.ndim == 2:
-        return _contract_point(block, p, n)
-    return np.array([_contract_point(block, q, n) for q in p])
+    points = np.asarray(points, dtype=float)
+    K = points.shape[1]
+    p = np.exp(1j * np.multiply.outer(points, np.arange(-n, n + 1)))[..., None]
+    s = blocks[:, None] @ p[:, :, 2]
+    s = s.reshape(J, K, R // L, L) @ p[:, :, 1]
+    s = s.reshape(J, K, R // (L * (n + 1)), n + 1) @ p[:, :, 0, n:]
+    return np.ascontiguousarray(s[..., 0].real)
 
 
-def _contract_point(block: np.ndarray, p: np.ndarray, n: int) -> np.ndarray:
-    L = block.shape[1]
-    s = (block @ p[2]).reshape(-1, L) @ p[1]
-    return (s.reshape(-1, n + 1) @ p[0, n:]).real
+def _block_sum(block: np.ndarray, x) -> np.ndarray:
+    """_point_sum of one (R, L) block at a point (3,), shape (D,), or at
+    the rows of x (P, 3), shape (P, D)."""
+    x = np.asarray(x, dtype=float)
+    out = _point_sum(block[None], x.reshape(1, -1, 3))[0]
+    return out[0] if x.ndim == 1 else out
 
 
 def _value_and_gradient_block(c: np.ndarray) -> np.ndarray:
@@ -784,9 +800,10 @@ class FieldJet:
     """Value and Jacobian of a 3-component field at arbitrary points.
 
     The field and its partial derivatives are one half block of 12
-    components, so a point costs one _point_sum of about 12 (N + 1) L^2
-    complex multiply-adds (14k at N = 6). Used as the right-hand side of
-    all orbit and stability integrators.
+    components, so a point costs about 12 (N + 1) L^2 complex
+    multiply-adds (14k at N = 6) in one kernel call, and P points or a
+    JetStack of several jets cost one call too. Used as the right-hand
+    side of all orbit and stability integrators.
     """
 
     def __init__(self, field: FourierField):
@@ -803,14 +820,19 @@ class FieldJet:
         return self.field.eval(x)
 
     def value_and_jacobian(self, x):
-        out = _point_sum(self._block, x).reshape(4, 3)
+        out = _block_sum(self._block, x).reshape(4, 3)
         return out[0], out[1:].T.copy()  # jac[a, b] = d_b u_a
 
     def values_and_jacobians(self, points):
         """value_and_jacobian at each row of points (P, 3): values (P, 3)
         and Jacobians (P, 3, 3), each row bit-identical to a one-point call."""
-        out = _point_sum(self._block, points).reshape(-1, 4, 3)
-        return out[:, 0], out[:, 1:].transpose(0, 2, 1)
+        return _split_jet(_block_sum(self._block, points))
+
+
+def _split_jet(rows: np.ndarray):
+    """Values (P, 3) and Jacobians (P, 3, 3) of jet rows (P, 12)."""
+    out = rows.reshape(-1, 4, 3)
+    return out[:, 0], out[:, 1:].transpose(0, 2, 1)
 
 
 def as_jet(field_or_jet) -> FieldJet:
@@ -819,11 +841,109 @@ def as_jet(field_or_jet) -> FieldJet:
     return field_or_jet
 
 
+class JetStack:
+    """Several jets evaluated together, row r of the points on jets[owner[r]].
+
+    The FieldJets of one truncation are the layers of one stacked
+    _point_sum per evaluation: each live layer's rows are padded to the
+    largest row count of the call, so a call costs one kernel per
+    truncation however many lanes are live. Any other jet (a test system,
+    a rescaled field) evaluates its own rows with its value or
+    values_and_jacobians. owner is an integer array, nondecreasing. Each
+    row is bit-identical to its jet's one-point call, so a row does not
+    depend on the rows beside it.
+    """
+
+    def __init__(self, jets):
+        self.jets = list(jets)
+        self._group = np.empty(len(self.jets), int)  # jet -> its group
+        self._slot = np.empty(len(self.jets), int)   # jet -> its layer there
+        self._members: list = []
+        keys: dict = {}
+        for j, jet in enumerate(self.jets):
+            key = jet.truncation if isinstance(jet, FieldJet) else ("own", j)
+            g = keys.setdefault(key, len(self._members))
+            if g == len(self._members):
+                self._members.append([])
+            self._group[j], self._slot[j] = g, len(self._members[g])
+            self._members[g].append(jet)
+        self._blocks: dict = {}  # (group, with Jacobians) -> (J, R, L), on use
+        self._plans: dict = {}   # owner bytes -> _plan(owner)
+
+    def values(self, owner, points) -> np.ndarray:
+        """Field values (P, 3) at the rows of points (P, 3)."""
+        return self._rows(owner, points, False)
+
+    def values_and_jacobians(self, owner, points):
+        """Values (P, 3) and Jacobians (P, 3, 3), as FieldJet's."""
+        return _split_jet(self._rows(owner, points, True))
+
+    def _stacked(self, g: int, jacobians: bool) -> np.ndarray:
+        blocks = self._blocks.get((g, jacobians))
+        if blocks is None:
+            blocks = np.stack([jet._block if jacobians else jet.field.half_block()
+                               for jet in self._members[g]])
+            self._blocks[g, jacobians] = blocks
+        return blocks
+
+    def _plan(self, owner: np.ndarray) -> list:
+        """(group, its rows, layout) per group that owner names. A layout
+        is (lo, hi, K, where): layers lo..hi-1 padded to K rows each, with
+        where the (layer - lo, rank) of each row, or None when the rows
+        fill every layer in order; None for a jet outside the stack."""
+        plan = []
+        groups = self._group[owner]
+        for g in np.unique(groups).tolist():
+            rows = np.flatnonzero(groups == g)
+            if not isinstance(self._members[g][0], FieldJet):
+                plan.append((g, rows, None))
+                continue
+            layer = self._slot[owner[rows]]
+            lo = int(layer[0])
+            layer -= lo
+            count = np.bincount(layer)
+            K = int(count.max())
+            rank = np.arange(rows.size) - (np.cumsum(count) - count)[layer]
+            where = None if count.min() == K else (layer, rank)
+            if rows.size == owner.size:
+                rows = slice(None)
+            plan.append((g, rows, (lo, lo + count.size, K, where)))
+        return plan
+
+    def _rows(self, owner, points, jacobians: bool) -> np.ndarray:
+        key = owner.tobytes()
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = self._plan(owner)
+        width = 12 if jacobians else 3
+        out = np.empty((owner.size, width))
+        for g, rows, layout in plan:
+            if layout is None:
+                jet = self._members[g][0]
+                if jacobians:  # into _split_jet's row layout
+                    vals, jacs = jet.values_and_jacobians(points[rows])
+                    out[rows, :3] = vals
+                    out[rows, 3:] = np.swapaxes(jacs, 1, 2).reshape(-1, 9)
+                else:
+                    out[rows] = jet.value(points[rows])
+                continue
+            lo, hi, K, where = layout
+            blocks = self._stacked(g, jacobians)[lo:hi]
+            if where is None:
+                sums = _point_sum(blocks, points[rows].reshape(hi - lo, K, 3))
+                out[rows] = sums.reshape(-1, width)
+            else:
+                padded = np.zeros((hi - lo, K, 3))
+                padded[where] = points[rows]
+                out[rows] = _point_sum(blocks, padded)[where]
+        return out
+
+
 class MetricJet:
     """Metric tensor and its first derivatives at arbitrary points.
 
     The six stored components and their partial derivatives form one
-    half block of 24 components, evaluated by a single _point_sum.
+    half block of 24 components, evaluated by a single kernel call.
     """
 
     def __init__(self, metric: MetricField):
@@ -831,5 +951,5 @@ class MetricJet:
 
     def value_and_gradient(self, x):
         """Returns g (3,3) and dg (3,3,3) with dg[b] = d_b g."""
-        sym = _symmetric(_point_sum(self._block, x).reshape(4, 6))
+        sym = _symmetric(_block_sum(self._block, x).reshape(4, 6))
         return sym[0], sym[1:]

@@ -47,12 +47,15 @@ the direction e, and xi(t) = (D phi_t)^-T xi0 never vanishes.
 
 Wave packets run as lanes. Each packet's 15-component state is one row of
 a single DOP853 solve (dynamics.solve_lanes), with its own step size,
-accept/reject decision and finish; each jet evaluates the lanes that ride
-it in one call, one matrix-vector chain per lane. Nothing a lane computes
-mixes in another lane, so a packet's numbers do not depend on which
-packets share its solve. certify_batch uses that to run the wave-packet
-stage of every undecided pair of a sweep sample as one solve: batching
-only removes per-solve overhead, and a pair certifies the same alone.
+accept/reject decision and finish. The jets of the packets form one
+fields.JetStack, so a right-hand side evaluates every live lane in one
+stacked kernel call per truncation, one matrix-vector chain per lane.
+Nothing a lane computes mixes in another lane, so a packet's numbers do
+not depend on which packets share its solve. certify_batch uses that
+twice for the pairs of a sweep sample: the recurrence scans of the orbit
+stage run as the lanes of one solve, and so do the wave packets of every
+pair still undecided. Batching only removes per-call overhead, and a pair
+certifies the same alone.
 """
 
 from __future__ import annotations
@@ -68,17 +71,19 @@ from .dynamics import (
     NEWTON_TOL,
     ORBIT_TOL,
     FixedPointRecord,
+    OrbitSearch,
     PeriodicOrbitRecord,
     _newton_shoot,
     _orthonormal_complement,
     check_count,
     check_horizon,
     find_fixed_points,
-    find_periodic_orbits,
+    find_periodic_orbits,  # noqa: F401  patched by perfbench/tracing.py
+    find_periodic_orbits_batch,
     newton_zero,
     solve_lanes,
 )
-from .fields import MetricField, as_jet, default_grid, sharp
+from .fields import JetStack, MetricField, as_jet, default_grid, sharp
 from scipy.integrate import solve_ivp  # noqa: F401  patched by perfbench/tracing.py
 
 # growth-exponent threshold separating exponential from algebraic growth
@@ -101,20 +106,16 @@ class WKBResult:
     frequency_transport_drift: float
 
 
-def _wkb_rhs(jets, lane_jet):
+def _wkb_rhs(stack: JetStack, lane_jet):
     """The projective transport system of the lanes. Lane k rides
-    jets[lane_jet[k]], lane_jet is nondecreasing, and each jet evaluates
-    its run of lanes in one call."""
+    stack.jets[lane_jet[k]], lane_jet is nondecreasing, and the stack
+    evaluates all the live lanes in one call."""
     add = np.add.reduce  # np.sum's Python wrapper costs as much as the sum
 
     def rhs(lanes, y):
-        owner = lane_jet[lanes]
-        cuts = (np.flatnonzero(owner[1:] != owner[:-1]) + 1).tolist()
-        parts = [jets[owner[a]].values_and_jacobians(y[a:b, :3])
-                 for a, b in zip([0] + cuts, cuts + [len(lanes)])]
+        vals, jac = stack.values_and_jacobians(lane_jet[lanes], y[:, :3])
         out = np.empty((len(lanes), 15))
-        out[:, :3] = np.concatenate([v for v, _ in parts])
-        jac = np.concatenate([j for _, j in parts])
+        out[:, :3] = vals
         xi, b = y[:, 3:6], y[:, 7:13].reshape(-1, 2, 3)
         xi_sq = add(xi * xi, axis=1)
         g = -(xi[:, None, :] @ jac)[:, 0]
@@ -145,11 +146,14 @@ def wkb_exponent(
     transport system over [0, T] in projective form for the two
     orthonormal initial amplitudes perpendicular to its initial
     wavevector, sampled every LOG_GROWTH_SAMPLE_STEP, as one lane of
-    dynamics.solve_lanes with its own step control. Returns one WKBResult
-    per packet, in order: the largest (1/T) log-growth ratio with the
-    growth history, the fitted tail slope (which discounts transient
-    algebraic growth), and the conservation drifts at the samples; None
-    for a lane that failed. A packet's numbers are the same whichever
+    dynamics.solve_lanes with its own step control. The jets form one
+    JetStack: each right-hand side is one stacked kernel call for all
+    the FieldJets of one truncation (any other jet evaluates its own
+    lanes), and the transport drift at the samples is one more call.
+    Returns one WKBResult per packet, in order: the largest (1/T)
+    log-growth ratio with the growth history, the fitted tail slope
+    (which discounts transient algebraic growth), and the conservation
+    drifts at the samples; None for a lane that failed. A packet's numbers are the same whichever
     packets share its solve, so a single packet is a batch of one.
     """
     check_horizon(T, "T")  # before solve_lanes does: n_samples needs a finite T
@@ -168,16 +172,16 @@ def wkb_exponent(
     order = np.argsort(lane_jet, kind="stable")
     lane_jet = np.array(lane_jet, int)[order]
     n_samples = max(int(np.ceil(T / LOG_GROWTH_SAMPLE_STEP)), 1) + 1
-    ys, failed = solve_lanes(_wkb_rhs(jets, lane_jet),
+    stack = JetStack(jets)
+    ys, failed = solve_lanes(_wkb_rhs(stack, lane_jet),
                              np.reshape(y0, (-1, 15))[order], T, n_samples,
                              rtol=rtol, atol=atol)
-    # the transport drift needs u at every sample: one call per jet
+    # the transport drift needs u at every sample of every finished lane
     values = np.empty(ys.shape[:2] + (3,))
-    for j, jet in enumerate(jets):
-        lanes = np.flatnonzero((lane_jet == j) & ~failed)
-        if lanes.size:
-            values[lanes] = jet.values_and_jacobians(
-                ys[lanes, :, :3].reshape(-1, 3))[0].reshape(-1, n_samples, 3)
+    lanes = np.flatnonzero(~failed)
+    values[lanes] = stack.values_and_jacobians(
+        np.repeat(lane_jet[lanes], n_samples),
+        ys[lanes, :, :3].reshape(-1, 3))[0].reshape(-1, n_samples, 3)
     ts = np.linspace(0.0, T, n_samples)
     results = [None] * len(order)
     for lane, k in enumerate(order):
@@ -338,20 +342,21 @@ def _verify_orbit(jet, record: PeriodicOrbitRecord) -> bool:
 
 
 @dataclass
-class _WavePacketStage:
-    """A pair that stages 1 and 2 left undecided: its jet, its packet
-    seeds, and the certificate maker that closes over its diagnostics."""
+class _Undecided:
+    """A pair that no stage has certified yet: its jet and budget, the
+    certificate maker that closes over its diagnostics, and, once the
+    orbit stage has passed, its wave-packet seeds."""
 
     jet: object
-    seeds: list  # (x0, xi0) in draw order
+    budget: CertifyBudget
     issue: object
     diagnostics: dict
+    seeds: list = dataclass_field(default_factory=list)  # (x0, xi0) in draw order
 
 
-def _first_stages(metric: MetricField, pair: EigenPair,
-                  budget: CertifyBudget):
-    """Stages 1 and 2 of one pair: a certificate, or the pair's
-    _WavePacketStage when neither a saddle nor an orbit certifies."""
+def _fixed_point_stage(metric: MetricField, pair: EigenPair,
+                       budget: CertifyBudget):
+    """Stage 1 of one pair: a saddle certificate, or the pair _Undecided."""
     if pair.eigenvalue == 0.0:
         raise ValueError("kernel fields are outside the certification scope")
     diagnostics: dict = {"stages": []}
@@ -390,13 +395,13 @@ def _first_stages(metric: MetricField, pair: EigenPair,
         if verified is not None:
             return issue("saddle_fixed_point", verified,
                          float(verified.eigenvalues.real.max()))
+    return _Undecided(jet, budget, issue, diagnostics)
 
-    # stage 2: hyperbolic periodic orbits of the flow
-    orbit_stats: dict = {}
-    orbits = find_periodic_orbits(
-        jet, T_max=budget.T_max, n_seeds=budget.orbit_seeds,
-        seed=budget.seed, diagnostics=orbit_stats,
-    )
+
+def _orbit_stage(pending: _Undecided, orbits, orbit_stats: dict):
+    """Stage 2 of one pair from the orbits its search found: a hyperbolic
+    orbit certificate, or the pair with its wave-packet seeds drawn."""
+    jet, budget = pending.jet, pending.budget
     orbit_stats.update(
         {
             "stage": "orbits",
@@ -407,7 +412,7 @@ def _first_stages(metric: MetricField, pair: EigenPair,
             ),
         }
     )
-    diagnostics["stages"].append(orbit_stats)
+    pending.diagnostics["stages"].append(orbit_stats)
     for orbit in orbits:
         if not (orbit.nondegenerate and orbit.orbit_type.endswith("hyperbolic")):
             continue
@@ -415,19 +420,18 @@ def _first_stages(metric: MetricField, pair: EigenPair,
             growth = float(
                 np.log(np.abs(orbit.multipliers).max()) / orbit.period
             )
-            return issue("hyperbolic_orbit", orbit, growth)
+            return pending.issue("hyperbolic_orbit", orbit, growth)
 
     # stage 3 is batched by certify_batch; its seeds are drawn here
     rng = np.random.default_rng(budget.seed)
-    seeds = []
     for _ in range(budget.n_seeds):
         x0 = rng.uniform(0.0, 2 * np.pi, 3)
         xi0 = rng.standard_normal(3)
-        seeds.append((x0, xi0 / np.linalg.norm(xi0)))
-    return _WavePacketStage(jet, seeds, issue, diagnostics)
+        pending.seeds.append((x0, xi0 / np.linalg.norm(xi0)))
+    return pending
 
 
-def _wave_packet_verdict(stage: _WavePacketStage,
+def _wave_packet_verdict(stage: _Undecided,
                          results: list) -> InstabilityCertificate:
     """Stage 3 of one pair from its packets' results, in seed order."""
     best: WKBWitness | None = None
@@ -460,19 +464,27 @@ def _wave_packet_verdict(stage: _WavePacketStage,
     return stage.issue("inconclusive", None, 0.0)
 
 
+def _undecided(outcomes) -> list:
+    return [k for k, o in enumerate(outcomes) if isinstance(o, _Undecided)]
+
+
 def certify_batch(metric: MetricField, pairs, budgets) -> list:
     """Instability certificates for several curl eigenpairs of one metric.
 
-    Stages 1 and 2 (zeros, orbits; see certify) run pair by pair. The
-    wave-packet stage then integrates the n_seeds packets of every pair
-    still undecided as the lanes of one wkb_exponent call: one solve per
-    batch, each lane with its own step control. The budgets must
-    therefore agree on wkb_T, or the batch is a ValueError before any
-    stage runs. A packet's numbers do not depend on which lanes share
-    its solve, so a pair's certificate is the same alone or in any
-    batch, and batching the pairs of a sample only removes per-solve
-    overhead. Entry k of the result is pairs[k]'s certificate, or the
-    exception its stages raised; the other pairs still certify.
+    Stage 1 (zeros; see certify) runs pair by pair. The orbit stage then
+    scans the orbit_seeds trajectories of every pair still undecided as
+    the lanes of one find_periodic_orbits_batch (one solve per T_max),
+    each pair shooting its own close returns. The wave-packet stage then
+    integrates the n_seeds packets of every pair still undecided as the
+    lanes of one wkb_exponent call. Both solves evaluate all their lanes
+    in one stacked kernel call per right-hand side, each lane with its
+    own step control. The budgets must therefore agree on wkb_T, or the
+    batch is a ValueError before any stage runs. A lane's numbers do not
+    depend on which lanes share its solve, so a pair's certificate is the
+    same alone or in any batch, and batching the pairs of a sample only
+    removes per-call overhead. Entry k of the result is pairs[k]'s
+    certificate, or the exception its stages raised (an error of a
+    shared solve goes to every pair in it); the other pairs still certify.
     """
     horizons = {budget.wkb_T for budget in budgets}
     if len(horizons) > 1:
@@ -481,11 +493,30 @@ def certify_batch(metric: MetricField, pairs, budgets) -> list:
     outcomes: list = []
     for pair, budget in zip(pairs, budgets, strict=True):
         try:
-            outcomes.append(_first_stages(metric, pair, budget))
+            outcomes.append(_fixed_point_stage(metric, pair, budget))
         except Exception as err:  # reported per pair, as the caller decides
             outcomes.append(err)
-    waiting = [k for k, o in enumerate(outcomes)
-               if isinstance(o, _WavePacketStage)]
+
+    waiting = _undecided(outcomes)
+    stats = [{} for _ in waiting]
+    try:
+        found = find_periodic_orbits_batch([
+            OrbitSearch(outcomes[k].jet, T_max=outcomes[k].budget.T_max,
+                        n_seeds=outcomes[k].budget.orbit_seeds,
+                        seed=outcomes[k].budget.seed, diagnostics=stat)
+            for k, stat in zip(waiting, stats)])
+    except ValueError as err:  # the batch checks every search's arguments
+        found = [err] * len(waiting)
+    for k, orbits, stat in zip(waiting, found, stats):
+        if isinstance(orbits, Exception):
+            outcomes[k] = orbits
+            continue
+        try:
+            outcomes[k] = _orbit_stage(outcomes[k], orbits, stat)
+        except Exception as err:
+            outcomes[k] = err
+
+    waiting = _undecided(outcomes)
     if not waiting:
         return outcomes
     packets = [(outcomes[k].jet, x0, xi0)

@@ -257,7 +257,8 @@ def _run_one_sample(config: SweepConfig, sample_id: int) -> SweepRecord:
             hashlib.sha256(f"{seed_key}:{k}".encode()).digest()[:4], "big"
         )
         budgets.append(CertifyBudget(**{**config.budget, "seed": budget_seed}))
-    # one batch per sample: the wave packets of all its pairs share a solve
+    # one batch per sample: the orbit scans of its pairs share a solve, and
+    # so do their wave packets
     for report, cert in zip(record.pair_reports,
                             certify_batch(metric, pairs, budgets)):
         if isinstance(cert, Exception):
@@ -292,9 +293,11 @@ def run_sweep(config: SweepConfig, *, n_threads: int = 1):
     that they inherit the imported modules; with one worker or at most
     one sample they run in this process and no pool starts. Emission
     order and content are independent of the pool size. Within a sample
-    the pairs are certified as one certify_batch: zeros and orbits pair
-    by pair, then the wave packets of every undecided pair as lanes of
-    one solve, each lane with its own step control. A packet's numbers do
+    the pairs are certified as one certify_batch: zeros pair by pair, the
+    orbit scans of every undecided pair as lanes of one solve, with each
+    pair shooting its own close returns, then the wave packets of every
+    undecided pair as lanes of one solve, each lane with its own step
+    control. A packet's numbers do
     not depend on the lanes beside it, so a pair's certificate does not
     depend on the other pairs, and a pair whose stages raise is reported
     with its error while the others still certify. When the config

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from curllab.errors import DegenerateMetricError, UnsupportedRankError
@@ -12,6 +12,7 @@ from curllab.fields import (
     CollocationGrid,
     FieldJet,
     FourierField,
+    JetStack,
     MetricField,
     MetricJet,
     codifferential,
@@ -25,6 +26,7 @@ from curllab.fields import (
     l2_inner,
     l2_norm,
     named_metric,
+    _block_sum,
     _half_block,
     _point_sum,
     random_metric,
@@ -505,6 +507,16 @@ class TestPointKernel:
             np.testing.assert_array_equal(a, b)
 
 
+    def test_scalar_eval_at_rows(self, rng):
+        scalar = random_scalar(2, rng)
+        points = rng.uniform(-20.0, 20.0, (5, 3))
+        values = scalar.eval(points)
+        assert values.shape == (5,)
+        for x, value in zip(points, values):
+            assert value == scalar.eval(x)
+        assert scalar.eval(points[:0]).shape == (0,)
+
+
 def full_point_sum(coeffs, x):
     """The full-block staged contraction the half block replaced, as
     reference: sum_m coeffs[r, m] e^{i m.x}, complex, per leading index."""
@@ -525,7 +537,7 @@ class TestHalfKernel:
         c = hermitian_coeffs(12, truncation, seed)
         full = full_point_sum(c, x)
         scale = np.abs(c).sum(axis=(1, 2, 3))
-        got = _point_sum(_half_block(c), x)
+        got = _block_sum(_half_block(c), x)
         assert np.all(np.abs(got - full.real) <= 1e-15 * scale)
         assert np.all(np.abs(full.imag) <= 1e-15 * scale)
 
@@ -539,7 +551,7 @@ class TestHalfKernel:
         noise = rng.standard_normal((3, L, L, L)) + 1j * rng.standard_normal((3, L, L, L))
         c = hermitian_coeffs(3, truncation, seed) + 1e-11 * noise
         scale = np.abs(c).sum(axis=(1, 2, 3))
-        got = _point_sum(_half_block(c), x)
+        got = _block_sum(_half_block(c), x)
         assert np.all(np.abs(got - full_point_sum(c, x).real) <= 1e-15 * scale)
 
     def test_points_of_a_batch_are_independent(self, rng):
@@ -554,6 +566,64 @@ class TestHalfKernel:
             sub_vals, sub_jacs = jet.values_and_jacobians(points[k:k + 1])
             np.testing.assert_array_equal(sub_vals[0], val)
             np.testing.assert_array_equal(sub_jacs[0], jac)
+
+
+def vector_jets(n_jets, truncation, seed):
+    return [FieldJet(FourierField("vector", hermitian_coeffs(3, truncation, seed + j)))
+            for j in range(n_jets)]
+
+
+class TestStackedKernel:
+    """Every (jet, point) row of a stacked call is bit-identical to that
+    jet's one-point call."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(truncation=st.integers(0, 4), n_jets=st.integers(1, 4),
+           n_points=st.integers(0, 4), seed=seeds, data=st.data())
+    @example(truncation=2, n_jets=1, n_points=0, seed=0, data=None)
+    @example(truncation=3, n_jets=1, n_points=1, seed=5, data=None)
+    def test_rows_match_one_point_calls(self, truncation, n_jets, n_points,
+                                        seed, data):
+        shape = (n_jets, n_points, 3)
+        if data is None:  # the explicit examples: far out in the cover
+            points = np.full(shape, 987.654)
+        else:
+            size = 3 * n_jets * n_points
+            coords = data.draw(st.lists(st.floats(-1e3, 1e3), min_size=size,
+                                        max_size=size))
+            points = np.reshape(coords, shape)
+        jets = vector_jets(n_jets, truncation, seed)
+        out = _point_sum(np.stack([jet._block for jet in jets]), points)
+        assert out.shape == (n_jets, n_points, 12)
+        for j, jet in enumerate(jets):
+            for k in range(n_points):
+                val, jac = jet.value_and_jacobian(points[j, k])
+                row = out[j, k].reshape(4, 3)
+                np.testing.assert_array_equal(row[0], val)
+                np.testing.assert_array_equal(row[1:].T, jac)
+
+    def test_stack_rows_match_their_jets(self, rng):
+        # two truncations, a jet outside the stack, and uneven row counts
+        # (padded layers, a layer with no rows)
+        from curllab.contact import reeb_rescaled
+
+        jets = vector_jets(3, 2, 7) + vector_jets(2, 4, 9)
+        jets.insert(2, reeb_rescaled(jets[0].field, flat_metric()))
+        stack = JetStack(jets)
+        owner = np.array([0, 0, 0, 2, 2, 3, 4, 4, 4, 4, 5])  # jet 1 has no rows
+        points = rng.uniform(-1e3, 1e3, (owner.size, 3))
+        vals, jacs = stack.values_and_jacobians(owner, points)
+        only = stack.values(owner, points)
+        for r, (j, x) in enumerate(zip(owner, points)):
+            val, jac = jets[j].value_and_jacobian(x)
+            np.testing.assert_array_equal(vals[r], val)
+            np.testing.assert_array_equal(jacs[r], jac)
+            np.testing.assert_array_equal(only[r], jets[j].value(x))
+        # the same rows in another company
+        sub = np.array([3, 4, 8])
+        sub_vals, sub_jacs = stack.values_and_jacobians(owner[sub], points[sub])
+        np.testing.assert_array_equal(sub_vals, vals[sub])
+        np.testing.assert_array_equal(sub_jacs, jacs[sub])
 
 
 class TestMetricJet:

@@ -13,7 +13,15 @@ from curllab.dynamics import (
     shear_field,
     solve_lanes,
 )
-from curllab.fields import FieldJet, FourierField, as_jet, flat_metric, l2_norm
+from curllab.fields import (
+    FieldJet,
+    FourierField,
+    JetStack,
+    as_jet,
+    flat_metric,
+    l2_norm,
+    sharp,
+)
 from curllab.fields import flat as lower_index
 from curllab.instability import (
     WKB_THRESHOLD,
@@ -223,7 +231,7 @@ class TestLanes:
         ref = solve_ivp(packet_rhs(jet), (0.0, T), y0, method="DOP853",
                         t_eval=ts, **self.TOLS)
         assert ref.success
-        rhs = instability._wkb_rhs([jet], np.zeros(1, int))
+        rhs = instability._wkb_rhs(JetStack([jet]), np.zeros(1, int))
         samples, failed = solve_lanes(rhs, y0[None], T, len(ts), **self.TOLS)
         assert not failed.any()
         scale = np.maximum(1.0, np.abs(ref.y.T))
@@ -245,6 +253,104 @@ class TestLanes:
 
     def test_no_packets(self):
         assert wkb_exponent([], T=5.0) == []
+
+def live_lanes_spy(monkeypatch, module):
+    """Wrap module.solve_lanes so that every RHS evaluation records its
+    lanes; returns the list of calls, each a list of lane arrays."""
+    calls = []
+    solve = module.solve_lanes
+
+    def spying(rhs, y0, T, n_samples, **kwargs):
+        lanes_seen = []
+        calls.append(lanes_seen)
+
+        def recording(lanes, y):
+            lanes_seen.append(np.array(lanes))
+            return rhs(lanes, y)
+
+        return solve(recording, y0, T, n_samples, **kwargs)
+
+    monkeypatch.setattr(module, "solve_lanes", spying)
+    return calls
+
+
+class TestSweepShapedLanes:
+    """Six eigenpair jets of one metric, two packets each, as a sweep
+    sample brings them: all ride one stacked kernel call per RHS."""
+
+    def test_packet_in_the_stack_equals_packet_alone(self, bumpy, monkeypatch):
+        pairs = eigenpairs(bumpy, 2, {"interval": [0.9, 1.1]})
+        assert len(pairs) == 6
+        rng = np.random.default_rng(8)
+        packets = []
+        for pair in pairs:
+            jet = as_jet(sharp(bumpy, pair.form))
+            for _ in range(2):
+                xi0 = rng.standard_normal(3)
+                packets.append((jet, rng.uniform(0.0, 2 * np.pi, 3),
+                                xi0 / np.linalg.norm(xi0)))
+        assert len({jet.truncation for jet, _, _ in packets}) == 1
+        calls = live_lanes_spy(monkeypatch, instability)
+        batch = wkb_exponent(packets, T=20.0, **TestLanes.TOLS)
+        monkeypatch.undo()
+        # the lanes finish at different steps: their last evaluations differ
+        (evaluations,) = calls
+        last = {int(lane): i for i, lanes in enumerate(evaluations) for lane in lanes}
+        assert len(last) == 12 and len(set(last.values())) > 1
+        for packet, result in zip(packets, batch):
+            (alone,) = wkb_exponent([packet], T=20.0, **TestLanes.TOLS)
+            assert_same_result(alone, result)
+
+
+class TestOneKernelPerRHS:
+    def test_sweep_sample_stacks_its_solves(self, monkeypatch):
+        # one stacked kernel call per RHS evaluation of the wave-packet
+        # solve and of the orbit scan, and one scan solve for all pairs
+        from curllab import dynamics, fields, lab
+
+        kernel_calls = []
+        kernel = fields._point_sum
+
+        def counting(blocks, points):
+            kernel_calls.append(len(blocks))
+            return kernel(blocks, points)
+
+        monkeypatch.setattr(fields, "_point_sum", counting)
+        per_rhs = {"wkb": [], "scan": []}
+
+        def spy(module, name, is_target):
+            solve = module.solve_lanes
+
+            def spying(rhs, y0, T, n_samples, **kwargs):
+                if not is_target(kwargs):
+                    return solve(rhs, y0, T, n_samples, **kwargs)
+
+                def counted(lanes, y):
+                    before = len(kernel_calls)
+                    out = rhs(lanes, y)
+                    per_rhs[name][-1][1].append(len(kernel_calls) - before)
+                    return out
+
+                per_rhs[name].append((len(y0), []))
+                return solve(counted, y0, T, n_samples, **kwargs)
+
+            monkeypatch.setattr(module, "solve_lanes", spying)
+
+        spy(instability, "wkb", lambda kwargs: True)
+        spy(dynamics, "scan", lambda kwargs: kwargs["rtol"] == dynamics.SCAN_TOL)
+        config = lab.SweepConfig(
+            samples=1, truncation=2, seed=99, certify_pairs=True,
+            window={"interval": [0.9, 1.1]},
+            budget={"T_max": 4.0, "orbit_seeds": 2, "n_seeds": 1, "wkb_T": 10.0})
+        (record,) = lab.run_sweep(config)
+        stages = [[s["stage"] for s in report["certificate"]["diagnostics"]["stages"]]
+                  for report in record.pair_reports]
+        assert len(stages) == 6 and all(s[-1] == "wkb" for s in stages)
+        for name, lanes in (("wkb", 6), ("scan", 12)):
+            ((n_lanes, evaluations),) = per_rhs[name]
+            assert n_lanes == lanes, name
+            assert evaluations and set(evaluations) == {1}, name
+
 
 class TestCertifyBudget:
     @pytest.mark.parametrize("values", [
