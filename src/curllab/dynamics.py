@@ -6,10 +6,10 @@ solve_lanes: DOP853 over [0, T], T finite and > 0, each trajectory a lane
 with its own step size and numbers that its neighbours do not change.
 flow and variational_flow solve one lane; the recurrence scan solves the
 seeds of a whole batch of orbit searches at once, on one stacked kernel
-call per right-hand side (fields.JetStack). Recurrence analysis proceeds in two phases: a cheap
-close-return scan over seed trajectories, then Newton shooting on
-(point, period) with a phase condition, using the monodromy from the
-variational equations as the exact Jacobian.
+call per right-hand side (fields.JetStack). Recurrence analysis proceeds
+in two phases: a cheap close-return scan over seed trajectories, then
+Newton shooting on (point, period) with a phase condition, using the
+monodromy from the variational equations as the exact Jacobian.
 
 Orbits are classified through the linearized return map on a transverse
 plane: Floquet multipliers, area preservation, nondegeneracy, and
