@@ -17,6 +17,7 @@ from .contact import adapted_metric, reeb_field, tight_form
 from .curlspec import eigenpairs, parse_window
 from .dynamics import (check_count, check_horizon, find_fixed_points,
                        find_periodic_orbits, named_field, parse_section)
+from .errors import DegenerateMetricError, EnsembleAmplitudeError
 from .fields import FourierField, MetricField, named_metric, sharp
 from .instability import CertifyBudget, certify, certify_batch
 from .lab import SweepConfig, run_sweep
@@ -45,10 +46,18 @@ def _dump_lines(objs, path: str | None):
         sys.stdout.write(payload)
 
 
-def _load_metric(spec: str) -> MetricField:
-    if Path(spec).exists():
-        return MetricField.load(spec)
-    return named_metric(spec)
+def _metric(spec: str) -> MetricField:
+    """--metric as a metric file, or a name that fields.named_metric reads."""
+    try:
+        if Path(spec).exists():
+            return MetricField.load(spec)
+        return named_metric(spec)
+    except (OSError, KeyError, ValueError, DegenerateMetricError,
+            EnsembleAmplitudeError) as err:
+        raise argparse.ArgumentTypeError(
+            f"expected a metric file or flat, conformal(c) or "
+            f"random_cr(r,eps,seed[,cutoff]), got {spec!r} ({err})"
+        ) from None
 
 
 def _load_field(spec: str, metric: MetricField) -> FourierField:
@@ -147,8 +156,7 @@ def _sweep_config(path: str) -> SweepConfig:
 
 
 def cmd_spectrum(args) -> int:
-    metric = _load_metric(args.metric)
-    pairs = eigenpairs(metric, args.truncation,
+    pairs = eigenpairs(args.metric, args.truncation,
                        args.window or {"count": args.count})
     sidecar = Path(args.fields_dir) if args.fields_dir else None
     if sidecar:
@@ -166,16 +174,14 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_fixed_points(args) -> int:
-    metric = _load_metric(args.metric)
-    u = _load_field(args.field, metric)
+    u = _load_field(args.field, args.metric)
     records = find_fixed_points(u, grid_density=args.grid_density)
     _dump_lines([r.to_json_dict() for r in records], args.out)
     return 0
 
 
 def cmd_orbits(args) -> int:
-    metric = _load_metric(args.metric)
-    u = _load_field(args.field, metric)
+    u = _load_field(args.field, args.metric)
     records = find_periodic_orbits(
         u, T_max=args.t_max, section_spec=args.section, n_seeds=args.seeds,
         seed=args.seed,
@@ -225,10 +231,10 @@ def cmd_reeb(args) -> int:
 
 
 def cmd_instability(args) -> int:
-    metric = _load_metric(args.metric)
-    pairs = eigenpairs(metric, args.truncation, {"count": args.eigen_index + 1})
+    pairs = eigenpairs(args.metric, args.truncation,
+                       {"count": args.eigen_index + 1})
     pair = pairs[args.eigen_index]
-    cert = certify(metric, pair, args.budget)
+    cert = certify(args.metric, pair, args.budget)
     _dump(cert.to_json_dict(), args.out)
     return 0
 
@@ -245,10 +251,9 @@ def cmd_genericity_sweep(args) -> int:
 
 
 def cmd_certify_all(args) -> int:
-    metric = _load_metric(args.metric)
-    pairs = eigenpairs(metric, args.truncation,
+    pairs = eigenpairs(args.metric, args.truncation,
                        args.window or {"count": args.count})
-    certs = certify_batch(metric, pairs, [args.budget] * len(pairs))
+    certs = certify_batch(args.metric, pairs, [args.budget] * len(pairs))
     for cert in certs:
         if isinstance(cert, Exception):
             raise cert
@@ -265,9 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("spectrum", help="solve the curl eigenproblem")
-    p.add_argument("--metric", default="flat",
+    p.add_argument("--metric", type=_metric, default="flat",
                    help="metric file or name (flat, conformal(c), "
-                        "random_cr(r,eps,seed))")
+                        "random_cr(r,eps,seed[,cutoff]))")
     p.add_argument("--truncation", type=_at_least(1), required=True)
     p.add_argument("--window", type=_window, help="interval a,b excluding 0")
     p.add_argument("--count", type=_at_least(1), default=12,
@@ -282,14 +287,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fixed-points", help="locate and classify zeros")
     p.add_argument("--field", required=True,
                    help="field file, abc:A,B,C, or xi:k")
-    p.add_argument("--metric", default="flat")
+    p.add_argument("--metric", type=_metric, default="flat")
     p.add_argument("--grid-density", type=int, default=24)
     p.add_argument("--out")
     p.set_defaults(func=cmd_fixed_points)
 
     p = sub.add_parser("orbits", help="hunt periodic orbits")
     p.add_argument("--field", required=True)
-    p.add_argument("--metric", default="flat")
+    p.add_argument("--metric", type=_metric, default="flat")
     p.add_argument("--t-max", type=_horizon, default=30.0)
     p.add_argument("--seeds", type=_at_least(0), default=16)
     p.add_argument("--seed", type=_at_least(0), default=0)
@@ -315,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_reeb)
 
     p = sub.add_parser("instability", help="certify one eigenpair")
-    p.add_argument("--metric", required=True)
+    p.add_argument("--metric", type=_metric, required=True)
     p.add_argument("--truncation", type=_at_least(1), required=True)
     p.add_argument("--eigen-index", type=_at_least(0), default=0)
     p.add_argument("--budget", type=_budget, default="default",
@@ -331,11 +336,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=_at_least(1), default=1,
                    help="worker processes (default: 1); "
                         "with more than one, set OPENBLAS_NUM_THREADS=1 so "
-                        "BLAS threads do not oversubscribe the cores")
+                        "BLAS threads do not oversubscribe the cores. The "
+                        "JSONL bytes do not depend on this count, but they "
+                        "do on the BLAS thread count")
     p.set_defaults(func=cmd_genericity_sweep)
 
     p = sub.add_parser("certify-all", help="certify every pair in a window")
-    p.add_argument("--metric", required=True)
+    p.add_argument("--metric", type=_metric, required=True)
     p.add_argument("--truncation", type=_at_least(1), required=True)
     p.add_argument("--window", type=_window, help="interval a,b excluding 0")
     p.add_argument("--count", type=_at_least(1), default=6)

@@ -85,7 +85,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-import scipy.fft
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
@@ -630,7 +629,7 @@ def _weight_maps(samples, reach: int):
     """
     M = samples.grid.resolution
     fold = np.arange(-reach, reach + 1) % M
-    w = scipy.fft.fftn(samples.weight, axes=(0, 1, 2))[np.ix_(fold, fold, fold)]
+    w = np.fft.fftn(samples.weight, axes=(0, 1, 2))[np.ix_(fold, fold, fold)]
     w = w.reshape(-1, 3, 3) / M**3
     w = (w + w.transpose(0, 2, 1)) * 0.5
     re, im = w.real, w.imag

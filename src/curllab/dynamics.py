@@ -29,13 +29,26 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import solve_ivp  # noqa: F401  patched by perfbench/tracing.py
-from scipy.integrate._ivp import dop853_coefficients as dop853
 
+from . import _dop853 as dop853
 from .errors import StiffnessError
 from .fields import TAU, CollocationGrid, FourierField, JetStack, _next_odd, as_jet
 
 log = logging.getLogger(__name__)
+
+
+def __getattr__(name: str):
+    """Module attribute solve_ivp, resolved from scipy on first access.
+
+    No curllab code calls solve_ivp; perfbench/tracing.py patches the
+    name here and in instability. scipy.integrate is imported only when
+    the name is read, so starting curllab never pays for it.
+    """
+    if name == "solve_ivp":
+        from scipy.integrate import solve_ivp
+        return solve_ivp
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 NEWTON_TOL = 1e-10   # |u| at an accepted fixed point
 ORBIT_TOL = 1e-8     # return residual of an accepted orbit
@@ -169,7 +182,8 @@ def _one_lane(rhs, y0, T, n_samples, *, rtol, atol):
 
 
 # Step-size control of scipy's RungeKutta solvers (Hairer, Norsett and
-# Wanner, Solving ODEs I, II.4), which solve_lanes applies per lane.
+# Wanner, Solving ODEs I, II.4), which solve_lanes applies per lane with
+# the DOP853 tableau of curllab._dop853.
 SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0
 ERROR_EXPONENT = -1.0 / 8.0  # DOP853's error estimator has order 7
 
@@ -239,7 +253,8 @@ def solve_lanes(rhs, y0, T: float, n_samples: int, *, rtol: float,
     rhs(lanes, Y) returns the derivatives of the autonomous system at
     the rows Y of the lanes named by the index array lanes. Each lane
     has its own step size, accept/reject decision and finish, under the
-    rules of scipy's DOP853 (its tableau, initial step and step control),
+    rules of scipy's DOP853 (its tableau, copied into curllab._dop853,
+    its initial step and its step control),
     and is sampled at linspace(0, T, n_samples) by the method's dense
     output; only a step that passes a sample time pays its three extra
     stages. A lane whose state or error estimate turns non-finite, or

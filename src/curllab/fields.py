@@ -28,6 +28,7 @@ caller that wants fewer modes calls truncate_to.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -518,24 +519,59 @@ def random_metric(
     )
 
 
-def named_metric(spec: str) -> MetricField:
-    """Parse a named metric: "flat", "conformal(c)", "random_cr(r, eps, seed)"."""
+def parse_metric_name(spec) -> tuple[str, tuple]:
+    """(kind, parameters) of a metric name, without building the metric:
+    ("flat", ()), ("conformal", (c,)) or ("random_cr", (r, eps, seed,
+    cutoff)), cutoff 2 unless given. c must be a finite real > 0, r and
+    eps finite reals, seed and cutoff integers; otherwise a ValueError
+    names the parameter.
+    """
     if not isinstance(spec, str):
         raise ValueError(f"unknown metric name {spec!r}")
-    spec = spec.strip()
-    if spec == "flat":
-        return flat_metric()
-    if spec.startswith("conformal(") and spec.endswith(")"):
-        return conformal_metric(float(spec[len("conformal("):-1]))
-    if spec.startswith("random_cr(") and spec.endswith(")"):
-        parts = [p.strip() for p in spec[len("random_cr("):-1].split(",")]
+    text = spec.strip()
+    if text == "flat":
+        return "flat", ()
+    if text.startswith("conformal(") and text.endswith(")"):
+        c = _metric_parameter(text[len("conformal("):-1], "conformal factor c")
+        if c <= 0:
+            raise ValueError(f"conformal factor c must be > 0, got {c!r}")
+        return "conformal", (c,)
+    if text.startswith("random_cr(") and text.endswith(")"):
+        parts = text[len("random_cr("):-1].split(",")
         if len(parts) not in (3, 4):
             raise ValueError("random_cr takes (r, eps, seed[, cutoff])")
-        r, eps = float(parts[0]), float(parts[1])
-        seed = int(parts[2])
-        cutoff = int(parts[3]) if len(parts) == 4 else 2
-        return random_metric(r, eps, seed, cutoff=cutoff)
+        r = _metric_parameter(parts[0], "random_cr r")
+        eps = _metric_parameter(parts[1], "random_cr eps")
+        seed = _metric_parameter(parts[2], "random_cr seed", int)
+        cutoff = (_metric_parameter(parts[3], "random_cr cutoff", int)
+                  if len(parts) == 4 else 2)
+        return "random_cr", (r, eps, seed, cutoff)
     raise ValueError(f"unknown metric name {spec!r}")
+
+
+def _metric_parameter(text: str, name: str, convert=float):
+    """convert(text), a finite number, or a ValueError naming the parameter."""
+    text = text.strip()
+    try:
+        value = convert(text)
+        if math.isfinite(value):
+            return value
+    except ValueError:
+        pass
+    expected = "a finite real" if convert is float else "an integer"
+    raise ValueError(f"{name} must be {expected}, got {text!r}")
+
+
+def named_metric(spec: str) -> MetricField:
+    """Build a named metric: "flat", "conformal(c)" or "random_cr(r, eps,
+    seed[, cutoff])", as parse_metric_name reads it."""
+    kind, params = parse_metric_name(spec)
+    if kind == "flat":
+        return flat_metric()
+    if kind == "conformal":
+        return conformal_metric(*params)
+    r, eps, seed, cutoff = params
+    return random_metric(r, eps, seed, cutoff=cutoff)
 
 
 # ---------------------------------------------------------------------------

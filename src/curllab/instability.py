@@ -84,7 +84,16 @@ from .dynamics import (
     solve_lanes,
 )
 from .fields import JetStack, MetricField, as_jet, default_grid, sharp
-from scipy.integrate import solve_ivp  # noqa: F401  patched by perfbench/tracing.py
+
+
+def __getattr__(name: str):
+    """Module attribute solve_ivp, resolved from scipy on first access, as
+    in dynamics (perfbench/tracing.py patches it here too)."""
+    if name == "solve_ivp":
+        from scipy.integrate import solve_ivp
+        return solve_ivp
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 # growth-exponent threshold separating exponential from algebraic growth
 WKB_THRESHOLD = 1e-2

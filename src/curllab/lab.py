@@ -7,7 +7,8 @@ record per sample plus a plot-ready CSV summary. Samples run in forked
 worker processes. All randomness comes from one counter-based generator
 keyed by the configuration hash and the sample id, so a config
 reproduces its outputs bit for bit, independent of the worker-process
-count.
+count, as long as the BLAS thread count is fixed: the eigensolve's
+round-off depends on it, and every number downstream follows.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from .curlspec import assemble, eigenpairs, parse_window
 from .dynamics import check_count
-from .fields import MetricField, named_metric, random_metric
+from .fields import MetricField, named_metric, parse_metric_name, random_metric
 # certify is unused here; perfbench/tracing.py patches lab.certify
 from .instability import CertifyBudget, certify, certify_batch  # noqa: F401
 
@@ -84,7 +85,10 @@ class SweepConfig:
             if (isinstance(x, bool) or not isinstance(x, numbers.Real)
                     or not math.isfinite(x)):
                 raise ValueError(f"{name} must be a finite real, got {x!r}")
-        named_metric(self.base_metric)  # raises on an unknown name
+        kind, _ = parse_metric_name(self.base_metric)
+        if kind == "random_cr":
+            # only a draw decides whether a random base is SPD
+            named_metric(self.base_metric)
 
     def to_json_dict(self, include_paths: bool = True) -> dict:
         data = asdict(self)
@@ -292,7 +296,9 @@ def run_sweep(config: SweepConfig, *, n_threads: int = 1):
     Samples run on min(n_threads, samples) worker processes, forked so
     that they inherit the imported modules; with one worker or at most
     one sample they run in this process and no pool starts. Emission
-    order and content are independent of the pool size. Within a sample
+    order and content are independent of the pool size at a fixed BLAS
+    thread count (the bytes differ between OPENBLAS_NUM_THREADS=1 and 2,
+    whatever the pool size). Within a sample
     the pairs are certified as one certify_batch: zeros pair by pair, the
     orbit scans of every undecided pair as lanes of one solve, with each
     pair shooting its own close returns, then the wave packets of every

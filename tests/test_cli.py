@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from curllab.cli import main
-from curllab.fields import FourierField, MetricField
+from curllab.fields import FourierField, MetricField, named_metric
 
 
 def read_jsonl(path):
@@ -36,6 +36,30 @@ class TestSpectrumCommand:
         assert "usage:" in err
         assert "--window" in err
         assert "Traceback" not in err
+
+    # a bad metric used to exit 1 with a traceback
+    @pytest.mark.parametrize("metric", [
+        "bogus", "conformal(nan)", "conformal(-1)", "random_cr(2, nan, 1)",
+        "random_cr(2, 0.01)",
+    ])
+    def test_bad_metric_is_a_usage_error(self, metric, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["spectrum", "--truncation", "2", "--metric", metric])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert "--metric" in err
+        assert "Traceback" not in err
+
+    def test_metric_file_loads_as_its_name(self, tmp_path):
+        path = tmp_path / "metric.json"
+        named_metric("conformal(2)").save(path)
+        outs = []
+        for metric in (str(path), "conformal(2)"):
+            outs.append(tmp_path / f"{len(outs)}.jsonl")
+            assert main(["spectrum", "--metric", metric, "--truncation", "1",
+                         "--count", "4", "--out", str(outs[-1])]) == 0
+        assert outs[0].read_text() == outs[1].read_text()
 
     def test_sidecar_fields_round_trip(self, tmp_path):
         out = tmp_path / "spectrum.jsonl"

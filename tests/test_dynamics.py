@@ -213,8 +213,10 @@ class TestOneIntegrator:
         def refuse(*args, **kwargs):
             raise AssertionError("solve_ivp called")
 
-        monkeypatch.setattr(scipy.integrate, "solve_ivp", refuse)
+        # dynamics first: it resolves solve_ivp from scipy.integrate on first
+        # access, and the undo restores whatever that access returned
         monkeypatch.setattr(dynamics, "solve_ivp", refuse)
+        monkeypatch.setattr(scipy.integrate, "solve_ivp", refuse)
         u = abc_field(1, 1, 1)
         alpha = lower_index(flat_metric(), u)
         orbit = next(r for r in abc_orbits if r.nondegenerate)

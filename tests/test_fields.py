@@ -329,6 +329,20 @@ class TestMetricConstructors:
         for a, b in zip(g1.components, g2.components):
             np.testing.assert_array_equal(a.coeffs, b.coeffs)
 
+    # each used to warn, then raise numpy's LinAlgError from the SPD check
+    @pytest.mark.parametrize("spec, name", [
+        ("conformal(nan)", "conformal factor c"),
+        ("conformal(inf)", "conformal factor c"),
+        ("conformal(0)", "conformal factor c"),
+        ("random_cr(2, nan, 1)", "random_cr eps"),
+        ("random_cr(nan, 0.01, 1)", "random_cr r"),
+        ("random_cr(2, 0.01, 1.5)", "random_cr seed"),
+        ("random_cr(2, 0.01, 1, x)", "random_cr cutoff"),
+    ])
+    def test_bad_parameter_is_named(self, spec, name):
+        with pytest.raises(ValueError, match=name):
+            named_metric(spec)
+
     def test_random_metric_close_to_flat(self):
         g = random_metric(2.0, 1e-2, 99)
         grid = CollocationGrid.for_truncation(g.truncation)

@@ -316,10 +316,23 @@ class TestConfigProblem:
         ({"amplitude": False}, "amplitude"),
         ({"base_metric": "bogus"}, "unknown metric name"),
         ({"base_metric": None}, "unknown metric name"),
+        ({"base_metric": "conformal(nan)"}, "conformal factor c"),
+        ({"base_metric": "conformal(inf)"}, "conformal factor c"),
+        ({"base_metric": "random_cr(2, nan, 1)"}, "random_cr eps"),
+        ({"base_metric": "random_cr(nan, 0.01, 1)"}, "random_cr r"),
     ])
     def test_bad_ensemble_rejected_where_built(self, ensemble, message):
         with pytest.raises(ValueError, match=message):
             SweepConfig(**ensemble)
+
+    @pytest.mark.parametrize("base", ["flat", "conformal(2)"])
+    def test_closed_form_base_is_checked_without_a_build(self, base,
+                                                         monkeypatch):
+        def no_build(spec):
+            raise AssertionError(f"the config built its base {spec}")
+
+        monkeypatch.setattr("curllab.lab.named_metric", no_build)
+        SweepConfig(base_metric=base)
 
     def test_checks_leave_the_config_hash(self):
         # the checks add no field, so every config keeps its hash and its
