@@ -15,10 +15,10 @@ from pathlib import Path
 
 from .contact import adapted_metric, reeb_field, tight_form
 from .curlspec import eigenpairs, parse_window
-from .dynamics import (check_count, check_horizon, find_fixed_points,
-                       find_periodic_orbits, named_field, parse_section)
+from .dynamics import (check_horizon, find_fixed_points, find_periodic_orbits,
+                       named_field, parse_section)
 from .errors import DegenerateMetricError, EnsembleAmplitudeError
-from .fields import FourierField, MetricField, named_metric, sharp
+from .fields import FourierField, MetricField, check_count, named_metric, sharp
 from .instability import CertifyBudget, certify, certify_batch
 from .lab import SweepConfig, run_sweep
 
@@ -120,7 +120,7 @@ def _checked(convert, check, expected: str):
 
 
 def _at_least(minimum: int):
-    """An integer option >= minimum, checked by dynamics.check_count."""
+    """An integer option >= minimum, checked by fields.check_count."""
     return _checked(int, lambda n: check_count(n, "value", minimum),
                     f"an integer >= {minimum}")
 

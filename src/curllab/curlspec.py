@@ -662,13 +662,15 @@ def assemble(metric: MetricField, truncation: int) -> CurlOperator:
 
 def parse_window(window) -> tuple:
     """Validate a window spec: {"count": k} with an integer k >= 1, or
-    {"interval": [a, b]} with finite a <= b on one side of 0.
+    {"interval": [a, b]} with finite a <= b on one side of 0, not both.
 
     Returns ("count", k) or ("interval", a, b); raises ValueError on
     anything else. The CLI checks --window with this function too.
     """
     if not isinstance(window, dict):
         raise ValueError(f"unrecognized window spec {window!r}")
+    if "count" in window and "interval" in window:
+        raise ValueError(f"a window takes 'count' or 'interval', not both: {window!r}")
     if "count" in window:
         k = window["count"]
         if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
@@ -677,7 +679,11 @@ def parse_window(window) -> tuple:
             raise ValueError("count window must request at least one pair")
         return ("count", int(k))
     if "interval" in window:
-        a, b = (float(x) for x in window["interval"])
+        try:
+            a, b = (float(x) for x in window["interval"])
+        except (TypeError, ValueError):
+            raise ValueError("interval window needs two real bounds [a, b], "
+                             f"got {window['interval']!r}") from None
         if not (np.isfinite(a) and np.isfinite(b)):
             raise ValueError("interval window bounds must be finite")
         if a > b:

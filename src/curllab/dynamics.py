@@ -5,7 +5,7 @@ wrapped during integration, so winding numbers come for free) by
 solve_lanes: DOP853 over [0, T], T finite and > 0, each trajectory a lane
 with its own step size and numbers that its neighbours do not change.
 flow and variational_flow solve one lane; the recurrence scan solves the
-seeds of a whole batch of orbit searches at once, on one stacked kernel
+seeds of several jets at once, under one horizon, on one stacked kernel
 call per right-hand side (fields.JetStack). Recurrence analysis proceeds
 in two phases: a cheap close-return scan over seed trajectories, then
 Newton shooting on (point, period) with a phase condition, using the
@@ -32,7 +32,8 @@ import numpy as np
 
 from . import _dop853 as dop853
 from .errors import StiffnessError
-from .fields import TAU, CollocationGrid, FourierField, JetStack, _next_odd, as_jet
+from .fields import (TAU, CollocationGrid, FourierField, JetStack, _next_odd,
+                     as_jet, check_count)
 
 log = logging.getLogger(__name__)
 
@@ -222,13 +223,6 @@ def check_horizon(T, name: str) -> None:
     if (isinstance(T, bool) or not isinstance(T, numbers.Real)
             or not 0.0 < T < np.inf):
         raise ValueError(f"{name} must be a finite real > 0, got {T!r}")
-
-
-def check_count(n, name: str, minimum: int = 0) -> None:
-    """ValueError naming n unless it is an integer >= minimum (not a bool)."""
-    if (isinstance(n, bool) or not isinstance(n, numbers.Integral)
-            or n < minimum):
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {n!r}")
 
 
 def parse_section(spec) -> tuple[int, float]:
@@ -659,19 +653,6 @@ def _orbit_distance(record: PeriodicOrbitRecord, x: np.ndarray) -> float:
     return float(np.sqrt(max(val, 0.0)))
 
 
-@dataclass
-class OrbitSearch:
-    """The arguments of one find_periodic_orbits call, as one entry of a
-    find_periodic_orbits_batch."""
-
-    u: object
-    T_max: float = 30.0
-    section_spec: dict | None = None
-    n_seeds: int = 16
-    seed: int = 0
-    diagnostics: dict | None = None
-
-
 def find_periodic_orbits(
     u,
     T_max: float = 30.0,
@@ -691,72 +672,63 @@ def find_periodic_orbits(
     shooting on (point, period), reduced to primitive period,
     deduplicated by orbit distance, and classified by the return map on
     the section plane u0-perp (orthogonal to the flow direction u0 at the
-    orbit seed). A failed seed lane and shooting failures are recorded
+    orbit seed). A failed seed lane and shooting failures are counted
     in `diagnostics` (when given), never raised. Degenerate
     (multiplier-one) orbits are legitimate results: integrable fields
     produce whole families of them. T_max must be finite and > 0,
     n_seeds an integer >= 0 and a section's offset finite (ValueError).
     """
+    check_horizon(T_max, "T_max")
+    check_count(n_seeds, "n_seeds")
     (found,) = find_periodic_orbits_batch(
-        [OrbitSearch(u, T_max, section_spec, n_seeds, seed, diagnostics)])
+        [u], [_orbit_seeds(n_seeds, seed, section_spec)], T_max)
     if isinstance(found, Exception):
         raise found
-    return found
+    if diagnostics is not None:
+        diagnostics.update(found[1])
+    return found[0]
 
 
-def find_periodic_orbits_batch(searches) -> list:
-    """find_periodic_orbits for several OrbitSearch entries at once.
+def find_periodic_orbits_batch(jets, seeds, T_max: float) -> list:
+    """find_periodic_orbits for several jets (or fields) at once, jets[k]
+    scanned from the points seeds[k] (n_k, 3), every scan over [0, T_max].
 
-    Every argument is checked first (ValueError for the whole batch).
-    The recurrence scans of all searches with one T_max then run as the
-    lanes of one solve_lanes, on a JetStack of their jets, so the scan of
-    a batch costs one stacked kernel call per right-hand side. A lane's
-    numbers do not depend on the lanes beside it, so a search finds the
-    same orbits alone or in any batch. Each search then shoots its own
-    candidates. Entry k of the result is searches[k]'s records, or the
-    exception its scan or its shooting raised; the others still run.
+    The scans run as the lanes of one solve_lanes on a JetStack of the
+    jets, one stacked kernel call per right-hand side; an error of that
+    solve is raised. A lane's numbers do not depend on the lanes beside
+    it, so a jet finds the same orbits alone or in any batch. Each jet
+    then shoots its own candidates: entry k of the result is (records,
+    stats) for jets[k], stats its counts of "candidates", "unresolved"
+    and "duplicates", or the exception its shooting raised. T_max must
+    be finite and > 0 (ValueError).
     """
-    seeds = []
-    for search in searches:
-        check_horizon(search.T_max, "T_max")
-        check_count(search.n_seeds, "n_seeds")
-        seeds.append(_orbit_seeds(search))
-    stack = JetStack([as_jet(search.u) for search in searches])
-    found: list = [None] * len(searches)
-    for T_max in dict.fromkeys(search.T_max for search in searches):
-        members = [k for k, search in enumerate(searches) if search.T_max == T_max]
-        counts = [len(seeds[k]) for k in members]
-        owner = np.repeat(members, counts)
-        n_scan = max(int(T_max / 0.05), 64)
+    check_horizon(T_max, "T_max")
+    stack = JetStack([as_jet(u) for u in jets])
+    counts = [len(x_seeds) for x_seeds in seeds]
+    owner = np.repeat(np.arange(len(counts)), counts)
+    n_scan = max(int(T_max / 0.05), 64)
+    scans, failed = solve_lanes(
+        lambda lanes, y: stack.values(owner[lanes], y),
+        np.concatenate(seeds), T_max, n_scan,
+        rtol=SCAN_TOL, atol=SCAN_TOL * 1e-2)  # as in flow
+    ts = np.linspace(0.0, T_max, n_scan)
+    cuts = np.cumsum(counts)[:-1]
+    found: list = []
+    for jet, x_seeds, lanes, lost in zip(stack.jets, seeds, np.split(scans, cuts),
+                                         np.split(failed, cuts)):
         try:
-            scans, failed = solve_lanes(
-                lambda lanes, y: stack.values(owner[lanes], y),
-                np.concatenate([seeds[k] for k in members]), T_max, n_scan,
-                rtol=SCAN_TOL, atol=SCAN_TOL * 1e-2)  # as in flow
-        except Exception as err:  # reported per search, as the caller decides
-            for k in members:
-                found[k] = err
-            continue
-        ts = np.linspace(0.0, T_max, n_scan)
-        cuts = np.cumsum(counts)[:-1]
-        for k, lanes, lost in zip(members, np.split(scans, cuts),
-                                  np.split(failed, cuts)):
-            try:
-                found[k] = _shoot_candidates(stack.jets[k], seeds[k], ts, lanes,
-                                             lost, searches[k].diagnostics)
-            except Exception as err:
-                found[k] = err
+            found.append(_shoot_candidates(jet, x_seeds, ts, lanes, lost))
+        except Exception as err:  # reported per jet, as the caller decides
+            found.append(err)
     return found
 
 
-def _orbit_seeds(search: OrbitSearch) -> np.ndarray:
+def _orbit_seeds(n_seeds: int, seed: int, section_spec=None) -> np.ndarray:
     """The scan seeds (n_seeds, 3) of a search: a grid on its section
     plane, or uniform draws from its seed."""
-    n_seeds = search.n_seeds
-    if search.section_spec is None:
-        return np.random.default_rng(search.seed).uniform(0.0, TAU,
-                                                           size=(n_seeds, 3))
-    axis, offset = parse_section(search.section_spec)
+    if section_spec is None:
+        return np.random.default_rng(seed).uniform(0.0, TAU, size=(n_seeds, 3))
+    axis, offset = parse_section(section_spec)
     side = max(int(np.ceil(np.sqrt(n_seeds))), 1)
     coords = TAU * (np.arange(side) + 0.5) / side
     a, b = np.meshgrid(coords, coords, indexing="ij")
@@ -768,10 +740,9 @@ def _orbit_seeds(search: OrbitSearch) -> np.ndarray:
     return seeds[:n_seeds] if n_seeds < len(seeds) else seeds
 
 
-def _shoot_candidates(jet, seeds, ts, scans, failed,
-                      diagnostics) -> list[PeriodicOrbitRecord]:
-    """The orbits of one search from its scanned seed lanes: shoot each
-    close return, reduce, deduplicate and classify."""
+def _shoot_candidates(jet, seeds, ts, scans, failed):
+    """The orbits of one search from its scanned seed lanes, and its
+    stats: shoot each close return, reduce, deduplicate and classify."""
     stats = {"candidates": 0, "unresolved": 0, "duplicates": 0}
     records: list[PeriodicOrbitRecord] = []
     for x_seed, points, lost in zip(seeds, scans, failed):
@@ -836,9 +807,7 @@ def _shoot_candidates(jet, seeds, ts, scans, failed,
                 )
             )
     records.sort(key=lambda r: (round(r.period, 6), tuple(np.round(r.seed, 6))))
-    if diagnostics is not None:
-        diagnostics.update(stats)
-    return records
+    return records, stats
 
 
 # ---------------------------------------------------------------------------

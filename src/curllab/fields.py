@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -50,6 +51,19 @@ RANK_COMPONENTS = {"scalar": 1, "one_form": 3, "two_form": 3, "vector": 3,
 HERMITIAN_TOL = 1e-10
 # Draws random_metric makes before it gives up on an SPD sample.
 RANDOM_METRIC_RETRIES = 20
+
+
+def check_count(n, name: str, minimum: int = 0) -> None:
+    """ValueError naming n unless it is an integer >= minimum (not a bool)."""
+    if (isinstance(n, bool) or not isinstance(n, numbers.Integral)
+            or n < minimum):
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {n!r}")
+
+
+def check_real(x, name: str) -> None:
+    """ValueError naming x unless it is a finite real (not a bool)."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real) or not math.isfinite(x):
+        raise ValueError(f"{name} must be a finite real, got {x!r}")
 
 
 def mode_range(truncation: int) -> np.ndarray:
@@ -468,8 +482,10 @@ def flat_metric() -> MetricField:
 
 
 def conformal_metric(c: float) -> MetricField:
+    """c^2 times the flat metric; c must be a finite real > 0 (ValueError)."""
+    check_real(c, "conformal factor c")
     if c <= 0:
-        raise ValueError("conformal factor must be positive")
+        raise ValueError(f"conformal factor c must be > 0, got {c!r}")
     d = FourierField.constant("scalar", [c * c])
     zero = FourierField.zeros("scalar", 0)
     return MetricField([d, d, d, zero, zero, zero])
@@ -489,14 +505,21 @@ def random_metric(
     polynomial with independent coefficients damped by
     (1 + |m|)^(-smoothness - 2), a proxy for an amplitude-controlled
     C^smoothness neighborhood. Resamples, up to RANDOM_METRIC_RETRIES
-    draws in all, while a draw fails the SPD grid check.
+    draws in all, while a draw fails the SPD grid check. smoothness and
+    amplitude must be finite reals, seed an integer or a numpy Generator
+    and cutoff an integer >= 0; otherwise a ValueError names the parameter.
     """
+    check_real(smoothness, "smoothness")
+    check_real(amplitude, "amplitude")
+    check_count(cutoff, "cutoff")
     if base is None:
         base = flat_metric()
     if isinstance(seed, np.random.Generator):
         rng = seed
-    else:
+    elif isinstance(seed, numbers.Integral) and not isinstance(seed, bool):
         rng = np.random.Generator(np.random.Philox(key=int(seed) % 2**128))
+    else:
+        raise ValueError(f"seed must be an integer or a numpy Generator, got {seed!r}")
     mvals = mode_range(cutoff)
     mx, my, mz = np.meshgrid(mvals, mvals, mvals, indexing="ij")
     damp = (1.0 + np.sqrt(mx**2 + my**2 + mz**2)) ** (-smoothness - 2.0)

@@ -52,10 +52,11 @@ fields.JetStack, so a right-hand side evaluates every live lane in one
 stacked kernel call per truncation, one matrix-vector chain per lane.
 Nothing a lane computes mixes in another lane, so a packet's numbers do
 not depend on which packets share its solve. certify_batch uses that
-twice for the pairs of a sweep sample: the recurrence scans of the orbit
-stage run as the lanes of one solve, and so do the wave packets of every
-pair still undecided. Batching only removes per-call overhead, and a pair
-certifies the same alone.
+twice for the pairs of a sweep sample, under one T_max and one wkb_T:
+the recurrence scans of the orbit stage run as the lanes of one solve,
+and so do the wave packets of every pair still undecided. Batching only
+removes per-call overhead, and a pair certifies the same alone. A
+wave-packet certificate's witness is its best packet's WKBResult.
 """
 
 from __future__ import annotations
@@ -71,11 +72,10 @@ from .dynamics import (
     NEWTON_TOL,
     ORBIT_TOL,
     FixedPointRecord,
-    OrbitSearch,
     PeriodicOrbitRecord,
     _newton_shoot,
+    _orbit_seeds,
     _orthonormal_complement,
-    check_count,
     check_horizon,
     find_fixed_points,
     find_periodic_orbits,  # noqa: F401  patched by perfbench/tracing.py
@@ -83,7 +83,7 @@ from .dynamics import (
     newton_zero,
     solve_lanes,
 )
-from .fields import JetStack, MetricField, as_jet, default_grid, sharp
+from .fields import JetStack, MetricField, as_jet, check_count, default_grid, sharp
 
 
 def __getattr__(name: str):
@@ -103,8 +103,10 @@ LOG_GROWTH_SAMPLE_STEP = 1.0  # time between samples of the log-growth history
 
 @dataclass
 class WKBResult:
-    """Growth diagnostics of one wave-packet run."""
+    """Growth diagnostics of one wave-packet run; a certificate's witness."""
 
+    x0: np.ndarray           # the packet's start, as passed to wkb_exponent
+    xi0: np.ndarray          # its initial wavevector, as passed (not normalized)
     exponent: float          # (1/T) log |b(T)| / |b(0)|, max over amplitudes
     tail_slope: float        # fitted log-growth rate on the second half
     ts: np.ndarray           # sample times of the log-growth history
@@ -113,6 +115,16 @@ class WKBResult:
     # conserved q = xi . u, |xi(0)| = 1 (max |q - q0| when |q0| <= 1e-9)
     amplitude_orthogonality_drift: float
     frequency_transport_drift: float
+
+    def to_json_dict(self):
+        return {
+            "x0": [float(v) for v in self.x0],
+            "xi0": [float(v) for v in self.xi0],
+            "exponent": self.exponent,
+            "tail_slope": self.tail_slope,
+            "amplitude_orthogonality_drift": self.amplitude_orthogonality_drift,
+            "frequency_transport_drift": self.frequency_transport_drift,
+        }
 
 
 def _wkb_rhs(stack: JetStack, lane_jet):
@@ -159,19 +171,21 @@ def wkb_exponent(
     JetStack: each right-hand side is one stacked kernel call for all
     the FieldJets of one truncation (any other jet evaluates its own
     lanes), and the transport drift at the samples is one more call.
-    Returns one WKBResult per packet, in order: the largest (1/T)
-    log-growth ratio with the growth history, the fitted tail slope
-    (which discounts transient algebraic growth), and the conservation
-    drifts at the samples; None for a lane that failed. A packet's numbers are the same whichever
-    packets share its solve, so a single packet is a batch of one.
+    Returns one WKBResult per packet, in order: its x0 and xi0 as
+    passed, the largest (1/T) log-growth ratio with the growth history,
+    the fitted tail slope (which discounts transient algebraic growth),
+    and the conservation drifts at the samples; None for a lane that
+    failed. A packet's numbers are the same whichever packets share its
+    solve, so a single packet is a batch of one.
     """
     check_horizon(T, "T")  # before solve_lanes does: n_samples needs a finite T
-    jets, lane_jet, y0 = {}, [], []
+    jets, lane_jet, y0, starts = {}, [], [], []
     for u, x0, xi0 in packets:
         if id(u) not in jets:
             jets[id(u)] = (len(jets), as_jet(u))
         lane_jet.append(jets[id(u)][0])
-        xi0 = np.asarray(xi0, float)
+        x0, xi0 = np.asarray(x0, float), np.asarray(xi0, float)
+        starts.append((x0, xi0))
         if np.linalg.norm(xi0) == 0.0:
             raise ValueError("initial wavevector must be nonzero")
         bs = np.stack(_orthonormal_complement(xi0))
@@ -195,13 +209,13 @@ def wkb_exponent(
     results = [None] * len(order)
     for lane, k in enumerate(order):
         if not failed[lane]:
-            results[k] = _wkb_result(ts, ys[lane], values[lane])
+            results[k] = _wkb_result(*starts[k], ts, ys[lane], values[lane])
     return results
 
 
-def _wkb_result(ts, y, values) -> WKBResult:
-    """One lane's diagnostics from its samples y (len(ts), 15) and the
-    field values at its sample positions."""
+def _wkb_result(x0, xi0, ts, y, values) -> WKBResult:
+    """The diagnostics of the lane started at (x0, xi0) from its samples
+    y (len(ts), 15) and the field values at its sample positions."""
     T = ts[-1]
     xis, log_xi = y[:, 3:6], y[:, 6]
     bmat = y[:, 7:13].reshape(-1, 2, 3)
@@ -222,6 +236,8 @@ def _wkb_result(ts, y, values) -> WKBResult:
         float(np.polyfit(ts[tail], row[tail], 1)[0]) for row in log_growth
     ] if tail.sum() >= 2 else [exponent]
     return WKBResult(
+        x0=x0,
+        xi0=xi0,
         exponent=exponent,
         tail_slope=float(max(slopes)),
         ts=ts,
@@ -254,29 +270,6 @@ class CertifyBudget:
             check_horizon(getattr(self, name), name)
         for name in ("n_seeds", "orbit_seeds", "seed"):
             check_count(getattr(self, name), name)
-
-
-@dataclass
-class WKBWitness:
-    """The best wave packet of a WKB stage, with the conservation drifts
-    of its integration (WKBResult's) as the quality of its numbers."""
-
-    x0: np.ndarray
-    xi0: np.ndarray
-    exponent: float
-    tail_slope: float
-    amplitude_orthogonality_drift: float
-    frequency_transport_drift: float
-
-    def to_json_dict(self):
-        return {
-            "x0": [float(v) for v in self.x0],
-            "xi0": [float(v) for v in self.xi0],
-            "exponent": self.exponent,
-            "tail_slope": self.tail_slope,
-            "amplitude_orthogonality_drift": self.amplitude_orthogonality_drift,
-            "frequency_transport_drift": self.frequency_transport_drift,
-        }
 
 
 TOLERANCES = {
@@ -407,12 +400,13 @@ def _fixed_point_stage(metric: MetricField, pair: EigenPair,
     return _Undecided(jet, budget, issue, diagnostics)
 
 
-def _orbit_stage(pending: _Undecided, orbits, orbit_stats: dict):
-    """Stage 2 of one pair from the orbits its search found: a hyperbolic
+def _orbit_stage(pending: _Undecided, orbits, stats: dict):
+    """Stage 2 of one pair from its search's orbits and stats: a hyperbolic
     orbit certificate, or the pair with its wave-packet seeds drawn."""
     jet, budget = pending.jet, pending.budget
-    orbit_stats.update(
+    pending.diagnostics["stages"].append(
         {
+            **stats,
             "stage": "orbits",
             "resolved": len(orbits),
             "nondegenerate": sum(o.nondegenerate for o in orbits),
@@ -421,7 +415,6 @@ def _orbit_stage(pending: _Undecided, orbits, orbit_stats: dict):
             ),
         }
     )
-    pending.diagnostics["stages"].append(orbit_stats)
     for orbit in orbits:
         if not (orbit.nondegenerate and orbit.orbit_type.endswith("hyperbolic")):
             continue
@@ -442,21 +435,16 @@ def _orbit_stage(pending: _Undecided, orbits, orbit_stats: dict):
 
 def _wave_packet_verdict(stage: _Undecided,
                          results: list) -> InstabilityCertificate:
-    """Stage 3 of one pair from its packets' results, in seed order."""
-    best: WKBWitness | None = None
+    """Stage 3 of one pair from its packets' results, in seed order; the
+    witness is the first result with the largest tail slope."""
+    best: WKBResult | None = None
     failures = 0
-    for (x0, xi0), result in zip(stage.seeds, results):
+    for result in results:
         if result is None:
             failures += 1
             continue
         if best is None or result.tail_slope > best.tail_slope:
-            best = WKBWitness(
-                x0=x0, xi0=xi0,
-                exponent=result.exponent,
-                tail_slope=result.tail_slope,
-                amplitude_orthogonality_drift=result.amplitude_orthogonality_drift,
-                frequency_transport_drift=result.frequency_transport_drift,
-            )
+            best = result
     stage.diagnostics["stages"].append(
         {
             "stage": "wkb",
@@ -482,23 +470,25 @@ def certify_batch(metric: MetricField, pairs, budgets) -> list:
 
     Stage 1 (zeros; see certify) runs pair by pair. The orbit stage then
     scans the orbit_seeds trajectories of every pair still undecided as
-    the lanes of one find_periodic_orbits_batch (one solve per T_max),
-    each pair shooting its own close returns. The wave-packet stage then
+    the lanes of one find_periodic_orbits_batch over [0, T_max], each
+    pair shooting its own close returns. The wave-packet stage then
     integrates the n_seeds packets of every pair still undecided as the
-    lanes of one wkb_exponent call. Both solves evaluate all their lanes
-    in one stacked kernel call per right-hand side, each lane with its
-    own step control. The budgets must therefore agree on wkb_T, or the
-    batch is a ValueError before any stage runs. A lane's numbers do not
+    lanes of one wkb_exponent call over [0, wkb_T]; a pair's witness is
+    the WKBResult of its first packet with the largest tail slope. Both
+    solves evaluate all their lanes in one stacked kernel call per
+    right-hand side, each lane with its own step control. The budgets
+    must therefore agree on T_max and on wkb_T, or the batch is a
+    ValueError before any stage runs. A lane's numbers do not
     depend on which lanes share its solve, so a pair's certificate is the
     same alone or in any batch, and batching the pairs of a sample only
     removes per-call overhead. Entry k of the result is pairs[k]'s
     certificate, or the exception its stages raised (an error of a
     shared solve goes to every pair in it); the other pairs still certify.
     """
-    horizons = {budget.wkb_T for budget in budgets}
+    horizons = {(budget.T_max, budget.wkb_T) for budget in budgets}
     if len(horizons) > 1:
-        raise ValueError("the pairs of a batch share one wave-packet solve, "
-                         f"so their budgets need one wkb_T, got {sorted(horizons)}")
+        raise ValueError("the pairs of a batch share their solves, so their budgets "
+                         f"need one (T_max, wkb_T), got {sorted(horizons)}")
     outcomes: list = []
     for pair, budget in zip(pairs, budgets, strict=True):
         try:
@@ -507,21 +497,21 @@ def certify_batch(metric: MetricField, pairs, budgets) -> list:
             outcomes.append(err)
 
     waiting = _undecided(outcomes)
-    stats = [{} for _ in waiting]
+    if not waiting:
+        return outcomes
     try:
-        found = find_periodic_orbits_batch([
-            OrbitSearch(outcomes[k].jet, T_max=outcomes[k].budget.T_max,
-                        n_seeds=outcomes[k].budget.orbit_seeds,
-                        seed=outcomes[k].budget.seed, diagnostics=stat)
-            for k, stat in zip(waiting, stats)])
-    except ValueError as err:  # the batch checks every search's arguments
+        found = find_periodic_orbits_batch(
+            [outcomes[k].jet for k in waiting],
+            [_orbit_seeds(outcomes[k].budget.orbit_seeds, outcomes[k].budget.seed)
+             for k in waiting], budgets[0].T_max)
+    except Exception as err:  # the shared scan failed for every pair in it
         found = [err] * len(waiting)
-    for k, orbits, stat in zip(waiting, found, stats):
+    for k, orbits in zip(waiting, found):
         if isinstance(orbits, Exception):
             outcomes[k] = orbits
             continue
         try:
-            outcomes[k] = _orbit_stage(outcomes[k], orbits, stat)
+            outcomes[k] = _orbit_stage(outcomes[k], *orbits)
         except Exception as err:
             outcomes[k] = err
 

@@ -16,9 +16,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import math
 import multiprocessing
-import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from dataclasses import field as dataclass_field, fields as dataclass_fields
@@ -26,8 +24,8 @@ from dataclasses import field as dataclass_field, fields as dataclass_fields
 import numpy as np
 
 from .curlspec import assemble, eigenpairs, parse_window
-from .dynamics import check_count
-from .fields import MetricField, named_metric, parse_metric_name, random_metric
+from .fields import (MetricField, check_count, check_real, named_metric,
+                     parse_metric_name, random_metric)
 # certify is unused here; perfbench/tracing.py patches lab.certify
 from .instability import CertifyBudget, certify, certify_batch  # noqa: F401
 
@@ -50,7 +48,7 @@ class SweepConfig:
     contain. budget holds CertifyBudget effort fields; any other key
     (seed included: the sweep draws one per pair), or a value that
     CertifyBudget rejects, is a ValueError, as is a bad window, truncation,
-    sample count, cutoff, smoothness, amplitude or base metric name.
+    sample count, cutoff, seed, smoothness, amplitude or base metric name.
     """
 
     base_metric: str = "flat"
@@ -80,11 +78,9 @@ class SweepConfig:
         check_count(self.truncation, "truncation", minimum=1)
         check_count(self.samples, "samples", 0)
         check_count(self.cutoff, "cutoff", 0)
-        for name in ("smoothness", "amplitude"):
-            x = getattr(self, name)
-            if (isinstance(x, bool) or not isinstance(x, numbers.Real)
-                    or not math.isfinite(x)):
-                raise ValueError(f"{name} must be a finite real, got {x!r}")
+        check_count(self.seed, "seed")
+        check_real(self.smoothness, "smoothness")
+        check_real(self.amplitude, "amplitude")
         kind, _ = parse_metric_name(self.base_metric)
         if kind == "random_cr":
             # only a draw decides whether a random base is SPD

@@ -237,6 +237,11 @@ class TestEigenpairs:
         ({"count": 2.7}, "integer"),
         ({"count": "3"}, "integer"),
         ({"count": True}, "integer"),  # a bool is not a count of one pair
+        # these raised TypeError, or used the count and ignored the interval
+        ({"interval": 5}, "two real bounds"),
+        ({"interval": None}, "two real bounds"),
+        ({"interval": [0.5]}, "two real bounds"),
+        ({"count": 3, "interval": [0.5, 1.0]}, "not both"),
     ])
     def test_malformed_window_rejected_at_parse_time(self, window, message):
         # a non-finite bound would otherwise reach LAPACK, and int() would

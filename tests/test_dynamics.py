@@ -17,12 +17,14 @@ from curllab.dynamics import (
     NEWTON_TOL,
     SCAN_TOL,
     Trajectory,
+    _orbit_seeds,
     _orthonormal_complement,
     _project_return_map,
     abc_field,
     cz_index_from_path,
     find_fixed_points,
     find_periodic_orbits,
+    find_periodic_orbits_batch,
     flow,
     named_field,
     newton_zero,
@@ -191,6 +193,23 @@ class TestOneIntegrator:
         for x0, lane in zip(seeds, samples):
             alone = flow(jet, x0, T, tol=SCAN_TOL, n_samples=n_scan)
             np.testing.assert_array_equal(alone.points, lane)
+
+    def test_each_jet_finds_its_orbits_alone_and_among_lanes(self):
+        # three jets share one scan solve; each entry's records and stats
+        # are those of the jet's own batch of one, bit for bit
+        jets = [FieldJet(abc_field(1.0, 0.7, 0.3)), FieldJet(shear_field(1)),
+                FieldJet(abc_field(1.0, 1.0, 1.0))]
+        seeds = [_orbit_seeds(4, 1), _orbit_seeds(4, 0, {"axis": "z"}),
+                 _orbit_seeds(2, 1)]
+
+        def as_json(entry):
+            records, stats = entry
+            return [r.to_json_dict(include_trajectory=True) for r in records], stats
+
+        batch = find_periodic_orbits_batch(jets, seeds, 10.0)
+        for jet, x_seeds, entry in zip(jets, seeds, batch):
+            (alone,) = find_periodic_orbits_batch([jet], [x_seeds], 10.0)
+            assert entry[0] and as_json(entry) == as_json(alone)
 
     def test_one_lane_solve_per_scan(self, monkeypatch):
         # the scan's seeds share one solve; shooting, primitive-period

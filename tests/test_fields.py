@@ -343,6 +343,34 @@ class TestMetricConstructors:
         with pytest.raises(ValueError, match=name):
             named_metric(spec)
 
+    # the library constructors named none of these: nan and inf raised
+    # numpy's LinAlgError from the SPD check, a fractional seed was
+    # truncated and a negative cutoff failed the coefficient-shape check
+    @pytest.mark.parametrize("build, name", [
+        (lambda: conformal_metric(float("nan")), "conformal factor c"),
+        (lambda: conformal_metric(float("inf")), "conformal factor c"),
+        (lambda: conformal_metric(-1.0), "conformal factor c"),
+        (lambda: random_metric(float("nan"), 1e-2, 1), "smoothness"),
+        (lambda: random_metric(2.0, float("nan"), 1), "amplitude"),
+        (lambda: random_metric(2.0, 1e-2, 1.5), "seed"),
+        (lambda: random_metric(2.0, 1e-2, "1"), "seed"),
+        (lambda: random_metric(2.0, 1e-2, 1, cutoff=-1), "cutoff"),
+    ], ids=["conformal-nan", "conformal-inf", "conformal-negative",
+            "smoothness-nan", "amplitude-nan", "seed-fraction", "seed-text",
+            "cutoff-negative"])
+    def test_bad_constructor_parameter_is_named(self, build, name):
+        with pytest.raises(ValueError, match=name):
+            build()
+
+    def test_random_metric_takes_integer_or_generator_seeds(self):
+        def philox(key):
+            return np.random.Generator(np.random.Philox(key=key))
+
+        a, b, c = (random_metric(2.0, 1e-2, seed, cutoff=1)
+                   for seed in (7, np.int64(7), philox(7)))
+        np.testing.assert_array_equal(a.block.coeffs, b.block.coeffs)
+        np.testing.assert_array_equal(a.block.coeffs, c.block.coeffs)
+
     def test_random_metric_close_to_flat(self):
         g = random_metric(2.0, 1e-2, 99)
         grid = CollocationGrid.for_truncation(g.truncation)

@@ -540,6 +540,38 @@ class TestCertify:
                                  wkb_T=T) for T in (10.0, 20.0)]
         with pytest.raises(ValueError, match="wkb_T"):
             certify_batch(flat, [pair, pair], budgets)
+        # the orbit scans share one solve too, so one T_max
+        budgets = [CertifyBudget(T_max=T, orbit_seeds=1, n_seeds=2,
+                                 wkb_T=10.0) for T in (4.0, 6.0)]
+        with pytest.raises(ValueError, match="T_max"):
+            certify_batch(flat, [pair, pair], budgets)
+
+    def test_wkb_witness_is_the_best_packet_result(self, flat, monkeypatch):
+        # the certificate's witness is the packet's own WKBResult: the first
+        # best tail slope, started from the drawn (x0, xi0) bit for bit
+        from conftest import shear_one_form
+
+        runs = []
+
+        def spying(packets, **kwargs):
+            runs.append(wkb_exponent(packets, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(instability, "wkb_exponent", spying)
+        budget = CertifyBudget(T_max=4.0, orbit_seeds=1, n_seeds=3,
+                               wkb_T=10.0, seed=4)
+        cert = certify(flat, make_pair(flat, shear_one_form(1), 1.0), budget)
+        assert cert.mechanism == "positive_wkb_exponent"
+        (results,) = runs
+        slopes = [r.tail_slope for r in results]
+        best = results[slopes.index(max(slopes))]
+        assert cert.witness is best
+        assert cert.to_json_dict()["witness"] == best.to_json_dict()
+        rng = np.random.default_rng(budget.seed)
+        for result in results:
+            x0, xi0 = rng.uniform(0.0, 2 * np.pi, 3), rng.standard_normal(3)
+            np.testing.assert_array_equal(result.x0, x0)
+            np.testing.assert_array_equal(result.xi0, xi0 / np.linalg.norm(xi0))
 
     def test_pair_alone_equals_pair_in_batch(self, flat):
         from conftest import shear_one_form

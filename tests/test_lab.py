@@ -320,6 +320,11 @@ class TestConfigProblem:
         ({"base_metric": "conformal(inf)"}, "conformal factor c"),
         ({"base_metric": "random_cr(2, nan, 1)"}, "random_cr eps"),
         ({"base_metric": "random_cr(nan, 0.01, 1)"}, "random_cr r"),
+        # the config seed was hashed unchecked
+        ({"seed": -1}, "seed"),
+        ({"seed": 1.5}, "seed"),
+        ({"seed": "a"}, "seed"),
+        ({"seed": True}, "seed"),
     ])
     def test_bad_ensemble_rejected_where_built(self, ensemble, message):
         with pytest.raises(ValueError, match=message):
