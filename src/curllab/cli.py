@@ -60,22 +60,29 @@ def _metric(spec: str) -> MetricField:
         ) from None
 
 
-def _load_field(spec: str, metric: MetricField) -> FourierField:
-    """Vector field from a file or a named analytic family.
-
-    A 1-form file is interpreted as an eigenform and converted to its
-    metric-dual vector field u = sharp(metric, form), the field certify
-    starts from. The CLI flows u in the input field's time; certificates
-    report times in the unit-mean-speed time of u rescaled.
-    """
-    if Path(spec).exists():
-        field = FourierField.load(spec)
-        if field.rank == "one_form":
-            return sharp(metric, field)
-        if field.rank == "vector":
+def _field(spec: str) -> FourierField:
+    """--field as a vector or 1-form file, or a name that
+    dynamics.named_field reads."""
+    try:
+        if Path(spec).exists():
+            field = FourierField.load(spec)
+            if field.rank not in ("one_form", "vector"):
+                raise ValueError(f"cannot flow a field of rank {field.rank}")
             return field
-        raise ValueError(f"cannot flow a field of rank {field.rank}")
-    return named_field(spec)
+        return named_field(spec)
+    except (OSError, KeyError, ValueError) as err:
+        raise argparse.ArgumentTypeError(
+            f"expected a vector or 1-form file, abc:A,B,C or xi:k, got "
+            f"{spec!r} ({err})"
+        ) from None
+
+
+def _flow_field(field: FourierField, metric: MetricField) -> FourierField:
+    """The vector field u the CLI flows: a 1-form is read as an eigenform
+    and flowed as its dual u = sharp(metric, form), the field certify
+    starts from. The CLI flows u in the input field's time; certificates
+    report times in the unit-mean-speed time of u rescaled."""
+    return sharp(metric, field) if field.rank == "one_form" else field
 
 
 def _window(text: str) -> dict:
@@ -174,14 +181,14 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_fixed_points(args) -> int:
-    u = _load_field(args.field, args.metric)
+    u = _flow_field(args.field, args.metric)
     records = find_fixed_points(u, grid_density=args.grid_density)
     _dump_lines([r.to_json_dict() for r in records], args.out)
     return 0
 
 
 def cmd_orbits(args) -> int:
-    u = _load_field(args.field, args.metric)
+    u = _flow_field(args.field, args.metric)
     records = find_periodic_orbits(
         u, T_max=args.t_max, section_spec=args.section, n_seeds=args.seeds,
         seed=args.seed,
@@ -285,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("fixed-points", help="locate and classify zeros")
-    p.add_argument("--field", required=True,
+    p.add_argument("--field", type=_field, required=True,
                    help="field file, abc:A,B,C, or xi:k")
     p.add_argument("--metric", type=_metric, default="flat")
     p.add_argument("--grid-density", type=int, default=24)
@@ -293,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fixed_points)
 
     p = sub.add_parser("orbits", help="hunt periodic orbits")
-    p.add_argument("--field", required=True)
+    p.add_argument("--field", type=_field, required=True)
     p.add_argument("--metric", type=_metric, default="flat")
     p.add_argument("--t-max", type=_horizon, default=30.0)
     p.add_argument("--seeds", type=_at_least(0), default=16)

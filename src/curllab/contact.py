@@ -36,7 +36,6 @@ from .fields import (
     FieldJet,
     FourierField,
     MetricField,
-    MetricJet,
     _next_odd,
     as_jet,
     exterior_d,
@@ -362,8 +361,9 @@ def adapted_metric(form) -> AdaptedMetricResult:
         )
 
     n_out = min(grid.max_truncation, 2 * n_a)
-    metric = MetricField(FourierField("scalar", grid.analyze(g[None, ..., i, j], n_out))
-                         for i, j in METRIC_COMPONENTS)
+    rows, cols = zip(*METRIC_COMPONENTS)
+    metric = MetricField(FourierField(
+        "metric", grid.analyze(np.moveaxis(g[..., rows, cols], -1, 0), n_out)))
 
     curl_alpha = hodge(metric, exterior_d(alpha), grid).truncate_to(n_a)
     lam = l2_inner(metric, curl_alpha, alpha, grid) / l2_inner(
@@ -432,11 +432,12 @@ def reeb_rescaled(u, metric: MetricField):
 
     The flow of X reparametrizes the flowlines of u; for a curl
     eigenfield dual to alpha it is the Reeb flow of alpha, whose
-    linearization preserves the kernel planes. Only the tests flow it, as
-    the reference for invariance under that rescaling.
+    linearization preserves the kernel planes. u's jet and
+    metric.value_and_gradient give u, g and their first derivatives at a
+    point, one kernel call each. Only the tests flow it, as the reference
+    for invariance under that rescaling.
     """
     jet = as_jet(u)
-    mjet = MetricJet(metric)
 
     class _Rescaled:
         truncation = jet.truncation
@@ -446,13 +447,13 @@ def reeb_rescaled(u, metric: MetricField):
             if np.ndim(x) == 2:
                 return np.array([_Rescaled.value(p) for p in x])
             v = jet.value(x)
-            g, _ = mjet.value_and_gradient(x)
+            g, _ = metric.value_and_gradient(x)
             return v / (v @ g @ v)
 
         @staticmethod
         def value_and_jacobian(x):
             v, Dv = jet.value_and_jacobian(x)
-            g, dg = mjet.value_and_gradient(x)
+            g, dg = metric.value_and_gradient(x)
             s = v @ g @ v
             grad_s = np.array([v @ dg[b] @ v for b in range(3)])
             grad_s += 2.0 * Dv.T @ (g @ v)

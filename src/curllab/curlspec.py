@@ -81,6 +81,7 @@ from __future__ import annotations
 
 import inspect
 import itertools
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -662,15 +663,17 @@ def assemble(metric: MetricField, truncation: int) -> CurlOperator:
 
 def parse_window(window) -> tuple:
     """Validate a window spec: {"count": k} with an integer k >= 1, or
-    {"interval": [a, b]} with finite a <= b on one side of 0, not both.
+    {"interval": [a, b]} with finite reals a <= b on one side of 0, and
+    no other key.
 
     Returns ("count", k) or ("interval", a, b); raises ValueError on
     anything else. The CLI checks --window with this function too.
     """
     if not isinstance(window, dict):
         raise ValueError(f"unrecognized window spec {window!r}")
-    if "count" in window and "interval" in window:
-        raise ValueError(f"a window takes 'count' or 'interval', not both: {window!r}")
+    if len(window) != 1 or not set(window) <= {"count", "interval"}:
+        raise ValueError(f"a window takes one key, 'count' or 'interval', "
+                         f"not both and no other: {window!r}")
     if "count" in window:
         k = window["count"]
         if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
@@ -678,20 +681,22 @@ def parse_window(window) -> tuple:
         if k < 1:
             raise ValueError("count window must request at least one pair")
         return ("count", int(k))
-    if "interval" in window:
-        try:
-            a, b = (float(x) for x in window["interval"])
-        except (TypeError, ValueError):
-            raise ValueError("interval window needs two real bounds [a, b], "
-                             f"got {window['interval']!r}") from None
-        if not (np.isfinite(a) and np.isfinite(b)):
-            raise ValueError("interval window bounds must be finite")
-        if a > b:
-            raise ValueError("empty interval window")
-        if a <= 0.0 <= b:
-            raise ValueError("window must exclude the kernel at 0")
-        return ("interval", a, b)
-    raise ValueError("window dict needs 'count' or 'interval'")
+    try:
+        a, b = window["interval"]
+    except (TypeError, ValueError):
+        a = b = None
+    if not all(isinstance(x, numbers.Real) and not isinstance(x, bool)
+               for x in (a, b)):
+        raise ValueError("interval window needs two real bounds [a, b], "
+                         f"got {window['interval']!r}")
+    a, b = float(a), float(b)
+    if not (np.isfinite(a) and np.isfinite(b)):
+        raise ValueError("interval window bounds must be finite")
+    if a > b:
+        raise ValueError("empty interval window")
+    if a <= 0.0 <= b:
+        raise ValueError("window must exclude the kernel at 0")
+    return ("interval", a, b)
 
 
 def _spectrum_order(vals: np.ndarray, tol: float) -> np.ndarray:

@@ -33,7 +33,7 @@ import numpy as np
 from . import _dop853 as dop853
 from .errors import StiffnessError
 from .fields import (TAU, CollocationGrid, FourierField, JetStack, _next_odd,
-                     as_jet, check_count)
+                     as_jet, check_count, check_real)
 
 log = logging.getLogger(__name__)
 
@@ -100,15 +100,21 @@ def shear_field(k: int = 1) -> FourierField:
 
 
 def named_field(spec: str) -> FourierField:
-    """Parse "abc:A,B,C" or "xi:k" into a vector field."""
+    """Parse "abc:A,B,C" (finite amplitudes) or "xi:k" (an integer k != 0)
+    into a vector field; anything else is a ValueError."""
     spec = spec.strip()
     if spec.startswith("abc:"):
         parts = [float(p) for p in spec[4:].split(",")]
         if len(parts) != 3:
             raise ValueError("abc field needs three amplitudes")
+        for name, amplitude in zip("ABC", parts):
+            check_real(amplitude, f"abc amplitude {name}")
         return abc_field(*parts)
     if spec.startswith("xi:"):
-        return shear_field(int(spec[3:]))
+        k = int(spec[3:])
+        if k == 0:
+            raise ValueError("xi:k needs an integer k != 0, got xi:0")
+        return shear_field(k)
     raise ValueError(f"unknown field name {spec!r}")
 
 
@@ -123,20 +129,6 @@ class Trajectory:
 
     ts: np.ndarray
     points: np.ndarray  # (n, 3), unwrapped
-
-    @property
-    def positions(self) -> np.ndarray:
-        """Samples reduced to the fundamental domain."""
-        return np.mod(self.points, TAU)
-
-    @property
-    def displacement(self) -> np.ndarray:
-        return self.points[-1] - self.points[0]
-
-    @property
-    def winding(self) -> np.ndarray:
-        """Integer lattice part of the net displacement."""
-        return np.round(self.displacement / TAU).astype(int)
 
     @property
     def final(self) -> np.ndarray:

@@ -31,7 +31,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -172,7 +172,7 @@ class FourierField:
         coeffs.setflags(write=False)
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "_half", None)  # eval's block, built on use
+        object.__setattr__(self, "_half", None)  # half_block, built on use
 
     def __setattr__(self, name, value):  # immutability
         raise AttributeError("FourierField is immutable")
@@ -282,15 +282,18 @@ class FourierField:
         any other rank its components in the coordinate frame, (ncomp,)
         or (P, ncomp).
         """
-        out = _block_sum(self.half_block(), x)
+        block = self.half_block()
+        out = _block_sum(block[:len(block) // 4], x)
         if self.rank != "scalar":
             return out
         return float(out[0]) if out.ndim == 1 else out[:, 0]
 
     def half_block(self) -> np.ndarray:
-        """The _half_block of the coefficients, built on first use."""
+        """The field's one evaluation block, built on first use: the
+        _half_block rows of its values, then of its x, y and z partial
+        derivatives, each a quarter of the rows."""
         if self._half is None:
-            object.__setattr__(self, "_half", _half_block(self.coeffs))
+            object.__setattr__(self, "_half", _value_and_gradient_block(self.coeffs))
         return self._half
 
     def sample(self, grid: CollocationGrid) -> np.ndarray:
@@ -316,7 +319,7 @@ class FourierField:
     def from_json_dict(cls, data: Mapping) -> "FourierField":
         """Inverse of `to_json_dict`. An unknown rank raises
         UnsupportedRankError, an entry outside the coefficient array
-        (component or |m_i| > N) ValueError."""
+        (component or |m_i| > N) or a non-finite entry ValueError."""
         rank = data["rank"]
         if rank not in RANK_COMPONENTS:
             raise UnsupportedRankError(f"unknown rank {rank!r}")
@@ -329,6 +332,9 @@ class FourierField:
             if not 0 <= comp < ncomp or max(abs(m1), abs(m2), abs(m3)) > n:
                 raise ValueError(f"entry m = {(m1, m2, m3)}, component {comp} "
                                  f"lies outside a {rank} field of N = {n}")
+            if not (math.isfinite(re) and math.isfinite(im)):
+                raise ValueError(f"entry m = {(m1, m2, m3)}, component {comp} "
+                                 f"is not finite: {re!r} + {im!r} i")
             coeffs[comp, m1 + n, m2 + n, m3 + n] = re + 1j * im
         return cls(rank, coeffs)
 
@@ -379,33 +385,24 @@ class MetricSamples:
 
 
 class MetricField:
-    """Riemannian metric on T^3, held as one coefficient block.
+    """Riemannian metric on T^3, built from one coefficient block.
 
-    The block is a "metric" FourierField whose six components are the
-    symmetric tensor's entries in METRIC_COMPONENTS order; it is also the
-    metric's file format. Immutable; pointwise samples (g, its inverse,
+    The block is a rank "metric" FourierField whose six components are
+    the symmetric tensor's entries in METRIC_COMPONENTS order; it is also
+    the metric's file format, and its half_block evaluates g and its
+    first derivatives pointwise. Immutable; grid samples (g, its inverse,
     the volume density) are cached per collocation grid on first use and
     validated to be symmetric positive definite.
     """
 
-    def __init__(self, components: Iterable[FourierField]):
-        comps = tuple(components)
-        if len(comps) != 6 or any(c.rank != "scalar" for c in comps):
-            raise ValueError(
-                "metric needs six scalar fields ordered g11,g22,g33,g23,g13,g12"
-            )
-        n = max(c.truncation for c in comps)
-        self.block = FourierField(
-            "metric", np.concatenate([c.pad_to(n).coeffs for c in comps]),
-            _validated=True)
+    def __init__(self, block: FourierField):
+        if not isinstance(block, FourierField) or block.rank != "metric":
+            raise ValueError(f"a metric is built from one rank 'metric' "
+                             f"FourierField, got {block!r}")
+        self.block = block
         self._cache: dict[int, MetricSamples] = {}
         # validate SPD on the default grid right away
-        self.samples(CollocationGrid.for_truncation(n))
-
-    @property
-    def components(self) -> tuple:
-        return tuple(FourierField("scalar", c[None], _validated=True)
-                     for c in self.block.coeffs)
+        self.samples(CollocationGrid.for_truncation(block.truncation))
 
     @property
     def truncation(self) -> int:
@@ -453,14 +450,19 @@ class MetricField:
         """Metric tensor at a point, shape (3, 3)."""
         return _symmetric(self.block.eval(x))
 
+    def value_and_gradient(self, x):
+        """g (3, 3) and dg (3, 3, 3), dg[b] = d_b g, at a point x (3,),
+        from one kernel call on the block's 24 components."""
+        sym = _symmetric(_block_sum(self.block.half_block(), x).reshape(4, 6))
+        return sym[0], sym[1:]
+
     # -- serialization ------------------------------------------------
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "MetricField":
         if data.get("rank") != "metric":
             raise ValueError("not a metric file")
-        block = FourierField.from_json_dict(data).coeffs
-        return cls(FourierField("scalar", c[None], _validated=True) for c in block)
+        return cls(FourierField.from_json_dict(data))
 
     def save(self, path) -> None:
         self.block.save(path)
@@ -476,9 +478,7 @@ class MetricField:
 
 
 def flat_metric() -> MetricField:
-    one = FourierField.constant("scalar", [1.0])
-    zero = FourierField.zeros("scalar", 0)
-    return MetricField([one, one, one, zero, zero, zero])
+    return MetricField(FourierField.constant("metric", [1, 1, 1, 0, 0, 0]))
 
 
 def conformal_metric(c: float) -> MetricField:
@@ -486,9 +486,8 @@ def conformal_metric(c: float) -> MetricField:
     check_real(c, "conformal factor c")
     if c <= 0:
         raise ValueError(f"conformal factor c must be > 0, got {c!r}")
-    d = FourierField.constant("scalar", [c * c])
-    zero = FourierField.zeros("scalar", 0)
-    return MetricField([d, d, d, zero, zero, zero])
+    d = c * c
+    return MetricField(FourierField.constant("metric", [d, d, d, 0, 0, 0]))
 
 
 def random_metric(
@@ -524,16 +523,12 @@ def random_metric(
     mx, my, mz = np.meshgrid(mvals, mvals, mvals, indexing="ij")
     damp = (1.0 + np.sqrt(mx**2 + my**2 + mz**2)) ** (-smoothness - 2.0)
     for _ in range(RANDOM_METRIC_RETRIES):
-        comps = []
-        for _c in range(6):
-            re = rng.standard_normal(damp.shape)
-            im = rng.standard_normal(damp.shape)
-            c = (re + 1j * im) * damp
-            c = 0.5 * (c + c[::-1, ::-1, ::-1].conj())  # make the field real
-            comps.append(FourierField("scalar", c[None, ...]))
+        h = np.stack([(rng.standard_normal(damp.shape)  # re, then im
+                       + 1j * rng.standard_normal(damp.shape)) * damp
+                      for _ in range(6)])
+        h = 0.5 * (h + _hermitian_pair(h))  # make the field real
         try:
-            return MetricField(bc + amplitude * hc
-                               for bc, hc in zip(base.components, comps))
+            return MetricField(base.block + amplitude * FourierField("metric", h))
         except DegenerateMetricError:
             continue
     raise EnsembleAmplitudeError(
@@ -787,8 +782,11 @@ def contact_defect(form: FourierField, grid: CollocationGrid | None = None) -> f
 
 # ---------------------------------------------------------------------------
 # Fast point evaluation for flowline integration: FourierField.eval,
-# FieldJet, MetricJet and JetStack all run the one kernel _point_sum on
-# half blocks built once. A real field's coefficients are Hermitian,
+# MetricField.value_and_gradient, FieldJet and JetStack all run the one
+# kernel _point_sum on the field's one evaluation block, its half_block,
+# built once: the half block of the values, then of the x, y and z partial
+# derivatives. A value-only call sums the block's leading quarter, the
+# same rows bit for bit. A real field's coefficients are Hermitian,
 # c(-m) = conj c(m), so the m_x < 0 half of the sum is the conjugate of
 # the m_x > 0 half: a block keeps the m_x >= 0 slices of the stacked
 # coefficients (..., L, L, L), L = 2N + 1, reshaped to (-1, L), with the
@@ -858,18 +856,18 @@ def _value_and_gradient_block(c: np.ndarray) -> np.ndarray:
 class FieldJet:
     """Value and Jacobian of a 3-component field at arbitrary points.
 
-    The field and its partial derivatives are one half block of 12
-    components, so a point costs about 12 (N + 1) L^2 complex
-    multiply-adds (14k at N = 6) in one kernel call, and P points or a
-    JetStack of several jets cost one call too. Used as the right-hand
-    side of all orbit and stability integrators.
+    It sums the field's own half_block, the field and its partial
+    derivatives as 12 components, so a point costs about 12 (N + 1) L^2
+    complex multiply-adds (14k at N = 6) in one kernel call, and P points
+    or a JetStack of several jets cost one call too. Used as the
+    right-hand side of all orbit and stability integrators.
     """
 
     def __init__(self, field: FourierField):
         if field.ncomp != 3:
             raise UnsupportedRankError("jet evaluation needs a 3-component field")
         self.field = field
-        self._block = _value_and_gradient_block(field.coeffs)
+        self._block = field.half_block()
 
     @property
     def truncation(self):
@@ -903,10 +901,11 @@ def as_jet(field_or_jet) -> FieldJet:
 class JetStack:
     """Several jets evaluated together, row r of the points on jets[owner[r]].
 
-    The FieldJets of one truncation are the layers of one stacked
-    _point_sum per evaluation: each live layer's rows are padded to the
-    largest row count of the call, so a call costs one kernel per
-    truncation however many lanes are live. Any other jet (a test system,
+    The FieldJets of one truncation are the layers of one stacked half
+    block (values sums only its value rows) and of one _point_sum per
+    evaluation: each live layer's rows are padded to the largest row
+    count of the call, so a call costs one kernel per truncation however
+    many lanes are live. Any other jet (a test system,
     a rescaled field) evaluates its own rows with its value or
     values_and_jacobians. owner is an integer array, nondecreasing. Each
     row is bit-identical to its jet's one-point call, so a row does not
@@ -926,7 +925,7 @@ class JetStack:
                 self._members.append([])
             self._group[j], self._slot[j] = g, len(self._members[g])
             self._members[g].append(jet)
-        self._blocks: dict = {}  # (group, with Jacobians) -> (J, R, L), on use
+        self._blocks: dict = {}  # group -> stacked half blocks (J, R, L), on use
         self._plans: dict = {}   # owner bytes -> _plan(owner)
 
     def values(self, owner, points) -> np.ndarray:
@@ -938,12 +937,12 @@ class JetStack:
         return _split_jet(self._rows(owner, points, True))
 
     def _stacked(self, g: int, jacobians: bool) -> np.ndarray:
-        blocks = self._blocks.get((g, jacobians))
+        """Group g's stacked half blocks, or their value rows alone."""
+        blocks = self._blocks.get(g)
         if blocks is None:
-            blocks = np.stack([jet._block if jacobians else jet.field.half_block()
-                               for jet in self._members[g]])
-            self._blocks[g, jacobians] = blocks
-        return blocks
+            blocks = self._blocks[g] = np.stack(
+                [jet._block for jet in self._members[g]])
+        return blocks if jacobians else blocks[:, :blocks.shape[1] // 4]
 
     def _plan(self, owner: np.ndarray) -> list:
         """(group, its rows, layout) per group that owner names. A layout
@@ -997,18 +996,3 @@ class JetStack:
                 out[rows] = _point_sum(blocks, padded)[where]
         return out
 
-
-class MetricJet:
-    """Metric tensor and its first derivatives at arbitrary points.
-
-    The six stored components and their partial derivatives form one
-    half block of 24 components, evaluated by a single kernel call.
-    """
-
-    def __init__(self, metric: MetricField):
-        self._block = _value_and_gradient_block(metric.block.coeffs)
-
-    def value_and_gradient(self, x):
-        """Returns g (3,3) and dg (3,3,3) with dg[b] = d_b g."""
-        sym = _symmetric(_block_sum(self._block, x).reshape(4, 6))
-        return sym[0], sym[1:]

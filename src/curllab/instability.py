@@ -252,12 +252,13 @@ def _wkb_result(x0, xi0, ts, y, values) -> WKBResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class CertifyBudget:
     """Search effort of one certification run: horizons, seed counts and
     the seed of its random draws. The tolerances are fixed (TOLERANCES).
     The horizons must be finite reals > 0 and the counts and the seed
-    integers >= 0 (not booleans); anything else is a ValueError."""
+    integers >= 0 (not booleans); anything else is a ValueError. Frozen,
+    so a checked budget stays checked; dataclasses.replace checks again."""
 
     T_max: float = 50.0         # orbit-search horizon
     n_seeds: int = 64           # wave-packet sample trajectories

@@ -63,7 +63,7 @@ def pairing_matrix(op) -> np.ndarray:
 
 
 def _metric_from_block(coeffs: np.ndarray) -> MetricField:
-    return MetricField(FourierField("scalar", c[None]) for c in coeffs)
+    return MetricField(FourierField("metric", coeffs))
 
 
 def translated_metric(metric: MetricField, shift) -> MetricField:

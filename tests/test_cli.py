@@ -116,6 +116,27 @@ class TestDynamicsCommands:
         assert "--section" in err
         assert "Traceback" not in err
 
+    # a non-finite amplitude exited 0 with empty output and xi:0 with a
+    # traceback; a scalar file or a non-finite entry failed after parsing
+    @pytest.mark.parametrize("command", ["orbits", "fixed-points"])
+    @pytest.mark.parametrize("field", [
+        "abc:1,nan,1", "abc:1,1", "xi:0", "xi:1.5", "scalar.json", "nan.json",
+    ])
+    def test_bad_field_is_a_usage_error(self, command, field, tmp_path,
+                                        monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        FourierField.constant("scalar", [1.0]).save("scalar.json")
+        doc = FourierField.constant("vector", [1.0, 0.0, 0.0]).to_json_dict()
+        doc["coeffs"][0][4] = float("nan")
+        (tmp_path / "nan.json").write_text(json.dumps(doc))
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--field", field])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert "--field" in err
+        assert "Traceback" not in err
+
     def test_section_axis_names(self):
         from curllab.cli import _section
 
@@ -140,7 +161,7 @@ class TestDynamicsCommands:
     def test_eigenform_file_flows_certifys_field(self, tmp_path, bumpy):
         # an eigenform of a non-constant metric flows as sharp(metric, form),
         # the field certify starts from, at the grid's full bandwidth
-        from curllab.cli import _load_field
+        from curllab.cli import _field, _flow_field
         from curllab.curlspec import eigenpairs
         from curllab.fields import sharp
 
@@ -149,7 +170,7 @@ class TestDynamicsCommands:
         bumpy.save(metric_path)
         form.save(form_path)
         metric = MetricField.load(metric_path)
-        u = _load_field(str(form_path), metric)
+        u = _flow_field(_field(str(form_path)), metric)
         expect = sharp(bumpy, FourierField.load(form_path))
         assert u.truncation == expect.truncation == 6
         np.testing.assert_array_equal(u.coeffs, expect.coeffs)

@@ -242,6 +242,12 @@ class TestEigenpairs:
         ({"interval": None}, "two real bounds"),
         ({"interval": [0.5]}, "two real bounds"),
         ({"count": 3, "interval": [0.5, 1.0]}, "not both"),
+        # these were accepted, and a sweep config hashed them apart from
+        # the window [0.9, 1.1] they solve
+        ({"interval": ["0.9", "1.1"]}, "two real bounds"),
+        ({"interval": [True, 1.1]}, "two real bounds"),
+        ({"interval": [0.9, 1.1], "band": 3}, "no other"),
+        ({"count": 3, "band": 3}, "no other"),
     ])
     def test_malformed_window_rejected_at_parse_time(self, window, message):
         # a non-finite bound would otherwise reach LAPACK, and int() would
@@ -463,7 +469,7 @@ def constant_anisotropic_metric():
     """A constant metric that is not a multiple of the identity: its
     eigenvalues come in exact pairs (u and i u on one mode)."""
     entries = [1.3, 0.9, 1.1, 0.05, 0.1, 0.2]  # g11, g22, g33, g23, g13, g12
-    return MetricField([FourierField.constant("scalar", [g]) for g in entries])
+    return MetricField(FourierField.constant("metric", entries))
 
 
 LANCZOS_METRICS = {

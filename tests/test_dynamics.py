@@ -101,8 +101,8 @@ class TestFlow:
     def test_winding_counters(self):
         u = FourierField.constant("vector", [1.0, 0.0, 0.0])
         traj = flow(u, (0.0, 0.0, 0.0), 3 * 2 * np.pi, tol=1e-11)
-        assert tuple(traj.winding) == (3, 0, 0)
-        assert np.all(traj.positions >= 0) and np.all(traj.positions < 2 * np.pi)
+        winding = np.round((traj.final - traj.points[0]) / (2 * np.pi))
+        assert tuple(winding) == (3, 0, 0)
 
     def test_integrable_field_conserves_height(self):
         tol = 1e-10
@@ -615,3 +615,14 @@ class TestNamedFields:
     def test_unknown_rejected(self):
         with pytest.raises(ValueError):
             named_field("bogus:1")
+
+    # a non-finite amplitude flowed to nothing, and xi:0 failed the
+    # Hermitian check of its coefficients
+    @pytest.mark.parametrize("spec, match", [
+        ("abc:1,nan,1", "amplitude B"),
+        ("abc:inf,1,1", "amplitude A"),
+        ("xi:0", "k != 0"),
+    ])
+    def test_bad_parameters_rejected(self, spec, match):
+        with pytest.raises(ValueError, match=match):
+            named_field(spec)

@@ -14,7 +14,6 @@ from curllab.fields import (
     FourierField,
     JetStack,
     MetricField,
-    MetricJet,
     codifferential,
     conformal_metric,
     contact_defect,
@@ -42,9 +41,7 @@ from conftest import (
 
 
 def diag_metric(d1, d2, d3):
-    comps = [FourierField.constant("scalar", [v]) for v in (d1, d2, d3)]
-    zero = FourierField.zeros("scalar", 0)
-    return MetricField(comps + [zero, zero, zero])
+    return MetricField(FourierField.constant("metric", [d1, d2, d3, 0, 0, 0]))
 
 
 class TestEvaluation:
@@ -158,13 +155,11 @@ class TestHodge:
 
     def test_degenerate_metric_reports_point(self):
         # 1 + 2 cos(x) dips negative near x = pi
-        comp = FourierField.constant("scalar", [1.0]) + cos_mode(
-            "scalar", 1, (1, 0, 0), 0, 2.0
+        block = FourierField.constant("metric", [1, 1, 1, 0, 0, 0]) + cos_mode(
+            "metric", 1, (1, 0, 0), 0, 2.0
         )
-        one = FourierField.constant("scalar", [1.0])
-        zero = FourierField.zeros("scalar", 0)
         with pytest.raises(DegenerateMetricError) as err:
-            MetricField([comp, one, one, zero, zero, zero])
+            MetricField(block)
         assert len(err.value.point) == 3
         assert err.value.min_eigenvalue < 0
 
@@ -326,8 +321,7 @@ class TestMetricConstructors:
     def test_named_random_deterministic(self):
         g1 = named_metric("random_cr(2, 0.01, 7)")
         g2 = named_metric("random_cr(2, 0.01, 7)")
-        for a, b in zip(g1.components, g2.components):
-            np.testing.assert_array_equal(a.coeffs, b.coeffs)
+        np.testing.assert_array_equal(g1.block.coeffs, g2.block.coeffs)
 
     # each used to warn, then raise numpy's LinAlgError from the SPD check
     @pytest.mark.parametrize("spec, name", [
@@ -409,6 +403,9 @@ class TestSerialization:
         ({"coeffs": [[0, 0, 2, 0, 1.0, 0.0]]}, ValueError, "outside"),
         ({"coeffs": [[0, -2, 0, 0, 1.0, 0.0]]}, ValueError, "outside"),
         ({"rank": "three_form"}, UnsupportedRankError, "unknown rank"),
+        # a non-finite entry used to load unchecked
+        ({"coeffs": [[0, 0, 1, 0, float("nan"), 0.0]]}, ValueError, "not finite"),
+        ({"coeffs": [[0, 0, 1, 0, 1.0, float("inf")]]}, ValueError, "not finite"),
     ])
     def test_malformed_file_entries_are_refused(self, fields, error, match):
         # a negative index would otherwise wrap silently into the last
@@ -422,8 +419,8 @@ class TestSerialization:
         path = tmp_path / "metric.json"
         bumpy.save(path)
         loaded = MetricField.load(path)
-        for a, b in zip(loaded.components, bumpy.components):
-            np.testing.assert_allclose(a.coeffs, b.coeffs, atol=1e-15)
+        np.testing.assert_allclose(loaded.block.coeffs, bumpy.block.coeffs,
+                                   atol=1e-15)
 
 
 class TestFieldJet:
@@ -470,7 +467,7 @@ def perturbed_flat_metric(truncation, seed):
     c = hermitian_coeffs(6, truncation, seed)
     c *= 0.2 / np.abs(c).sum(axis=(1, 2, 3)).max()
     c[:3, truncation, truncation, truncation] += 1.0
-    return MetricField(FourierField("scalar", c[i:i + 1]) for i in range(6))
+    return MetricField(FourierField("metric", c))
 
 
 truncations = st.integers(0, 6)
@@ -509,12 +506,11 @@ class TestPointKernel:
     @given(truncation=truncations, seed=seeds, x=cover_points)
     def test_metric_matches_reference(self, truncation, seed, x):
         metric = perturbed_flat_metric(truncation, seed)
-        g, dg = MetricJet(metric).value_and_gradient(x)
+        g, dg = metric.value_and_gradient(x)
         g_eval = metric.eval(x)
         m = np.arange(-truncation, truncation + 1)
         grids = np.meshgrid(m, m, m, indexing="ij")
-        for comp, (i, j) in zip(metric.components, METRIC_COMPONENTS):
-            c = comp.coeffs[0]
+        for c, (i, j) in zip(metric.block.coeffs, METRIC_COMPONENTS):
             stacked = np.stack([c] + [1j * mb * c for mb in grids])
             expect = einsum_point_sum(stacked, x)
             tol = summation_tol(stacked)
@@ -531,7 +527,7 @@ class TestPointKernel:
             val, jac = FieldJet(form).value_and_jacobian(x)
             np.testing.assert_array_equal(val, [1.0, -2.0, 0.5])
             np.testing.assert_array_equal(jac, np.zeros((3, 3)))
-            g, dg = MetricJet(flat_metric()).value_and_gradient(x)
+            g, dg = flat_metric().value_and_gradient(x)
             np.testing.assert_array_equal(g, np.eye(3))
             np.testing.assert_array_equal(dg, np.zeros((3, 3, 3)))
             np.testing.assert_array_equal(flat_metric().eval(x), np.eye(3))
@@ -668,20 +664,62 @@ class TestStackedKernel:
         np.testing.assert_array_equal(sub_jacs, jacs[sub])
 
 
-class TestMetricJet:
+class TestOneBlock:
+    """A field has one evaluation block, its half_block: the value rows,
+    then the x, y and z derivative rows. A metric is built from its one
+    coefficient block."""
+
+    def test_value_rows_are_the_value_block(self):
+        field = FourierField("vector", hermitian_coeffs(3, 3, 4))
+        block = field.half_block()
+        assert field.half_block() is block
+        np.testing.assert_array_equal(block[:len(block) // 4],
+                                      _half_block(field.coeffs))
+        assert FieldJet(field)._block is block
+
+    def test_metric_is_built_from_its_block(self, bumpy):
+        metric = MetricField(bumpy.block)
+        assert metric.block is bumpy.block
+        x = (0.4, -2.0, 7.5)
+        np.testing.assert_array_equal(metric.eval(x), bumpy.eval(x))
+        g, dg = metric.value_and_gradient(x)
+        np.testing.assert_array_equal(g, bumpy.eval(x))
+        assert dg.shape == (3, 3, 3)
+
+    @pytest.mark.parametrize("block", [
+        FourierField.constant("vector", [1.0, 1.0, 1.0]),
+        FourierField.constant("scalar", [1.0]),
+        [FourierField.constant("scalar", [1.0])] * 6,  # the old six fields
+    ])
+    def test_block_of_another_rank_is_refused(self, block):
+        with pytest.raises(ValueError, match="rank 'metric'"):
+            MetricField(block)
+
+    def test_stack_values_match_field_values(self, rng):
+        jets = vector_jets(3, 2, 21) + vector_jets(2, 3, 23)
+        stack = JetStack(jets)
+        owner = np.array([0, 1, 1, 2, 3, 3, 3, 4])
+        points = rng.uniform(-1e3, 1e3, (owner.size, 3))
+        values = stack.values(owner, points)
+        for r, (j, x) in enumerate(zip(owner, points)):
+            np.testing.assert_array_equal(values[r], jets[j].value(x))
+        # one stacked block per truncation serves values and Jacobians
+        stack.values_and_jacobians(owner, points)
+        assert sorted(stack._blocks) == [0, 1]
+
+
+class TestMetricValueAndGradient:
     POINTS = [(0.1, 0.2, 0.3), (2.0, 5.5, 4.1), (-7.0, 13.0, 0.9)]
 
     def test_matches_metric_eval(self, bumpy):
-        jet = MetricJet(bumpy)
         for x in self.POINTS:
-            g, _ = jet.value_and_gradient(x)
+            g, _ = bumpy.value_and_gradient(x)
             np.testing.assert_allclose(g, bumpy.eval(x), rtol=0, atol=1e-14)
 
     def test_gradient_matches_finite_differences(self, bumpy):
-        jet = MetricJet(bumpy)
         h = 1e-6
         for x in self.POINTS:
-            _, dg = jet.value_and_gradient(x)
+            _, dg = bumpy.value_and_gradient(x)
             for b in range(3):
                 dx = np.zeros(3)
                 dx[b] = h
@@ -689,7 +727,7 @@ class TestMetricJet:
                 np.testing.assert_allclose(dg[b], fd, rtol=0, atol=1e-8)
 
     def test_symmetric(self, bumpy):
-        g, dg = MetricJet(bumpy).value_and_gradient((1.3, 0.4, 2.2))
+        g, dg = bumpy.value_and_gradient((1.3, 0.4, 2.2))
         np.testing.assert_array_equal(g, g.T)
         for b in range(3):
             np.testing.assert_array_equal(dg[b], dg[b].T)

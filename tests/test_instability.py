@@ -1,5 +1,7 @@
 """Wave-packet growth exponents and the certification pipeline."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -370,6 +372,15 @@ class TestCertifyBudget:
         budget = CertifyBudget(T_max=6, n_seeds=0, orbit_seeds=np.int64(2),
                                wkb_T=np.float64(20.0), seed=2**40)
         assert budget.T_max == 6 and budget.n_seeds == 0
+
+    def test_checked_budget_stays_checked(self):
+        # an assignment after construction used to skip every check
+        budget = CertifyBudget()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            budget.T_max = -1.0
+        with pytest.raises(ValueError, match="T_max"):
+            dataclasses.replace(budget, T_max=-1.0)
+        assert dataclasses.replace(budget, seed=3).seed == 3
 
 
 class TestCertify:

@@ -37,8 +37,7 @@ class TestSampleMetric:
         cfg = SweepConfig()
         g1 = sample_metric(cfg, 7)
         g2 = sample_metric(cfg, 7)
-        for a, b in zip(g1.components, g2.components):
-            np.testing.assert_array_equal(a.coeffs, b.coeffs)
+        np.testing.assert_array_equal(g1.block.coeffs, g2.block.coeffs)
 
     def test_spd_margin(self):
         g = sample_metric(SweepConfig(amplitude=1e-2, smoothness=2.0), 3)
@@ -293,6 +292,9 @@ class TestConfigProblem:
         ({"window": {"band": [0.9, 1.1]}}, "count"),
         ({"truncation": 0}, "truncation"),
         ({"truncation": 2.0}, "truncation"),
+        # accepted before, and hashed apart from the window [0.9, 1.1]
+        ({"window": {"interval": ["0.9", "1.1"]}}, "real bounds"),
+        ({"window": {"interval": [0.9, 1.1], "band": 3}}, "count"),
     ])
     def test_unsolvable_problem_rejected_where_built(self, problem, message,
                                                      monkeypatch):
