@@ -82,8 +82,11 @@ def torus_distance(a, b) -> float:
 def abc_field(A: float = 1.0, B: float = 1.0, C: float = 1.0) -> FourierField:
     """Three-term trigonometric Beltrami field, a flat curl eigenfield.
 
-    u = (A sin z + C cos y, B sin x + A cos z, C sin y + B cos x).
+    u = (A sin z + C cos y, B sin x + A cos z, C sin y + B cos x). Each
+    amplitude must be a finite real; otherwise a ValueError names it.
     """
+    for name, amplitude in zip("ABC", (A, B, C)):
+        check_real(amplitude, f"abc amplitude {name}")
     entries = {
         (0, 0, 1, 0): -0.5j * A, (0, 1, 0, 0): 0.5 * C,
         (1, 0, 0, 1): -0.5j * B, (0, 0, 1, 1): 0.5 * A,
@@ -93,7 +96,10 @@ def abc_field(A: float = 1.0, B: float = 1.0, C: float = 1.0) -> FourierField:
 
 
 def shear_field(k: int = 1) -> FourierField:
-    """(sin kz, cos kz, 0): the Reeb field of the k-th tight form."""
+    """(sin kz, cos kz, 0): the Reeb field of the k-th tight form. k must
+    be an integer != 0 (not a bool); otherwise a ValueError names it."""
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k == 0:
+        raise ValueError(f"shear field needs an integer k != 0, got {k!r}")
     k = int(k)
     entries = {(0, 0, k, 0): -0.5j, (0, 0, k, 1): 0.5}
     return FourierField.from_modes("vector", abs(k), entries)
@@ -107,14 +113,9 @@ def named_field(spec: str) -> FourierField:
         parts = [float(p) for p in spec[4:].split(",")]
         if len(parts) != 3:
             raise ValueError("abc field needs three amplitudes")
-        for name, amplitude in zip("ABC", parts):
-            check_real(amplitude, f"abc amplitude {name}")
         return abc_field(*parts)
     if spec.startswith("xi:"):
-        k = int(spec[3:])
-        if k == 0:
-            raise ValueError("xi:k needs an integer k != 0, got xi:0")
-        return shear_field(k)
+        return shear_field(int(spec[3:]))
     raise ValueError(f"unknown field name {spec!r}")
 
 

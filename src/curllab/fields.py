@@ -27,6 +27,7 @@ caller that wants fewer modes calls truncate_to.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -282,18 +283,17 @@ class FourierField:
         any other rank its components in the coordinate frame, (ncomp,)
         or (P, ncomp).
         """
-        block = self.half_block()
-        out = _block_sum(block[:len(block) // 4], x)
+        out = _block_sum(self.half_block(), x, False)
         if self.rank != "scalar":
             return out
         return float(out[0]) if out.ndim == 1 else out[:, 0]
 
     def half_block(self) -> np.ndarray:
-        """The field's one evaluation block, built on first use: the
-        _half_block rows of its values, then of its x, y and z partial
-        derivatives, each a quarter of the rows."""
+        """The field's one evaluation block, the _half_block of its
+        coefficients, built on first use; values and derivatives alike
+        are summed from it."""
         if self._half is None:
-            object.__setattr__(self, "_half", _value_and_gradient_block(self.coeffs))
+            object.__setattr__(self, "_half", _half_block(self.coeffs))
         return self._half
 
     def sample(self, grid: CollocationGrid) -> np.ndarray:
@@ -452,8 +452,8 @@ class MetricField:
 
     def value_and_gradient(self, x):
         """g (3, 3) and dg (3, 3, 3), dg[b] = d_b g, at a point x (3,),
-        from one kernel call on the block's 24 components."""
-        sym = _symmetric(_block_sum(self.block.half_block(), x).reshape(4, 6))
+        from one Jacobian kernel call on the block's 6 components."""
+        sym = _symmetric(_block_sum(self.block.half_block(), x, True).reshape(4, 6))
         return sym[0], sym[1:]
 
     # -- serialization ------------------------------------------------
@@ -783,28 +783,27 @@ def contact_defect(form: FourierField, grid: CollocationGrid | None = None) -> f
 # ---------------------------------------------------------------------------
 # Fast point evaluation for flowline integration: FourierField.eval,
 # MetricField.value_and_gradient, FieldJet and JetStack all run the one
-# kernel _point_sum on the field's one evaluation block, its half_block,
-# built once: the half block of the values, then of the x, y and z partial
-# derivatives. A value-only call sums the block's leading quarter, the
-# same rows bit for bit. A real field's coefficients are Hermitian,
-# c(-m) = conj c(m), so the m_x < 0 half of the sum is the conjugate of
-# the m_x > 0 half: a block keeps the m_x >= 0 slices of the stacked
-# coefficients (..., L, L, L), L = 2N + 1, reshaped to (-1, L), with the
-# m_x > 0 slices doubled, and the real part of its sum is the field.
-# _point_sum takes J such blocks of one shape stacked as (J, R, L) and K
-# points per block, (J, K, 3). It contracts z, then y, then x, each as one
-# stacked np.matmul, for which numpy issues one matrix-vector product
-# (zgemv) per (block, point): the BLAS call a lone point makes. So every
-# (j, k) row is bit-identical to block j's one-point call, whatever else
-# shares the stack. A point costs D (N + 1)(L^2 + L + 1) complex
-# multiply-adds for D stacked components, about half of the full block's
-# D (L^3 + L^2 + L), plus 3 L exponentials; the Python overhead is paid
-# once per call, however many blocks and points it holds.
+# kernel _point_sum on a field's one evaluation block, its half_block. A
+# real field's coefficients are Hermitian, c(-m) = conj c(m), so the m_x < 0
+# half of the sum is the conjugate of the m_x > 0 half: a block keeps the
+# m_x >= 0 slices of the coefficients (D, L, L, L), L = 2N + 1, with the
+# m_x > 0 slices doubled, stored m_z first as (L, R), R = D (N + 1) L, and
+# the real part of its sum is the field. A derivative d_b takes axis b's
+# phase vector i m e^{i m x_b} in place of e^{i m x_b}. The z, y and x steps
+# are each one stacked np.matmul, for which numpy issues one zgemv per
+# (block, point, product): the BLAS calls of a lone point. So every row is
+# bit-identical to its one-point call, and a Jacobian call's value rows to
+# a value-only call's. A value costs D (N + 1)(L^2 + L + 1) complex
+# multiply-adds; a Jacobian call contracts each step's products with both
+# phase vectors of the next axis and keeps four, D (N + 1)(2 L^2 + 4 L + 8):
+# 8.4k for a vector field at N = 6, 4% of it on second derivatives so that
+# no step copies.
 # ---------------------------------------------------------------------------
 
 
 def _half_block(coeffs: np.ndarray) -> np.ndarray:
-    """The m_x >= 0 half of coeffs (..., L, L, L) as a (-1, L) block.
+    """The m_x >= 0 half of coeffs (..., L, L, L) as an (L, R) block, the
+    m_z axis first and the rest in C order.
 
     It is taken from the Hermitian part (c(m) + conj c(-m)) / 2, which
     construction only checks to HERMITIAN_TOL, so the real part of its
@@ -816,51 +815,64 @@ def _half_block(coeffs: np.ndarray) -> np.ndarray:
     weights = np.full(n + 1, 1.0)
     weights[0] = 0.5
     half = (coeffs[..., n:, :, :] + _hermitian_pair(coeffs)[..., n:, :, :])
-    return (half * weights[:, None, None]).reshape(-1, L)
+    return np.ascontiguousarray((half * weights[:, None, None]).reshape(-1, L).T)
 
 
-def _point_sum(blocks: np.ndarray, points) -> np.ndarray:
-    """Re sum_m c[j, r, m] e^{i m.x[j, k]} for stacked half blocks.
+# value, d_x, d_y, d_z: x-step products of (z, y, x) phases 000, 001, 010, 100
+_JET_ROWS = np.array([0, 1, 2, 4])
 
-    blocks is (J, R, L), J _half_blocks of one shape, and points (J, K, 3)
-    holds K points per block, anywhere in the universal cover. Returns the
-    (J, K, D) sums, D = R / ((N + 1) L) components in C order, C-contiguous.
-    Row (j, k) does not depend on the other blocks or points of the call.
-    """
-    J, R, L = blocks.shape
+
+@functools.cache
+def _derivative_factors(L: int) -> np.ndarray:
+    """i m for m = -N..N, L = 2N + 1: d/dx e^{i m x} = i m e^{i m x}."""
+    im = 1j * np.arange(-(L // 2), L // 2 + 1)
+    im.flags.writeable = False
+    return im
+
+
+def _point_sum(blocks: np.ndarray, points, jacobians: bool) -> np.ndarray:
+    """Re sum_m c[j, m] e^{i m.x[j, k]} over J stacked _half_blocks (J, L, R)
+    at K points each (J, K, 3), anywhere in the universal cover: the (J, K, D)
+    sums, D = R / ((N + 1) L) components in C order, or with jacobians
+    (J, K, 4 D), the values then the x, y and z derivatives; C-contiguous.
+    Row (j, k) does not depend on the rest of the call."""
+    J, L, R = blocks.shape
     n = (L - 1) // 2
+    D = R // (L * (n + 1))
+    im = _derivative_factors(L)
     points = np.asarray(points, dtype=float)
     K = points.shape[1]
-    p = np.exp(1j * np.multiply.outer(points, np.arange(-n, n + 1)))[..., None]
-    s = blocks[:, None] @ p[:, :, 2]
-    s = s.reshape(J, K, R // L, L) @ p[:, :, 1]
-    s = s.reshape(J, K, R // (L * (n + 1)), n + 1) @ p[:, :, 0, n:]
-    return np.ascontiguousarray(s[..., 0].real)
+    P = 2 if jacobians else 1  # phase vectors per axis: e^{i m x}, i m e^{i m x}
+    p = np.empty((J, K, P, 3, L), np.complex128)
+    np.exp(np.multiply.outer(points, im), out=p[:, :, 0])
+    if jacobians:
+        np.multiply(p[:, :, 0], im, out=p[:, :, 1])
+    s = p[:, :, :, 2, None, :] @ blocks[:, None, None]
+    s = s.reshape(J, K, P, 1, R // L, L) @ p[:, :, None, :, 1, :, None]
+    s = s.reshape(J, K, P * P, 1, D, n + 1) @ p[:, :, None, :, 0, n:, None]
+    s = s.reshape(J, K, P ** 3, D).real
+    if jacobians:
+        s = np.take(s, _JET_ROWS, axis=2)
+    return np.ascontiguousarray(s).reshape(J, K, s.shape[2] * D)
 
 
-def _block_sum(block: np.ndarray, x) -> np.ndarray:
-    """_point_sum of one (R, L) block at a point (3,), shape (D,), or at
-    the rows of x (P, 3), shape (P, D)."""
+def _block_sum(block: np.ndarray, x, jacobians: bool) -> np.ndarray:
+    """_point_sum of one (L, R) block at a point (3,), shape (D,) or
+    (4 D,), or at the rows of x (P, 3), shape (P, D) or (P, 4 D)."""
     x = np.asarray(x, dtype=float)
-    out = _point_sum(block[None], x.reshape(1, -1, 3))[0]
+    out = _point_sum(block[None], x.reshape(1, -1, 3), jacobians)[0]
     return out[0] if x.ndim == 1 else out
-
-
-def _value_and_gradient_block(c: np.ndarray) -> np.ndarray:
-    """c and its x, y and z partial derivatives, stacked as one half block."""
-    L = c.shape[-1]
-    mx, my, mz = _mode_grids((L - 1) // 2)
-    return _half_block(np.stack([c, 1j * mx * c, 1j * my * c, 1j * mz * c]))
 
 
 class FieldJet:
     """Value and Jacobian of a 3-component field at arbitrary points.
 
-    It sums the field's own half_block, the field and its partial
-    derivatives as 12 components, so a point costs about 12 (N + 1) L^2
-    complex multiply-adds (14k at N = 6) in one kernel call, and P points
-    or a JetStack of several jets cost one call too. Used as the
-    right-hand side of all orbit and stability integrators.
+    It sums the field's own half_block, the values' block, with the
+    derivative phase vectors of _point_sum, so a point costs
+    3 (N + 1)(2 L^2 + 4 L + 8) complex multiply-adds (8.4k at N = 6) in
+    one kernel call, and P points or a JetStack of several jets cost one
+    call too. Used as the right-hand side of all orbit and stability
+    integrators.
     """
 
     def __init__(self, field: FourierField):
@@ -877,13 +889,13 @@ class FieldJet:
         return self.field.eval(x)
 
     def value_and_jacobian(self, x):
-        out = _block_sum(self._block, x).reshape(4, 3)
+        out = _block_sum(self._block, x, True).reshape(4, 3)
         return out[0], out[1:].T.copy()  # jac[a, b] = d_b u_a
 
     def values_and_jacobians(self, points):
         """value_and_jacobian at each row of points (P, 3): values (P, 3)
         and Jacobians (P, 3, 3), each row bit-identical to a one-point call."""
-        return _split_jet(_block_sum(self._block, points))
+        return _split_jet(_block_sum(self._block, points, True))
 
 
 def _split_jet(rows: np.ndarray):
@@ -902,12 +914,11 @@ class JetStack:
     """Several jets evaluated together, row r of the points on jets[owner[r]].
 
     The FieldJets of one truncation are the layers of one stacked half
-    block (values sums only its value rows) and of one _point_sum per
-    evaluation: each live layer's rows are padded to the largest row
-    count of the call, so a call costs one kernel per truncation however
-    many lanes are live. Any other jet (a test system,
-    a rescaled field) evaluates its own rows with its value or
-    values_and_jacobians. owner is an integer array, nondecreasing. Each
+    block and of one _point_sum per evaluation: each live layer's rows
+    are padded to the largest row count of the call, so a call costs one
+    kernel per truncation however many lanes are live. Any other jet (a
+    test system, a rescaled field) evaluates its own rows with its value
+    or values_and_jacobians. owner is an integer array, nondecreasing. Each
     row is bit-identical to its jet's one-point call, so a row does not
     depend on the rows beside it.
     """
@@ -936,13 +947,11 @@ class JetStack:
         """Values (P, 3) and Jacobians (P, 3, 3), as FieldJet's."""
         return _split_jet(self._rows(owner, points, True))
 
-    def _stacked(self, g: int, jacobians: bool) -> np.ndarray:
-        """Group g's stacked half blocks, or their value rows alone."""
-        blocks = self._blocks.get(g)
-        if blocks is None:
-            blocks = self._blocks[g] = np.stack(
-                [jet._block for jet in self._members[g]])
-        return blocks if jacobians else blocks[:, :blocks.shape[1] // 4]
+    def _stacked(self, g: int) -> np.ndarray:
+        """Group g's stacked half blocks (J, L, R)."""
+        if g not in self._blocks:
+            self._blocks[g] = np.stack([jet._block for jet in self._members[g]])
+        return self._blocks[g]
 
     def _plan(self, owner: np.ndarray) -> list:
         """(group, its rows, layout) per group that owner names. A layout
@@ -986,13 +995,14 @@ class JetStack:
                     out[rows] = jet.value(points[rows])
                 continue
             lo, hi, K, where = layout
-            blocks = self._stacked(g, jacobians)[lo:hi]
+            blocks = self._stacked(g)[lo:hi]
             if where is None:
-                sums = _point_sum(blocks, points[rows].reshape(hi - lo, K, 3))
+                sums = _point_sum(blocks, points[rows].reshape(hi - lo, K, 3),
+                                  jacobians)
                 out[rows] = sums.reshape(-1, width)
             else:
                 padded = np.zeros((hi - lo, K, 3))
                 padded[where] = points[rows]
-                out[rows] = _point_sum(blocks, padded)[where]
+                out[rows] = _point_sum(blocks, padded, jacobians)[where]
         return out
 

@@ -309,9 +309,11 @@ def run_sweep(config: SweepConfig, *, n_threads: int = 1):
 
     With more than one worker, pin BLAS to one thread per process
     (OPENBLAS_NUM_THREADS=1 before numpy is imported): each worker has
-    its own BLAS thread pool, the jet kernel's matrix-vector products
-    are large enough to start it, and workers times BLAS threads
-    oversubscribe the cores. n_threads must be an integer >= 1; anything
+    its own BLAS thread pool, and workers times BLAS threads
+    oversubscribe the cores. The jet kernel starts it on every call from
+    truncation 3 on (jets at N = 7, a 5400-element value block), not at
+    truncation 2 (3549 elements; OpenBLAS 0.3.31 threads a zgemv from
+    4096). n_threads must be an integer >= 1; anything
     else is a ValueError, raised before any sample runs.
     """
     check_count(n_threads, "n_threads", minimum=1)

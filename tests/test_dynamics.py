@@ -626,3 +626,24 @@ class TestNamedFields:
     def test_bad_parameters_rejected(self, spec, match):
         with pytest.raises(ValueError, match=match):
             named_field(spec)
+
+    # the constructors check their own parameters: abc_field(1, nan, 1)
+    # evaluated to NaN, shear_field(0) failed the Hermitian check of its
+    # coefficients and shear_field(1.5) and shear_field(True) built k = 1
+    @pytest.mark.parametrize("build, args, match", [
+        (abc_field, (1.0, float("nan"), 1.0), "amplitude B"),
+        (abc_field, (1.0, 1.0, float("inf")), "amplitude C"),
+        (abc_field, (True, 1.0, 1.0), "amplitude A"),
+        (shear_field, (0,), "k != 0"),
+        (shear_field, (1.5,), "k != 0"),
+        (shear_field, (True,), "k != 0"),
+    ])
+    def test_constructors_check_their_parameters(self, build, args, match):
+        with pytest.raises(ValueError, match=match):
+            build(*args)
+
+    def test_constructors_take_numpy_scalars(self):
+        np.testing.assert_array_equal(shear_field(np.int64(-2)).coeffs,
+                                      shear_field(-2).coeffs)
+        np.testing.assert_array_equal(abc_field(np.float64(0.5)).coeffs,
+                                      abc_field(0.5).coeffs)

@@ -575,7 +575,7 @@ class TestHalfKernel:
         c = hermitian_coeffs(12, truncation, seed)
         full = full_point_sum(c, x)
         scale = np.abs(c).sum(axis=(1, 2, 3))
-        got = _block_sum(_half_block(c), x)
+        got = _block_sum(_half_block(c), x, False)
         assert np.all(np.abs(got - full.real) <= 1e-15 * scale)
         assert np.all(np.abs(full.imag) <= 1e-15 * scale)
 
@@ -589,7 +589,7 @@ class TestHalfKernel:
         noise = rng.standard_normal((3, L, L, L)) + 1j * rng.standard_normal((3, L, L, L))
         c = hermitian_coeffs(3, truncation, seed) + 1e-11 * noise
         scale = np.abs(c).sum(axis=(1, 2, 3))
-        got = _block_sum(_half_block(c), x)
+        got = _block_sum(_half_block(c), x, False)
         assert np.all(np.abs(got - full_point_sum(c, x).real) <= 1e-15 * scale)
 
     def test_points_of_a_batch_are_independent(self, rng):
@@ -631,14 +631,38 @@ class TestStackedKernel:
                                         max_size=size))
             points = np.reshape(coords, shape)
         jets = vector_jets(n_jets, truncation, seed)
-        out = _point_sum(np.stack([jet._block for jet in jets]), points)
+        blocks = np.stack([jet._block for jet in jets])
+        out = _point_sum(blocks, points, True)
+        values = _point_sum(blocks, points, False)
         assert out.shape == (n_jets, n_points, 12)
+        assert values.shape == (n_jets, n_points, 3)
         for j, jet in enumerate(jets):
             for k in range(n_points):
                 val, jac = jet.value_and_jacobian(points[j, k])
                 row = out[j, k].reshape(4, 3)
                 np.testing.assert_array_equal(row[0], val)
                 np.testing.assert_array_equal(row[1:].T, jac)
+                np.testing.assert_array_equal(values[j, k], jet.value(points[j, k]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(rank=st.sampled_from(["scalar", "vector", "metric"]),
+           truncation=st.integers(0, 4), seed=seeds,
+           x=st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3),
+           far=st.sampled_from([0.0, 987.654, -3e4, 1e6]))
+    @example(rank="vector", truncation=0, seed=0, x=[0.0, -0.0, 0.0], far=0.0)
+    def test_value_rows_match_value_only_calls(self, rank, truncation, seed,
+                                               x, far):
+        # the value rows of a Jacobian call come from the products of a
+        # value-only call, so they are the same bits, also far out in the
+        # cover
+        ncomp = {"scalar": 1, "vector": 3, "metric": 6}[rank]
+        block = _half_block(hermitian_coeffs(ncomp, truncation, seed))
+        points = (np.asarray(x) + far).reshape(1, 1, 3)
+        jet = _point_sum(block[None], points, True)
+        values = _point_sum(block[None], points, False)
+        assert jet.shape == (1, 1, 4 * ncomp)
+        np.testing.assert_array_equal(jet[..., :ncomp], values)
+        assert np.array_equal(np.signbit(jet[..., :ncomp]), np.signbit(values))
 
     def test_stack_rows_match_their_jets(self, rng):
         # two truncations, a jet outside the stack, and uneven row counts
@@ -665,16 +689,20 @@ class TestStackedKernel:
 
 
 class TestOneBlock:
-    """A field has one evaluation block, its half_block: the value rows,
-    then the x, y and z derivative rows. A metric is built from its one
-    coefficient block."""
+    """A field has one evaluation block, its half_block, which holds the
+    values' coefficients only: derivatives come from the phase vectors. A
+    metric is built from its one coefficient block."""
 
     def test_value_rows_are_the_value_block(self):
         field = FourierField("vector", hermitian_coeffs(3, 3, 4))
         block = field.half_block()
         assert field.half_block() is block
-        np.testing.assert_array_equal(block[:len(block) // 4],
-                                      _half_block(field.coeffs))
+        # m_z first, then (component, m_x >= 0, m_y) in C order
+        assert block.shape == (7, 3 * 4 * 7) and block.flags.c_contiguous
+        np.testing.assert_array_equal(block, _half_block(field.coeffs))
+        half = field.coeffs[:, 3:] + field.coeffs[:, 3::-1, ::-1, ::-1].conj()
+        half[:, 0] *= 0.5
+        np.testing.assert_array_equal(block, half.reshape(-1, 7).T)
         assert FieldJet(field)._block is block
 
     def test_metric_is_built_from_its_block(self, bumpy):

@@ -313,9 +313,9 @@ class TestOneKernelPerRHS:
         kernel_calls = []
         kernel = fields._point_sum
 
-        def counting(blocks, points):
+        def counting(blocks, points, jacobians):
             kernel_calls.append(len(blocks))
-            return kernel(blocks, points)
+            return kernel(blocks, points, jacobians)
 
         monkeypatch.setattr(fields, "_point_sum", counting)
         per_rhs = {"wkb": [], "scan": []}
