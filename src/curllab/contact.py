@@ -338,7 +338,8 @@ def adapted_metric(form) -> AdaptedMetricResult:
     f1, f2 = _kernel_frame(np.moveaxis(alpha.sample(grid), 0, -1),
                            frame.reference_axis)
 
-    omega = np.moveaxis(exterior_d(alpha).sample(grid), 0, -1)
+    d_alpha = exterior_d(alpha)
+    omega = np.moveaxis(d_alpha.sample(grid), 0, -1)
     A = _two_form_matrix(omega)
     basis = np.stack([f1, f2], axis=-2)  # (M,M,M,2,3)
     Jb = np.stack([sign * f2, -sign * f1], axis=-2)  # (J f1, J f2)
@@ -360,19 +361,23 @@ def adapted_metric(form) -> AdaptedMetricResult:
             f"{eigs.min():.3e}); J is not tamed by d(alpha)"
         )
 
-    n_out = min(grid.max_truncation, 2 * n_a)
+    # the metric block is cut at the smallest truncation from 2 n_a up
+    # that makes alpha an eigenform to ADAPTED_RESIDUAL_TOL
     rows, cols = zip(*METRIC_COMPONENTS)
-    metric = MetricField(FourierField(
-        "metric", grid.analyze(np.moveaxis(g[..., rows, cols], -1, 0), n_out)))
-
-    curl_alpha = hodge(metric, exterior_d(alpha), grid).truncate_to(n_a)
-    lam = l2_inner(metric, curl_alpha, alpha, grid) / l2_inner(
-        metric, alpha, alpha, grid
-    )
-    residual = l2_norm(metric, curl_alpha - lam * alpha, grid) / l2_norm(
-        metric, alpha, grid
-    )
-    if residual > ADAPTED_RESIDUAL_TOL:
+    block = FourierField("metric", grid.analyze(
+        np.moveaxis(g[..., rows, cols], -1, 0), grid.max_truncation))
+    for n_out in range(min(grid.max_truncation, 2 * n_a), grid.max_truncation + 1):
+        metric = MetricField(block.truncate_to(n_out))
+        curl_alpha = hodge(metric, d_alpha, grid).truncate_to(n_a)
+        lam = l2_inner(metric, curl_alpha, alpha, grid) / l2_inner(
+            metric, alpha, alpha, grid
+        )
+        residual = l2_norm(metric, curl_alpha - lam * alpha, grid) / l2_norm(
+            metric, alpha, grid
+        )
+        if residual <= ADAPTED_RESIDUAL_TOL:
+            break
+    else:
         raise IncompatibleStructureError(
             f"adapted metric fails the eigenfield property: residual "
             f"{residual:.2e} at eigenvalue {lam:.6g}"

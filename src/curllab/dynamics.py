@@ -686,28 +686,26 @@ def find_periodic_orbits_batch(jets, seeds, T_max: float) -> list:
     """find_periodic_orbits for several jets (or fields) at once, jets[k]
     scanned from the points seeds[k] (n_k, 3), every scan over [0, T_max].
 
-    The scans run as the lanes of one solve_lanes on a JetStack of the
-    jets, one stacked kernel call per right-hand side; an error of that
-    solve is raised. A lane's numbers do not depend on the lanes beside
-    it, so a jet finds the same orbits alone or in any batch. Each jet
-    then shoots its own candidates: entry k of the result is (records,
-    stats) for jets[k], stats its counts of "candidates", "unresolved"
-    and "duplicates", or the exception its shooting raised. T_max must
-    be finite and > 0 (ValueError).
+    The scans run as the lanes of one solve_lanes whose right-hand side
+    is the values of a JetStack of the lanes' jets, one stacked kernel
+    call per truncation; an error of that solve is raised. A lane's
+    numbers do not depend on the lanes beside it, so a jet finds the
+    same orbits alone or in any batch. Each jet then shoots its own
+    candidates: entry k of the result is (records, stats) for jets[k],
+    stats its counts of "candidates", "unresolved" and "duplicates", or
+    the exception its shooting raised. T_max must be finite and > 0
+    (ValueError).
     """
     check_horizon(T_max, "T_max")
-    stack = JetStack([as_jet(u) for u in jets])
-    counts = [len(x_seeds) for x_seeds in seeds]
-    owner = np.repeat(np.arange(len(counts)), counts)
+    jets = [as_jet(u) for u in jets]
+    stack = JetStack([jet for jet, x_seeds in zip(jets, seeds) for _ in x_seeds])
     n_scan = max(int(T_max / 0.05), 64)
-    scans, failed = solve_lanes(
-        lambda lanes, y: stack.values(owner[lanes], y),
-        np.concatenate(seeds), T_max, n_scan,
-        rtol=SCAN_TOL, atol=SCAN_TOL * 1e-2)  # as in flow
+    scans, failed = solve_lanes(stack.values, np.concatenate(seeds), T_max, n_scan,
+                                rtol=SCAN_TOL, atol=SCAN_TOL * 1e-2)  # as in flow
     ts = np.linspace(0.0, T_max, n_scan)
-    cuts = np.cumsum(counts)[:-1]
+    cuts = np.cumsum([len(x_seeds) for x_seeds in seeds])[:-1]
     found: list = []
-    for jet, x_seeds, lanes, lost in zip(stack.jets, seeds, np.split(scans, cuts),
+    for jet, x_seeds, lanes, lost in zip(jets, seeds, np.split(scans, cuts),
                                          np.split(failed, cuts)):
         try:
             found.append(_shoot_candidates(jet, x_seeds, ts, lanes, lost))

@@ -911,41 +911,47 @@ def as_jet(field_or_jet) -> FieldJet:
 
 
 class JetStack:
-    """Several jets evaluated together, row r of the points on jets[owner[r]].
+    """The jets of several lanes evaluated together: jets[k] is lane k's,
+    and row r of the points rides lane lanes[r], the lanes in any order.
 
     The FieldJets of one truncation are the layers of one stacked half
-    block and of one _point_sum per evaluation: each live layer's rows
-    are padded to the largest row count of the call, so a call costs one
-    kernel per truncation however many lanes are live. Any other jet (a
-    test system, a rescaled field) evaluates its own rows with its value
-    or values_and_jacobians. owner is an integer array, nondecreasing. Each
-    row is bit-identical to its jet's one-point call, so a row does not
-    depend on the rows beside it.
+    block and of one _point_sum per evaluation, lanes whose jets share a
+    half block sharing a layer; each live layer's rows are padded to the
+    largest row count of the call, so a call costs one kernel per
+    truncation however many lanes are live. Any other jet (a test system,
+    a rescaled field) evaluates its own rows with its value or
+    values_and_jacobians. Each row is bit-identical to its jet's
+    one-point call, so a row does not depend on the rows beside it, and
+    values is itself a right-hand side for dynamics.solve_lanes.
     """
 
     def __init__(self, jets):
         self.jets = list(jets)
-        self._group = np.empty(len(self.jets), int)  # jet -> its group
-        self._slot = np.empty(len(self.jets), int)   # jet -> its layer there
-        self._members: list = []
-        keys: dict = {}
-        for j, jet in enumerate(self.jets):
-            key = jet.truncation if isinstance(jet, FieldJet) else ("own", j)
-            g = keys.setdefault(key, len(self._members))
-            if g == len(self._members):
-                self._members.append([])
-            self._group[j], self._slot[j] = g, len(self._members[g])
-            self._members[g].append(jet)
-        self._blocks: dict = {}  # group -> stacked half blocks (J, R, L), on use
-        self._plans: dict = {}   # owner bytes -> _plan(owner)
+        self._group = np.empty(len(self.jets), int)  # lane -> its group
+        self._slot = np.empty(len(self.jets), int)   # lane -> its layer there
+        self._members: list = []  # group -> the first jet of each of its layers
+        groups, layers = {}, {}  # group key -> group; layer key -> (group, slot)
+        for k, jet in enumerate(self.jets):
+            field = isinstance(jet, FieldJet)
+            layer = id(jet._block) if field else id(jet)
+            if layer not in layers:
+                g = groups.setdefault(jet.truncation if field else ("own", layer),
+                                      len(groups))
+                if g == len(self._members):
+                    self._members.append([])
+                layers[layer] = g, len(self._members[g])
+                self._members[g].append(jet)
+            self._group[k], self._slot[k] = layers[layer]
+        self._blocks: dict = {}  # group -> stacked half blocks (J, L, R), on use
+        self._plans: dict = {}   # lanes bytes -> _plan(lanes)
 
-    def values(self, owner, points) -> np.ndarray:
+    def values(self, lanes, points) -> np.ndarray:
         """Field values (P, 3) at the rows of points (P, 3)."""
-        return self._rows(owner, points, False)
+        return self._rows(lanes, points, False)
 
-    def values_and_jacobians(self, owner, points):
+    def values_and_jacobians(self, lanes, points):
         """Values (P, 3) and Jacobians (P, 3, 3), as FieldJet's."""
-        return _split_jet(self._rows(owner, points, True))
+        return _split_jet(self._rows(lanes, points, True))
 
     def _stacked(self, g: int) -> np.ndarray:
         """Group g's stacked half blocks (J, L, R)."""
@@ -953,37 +959,40 @@ class JetStack:
             self._blocks[g] = np.stack([jet._block for jet in self._members[g]])
         return self._blocks[g]
 
-    def _plan(self, owner: np.ndarray) -> list:
-        """(group, its rows, layout) per group that owner names. A layout
+    def _plan(self, lanes: np.ndarray) -> list:
+        """(group, its rows, layout) per group that lanes name. A layout
         is (lo, hi, K, where): layers lo..hi-1 padded to K rows each, with
         where the (layer - lo, rank) of each row, or None when the rows
         fill every layer in order; None for a jet outside the stack."""
         plan = []
-        groups = self._group[owner]
+        groups = self._group[lanes]
         for g in np.unique(groups).tolist():
             rows = np.flatnonzero(groups == g)
             if not isinstance(self._members[g][0], FieldJet):
                 plan.append((g, rows, None))
                 continue
-            layer = self._slot[owner[rows]]
-            lo = int(layer[0])
+            layer = self._slot[lanes[rows]]
+            lo = int(layer.min())
             layer -= lo
             count = np.bincount(layer)
             K = int(count.max())
-            rank = np.arange(rows.size) - (np.cumsum(count) - count)[layer]
-            where = None if count.min() == K else (layer, rank)
-            if rows.size == owner.size:
+            rank = np.empty_like(layer)  # each row's place in its layer
+            rank[np.argsort(layer, kind="stable")] = (
+                np.arange(rows.size) - np.repeat(np.cumsum(count) - count, count))
+            in_order = rows.size == K * count.size and (np.diff(layer) >= 0).all()
+            if rows.size == lanes.size:
                 rows = slice(None)
-            plan.append((g, rows, (lo, lo + count.size, K, where)))
+            plan.append((g, rows, (lo, lo + count.size, K,
+                                   None if in_order else (layer, rank))))
         return plan
 
-    def _rows(self, owner, points, jacobians: bool) -> np.ndarray:
-        key = owner.tobytes()
+    def _rows(self, lanes, points, jacobians: bool) -> np.ndarray:
+        key = lanes.tobytes()
         plan = self._plans.get(key)
         if plan is None:
-            plan = self._plans[key] = self._plan(owner)
+            plan = self._plans[key] = self._plan(lanes)
         width = 12 if jacobians else 3
-        out = np.empty((owner.size, width))
+        out = np.empty((lanes.size, width))
         for g, rows, layout in plan:
             if layout is None:
                 jet = self._members[g][0]

@@ -47,9 +47,9 @@ the direction e, and xi(t) = (D phi_t)^-T xi0 never vanishes.
 
 Wave packets run as lanes. Each packet's 15-component state is one row of
 a single DOP853 solve (dynamics.solve_lanes), with its own step size,
-accept/reject decision and finish. The jets of the packets form one
-fields.JetStack, so a right-hand side evaluates every live lane in one
-stacked kernel call per truncation, one matrix-vector chain per lane.
+accept/reject decision and finish. Each lane names its packet's jet in
+one fields.JetStack, so a right-hand side evaluates every live lane in
+one stacked kernel call per truncation, one matrix-vector chain per lane.
 Nothing a lane computes mixes in another lane, so a packet's numbers do
 not depend on which packets share its solve. certify_batch uses that
 twice for the pairs of a sweep sample, under one T_max and one wkb_T:
@@ -127,14 +127,13 @@ class WKBResult:
         }
 
 
-def _wkb_rhs(stack: JetStack, lane_jet):
-    """The projective transport system of the lanes. Lane k rides
-    stack.jets[lane_jet[k]], lane_jet is nondecreasing, and the stack
-    evaluates all the live lanes in one call."""
+def _wkb_rhs(stack: JetStack):
+    """The projective transport system of the lanes, lane k riding
+    stack.jets[k]; the stack evaluates all the live lanes in one call."""
     add = np.add.reduce  # np.sum's Python wrapper costs as much as the sum
 
     def rhs(lanes, y):
-        vals, jac = stack.values_and_jacobians(lane_jet[lanes], y[:, :3])
+        vals, jac = stack.values_and_jacobians(lanes, y[:, :3])
         out = np.empty((len(lanes), 15))
         out[:, :3] = vals
         xi, b = y[:, 3:6], y[:, 7:13].reshape(-1, 2, 3)
@@ -162,15 +161,15 @@ def wkb_exponent(
 ) -> list:
     """Wave-packet growth along flowlines, every packet a lane of one solve.
 
-    packets is a sequence of (u, x0, xi0), u a field or a jet; packets
-    that name the same object share its jet. Each packet integrates the
-    transport system over [0, T] in projective form for the two
-    orthonormal initial amplitudes perpendicular to its initial
-    wavevector, sampled every LOG_GROWTH_SAMPLE_STEP, as one lane of
-    dynamics.solve_lanes with its own step control. The jets form one
-    JetStack: each right-hand side is one stacked kernel call for all
-    the FieldJets of one truncation (any other jet evaluates its own
-    lanes), and the transport drift at the samples is one more call.
+    packets is a sequence of (u, x0, xi0), u a field or a jet, in any
+    order. Each packet integrates the transport system over [0, T] in
+    projective form for the two orthonormal initial amplitudes
+    perpendicular to its initial wavevector, sampled every
+    LOG_GROWTH_SAMPLE_STEP, as one lane of dynamics.solve_lanes with its
+    own step control. The lanes' jets form one JetStack: each right-hand
+    side is one stacked kernel call for all the FieldJets of one
+    truncation (any other jet evaluates its own lanes), and the
+    transport drift at the samples is one more value-only call.
     Returns one WKBResult per packet, in order: its x0 and xi0 as
     passed, the largest (1/T) log-growth ratio with the growth history,
     the fitted tail slope (which discounts transient algebraic growth),
@@ -179,38 +178,28 @@ def wkb_exponent(
     solve, so a single packet is a batch of one.
     """
     check_horizon(T, "T")  # before solve_lanes does: n_samples needs a finite T
-    jets, lane_jet, y0, starts = {}, [], [], []
+    jets, starts, y0 = [], [], []
     for u, x0, xi0 in packets:
-        if id(u) not in jets:
-            jets[id(u)] = (len(jets), as_jet(u))
-        lane_jet.append(jets[id(u)][0])
+        jets.append(as_jet(u))
         x0, xi0 = np.asarray(x0, float), np.asarray(xi0, float)
         starts.append((x0, xi0))
         if np.linalg.norm(xi0) == 0.0:
             raise ValueError("initial wavevector must be nonzero")
         bs = np.stack(_orthonormal_complement(xi0))
         y0.append(np.r_[x0, xi0 / np.linalg.norm(xi0), 0.0, bs.ravel(), 0.0, 0.0])
-    jets = [jet for _, jet in jets.values()]
-    # lanes run grouped by jet; order[i] is the packet of lane i
-    order = np.argsort(lane_jet, kind="stable")
-    lane_jet = np.array(lane_jet, int)[order]
     n_samples = max(int(np.ceil(T / LOG_GROWTH_SAMPLE_STEP)), 1) + 1
     stack = JetStack(jets)
-    ys, failed = solve_lanes(_wkb_rhs(stack, lane_jet),
-                             np.reshape(y0, (-1, 15))[order], T, n_samples,
-                             rtol=rtol, atol=atol)
+    ys, failed = solve_lanes(_wkb_rhs(stack), np.reshape(y0, (-1, 15)), T,
+                             n_samples, rtol=rtol, atol=atol)
     # the transport drift needs u at every sample of every finished lane
     values = np.empty(ys.shape[:2] + (3,))
     lanes = np.flatnonzero(~failed)
-    values[lanes] = stack.values_and_jacobians(
-        np.repeat(lane_jet[lanes], n_samples),
-        ys[lanes, :, :3].reshape(-1, 3))[0].reshape(-1, n_samples, 3)
+    values[lanes] = stack.values(
+        np.repeat(lanes, n_samples),
+        ys[lanes, :, :3].reshape(-1, 3)).reshape(-1, n_samples, 3)
     ts = np.linspace(0.0, T, n_samples)
-    results = [None] * len(order)
-    for lane, k in enumerate(order):
-        if not failed[lane]:
-            results[k] = _wkb_result(*starts[k], ts, ys[lane], values[lane])
-    return results
+    return [None if lost else _wkb_result(*start, ts, y, v)
+            for start, lost, y, v in zip(starts, failed, ys, values)]
 
 
 def _wkb_result(x0, xi0, ts, y, values) -> WKBResult:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from curllab.contact import (
+    ADAPTED_RESIDUAL_TOL,
     AdaptedMetricResult,
     ContactForm,
     ContactFrameEvaluator,
@@ -184,6 +185,22 @@ class TestAdaptedMetric:
         np.testing.assert_allclose(
             result.metric.eval((0.1, 0.2, z)), expect, atol=1e-10
         )
+
+    @pytest.mark.parametrize("eps", [0.02, 0.1])
+    def test_bumped_tight_form_builds(self, eps):
+        # (1 + eps cos y) alpha_2 needs more metric modes than 2 n_a = 4:
+        # the cut is raised until alpha is an eigenform to the tolerance
+        q = 0.25 * eps
+        form = FourierField.from_modes("one_form", 2, {
+            (0, 0, 2, 0): -0.5j, (0, 0, 2, 1): 0.5,
+            (0, 1, 2, 0): -q * 1j, (0, -1, 2, 0): -q * 1j,
+            (0, 1, 2, 1): q, (0, -1, 2, 1): q})
+        result = adapted_metric(form)
+        assert result.residual <= ADAPTED_RESIDUAL_TOL
+        assert result.eigenvalue == pytest.approx(1.0, abs=1e-12)
+        assert result.metric.truncation == 8
+        # the tight forms keep the cut 2 n_a
+        assert adapted_metric(tight_form(2)).metric.truncation == 4
 
     def test_reeb_direction_has_unit_length(self):
         result = adapted_metric(tight_form(2))

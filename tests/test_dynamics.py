@@ -48,7 +48,8 @@ class FrozenJet:
         self.jac = np.asarray(jacobian, float)
 
     def value(self, x):
-        return self.drift + self.jac @ (np.asarray(x) - np.zeros(3))
+        """The drift plus the frozen Jacobian at a point (3,) or rows (P, 3)."""
+        return self.drift + np.asarray(x, float) @ self.jac.T
 
     def value_and_jacobian(self, x):
         return self.value(x), self.jac.copy()
@@ -183,6 +184,11 @@ class TestOneIntegrator:
         monkeypatch.setattr(dynamics, "solve_lanes", spying)
         return calls
 
+    @staticmethod
+    def as_json(entry):
+        records, stats = entry
+        return [r.to_json_dict(include_trajectory=True) for r in records], stats
+
     def test_scan_seed_is_the_same_alone_and_among_lanes(self, monkeypatch):
         jet = FieldJet(abc_field(1.0, 0.7, 0.3))
         calls = self.spy(monkeypatch)
@@ -202,14 +208,20 @@ class TestOneIntegrator:
         seeds = [_orbit_seeds(4, 1), _orbit_seeds(4, 0, {"axis": "z"}),
                  _orbit_seeds(2, 1)]
 
-        def as_json(entry):
-            records, stats = entry
-            return [r.to_json_dict(include_trajectory=True) for r in records], stats
-
         batch = find_periodic_orbits_batch(jets, seeds, 10.0)
         for jet, x_seeds, entry in zip(jets, seeds, batch):
             (alone,) = find_periodic_orbits_batch([jet], [x_seeds], 10.0)
-            assert entry[0] and as_json(entry) == as_json(alone)
+            assert entry[0] and self.as_json(entry) == self.as_json(alone)
+
+    def test_a_jet_named_twice_finds_its_orbits_among_lanes(self):
+        # both entries' seeds ride the jet's one layer; each entry's records
+        # and stats are those of its own batch of one
+        jet = FieldJet(shear_field(1))
+        seeds = [_orbit_seeds(4, 0, {"axis": "z"}), _orbit_seeds(3, 0, {"axis": "x"})]
+        batch = find_periodic_orbits_batch([jet, jet], seeds, 8.0)
+        for x_seeds, entry in zip(seeds, batch):
+            (alone,) = find_periodic_orbits_batch([jet], [x_seeds], 8.0)
+            assert entry[0] and self.as_json(entry) == self.as_json(alone)
 
     def test_one_lane_solve_per_scan(self, monkeypatch):
         # the scan's seeds share one solve; shooting, primitive-period

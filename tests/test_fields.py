@@ -687,6 +687,37 @@ class TestStackedKernel:
         np.testing.assert_array_equal(sub_vals, vals[sub])
         np.testing.assert_array_equal(sub_jacs, jacs[sub])
 
+    @pytest.mark.parametrize("lanes", [[0, 2, 1], [0, 1, 0, 2]])
+    def test_lanes_in_any_order(self, lanes, rng):
+        # the stack ranks each layer's rows itself: no order is asked of
+        # the lanes, and every row keeps its jet's one-point bits
+        jets = vector_jets(3, 2, 31)
+        stack = JetStack(jets)
+        lanes = np.array(lanes)
+        points = rng.uniform(-1e3, 1e3, (lanes.size, 3))
+        vals, jacs = stack.values_and_jacobians(lanes, points)
+        only = stack.values(lanes, points)
+        for r, (k, x) in enumerate(zip(lanes, points)):
+            val, jac = jets[k].value_and_jacobian(x)
+            np.testing.assert_array_equal(vals[r], val)
+            np.testing.assert_array_equal(jacs[r], jac)
+            np.testing.assert_array_equal(only[r], jets[k].value(x))
+
+    def test_jets_of_one_field_share_a_layer(self, rng):
+        # one jet per lane: lanes on FieldJets of one field ride one layer
+        field, other = (FourierField("vector", hermitian_coeffs(3, 2, seed))
+                        for seed in (41, 42))
+        jets = [FieldJet(field), FieldJet(other), FieldJet(field), FieldJet(field)]
+        stack = JetStack(jets)
+        lanes = np.array([3, 1, 0, 2, 1])
+        points = rng.uniform(-1e3, 1e3, (lanes.size, 3))
+        vals, jacs = stack.values_and_jacobians(lanes, points)
+        assert stack._stacked(0).shape[0] == 2
+        for r, (k, x) in enumerate(zip(lanes, points)):
+            val, jac = jets[k].value_and_jacobian(x)
+            np.testing.assert_array_equal(vals[r], val)
+            np.testing.assert_array_equal(jacs[r], jac)
+
 
 class TestOneBlock:
     """A field has one evaluation block, its half_block, which holds the

@@ -221,6 +221,18 @@ class TestLanes:
         for k, result in zip(range(11, 4, -1), shuffled):
             assert_same_result(result, batch[k])
 
+    def test_interleaved_packets_equal_packets_alone(self):
+        # packets on two jets taken in turns, A, B, A, B, ..., the fields
+        # passed as fields: each lane still equals its packet alone
+        packets = batch_packets()
+        a, b = (packets[k][0].field for k in (0, 2))
+        interleaved = [(u, x0, xi0) for k in range(3)
+                       for u, (_, x0, xi0) in ((a, packets[k]), (b, packets[k + 2]))]
+        batch = wkb_exponent(interleaved, T=20.0, **self.TOLS)
+        for packet, result in zip(interleaved, batch):
+            (alone,) = wkb_exponent([packet], T=20.0, **self.TOLS)
+            assert_same_result(alone, result)
+
     @pytest.mark.parametrize("case", ["frozen_saddle", "abc"])
     def test_lane_solver_matches_solve_ivp(self, case):
         if case == "frozen_saddle":
@@ -233,7 +245,7 @@ class TestLanes:
         ref = solve_ivp(packet_rhs(jet), (0.0, T), y0, method="DOP853",
                         t_eval=ts, **self.TOLS)
         assert ref.success
-        rhs = instability._wkb_rhs(JetStack([jet]), np.zeros(1, int))
+        rhs = instability._wkb_rhs(JetStack([jet]))
         samples, failed = solve_lanes(rhs, y0[None], T, len(ts), **self.TOLS)
         assert not failed.any()
         scale = np.maximum(1.0, np.abs(ref.y.T))
