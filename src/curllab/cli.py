@@ -1,8 +1,15 @@
 """Command-line front end.
 
 Subcommands mirror the library surface: spectrum, fixed-points, orbits,
-adapted-metric, reeb, instability, genericity-sweep, certify-all. All
-outputs are deterministic JSON / JSON-lines / CSV documents.
+adapted-metric, reeb, instability, genericity-sweep, certify-all. Each
+option value goes through one converter, _argument, around the library's
+own parser for it (fields.named_metric, dynamics.named_field,
+curlspec.parse_window, dynamics.parse_section, CertifyBudget,
+SweepConfig and the count and horizon checks), so a malformed value
+exits 2 with "argument --X: expected ..., got '...' (reason)". Outputs
+are deterministic: JSON documents, one per line, from lab.write_json_lines,
+CSV tables from lab.write_csv, and field and metric files in their own
+format (FourierField.save).
 """
 
 from __future__ import annotations
@@ -17,64 +24,32 @@ from .contact import adapted_metric, reeb_field, tight_form
 from .curlspec import eigenpairs, parse_window
 from .dynamics import (check_horizon, find_fixed_points, find_periodic_orbits,
                        named_field, parse_section)
-from .errors import DegenerateMetricError, EnsembleAmplitudeError
+from .errors import CurlLabError
 from .fields import FourierField, MetricField, check_count, named_metric, sharp
 from .instability import CertifyBudget, certify, certify_batch
-from .lab import SweepConfig, run_sweep
+from .lab import SweepConfig, run_sweep, write_csv, write_json_lines
 
 BUDGET_PRESETS = {
     "default": {},
     "fast": {"T_max": 10.0, "n_seeds": 4, "orbit_seeds": 4, "wkb_T": 50.0},
     "thorough": {"T_max": 100.0, "n_seeds": 128, "orbit_seeds": 32},
 }
+ORBIT_CSV_COLUMNS = ("seed_x", "seed_y", "seed_z", "period", "mult1_re",
+                     "mult1_im", "mult2_re", "mult2_im", "orbit_type")
+SECTION_KEYS = ("axis", "offset")
 
 
-def _dump(obj, path: str | None):
-    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
-    if path:
-        Path(path).write_text(text + "\n")
-    else:
-        print(text)
-
-
-def _dump_lines(objs, path: str | None):
-    lines = [json.dumps(o, sort_keys=True, separators=(",", ":")) for o in objs]
-    payload = "\n".join(lines) + ("\n" if lines else "")
-    if path:
-        Path(path).write_text(payload)
-    else:
-        sys.stdout.write(payload)
-
-
-def _metric(spec: str) -> MetricField:
-    """--metric as a metric file, or a name that fields.named_metric reads."""
-    try:
-        if Path(spec).exists():
-            return MetricField.load(spec)
-        return named_metric(spec)
-    except (OSError, KeyError, ValueError, DegenerateMetricError,
-            EnsembleAmplitudeError) as err:
-        raise argparse.ArgumentTypeError(
-            f"expected a metric file or flat, conformal(c) or "
-            f"random_cr(r,eps,seed[,cutoff]), got {spec!r} ({err})"
-        ) from None
-
-
-def _field(spec: str) -> FourierField:
-    """--field as a vector or 1-form file, or a name that
-    dynamics.named_field reads."""
-    try:
-        if Path(spec).exists():
-            field = FourierField.load(spec)
-            if field.rank not in ("one_form", "vector"):
-                raise ValueError(f"cannot flow a field of rank {field.rank}")
-            return field
-        return named_field(spec)
-    except (OSError, KeyError, ValueError) as err:
-        raise argparse.ArgumentTypeError(
-            f"expected a vector or 1-form file, abc:A,B,C or xi:k, got "
-            f"{spec!r} ({err})"
-        ) from None
+def _argument(parse, expected: str):
+    """An argparse type from one of the library's parsers: parse(text)
+    returns the option's value, and any error it raises makes the usage
+    error "argument --X: expected ..., got '...' (reason)"."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except (OSError, KeyError, TypeError, ValueError, CurlLabError) as err:
+            raise argparse.ArgumentTypeError(
+                f"expected {expected}, got {text!r} ({err})") from None
+    return convert
 
 
 def _flow_field(field: FourierField, metric: MetricField) -> FourierField:
@@ -83,83 +58,6 @@ def _flow_field(field: FourierField, metric: MetricField) -> FourierField:
     starts from. The CLI flows u in the input field's time; certificates
     report times in the unit-mean-speed time of u rescaled."""
     return sharp(metric, field) if field.rank == "one_form" else field
-
-
-def _window(text: str) -> dict:
-    """--window a,b as an interval window, checked by curlspec.parse_window."""
-    try:
-        a, b = (float(v) for v in text.split(","))
-        window = {"interval": [a, b]}
-        parse_window(window)
-    except ValueError as err:
-        raise argparse.ArgumentTypeError(
-            f"expected a finite interval a,b that excludes 0, got {text!r} ({err})"
-        ) from None
-    return window
-
-
-def _section(text: str) -> dict:
-    """--section axis,offset as a seeding plane for find_periodic_orbits,
-    checked by dynamics.parse_section."""
-    try:
-        name, offset = (part.strip() for part in text.split(","))
-        axis, offset = parse_section({"axis": name, "offset": offset})
-    except ValueError as err:
-        raise argparse.ArgumentTypeError(
-            f"expected axis,offset with axis x, y, z, 0, 1 or 2 and a finite "
-            f"offset, got {text!r} ({err})"
-        ) from None
-    return {"axis": axis, "offset": offset}
-
-
-def _checked(convert, check, expected: str):
-    """type= checker: convert the text, then check raises ValueError on a
-    value out of range."""
-    def parse(text: str):
-        try:
-            value = convert(text)
-            check(value)
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"expected {expected}, got {text!r}") from None
-        return value
-    return parse
-
-
-def _at_least(minimum: int):
-    """An integer option >= minimum, checked by fields.check_count."""
-    return _checked(int, lambda n: check_count(n, "value", minimum),
-                    f"an integer >= {minimum}")
-
-
-# --t-max as a finite time > 0, checked by dynamics.check_horizon
-_horizon = _checked(float, lambda T: check_horizon(T, "--t-max"),
-                    "a finite time > 0")
-
-
-def _budget(spec: str) -> CertifyBudget:
-    """--budget as a preset name, inline JSON of budget fields (an object,
-    so it starts with "{") or the path of a file holding that JSON."""
-    try:
-        if spec in BUDGET_PRESETS:
-            return CertifyBudget(**BUDGET_PRESETS[spec])
-        text = spec if spec.lstrip().startswith("{") else Path(spec).read_text()
-        return CertifyBudget(**json.loads(text))
-    except (OSError, TypeError, ValueError) as err:
-        raise argparse.ArgumentTypeError(
-            f"expected a preset ({', '.join(BUDGET_PRESETS)}), a JSON file "
-            f"or inline JSON of budget fields, got {spec!r} ({err})"
-        ) from None
-
-
-def _sweep_config(path: str) -> SweepConfig:
-    """--config as the path of a SweepConfig JSON file, checked up front."""
-    try:
-        return SweepConfig.from_json_dict(json.loads(Path(path).read_text()))
-    except (OSError, TypeError, ValueError) as err:
-        raise argparse.ArgumentTypeError(
-            f"expected a sweep config JSON file, got {path!r} ({err})"
-        ) from None
 
 
 def cmd_spectrum(args) -> int:
@@ -176,14 +74,14 @@ def cmd_spectrum(args) -> int:
             pair.form.save(form_path)
             rec["form_file"] = str(form_path)
         records.append(rec)
-    _dump_lines(records, args.out)
+    write_json_lines(records, args.out)
     return 0
 
 
 def cmd_fixed_points(args) -> int:
     u = _flow_field(args.field, args.metric)
     records = find_fixed_points(u, grid_density=args.grid_density)
-    _dump_lines([r.to_json_dict() for r in records], args.out)
+    write_json_lines([r.to_json_dict() for r in records], args.out)
     return 0
 
 
@@ -193,47 +91,33 @@ def cmd_orbits(args) -> int:
         u, T_max=args.t_max, section_spec=args.section, n_seeds=args.seeds,
         seed=args.seed,
     )
-    _dump_lines(
+    write_json_lines(
         [r.to_json_dict(include_trajectory=args.trajectories) for r in records],
         args.out,
     )
     if args.csv:
-        rows = ["seed_x,seed_y,seed_z,period,mult1_re,mult1_im,"
-                "mult2_re,mult2_im,orbit_type"]
-        for r in records:
-            m = r.multipliers
-            rows.append(",".join(
-                [repr(float(v)) for v in r.seed]
-                + [repr(r.period)]
-                + [repr(float(m[0].real)), repr(float(m[0].imag)),
-                   repr(float(m[1].real)), repr(float(m[1].imag))]
-                + [r.orbit_type]
-            ))
-        Path(args.csv).write_text("\n".join(rows) + "\n")
+        write_csv(ORBIT_CSV_COLUMNS,
+                  [[*r.seed, r.period, r.multipliers[0].real,
+                    r.multipliers[0].imag, r.multipliers[1].real,
+                    r.multipliers[1].imag, r.orbit_type] for r in records],
+                  args.csv)
     return 0
 
 
 def cmd_adapted_metric(args) -> int:
-    result = adapted_metric(tight_form(args.k))
+    result = adapted_metric(args.k)
     result.metric.save(args.out)
-    _dump(
-        {
-            "metric_file": args.out,
-            "eigenvalue": result.eigenvalue,
-            "residual": result.residual,
-        },
-        None,
-    )
+    write_json_lines([{"metric_file": args.out, "eigenvalue": result.eigenvalue,
+                       "residual": result.residual}])
     return 0
 
 
 def cmd_reeb(args) -> int:
-    form = FourierField.load(args.form)
-    X = reeb_field(form)
+    X = reeb_field(args.form)
     if args.out:
         X.save(args.out)
     else:
-        _dump(X.to_json_dict(tol=1e-14), None)
+        write_json_lines([X.to_json_dict(tol=1e-14)])
     return 0
 
 
@@ -242,7 +126,7 @@ def cmd_instability(args) -> int:
                        {"count": args.eigen_index + 1})
     pair = pairs[args.eigen_index]
     cert = certify(args.metric, pair, args.budget)
-    _dump(cert.to_json_dict(), args.out)
+    write_json_lines([cert.to_json_dict()], args.out)
     return 0
 
 
@@ -264,7 +148,7 @@ def cmd_certify_all(args) -> int:
     for cert in certs:
         if isinstance(cert, Exception):
             raise cert
-    _dump_lines([cert.to_json_dict() for cert in certs], args.out)
+    write_json_lines([cert.to_json_dict() for cert in certs], args.out)
     return 0
 
 
@@ -276,13 +160,43 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    metric = _argument(
+        lambda spec: (MetricField.load(spec) if Path(spec).exists()
+                      else named_metric(spec)),
+        "a metric file or flat, conformal(c) or random_cr(r,eps,seed[,cutoff])")
+    field = _argument(named_field, "a vector or 1-form file, abc:A,B,C or xi:k")
+    window = _argument(
+        lambda text: {"interval": list(parse_window(
+            {"interval": [float(v) for v in text.split(",")]})[1:])},
+        "a finite interval a,b that excludes 0")
+    positive = _argument(lambda text: check_count(int(text), "value", 1),
+                         "an integer >= 1")
+    natural = _argument(lambda text: check_count(int(text), "value", 0),
+                        "an integer >= 0")
+    budget = _argument(
+        lambda spec: CertifyBudget(**(
+            BUDGET_PRESETS[spec] if spec in BUDGET_PRESETS else json.loads(
+                spec if spec.lstrip().startswith("{")
+                else Path(spec).read_text()))),
+        f"a preset ({', '.join(BUDGET_PRESETS)}), a JSON file or inline "
+        f"JSON of budget fields")
+    horizon = _argument(lambda text: check_horizon(float(text), "--t-max"),
+                        "a finite time > 0")
+    section = _argument(
+        lambda text: dict(zip(SECTION_KEYS, parse_section(dict(zip(
+            SECTION_KEYS, text.replace(" ", "").split(","), strict=True))))),
+        "axis,offset with axis x, y, z, 0, 1 or 2 and a finite offset")
+    config = _argument(
+        lambda path: SweepConfig.from_json_dict(json.loads(Path(path).read_text())),
+        "a sweep config JSON file")
+
     p = sub.add_parser("spectrum", help="solve the curl eigenproblem")
-    p.add_argument("--metric", type=_metric, default="flat",
+    p.add_argument("--metric", type=metric, default="flat",
                    help="metric file or name (flat, conformal(c), "
                         "random_cr(r,eps,seed[,cutoff]))")
-    p.add_argument("--truncation", type=_at_least(1), required=True)
-    p.add_argument("--window", type=_window, help="interval a,b excluding 0")
-    p.add_argument("--count", type=_at_least(1), default=12,
+    p.add_argument("--truncation", type=positive, required=True)
+    p.add_argument("--window", type=window, help="interval a,b excluding 0")
+    p.add_argument("--count", type=positive, default=12,
                    help="number of eigenvalues nearest zero (used when no "
                         "--window is given)")
     p.add_argument("--out", help="JSON-lines output path (default stdout)")
@@ -292,20 +206,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("fixed-points", help="locate and classify zeros")
-    p.add_argument("--field", type=_field, required=True,
+    p.add_argument("--field", type=field, required=True,
                    help="field file, abc:A,B,C, or xi:k")
-    p.add_argument("--metric", type=_metric, default="flat")
-    p.add_argument("--grid-density", type=int, default=24)
+    p.add_argument("--metric", type=metric, default="flat")
+    p.add_argument("--grid-density", type=_argument(int, "an integer"),
+                   default=24)
     p.add_argument("--out")
     p.set_defaults(func=cmd_fixed_points)
 
     p = sub.add_parser("orbits", help="hunt periodic orbits")
-    p.add_argument("--field", type=_field, required=True)
-    p.add_argument("--metric", type=_metric, default="flat")
-    p.add_argument("--t-max", type=_horizon, default=30.0)
-    p.add_argument("--seeds", type=_at_least(0), default=16)
-    p.add_argument("--seed", type=_at_least(0), default=0)
-    p.add_argument("--section", type=_section,
+    p.add_argument("--field", type=field, required=True)
+    p.add_argument("--metric", type=metric, default="flat")
+    p.add_argument("--t-max", type=horizon, default=30.0)
+    p.add_argument("--seeds", type=natural, default=16)
+    p.add_argument("--seed", type=natural, default=0)
+    p.add_argument("--section", type=section,
                    help="axis,offset seeding plane, e.g. z,0.0")
     p.add_argument("--trajectories", action="store_true",
                    help="include dense trajectory samples in the records")
@@ -315,32 +230,34 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("adapted-metric",
                        help="metric adapted to a canonical tight form")
-    nonzero = _checked(int, lambda k: check_count(abs(k), "|k|", 1),
-                       "a nonzero integer")
-    p.add_argument("--k", type=nonzero, required=True)
+    p.add_argument("--k", required=True,
+                   type=_argument(lambda text: tight_form(int(text)),
+                                  "a nonzero integer"),
+                   help="the tight form sin(kz) dx + cos(kz) dy")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_adapted_metric)
 
     p = sub.add_parser("reeb", help="Reeb field of a contact form")
-    p.add_argument("--form", required=True, help="1-form JSON file")
+    p.add_argument("--form", required=True, help="1-form JSON file",
+                   type=_argument(FourierField.load, "a 1-form JSON file"))
     p.add_argument("--out")
     p.set_defaults(func=cmd_reeb)
 
     p = sub.add_parser("instability", help="certify one eigenpair")
-    p.add_argument("--metric", type=_metric, required=True)
-    p.add_argument("--truncation", type=_at_least(1), required=True)
-    p.add_argument("--eigen-index", type=_at_least(0), default=0)
-    p.add_argument("--budget", type=_budget, default="default",
+    p.add_argument("--metric", type=metric, required=True)
+    p.add_argument("--truncation", type=positive, required=True)
+    p.add_argument("--eigen-index", type=natural, default=0)
+    p.add_argument("--budget", type=budget, default="default",
                    help="preset name, JSON file, or inline JSON")
     p.add_argument("--out")
     p.set_defaults(func=cmd_instability)
 
     p = sub.add_parser("genericity-sweep", help="run a sweep config")
-    p.add_argument("--config", type=_sweep_config, required=True,
+    p.add_argument("--config", type=config, required=True,
                    help="sweep config JSON file")
     p.add_argument("--out-jsonl")
     p.add_argument("--out-csv")
-    p.add_argument("--threads", type=_at_least(1), default=1,
+    p.add_argument("--threads", type=positive, default=1,
                    help="worker processes (default: 1); "
                         "with more than one, set OPENBLAS_NUM_THREADS=1 so "
                         "BLAS threads do not oversubscribe the cores. The "
@@ -349,11 +266,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_genericity_sweep)
 
     p = sub.add_parser("certify-all", help="certify every pair in a window")
-    p.add_argument("--metric", type=_metric, required=True)
-    p.add_argument("--truncation", type=_at_least(1), required=True)
-    p.add_argument("--window", type=_window, help="interval a,b excluding 0")
-    p.add_argument("--count", type=_at_least(1), default=6)
-    p.add_argument("--budget", type=_budget, default="fast",
+    p.add_argument("--metric", type=metric, required=True)
+    p.add_argument("--truncation", type=positive, required=True)
+    p.add_argument("--window", type=window, help="interval a,b excluding 0")
+    p.add_argument("--count", type=positive, default=6)
+    p.add_argument("--budget", type=budget, default="fast",
                    help="preset name, JSON file, or inline JSON")
     p.add_argument("--out")
     p.set_defaults(func=cmd_certify_all)

@@ -26,6 +26,7 @@ from __future__ import annotations
 import logging
 import numbers
 from dataclasses import dataclass
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -106,8 +107,14 @@ def shear_field(k: int = 1) -> FourierField:
 
 
 def named_field(spec: str) -> FourierField:
-    """Parse "abc:A,B,C" (finite amplitudes) or "xi:k" (an integer k != 0)
-    into a vector field; anything else is a ValueError."""
+    """The field a spec names: the path of a vector or 1-form file,
+    "abc:A,B,C" (finite amplitudes) or "xi:k" (an integer k != 0); a field
+    of another rank, or anything else, is a ValueError."""
+    if Path(spec).exists():
+        field = FourierField.load(spec)
+        if field.rank not in ("one_form", "vector"):
+            raise ValueError(f"cannot flow a field of rank {field.rank}")
+        return field
     spec = spec.strip()
     if spec.startswith("abc:"):
         parts = [float(p) for p in spec[4:].split(",")]
@@ -211,11 +218,13 @@ def _initial_steps(rhs, y0, f0, T, rtol, atol) -> np.ndarray:
     return np.minimum(np.minimum(100 * h0, h1), T)
 
 
-def check_horizon(T, name: str) -> None:
-    """ValueError naming T unless it is a finite real > 0 (not a bool)."""
+def check_horizon(T, name: str):
+    """T, or a ValueError naming it unless it is a finite real > 0 (not a
+    bool)."""
     if (isinstance(T, bool) or not isinstance(T, numbers.Real)
             or not 0.0 < T < np.inf):
         raise ValueError(f"{name} must be a finite real > 0, got {T!r}")
+    return T
 
 
 def parse_section(spec) -> tuple[int, float]:
@@ -653,7 +662,6 @@ def find_periodic_orbits(
     n_seeds: int = 16,
     *,
     seed: int = 0,
-    diagnostics: dict | None = None,
 ) -> list[PeriodicOrbitRecord]:
     """Periodic orbits up to T_max by close-return scanning plus shooting:
     find_periodic_orbits_batch on a batch of one, whose error is raised.
@@ -666,7 +674,7 @@ def find_periodic_orbits(
     deduplicated by orbit distance, and classified by the return map on
     the section plane u0-perp (orthogonal to the flow direction u0 at the
     orbit seed). A failed seed lane and shooting failures are counted
-    in `diagnostics` (when given), never raised. Degenerate
+    in find_periodic_orbits_batch's stats, never raised. Degenerate
     (multiplier-one) orbits are legitimate results: integrable fields
     produce whole families of them. T_max must be finite and > 0,
     n_seeds an integer >= 0 and a section's offset finite (ValueError).
@@ -677,8 +685,6 @@ def find_periodic_orbits(
         [u], [_orbit_seeds(n_seeds, seed, section_spec)], T_max)
     if isinstance(found, Exception):
         raise found
-    if diagnostics is not None:
-        diagnostics.update(found[1])
     return found[0]
 
 
@@ -733,7 +739,8 @@ def _orbit_seeds(n_seeds: int, seed: int, section_spec=None) -> np.ndarray:
 
 def _shoot_candidates(jet, seeds, ts, scans, failed):
     """The orbits of one search from its scanned seed lanes, and its
-    stats: shoot each close return, reduce, deduplicate and classify."""
+    stats: shoot each close return, reduce, deduplicate and classify. A
+    candidate whose flows fail (StiffnessError) is unresolved."""
     stats = {"candidates": 0, "unresolved": 0, "duplicates": 0}
     records: list[PeriodicOrbitRecord] = []
     for x_seed, points, lost in zip(seeds, scans, failed):
@@ -742,63 +749,64 @@ def _shoot_candidates(jet, seeds, ts, scans, failed):
             continue
         for T0, winding, _ in _close_return_candidates(Trajectory(ts, points)):
             stats["candidates"] += 1
-            hit = _newton_shoot(
-                jet, x_seed, T0, winding,
-                orbit_tol=ORBIT_TOL, rtol=1e-11, atol=1e-12,
-            )
-            if hit is None:
-                stats["unresolved"] += 1
-                log.debug("unresolved close return near T=%.3f from %s",
-                          T0, x_seed)
-                continue
-            x, T, _ = hit
-            x, T, winding = _reduce_to_primitive(jet, x, T, winding)
-            x_mod = np.mod(x, TAU)
-            if any(
-                abs(T - r.period) < 1e-5 * max(1.0, T)
-                and tuple(winding) == tuple(r.winding)
-                and _orbit_distance(r, x_mod) < 1e-3
-                for r in records
-            ):
-                stats["duplicates"] += 1
-                continue
-            dense, Ms = variational_flow(
-                jet, x_mod, T, rtol=1e-11, atol=1e-12,
-                n_samples=N_RECORD_SAMPLES,
-            )
-            return_residual = float(np.linalg.norm(
-                dense.points[-1] - x_mod - TAU * np.asarray(winding, float)
-            ))
-            if return_residual > 10 * ORBIT_TOL:
-                stats["unresolved"] += 1
-                continue
-            M = Ms[-1]
-            u0 = jet.value(x_mod)
-            flow_res = float(
-                np.linalg.norm(M @ u0 - u0) / np.linalg.norm(u0)
-            )
-            P = _project_return_map(M, u0, *_orthonormal_complement(u0))
-            mults = np.linalg.eigvals(P)
-            orbit_type, nondeg = _classify_multipliers(mults, MULT_TOL)
-            records.append(
-                PeriodicOrbitRecord(
-                    seed=x_mod,
-                    period=float(T),
-                    winding=tuple(int(w) for w in winding),
-                    trajectory=dense.points,
-                    ts=dense.ts,
-                    monodromy=M,
-                    transverse_map=P,
-                    multipliers=mults,
-                    orbit_type=orbit_type,
-                    nondegenerate=nondeg,
-                    return_residual=return_residual,
-                    flow_multiplier_residual=flow_res,
-                    det_transverse=float(np.linalg.det(P)),
-                )
-            )
+            try:
+                found = _shoot_record(jet, x_seed, T0, winding, records)
+            except StiffnessError:
+                found = "unresolved"
+            if isinstance(found, str):
+                stats[found] += 1
+            else:
+                records.append(found)
     records.sort(key=lambda r: (round(r.period, 6), tuple(np.round(r.seed, 6))))
     return records, stats
+
+
+def _shoot_record(jet, x_seed, T0, winding, records):
+    """The record of the orbit through one close return, or the stats key
+    it counts under: "unresolved" or "duplicates" of one of records."""
+    hit = _newton_shoot(jet, x_seed, T0, winding,
+                        orbit_tol=ORBIT_TOL, rtol=1e-11, atol=1e-12)
+    if hit is None:
+        log.debug("unresolved close return near T=%.3f from %s", T0, x_seed)
+        return "unresolved"
+    x, T, _ = hit
+    x, T, winding = _reduce_to_primitive(jet, x, T, winding)
+    x_mod = np.mod(x, TAU)
+    if any(
+        abs(T - r.period) < 1e-5 * max(1.0, T)
+        and tuple(winding) == tuple(r.winding)
+        and _orbit_distance(r, x_mod) < 1e-3
+        for r in records
+    ):
+        return "duplicates"
+    dense, Ms = variational_flow(jet, x_mod, T, rtol=1e-11, atol=1e-12,
+                                 n_samples=N_RECORD_SAMPLES)
+    return_residual = float(np.linalg.norm(
+        dense.points[-1] - x_mod - TAU * np.asarray(winding, float)
+    ))
+    if return_residual > 10 * ORBIT_TOL:
+        return "unresolved"
+    M = Ms[-1]
+    u0 = jet.value(x_mod)
+    flow_res = float(np.linalg.norm(M @ u0 - u0) / np.linalg.norm(u0))
+    P = _project_return_map(M, u0, *_orthonormal_complement(u0))
+    mults = np.linalg.eigvals(P)
+    orbit_type, nondeg = _classify_multipliers(mults, MULT_TOL)
+    return PeriodicOrbitRecord(
+        seed=x_mod,
+        period=float(T),
+        winding=tuple(int(w) for w in winding),
+        trajectory=dense.points,
+        ts=dense.ts,
+        monodromy=M,
+        transverse_map=P,
+        multipliers=mults,
+        orbit_type=orbit_type,
+        nondegenerate=nondeg,
+        return_residual=return_residual,
+        flow_multiplier_residual=flow_res,
+        det_transverse=float(np.linalg.det(P)),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -54,11 +54,13 @@ HERMITIAN_TOL = 1e-10
 RANDOM_METRIC_RETRIES = 20
 
 
-def check_count(n, name: str, minimum: int = 0) -> None:
-    """ValueError naming n unless it is an integer >= minimum (not a bool)."""
+def check_count(n, name: str, minimum: int = 0):
+    """n, or a ValueError naming it unless it is an integer >= minimum
+    (not a bool)."""
     if (isinstance(n, bool) or not isinstance(n, numbers.Integral)
             or n < minimum):
         raise ValueError(f"{name} must be an integer >= {minimum}, got {n!r}")
+    return n
 
 
 def check_real(x, name: str) -> None:
@@ -460,7 +462,7 @@ class MetricField:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "MetricField":
-        if data.get("rank") != "metric":
+        if not isinstance(data, Mapping) or data.get("rank") != "metric":
             raise ValueError("not a metric file")
         return cls(FourierField.from_json_dict(data))
 
@@ -537,59 +539,38 @@ def random_metric(
     )
 
 
-def parse_metric_name(spec) -> tuple[str, tuple]:
-    """(kind, parameters) of a metric name, without building the metric:
-    ("flat", ()), ("conformal", (c,)) or ("random_cr", (r, eps, seed,
-    cutoff)), cutoff 2 unless given. c must be a finite real > 0, r and
-    eps finite reals, seed and cutoff integers; otherwise a ValueError
-    names the parameter.
-    """
-    if not isinstance(spec, str):
-        raise ValueError(f"unknown metric name {spec!r}")
-    text = spec.strip()
+def named_metric(spec) -> MetricField:
+    """Parse and build a named metric: "flat", "conformal(c)" or
+    "random_cr(r, eps, seed[, cutoff])", cutoff 2 unless given. c must be
+    a finite real > 0, r and eps finite reals, seed and cutoff integers;
+    otherwise a ValueError names the parameter."""
+    text = spec.strip() if isinstance(spec, str) else ""
     if text == "flat":
-        return "flat", ()
-    if text.startswith("conformal(") and text.endswith(")"):
-        c = _metric_parameter(text[len("conformal("):-1], "conformal factor c")
-        if c <= 0:
-            raise ValueError(f"conformal factor c must be > 0, got {c!r}")
-        return "conformal", (c,)
-    if text.startswith("random_cr(") and text.endswith(")"):
-        parts = text[len("random_cr("):-1].split(",")
-        if len(parts) not in (3, 4):
-            raise ValueError("random_cr takes (r, eps, seed[, cutoff])")
-        r = _metric_parameter(parts[0], "random_cr r")
-        eps = _metric_parameter(parts[1], "random_cr eps")
-        seed = _metric_parameter(parts[2], "random_cr seed", int)
-        cutoff = (_metric_parameter(parts[3], "random_cr cutoff", int)
-                  if len(parts) == 4 else 2)
-        return "random_cr", (r, eps, seed, cutoff)
-    raise ValueError(f"unknown metric name {spec!r}")
-
-
-def _metric_parameter(text: str, name: str, convert=float):
-    """convert(text), a finite number, or a ValueError naming the parameter."""
-    text = text.strip()
-    try:
-        value = convert(text)
-        if math.isfinite(value):
-            return value
-    except ValueError:
-        pass
-    expected = "a finite real" if convert is float else "an integer"
-    raise ValueError(f"{name} must be {expected}, got {text!r}")
-
-
-def named_metric(spec: str) -> MetricField:
-    """Build a named metric: "flat", "conformal(c)" or "random_cr(r, eps,
-    seed[, cutoff])", as parse_metric_name reads it."""
-    kind, params = parse_metric_name(spec)
-    if kind == "flat":
         return flat_metric()
+    kind, _, inner = text.partition("(")
+    if kind not in ("conformal", "random_cr") or not inner.endswith(")"):
+        raise ValueError(f"unknown metric name {spec!r}")
+    parts = inner[:-1].split(",") if kind == "random_cr" else [inner[:-1]]
+    if kind == "random_cr" and len(parts) not in (3, 4):
+        raise ValueError("random_cr takes (r, eps, seed[, cutoff])")
+
+    def number(i: int, name: str, convert=float):
+        text = parts[i].strip()
+        try:
+            value = convert(text)
+            if convert is int or math.isfinite(value):
+                return value
+        except ValueError:
+            pass
+        expected = "a finite real" if convert is float else "an integer"
+        raise ValueError(f"{name} must be {expected}, got {text!r}")
+
     if kind == "conformal":
-        return conformal_metric(*params)
-    r, eps, seed, cutoff = params
-    return random_metric(r, eps, seed, cutoff=cutoff)
+        return conformal_metric(number(0, "conformal factor c"))
+    return random_metric(
+        number(0, "random_cr r"), number(1, "random_cr eps"),
+        number(2, "random_cr seed", int),
+        cutoff=number(3, "random_cr cutoff", int) if len(parts) == 4 else 2)
 
 
 # ---------------------------------------------------------------------------

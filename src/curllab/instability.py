@@ -73,6 +73,7 @@ from .dynamics import (
     ORBIT_TOL,
     FixedPointRecord,
     PeriodicOrbitRecord,
+    _classify_fixed_point,
     _newton_shoot,
     _orbit_seeds,
     _orthonormal_complement,
@@ -83,6 +84,7 @@ from .dynamics import (
     newton_zero,
     solve_lanes,
 )
+from .errors import StiffnessError
 from .fields import JetStack, MetricField, as_jet, check_count, default_grid, sharp
 
 
@@ -311,10 +313,8 @@ def _verify_fixed_point(jet, record: FixedPointRecord) -> FixedPointRecord | Non
     if not hit.converged:
         return None
     eigs = np.linalg.eigvals(hit.jacobian)
-    if np.abs(eigs).min() <= EIG_TOL:
-        return None
-    if eigs.real.max() <= 0:
-        return None  # no expanding direction: not a usable witness
+    if _classify_fixed_point(eigs, EIG_TOL)[0] != "saddle":
+        return None  # only a saddle (by the search's own rule) is a witness
     return FixedPointRecord(
         location=np.mod(hit.x, 2 * np.pi),
         jacobian=hit.jacobian,
@@ -326,11 +326,15 @@ def _verify_fixed_point(jet, record: FixedPointRecord) -> FixedPointRecord | Non
 
 
 def _verify_orbit(jet, record: PeriodicOrbitRecord) -> bool:
-    hit = _newton_shoot(
-        jet, record.seed, record.period, np.asarray(record.winding),
-        orbit_tol=ORBIT_TOL / 10, rtol=1e-12, atol=1e-13,
-    )
-    return hit is not None
+    """Re-shoot an orbit at a tenth of the detection tolerance; a failed
+    flow (StiffnessError) leaves it unverified."""
+    try:
+        return _newton_shoot(
+            jet, record.seed, record.period, np.asarray(record.winding),
+            orbit_tol=ORBIT_TOL / 10, rtol=1e-12, atol=1e-13,
+        ) is not None
+    except StiffnessError:
+        return False
 
 
 @dataclass

@@ -17,15 +17,17 @@ import functools
 import hashlib
 import json
 import multiprocessing
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from dataclasses import field as dataclass_field, fields as dataclass_fields
+from pathlib import Path
 
 import numpy as np
 
 from .curlspec import assemble, eigenpairs, parse_window
 from .fields import (MetricField, check_count, check_real, named_metric,
-                     parse_metric_name, random_metric)
+                     random_metric)
 # certify is unused here; perfbench/tracing.py patches lab.certify
 from .instability import CertifyBudget, certify, certify_batch  # noqa: F401
 
@@ -81,10 +83,7 @@ class SweepConfig:
         check_count(self.seed, "seed")
         check_real(self.smoothness, "smoothness")
         check_real(self.amplitude, "amplitude")
-        kind, _ = parse_metric_name(self.base_metric)
-        if kind == "random_cr":
-            # only a draw decides whether a random base is SPD
-            named_metric(self.base_metric)
+        named_metric(self.base_metric)  # raises on a bad name or base
 
     def to_json_dict(self, include_paths: bool = True) -> dict:
         data = asdict(self)
@@ -282,10 +281,6 @@ def _run_one_sample(config: SweepConfig, sample_id: int) -> SweepRecord:
     return record
 
 
-def _json_line(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 def run_sweep(config: SweepConfig, *, n_threads: int = 1):
     """Execute a sweep; returns the records in sample order.
 
@@ -337,30 +332,40 @@ def run_sweep(config: SweepConfig, *, n_threads: int = 1):
     return records
 
 
-def emit_report(records, path, fmt: str = "jsonl",
-                *, config: SweepConfig | None = None) -> str:
-    """Write records as JSON-lines or a summary CSV with fixed columns."""
+def emit_report(records, path, fmt: str = "jsonl", *,
+                config: SweepConfig) -> str:
+    """Write a sweep's records to path as JSON-lines, after a line with
+    its config and config hash, or as a summary CSV with fixed columns
+    under a config-hash comment."""
     if fmt == "jsonl":
-        lines = []
-        if config is not None:
-            lines.append(_json_line({
-                "config": config.to_json_dict(include_paths=False),
-                "config_hash": config.config_hash,
-            }))
-        lines.extend(_json_line(r.to_json_dict()) for r in records)
-        payload = "\n".join(lines) + "\n"
+        write_json_lines([{"config": config.to_json_dict(include_paths=False),
+                           "config_hash": config.config_hash},
+                          *(r.to_json_dict() for r in records)], path)
     elif fmt == "csv":
-        rows = []
-        if config is not None:
-            rows.append(f"# config_hash={config.config_hash}")
-        rows.append(",".join(CSV_COLUMNS))
-        for r in records:
-            rows.append(",".join(repr(v) if isinstance(v, float) else str(v)
-                                 for v in r.csv_row()))
-        payload = "\n".join(rows) + "\n"
+        write_csv(CSV_COLUMNS, [r.csv_row() for r in records], path,
+                  comment=f"config_hash={config.config_hash}")
     else:
         raise ValueError(f"unknown report format {fmt!r}")
-    with open(path, "w") as fh:
-        fh.write(payload)
     return path
 
+
+def write_json_lines(docs, path=None) -> None:
+    """Each document as one line of compact JSON with sorted keys, to the
+    file at path or to stdout. Every JSON output but the field and metric
+    files (FourierField.save) is written here."""
+    text = "".join(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+                   for doc in docs)
+    if path:
+        Path(path).write_text(text)
+    else:
+        sys.stdout.write(text)
+
+
+def write_csv(columns, rows, path, *, comment: str | None = None) -> None:
+    """A CSV file: an optional "# comment" line, the header, then one line
+    per row; floats are written by repr, so they read back exactly."""
+    lines = [f"# {comment}"] if comment else []
+    lines.append(",".join(columns))
+    lines.extend(",".join(repr(float(v)) if isinstance(v, float) else str(v)
+                          for v in row) for row in rows)
+    Path(path).write_text("\n".join(lines) + "\n")

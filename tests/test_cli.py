@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from curllab.cli import main
+from curllab.cli import build_parser, main
 from curllab.fields import FourierField, MetricField, named_metric
 
 
@@ -138,11 +138,13 @@ class TestDynamicsCommands:
         assert "Traceback" not in err
 
     def test_section_axis_names(self):
-        from curllab.cli import _section
+        def section(text):
+            argv = ["orbits", "--field", "xi:1", "--section", text]
+            return build_parser().parse_args(argv).section
 
-        assert _section("z,0.0") == {"axis": 2, "offset": 0.0}
-        assert _section("y, 1.5") == {"axis": 1, "offset": 1.5}
-        assert _section("0,-2") == {"axis": 0, "offset": -2.0}
+        assert section("z,0.0") == {"axis": 2, "offset": 0.0}
+        assert section("y, 1.5") == {"axis": 1, "offset": 1.5}
+        assert section("0,-2") == {"axis": 0, "offset": -2.0}
 
     def test_eigenform_file_input(self, tmp_path):
         # spectrum -> sidecar eigenform -> fixed-points consumes the file
@@ -161,7 +163,7 @@ class TestDynamicsCommands:
     def test_eigenform_file_flows_certifys_field(self, tmp_path, bumpy):
         # an eigenform of a non-constant metric flows as sharp(metric, form),
         # the field certify starts from, at the grid's full bandwidth
-        from curllab.cli import _field, _flow_field
+        from curllab.cli import _flow_field
         from curllab.curlspec import eigenpairs
         from curllab.fields import sharp
 
@@ -170,7 +172,8 @@ class TestDynamicsCommands:
         bumpy.save(metric_path)
         form.save(form_path)
         metric = MetricField.load(metric_path)
-        u = _flow_field(_field(str(form_path)), metric)
+        args = build_parser().parse_args(["orbits", "--field", str(form_path)])
+        u = _flow_field(args.field, metric)
         expect = sharp(bumpy, FourierField.load(form_path))
         assert u.truncation == expect.truncation == 6
         np.testing.assert_array_equal(u.coeffs, expect.coeffs)
@@ -204,6 +207,54 @@ class TestOptionRanges:
         err = capsys.readouterr().err
         assert "usage:" in err
         assert f"argument {option}:" in err
+        assert "Traceback" not in err
+
+
+class TestMalformedOptions:
+    # every option the CLI parses goes through one converter: a malformed
+    # value is a usage error naming the option and what it expected. A
+    # JSON file of the wrong shape ("shape.json" holds [1, 2]) made --field
+    # exit with argparse's bare "invalid _field value"
+    @pytest.mark.parametrize("command, option, value", [
+        ("spectrum", "--metric", "bogus"),
+        ("spectrum", "--metric", "random_cr(2, 0.01, x)"),
+        ("spectrum", "--metric", "shape.json"),
+        ("spectrum", "--metric", "vector.json"),
+        ("spectrum", "--truncation", "two"),
+        ("spectrum", "--truncation", "1.5"),
+        ("spectrum", "--window", "a,b"),
+        ("spectrum", "--window", "1,2,3"),
+        ("spectrum", "--count", "-2"),
+        ("fixed-points", "--field", "bogus"),
+        ("fixed-points", "--field", "shape.json"),
+        ("fixed-points", "--grid-density", "dense"),
+        ("orbits", "--field", "missing.json"),
+        ("orbits", "--t-max", "soon"),
+        ("orbits", "--seeds", "many"),
+        ("orbits", "--seed", "1e3"),
+        ("orbits", "--section", "z,0,1"),
+        ("adapted-metric", "--k", "1.5"),
+        ("reeb", "--form", "missing.json"),
+        ("reeb", "--form", "shape.json"),
+        ("instability", "--eigen-index", "first"),
+        ("instability", "--budget", "shape.json"),
+        ("instability", "--budget", '{"T_max": "long"}'),
+        ("genericity-sweep", "--config", "shape.json"),
+        ("genericity-sweep", "--config", "missing.json"),
+        ("genericity-sweep", "--threads", "all"),
+        ("certify-all", "--budget", "{not json"),
+    ])
+    def test_malformed_value_is_a_usage_error(self, command, option, value,
+                                              tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "shape.json").write_text("[1, 2]")
+        FourierField.constant("vector", [1.0, 0.0, 0.0]).save("vector.json")
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, option, value])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {option}: expected " in err
+        assert repr(value) in err
         assert "Traceback" not in err
 
 
@@ -284,14 +335,17 @@ class TestCertificationCommands:
         assert "Traceback" not in err
 
     def test_budget_sources(self, tmp_path):
-        from curllab.cli import _budget
+        def budget(spec):
+            argv = ["instability", "--metric", "flat", "--truncation", "1",
+                    "--budget", spec]
+            return build_parser().parse_args(argv).budget
 
-        assert _budget("fast").T_max == 10.0
+        assert budget("fast").T_max == 10.0
         path = tmp_path / "budget.json"
         path.write_text('{"T_max": 4.0}')
-        assert _budget(str(path)).T_max == 4.0
+        assert budget(str(path)).T_max == 4.0
         # inline JSON longer than a file name may be
-        assert _budget('{"seed": 3' + " " * 300 + "}").seed == 3
+        assert budget('{"seed": 3' + " " * 300 + "}").seed == 3
 
     def test_certify_all_exit_zero_on_inconclusive(self, tmp_path):
         out = tmp_path / "certs.jsonl"

@@ -227,11 +227,9 @@ class TestOneIntegrator:
         # the scan's seeds share one solve; shooting, primitive-period
         # probes and the orbit records are solves of one lane each
         calls = self.spy(monkeypatch)
-        diagnostics = {}
-        records = find_periodic_orbits(shear_field(1), T_max=8.0, n_seeds=4,
-                                       section_spec={"axis": "z"},
-                                       diagnostics=diagnostics)
-        assert records and diagnostics["candidates"] > 0
+        ((records, stats),) = find_periodic_orbits_batch(
+            [shear_field(1)], [_orbit_seeds(4, 0, {"axis": "z"})], 8.0)
+        assert records and stats["candidates"] > 0
         lanes = [len(y0) for y0, *_ in calls]
         assert lanes[0] == 4 and calls[0][1] == 8.0
         assert lanes[1:] and set(lanes[1:]) == {1}
@@ -289,11 +287,39 @@ class TestOrbitSearchArguments:
         assert parse_section({"axis": np.int64(1)}) == (1, 0.0)
 
     def test_no_seeds_no_orbits(self):
-        diagnostics = {}
-        assert find_periodic_orbits(abc_field(1, 1, 1), T_max=2.0, n_seeds=0,
-                                    diagnostics=diagnostics) == []
-        assert diagnostics == {"candidates": 0, "unresolved": 0,
-                               "duplicates": 0}
+        assert find_periodic_orbits(abc_field(1, 1, 1), T_max=2.0,
+                                    n_seeds=0) == []
+        (found,) = find_periodic_orbits_batch([abc_field(1, 1, 1)],
+                                              [_orbit_seeds(0, 0)], 2.0)
+        assert found == ([], {"candidates": 0, "unresolved": 0,
+                              "duplicates": 0})
+
+
+class NaNJacobianJet:
+    """A jet with finite values and NaN Jacobians: every variational flow
+    on it fails."""
+
+    def __init__(self, jet):
+        self.jet = jet
+
+    def __getattr__(self, name):
+        return getattr(self.jet, name)
+
+    def values_and_jacobians(self, points):
+        vals, jacs = self.jet.values_and_jacobians(points)
+        return vals, np.full_like(jacs, np.nan)
+
+
+class TestOrbitShootingFailures:
+    def test_failed_shooting_flows_are_counted(self):
+        # a StiffnessError from the shooting flows used to escape the search
+        jet = NaNJacobianJet(FieldJet(abc_field(1, 1, 1)))
+        assert find_periodic_orbits(jet, T_max=8.0, n_seeds=2, seed=3) == []
+        ((records, stats),) = find_periodic_orbits_batch(
+            [jet], [_orbit_seeds(2, 3)], 8.0)
+        assert records == []
+        assert stats["candidates"] > 0
+        assert stats["unresolved"] == stats["candidates"]
 
 
 class TestFixedPoints:

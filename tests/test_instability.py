@@ -650,3 +650,22 @@ class TestCertify:
         for outcome in (outcomes[0], outcomes[2]):
             assert isinstance(outcome, InstabilityCertificate)
             assert outcome.to_json_dict() == alone
+
+
+class TestWitnessVerification:
+    def test_only_a_saddle_verifies(self):
+        # eigenvalues 7e-7 +- 1i and -1.4e-6: non-hyperbolic by the search's
+        # rule (EIG_TOL 1e-6), yet verified as a saddle of exponent 7e-7
+        from curllab.dynamics import EIG_TOL, FixedPointRecord, _classify_fixed_point
+
+        a = 7e-7
+        A = np.array([[a, -1.0, 0.0], [1.0, a, 0.0], [0.0, 0.0, -2 * a]])
+        x0 = np.array([1.0, 2.0, 3.0])
+        eigs = np.linalg.eigvals(A)
+        assert _classify_fixed_point(eigs, EIG_TOL) == ("non-hyperbolic", True)
+        record = FixedPointRecord(location=x0 + 1e-3, jacobian=A,
+                                  eigenvalues=eigs,
+                                  classification="non-hyperbolic",
+                                  nondegenerate=True, residual=0.0)
+        assert instability._verify_fixed_point(FrozenJet(-A @ x0, A),
+                                               record) is None

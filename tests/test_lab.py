@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from curllab import lab
+from curllab.fields import named_metric
 from curllab.lab import (
     CSV_COLUMNS,
     SweepConfig,
@@ -231,8 +232,9 @@ class TestReports:
 
     def test_empty_records_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
-        emit_report([], path, "csv")
-        assert path.read_text() == ",".join(CSV_COLUMNS) + "\n"
+        emit_report([], path, "csv", config=SMALL)
+        assert path.read_text() == (f"# config_hash={SMALL.config_hash}\n"
+                                    + ",".join(CSV_COLUMNS) + "\n")
 
     def test_rows_preserve_input_order(self, tmp_path):
         records = [
@@ -242,10 +244,10 @@ class TestReports:
                         eigenvalues=[1.0], pair_reports=[]),
         ]
         path = tmp_path / "two.csv"
-        emit_report(records, path, "csv")
+        emit_report(records, path, "csv", config=SMALL)
         lines = path.read_text().strip().splitlines()
-        assert lines[1].startswith("2,")
-        assert lines[2].startswith("0,")
+        assert lines[2].startswith("2,")
+        assert lines[3].startswith("0,")
 
     def test_config_hash_ignores_output_paths(self):
         a = SweepConfig(samples=2, out_jsonl="x.jsonl")
@@ -327,19 +329,24 @@ class TestConfigProblem:
         ({"seed": 1.5}, "seed"),
         ({"seed": "a"}, "seed"),
         ({"seed": True}, "seed"),
+        ({"base_metric": "conformal(0)"}, "conformal factor c must be > 0"),
     ])
     def test_bad_ensemble_rejected_where_built(self, ensemble, message):
         with pytest.raises(ValueError, match=message):
             SweepConfig(**ensemble)
 
+    # named_metric parses a name as it builds the metric: one parser
     @pytest.mark.parametrize("base", ["flat", "conformal(2)"])
-    def test_closed_form_base_is_checked_without_a_build(self, base,
-                                                         monkeypatch):
-        def no_build(spec):
-            raise AssertionError(f"the config built its base {spec}")
+    def test_base_is_checked_by_its_build(self, base, monkeypatch):
+        built = []
 
-        monkeypatch.setattr("curllab.lab.named_metric", no_build)
+        def build(spec):
+            built.append(spec)
+            return named_metric(spec)
+
+        monkeypatch.setattr("curllab.lab.named_metric", build)
         SweepConfig(base_metric=base)
+        assert built == [base]
 
     def test_checks_leave_the_config_hash(self):
         # the checks add no field, so every config keeps its hash and its
