@@ -21,6 +21,7 @@ from .dynamics import (
     PeriodicOrbitRecord,
     cz_index_from_path,
     newton_zero,
+    shear_field,
     variational_flow,
 )
 from .errors import (
@@ -86,6 +87,19 @@ def _reeb_residual(alpha_vals: np.ndarray, omega: np.ndarray,
     return float(max(alpha_res, omega_res))
 
 
+def _contact_sign(pairing: np.ndarray) -> float:
+    """The sign, 1.0 or -1.0, of the grid samples of alpha ^ d(alpha); the
+    one contact rule: min |pairing| > 0 with one sign on the grid, else
+    NotContactError."""
+    if pairing.min() > 0.0:
+        return 1.0
+    if pairing.max() < 0.0:
+        return -1.0
+    raise NotContactError(
+        f"alpha ^ d(alpha) is not bounded away from zero with one sign on the "
+        f"grid (min |pairing| = {np.abs(pairing).min():.3e})")
+
+
 @dataclass(frozen=True)
 class ContactForm:
     """A 1-form certified contact at grid resolution."""
@@ -99,13 +113,8 @@ class ContactForm:
         if grid is None:
             grid = CollocationGrid.for_truncation(form.truncation)
         pairing = wedge_pairing_samples(form, grid)
-        defect = float(np.abs(pairing).min())
-        if defect <= 0.0 or pairing.max() * pairing.min() < 0:
-            raise NotContactError(
-                f"alpha ^ d(alpha) is not bounded away from zero on the grid "
-                f"(min |pairing| = {defect:.3e})"
-            )
-        return cls(form=form, defect=defect)
+        _contact_sign(pairing)
+        return cls(form=form, defect=float(np.abs(pairing).min()))
 
     @property
     def truncation(self) -> int:
@@ -117,18 +126,12 @@ def _as_form(form) -> FourierField:
 
 
 def tight_form(k: int) -> ContactForm:
-    """The canonical contact form sin(kz) dx + cos(kz) dy.
+    """The canonical contact form sin(kz) dx + cos(kz) dy: the coefficients
+    of shear_field(k), read as a 1-form, so k is checked by its rule.
 
     Exactly two Fourier modes; the contact defect equals |k|.
     """
-    k = int(k)
-    if k == 0:
-        raise ValueError("k = 0 gives a closed form, which is not contact")
-    n = abs(k)
-    form = FourierField.from_modes(
-        "one_form", n, {(0, 0, k, 0): -0.5j, (0, 0, k, 1): 0.5}
-    )
-    return ContactForm.certify(form)
+    return ContactForm.certify(FourierField("one_form", shear_field(k).coeffs))
 
 
 def reeb_field(form, grid: CollocationGrid | None = None) -> FourierField:
@@ -145,8 +148,7 @@ def reeb_field(form, grid: CollocationGrid | None = None) -> FourierField:
     a = np.moveaxis(alpha.sample(grid), 0, -1)          # (M,M,M,3)
     omega = np.moveaxis(exterior_d(alpha).sample(grid), 0, -1)
     pairing = np.einsum("...c,...c->...", a, omega)
-    if np.abs(pairing).min() <= 0.0:
-        raise NotContactError("form is not contact on the grid")
+    _contact_sign(pairing)
     X = omega / pairing[..., None]
     residual = _reeb_residual(a, omega, X)
     if residual > 1e-10:
@@ -317,7 +319,7 @@ def adapted_metric(form) -> AdaptedMetricResult:
     """Metric built from a contact form and the quarter turn J on its kernel.
 
     J rotates the kernel planes by a quarter turn oriented by the sign s
-    of the mean contact pairing: J f1 = s f2, J f2 = -s f1. In the frame
+    of the contact pairing: J f1 = s f2, J f2 = -s f1. In the frame
     {X, f1, f2} the tensor is block diagonal: 1 on the Reeb direction
     from the alpha (x) alpha term, and d(alpha)(f_a, J f_b) on the kernel
     planes. The assembled tensor is symmetrized (the recorded asymmetry
@@ -328,9 +330,7 @@ def adapted_metric(form) -> AdaptedMetricResult:
     alpha = _as_form(form)
     n_a = alpha.truncation
     grid = CollocationGrid(_next_odd(4 * n_a + 9))
-    sign = float(np.sign(wedge_pairing_samples(alpha, grid).mean()))
-    if sign == 0.0:
-        raise NotContactError("cannot orient a vanishing contact pairing")
+    sign = _contact_sign(wedge_pairing_samples(alpha, grid))
 
     X = np.moveaxis(reeb_field(alpha, grid).sample(grid), 0, -1)
     frame = ContactFrameEvaluator(alpha, grid)
@@ -433,42 +433,35 @@ def conley_zehnder(orbit: PeriodicOrbitRecord, contact_form, field) -> int:
 
 
 def reeb_rescaled(u, metric: MetricField):
-    """Evaluator of X = u / |u|_g^2 and its Jacobian, at x (3,) or rows (P, 3).
+    """Jet of X = u / |u|_g^2: value and value_and_jacobian, each at a
+    point x (3,) or at rows (P, 3), a row bit-identical to its one-point
+    call.
 
     The flow of X reparametrizes the flowlines of u; for a curl
     eigenfield dual to alpha it is the Reeb flow of alpha, whose
     linearization preserves the kernel planes. u's jet and
-    metric.value_and_gradient give u, g and their first derivatives at a
-    point, one kernel call each. Only the tests flow it, as the reference
-    for invariance under that rescaling.
+    metric.value_and_gradient give u, g and their first derivatives at
+    every point in one kernel call each. Only the tests flow it, as the
+    reference for invariance under that rescaling.
     """
     jet = as_jet(u)
+    add = np.add.reduce  # sums over one axis in the same order at a point or rows
+
+    def rescaled(x):
+        v, Dv = jet.value_and_jacobian(x)
+        g, dg = metric.value_and_gradient(x)
+        gv = add(g * v[..., None, :], axis=-1)
+        s = add(v * gv, axis=-1)[..., None]
+        # d_b s = v . (d_b g) v + 2 (Du^T g v)_b
+        grad_s = add(add(dg * v[..., None, None, :], axis=-1) * v[..., None, :],
+                     axis=-1)
+        grad_s += 2.0 * add(Dv * gv[..., :, None], axis=-2)
+        s2 = (s * s)[..., None]
+        return v / s, Dv / s[..., None] - v[..., :, None] * grad_s[..., None, :] / s2
 
     class _Rescaled:
         truncation = jet.truncation
-
-        @staticmethod
-        def value(x):
-            if np.ndim(x) == 2:
-                return np.array([_Rescaled.value(p) for p in x])
-            v = jet.value(x)
-            g, _ = metric.value_and_gradient(x)
-            return v / (v @ g @ v)
-
-        @staticmethod
-        def value_and_jacobian(x):
-            v, Dv = jet.value_and_jacobian(x)
-            g, dg = metric.value_and_gradient(x)
-            s = v @ g @ v
-            grad_s = np.array([v @ dg[b] @ v for b in range(3)])
-            grad_s += 2.0 * Dv.T @ (g @ v)
-            X = v / s
-            DX = Dv / s - np.outer(v, grad_s) / s**2
-            return X, DX
-
-        @staticmethod
-        def values_and_jacobians(points):
-            rows = [_Rescaled.value_and_jacobian(x) for x in points]
-            return tuple(np.array(part) for part in zip(*rows))
+        value_and_jacobian = staticmethod(rescaled)
+        value = staticmethod(lambda x: rescaled(x)[0])
 
     return _Rescaled()

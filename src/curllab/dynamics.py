@@ -159,11 +159,12 @@ def variational_flow(u, x0, T: float, *, rtol: float = 1e-11,
     """Flow and linearized flow for a time T (finite, > 0), sampled as flow
     is, as one lane of solve_lanes, which no other lane changes:
     (Trajectory, Ms) with Ms[i] the 3x3 state transition matrix from time
-    0 to ts[i]. u is a field or a jet with values_and_jacobians."""
+    0 to ts[i]. u is a field or a jet (value and value_and_jacobian, each
+    at a point or at rows), evaluated by value_and_jacobian at rows."""
     jet = as_jet(u)
 
     def rhs(_, y):
-        vals, jacs = jet.values_and_jacobians(y[:, :3])
+        vals, jacs = jet.value_and_jacobian(y[:, :3])
         return np.concatenate(
             [vals, (jacs @ y[:, 3:].reshape(-1, 3, 3)).reshape(-1, 9)], axis=1)
 
@@ -386,6 +387,22 @@ class FixedPointRecord:
             "residual": self.residual,
         }
 
+    @classmethod
+    def at(cls, x, value, jacobian) -> "FixedPointRecord":
+        """The record of a zero at x from u(x) and Du(x), classified by the
+        eigenvalues of Du against EIG_TOL: the search's one saddle rule."""
+        eigs = np.linalg.eigvals(jacobian)
+        nondegenerate = bool(np.abs(eigs).min() > EIG_TOL)
+        if not nondegenerate:
+            kind = "degenerate"
+        elif eigs.real.max() > EIG_TOL and eigs.real.min() < -EIG_TOL:
+            kind = "saddle"
+        else:
+            kind = "non-hyperbolic"
+        return cls(location=x, jacobian=jacobian, eigenvalues=eigs,
+                   classification=kind, nondegenerate=nondegenerate,
+                   residual=float(np.linalg.norm(value)))
+
 
 class NewtonZero(NamedTuple):
     """Outcome of newton_zero: the last iterate, u and Du there, and the
@@ -429,15 +446,6 @@ def newton_zero(jet, x, *, tol: float, max_iter: int,
     return NewtonZero(x, val, jac, best, converged)
 
 
-def _classify_fixed_point(eigs: np.ndarray, eig_tol: float) -> tuple[str, bool]:
-    nondeg = bool(np.abs(eigs).min() > eig_tol)
-    if not nondeg:
-        return "degenerate", False
-    if eigs.real.max() > eig_tol and eigs.real.min() < -eig_tol:
-        return "saddle", True
-    return "non-hyperbolic", True
-
-
 def find_fixed_points(u, grid_density: int = 24) -> list[FixedPointRecord]:
     """Zeros of a vector field (a FourierField or its FieldJet) with their
     linearizations.
@@ -472,19 +480,7 @@ def find_fixed_points(u, grid_density: int = 24) -> list[FixedPointRecord]:
         x = np.mod(hit.x, TAU)
         if any(torus_distance(x, r.location) < DEDUP_TOL for r in records):
             continue
-        val, jac = jet.value_and_jacobian(x)
-        eigs = np.linalg.eigvals(jac)
-        classification, nondeg = _classify_fixed_point(eigs, EIG_TOL)
-        records.append(
-            FixedPointRecord(
-                location=x,
-                jacobian=jac,
-                eigenvalues=eigs,
-                classification=classification,
-                nondegenerate=nondeg,
-                residual=float(np.linalg.norm(val)),
-            )
-        )
+        records.append(FixedPointRecord.at(x, *jet.value_and_jacobian(x)))
     records.sort(key=lambda r: tuple(np.round(r.location, 8)))
     return records
 

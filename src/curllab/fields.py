@@ -320,17 +320,22 @@ class FourierField:
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "FourierField":
         """Inverse of `to_json_dict`. An unknown rank raises
-        UnsupportedRankError, an entry outside the coefficient array
+        UnsupportedRankError; an N, index or component that is not an
+        integer (or is a bool), an entry outside the coefficient array
         (component or |m_i| > N) or a non-finite entry ValueError."""
         rank = data["rank"]
         if rank not in RANK_COMPONENTS:
             raise UnsupportedRankError(f"unknown rank {rank!r}")
-        n = int(data["N"])
+        n = check_count(data["N"], "N")
         L = 2 * n + 1
         ncomp = RANK_COMPONENTS[rank]
         coeffs = np.zeros((ncomp, L, L, L), np.complex128)
-        for m1, m2, m3, comp, re, im in data["coeffs"]:
-            m1, m2, m3, comp = int(m1), int(m2), int(m3), int(comp)
+        for entry in data["coeffs"]:
+            m1, m2, m3, comp, re, im = entry
+            if any(isinstance(i, bool) or not isinstance(i, numbers.Integral)
+                   for i in (m1, m2, m3, comp)):
+                raise ValueError(f"entry {entry!r}: its mode indices and "
+                                 f"component must be integers")
             if not 0 <= comp < ncomp or max(abs(m1), abs(m2), abs(m3)) > n:
                 raise ValueError(f"entry m = {(m1, m2, m3)}, component {comp} "
                                  f"lies outside a {rank} field of N = {n}")
@@ -453,10 +458,13 @@ class MetricField:
         return _symmetric(self.block.eval(x))
 
     def value_and_gradient(self, x):
-        """g (3, 3) and dg (3, 3, 3), dg[b] = d_b g, at a point x (3,),
-        from one Jacobian kernel call on the block's 6 components."""
-        sym = _symmetric(_block_sum(self.block.half_block(), x, True).reshape(4, 6))
-        return sym[0], sym[1:]
+        """g (3, 3) and dg (3, 3, 3), dg[b] = d_b g, at a point x (3,), or
+        (P, 3, 3) and (P, 3, 3, 3) at the rows of x (P, 3), from one
+        Jacobian kernel call on the block's 6 components; each row is
+        bit-identical to its one-point call."""
+        rows = _block_sum(self.block.half_block(), x, True)
+        sym = _symmetric(rows.reshape(rows.shape[:-1] + (4, 6)))
+        return sym[..., 0, :, :], sym[..., 1:, :, :]
 
     # -- serialization ------------------------------------------------
 
@@ -755,8 +763,8 @@ def wedge_pairing_samples(
 def contact_defect(form: FourierField, grid: CollocationGrid | None = None) -> float:
     """min over the grid of |(alpha ^ d alpha)/(dx^dy^dz)|.
 
-    Strictly positive iff the form is certified contact at grid
-    resolution.
+    Positive on a certified contact form, but not sufficient: the pairing
+    must also keep one sign (the rule of contact.ContactForm.certify).
     """
     return float(np.abs(wedge_pairing_samples(form, grid)).min())
 
@@ -848,12 +856,13 @@ def _block_sum(block: np.ndarray, x, jacobians: bool) -> np.ndarray:
 class FieldJet:
     """Value and Jacobian of a 3-component field at arbitrary points.
 
-    It sums the field's own half_block, the values' block, with the
-    derivative phase vectors of _point_sum, so a point costs
-    3 (N + 1)(2 L^2 + 4 L + 8) complex multiply-adds (8.4k at N = 6) in
-    one kernel call, and P points or a JetStack of several jets cost one
-    call too. Used as the right-hand side of all orbit and stability
-    integrators.
+    The jet protocol is two methods, value and value_and_jacobian, each
+    taking a point (3,) or rows (P, 3). It sums the field's own
+    half_block, the values' block, with the derivative phase vectors of
+    _point_sum, so a point costs 3 (N + 1)(2 L^2 + 4 L + 8) complex
+    multiply-adds (8.4k at N = 6) in one kernel call, and P points or a
+    JetStack of several jets cost one call too. Used as the right-hand
+    side of all orbit and stability integrators.
     """
 
     def __init__(self, field: FourierField):
@@ -870,17 +879,17 @@ class FieldJet:
         return self.field.eval(x)
 
     def value_and_jacobian(self, x):
-        out = _block_sum(self._block, x, True).reshape(4, 3)
-        return out[0], out[1:].T.copy()  # jac[a, b] = d_b u_a
-
-    def values_and_jacobians(self, points):
-        """value_and_jacobian at each row of points (P, 3): values (P, 3)
-        and Jacobians (P, 3, 3), each row bit-identical to a one-point call."""
-        return _split_jet(_block_sum(self._block, points, True))
+        """u (3,) and Du (3, 3), jac[a, b] = d_b u_a, at a point x (3,), or
+        (P, 3) and (P, 3, 3) at the rows of x (P, 3), each row
+        bit-identical to its one-point call."""
+        return _split_jet(_block_sum(self._block, x, True))
 
 
 def _split_jet(rows: np.ndarray):
-    """Values (P, 3) and Jacobians (P, 3, 3) of jet rows (P, 12)."""
+    """Values (3,) and Jacobians (3, 3), jac[a, b] = d_b u_a, of a jet row
+    (12,), or (P, 3) and (P, 3, 3) of jet rows (P, 12)."""
+    if rows.ndim == 1:  # a lone point: plain slices cost less than the batch indexing
+        return rows[:3], rows[3:].reshape(3, 3).T
     out = rows.reshape(-1, 4, 3)
     return out[:, 0], out[:, 1:].transpose(0, 2, 1)
 
@@ -900,10 +909,10 @@ class JetStack:
     half block sharing a layer; each live layer's rows are padded to the
     largest row count of the call, so a call costs one kernel per
     truncation however many lanes are live. Any other jet (a test system,
-    a rescaled field) evaluates its own rows with its value or
-    values_and_jacobians. Each row is bit-identical to its jet's
-    one-point call, so a row does not depend on the rows beside it, and
-    values is itself a right-hand side for dynamics.solve_lanes.
+    a rescaled field) evaluates its own rows with the jet protocol's
+    value or value_and_jacobian at rows. Each row is bit-identical to its
+    jet's one-point call, so a row does not depend on the rows beside it,
+    and values is itself a right-hand side for dynamics.solve_lanes.
     """
 
     def __init__(self, jets):
@@ -978,7 +987,7 @@ class JetStack:
             if layout is None:
                 jet = self._members[g][0]
                 if jacobians:  # into _split_jet's row layout
-                    vals, jacs = jet.values_and_jacobians(points[rows])
+                    vals, jacs = jet.value_and_jacobian(points[rows])
                     out[rows, :3] = vals
                     out[rows, 3:] = np.swapaxes(jacs, 1, 2).reshape(-1, 9)
                 else:

@@ -73,7 +73,6 @@ from .dynamics import (
     ORBIT_TOL,
     FixedPointRecord,
     PeriodicOrbitRecord,
-    _classify_fixed_point,
     _newton_shoot,
     _orbit_seeds,
     _orthonormal_complement,
@@ -312,17 +311,9 @@ def _verify_fixed_point(jet, record: FixedPointRecord) -> FixedPointRecord | Non
     hit = newton_zero(jet, record.location, tol=NEWTON_TOL / 10, max_iter=40)
     if not hit.converged:
         return None
-    eigs = np.linalg.eigvals(hit.jacobian)
-    if _classify_fixed_point(eigs, EIG_TOL)[0] != "saddle":
-        return None  # only a saddle (by the search's own rule) is a witness
-    return FixedPointRecord(
-        location=np.mod(hit.x, 2 * np.pi),
-        jacobian=hit.jacobian,
-        eigenvalues=eigs,
-        classification="saddle",
-        nondegenerate=True,
-        residual=float(np.linalg.norm(hit.value)),
-    )
+    verified = FixedPointRecord.at(np.mod(hit.x, 2 * np.pi), hit.value, hit.jacobian)
+    # only a saddle (by the search's own rule) is a witness
+    return verified if verified.classification == "saddle" else None
 
 
 def _verify_orbit(jet, record: PeriodicOrbitRecord) -> bool:

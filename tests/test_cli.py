@@ -227,6 +227,7 @@ class TestMalformedOptions:
         ("spectrum", "--count", "-2"),
         ("fixed-points", "--field", "bogus"),
         ("fixed-points", "--field", "shape.json"),
+        ("fixed-points", "--field", "fractional.json"),
         ("fixed-points", "--grid-density", "dense"),
         ("orbits", "--field", "missing.json"),
         ("orbits", "--t-max", "soon"),
@@ -249,6 +250,9 @@ class TestMalformedOptions:
         monkeypatch.chdir(tmp_path)
         (tmp_path / "shape.json").write_text("[1, 2]")
         FourierField.constant("vector", [1.0, 0.0, 0.0]).save("vector.json")
+        # a mode index of 0.5 used to load as 0
+        (tmp_path / "fractional.json").write_text(json.dumps(
+            {"rank": "vector", "N": 1, "coeffs": [[0.5, 0, 0, 0, 1.0, 0.0]]}))
         with pytest.raises(SystemExit) as exit_info:
             main([command, option, value])
         assert exit_info.value.code == 2

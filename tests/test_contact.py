@@ -40,6 +40,12 @@ class TestTightForms:
         with pytest.raises(ValueError):
             tight_form(0)
 
+    # 1.5 and True were truncated by int() to k = 1
+    @pytest.mark.parametrize("k", [1.5, True])
+    def test_non_integer_rejected(self, k):
+        with pytest.raises(ValueError, match="integer k != 0"):
+            tight_form(k)
+
     def test_closed_form_not_certifiable(self):
         dx = FourierField.constant("one_form", [1, 0, 0])
         with pytest.raises(NotContactError):
@@ -70,6 +76,20 @@ class TestReebField:
             X.eval((0, 0, 0.9)), np.array([np.sin(0.9), np.cos(0.9), 0]) / c,
             atol=1e-12,
         )
+
+    @pytest.mark.parametrize("b", [0.5, 1.2])
+    def test_pairing_of_both_signs_refused(self, b):
+        # ABC(1, 1, 1) plus b times its mirror image under x -> -x (its
+        # coefficients reversed along m_x, the x component negated; a
+        # lambda = -1 eigenfield): alpha ^ d(alpha) misses 0 on the grid
+        # but takes both signs (-0.68 to 5.18 at b = 0.5), and reeb_field
+        # used to return a "Reeb field" that ContactForm.certify refuses
+        c = abc_one_form().coeffs
+        mirror = c[:, ::-1] * np.array([-1.0, 1.0, 1.0])[:, None, None, None]
+        form = FourierField("one_form", c + b * mirror)
+        for build in (reeb_field, ContactForm.certify, adapted_metric):
+            with pytest.raises(NotContactError, match="with one sign"):
+                build(form)
 
 
 class TestBeltramiReebDictionary:
@@ -285,7 +305,7 @@ class TestReebRescaledEvaluator:
     def test_rows_match_one_point_calls(self, bumpy, rng):
         resc = reeb_rescaled(sharp(bumpy, shear_one_form(1)), bumpy)
         points = rng.uniform(0, 2 * np.pi, (4, 3))
-        vals, jacs = resc.values_and_jacobians(points)
+        vals, jacs = resc.value_and_jacobian(points)
         np.testing.assert_array_equal(resc.value(points),
                                       [resc.value(x) for x in points])
         for x, val, jac in zip(points, vals, jacs):

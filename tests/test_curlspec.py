@@ -174,6 +174,7 @@ class TestResidual:
             assemble(flat, 1).residual(FourierField.zeros("one_form", 1), 1.0)
 
 
+@pytest.mark.two_blas_threads
 class TestEigenpairs:
     def test_flat_smallest_cluster(self, flat):
         pairs = eigenpairs(flat, 2, {"count": 12})
@@ -319,6 +320,7 @@ class TestEigenpairs:
             assert pairs == []
 
 
+@pytest.mark.two_blas_threads
 class TestReducedPencil:
     def test_frames_diagonalize_the_pairing(self, flat):
         # B(beta, alpha) = integral of beta ^ d(alpha) is the flat L2 pairing
@@ -479,6 +481,7 @@ LANCZOS_METRICS = {
 }
 
 
+@pytest.mark.two_blas_threads
 class TestLanczos:
     """Small windows from N = 5 on are solved by Lanczos on the Schur
     factor. These tests run that path at N = 3 and 4, where the dense
@@ -683,6 +686,7 @@ shifts = st.tuples(*[st.floats(0.0, 2 * np.pi)] * 3)
 small_amplitudes = st.floats(1e-3, 2e-2)
 
 
+@pytest.mark.two_blas_threads
 @pytest.mark.parametrize("path", sorted(SYMMETRY_PATHS))
 class TestSpectralSymmetry:
     """Isometries of the torus map a metric's curl spectrum onto that of
@@ -723,6 +727,7 @@ class TestSpectralSymmetry:
         np.testing.assert_allclose(-mirrored[::-1], base, rtol=0, atol=1e-13)
 
 
+@pytest.mark.two_blas_threads
 @pytest.mark.parametrize("path", sorted(SYMMETRY_PATHS))
 class TestIntervalWindows:
     """An interval window reaches the solver as the index bracket of its
@@ -762,6 +767,7 @@ class TestIntervalWindows:
         assert [name for name, _, _, _ in calls] == ["dsytrf", "dsytrf", solver]
 
 
+@pytest.mark.two_blas_threads
 class TestOneFactorization:
     """The Cholesky factor of the Schur complement S serves the eigensolve,
     the Gram solves and the pair checks; the packed Gram is never factored."""

@@ -39,7 +39,9 @@ from curllab.fields import FieldJet, FourierField, flat as lower_index, flat_met
 
 
 class FrozenJet:
-    """Linear test system: constant drift with a frozen Jacobian."""
+    """Linear test system: constant drift with a frozen Jacobian, a jet of
+    the two-method protocol (value and value_and_jacobian, each at a point
+    or at rows)."""
 
     truncation = 1
 
@@ -52,12 +54,8 @@ class FrozenJet:
         return self.drift + np.asarray(x, float) @ self.jac.T
 
     def value_and_jacobian(self, x):
-        return self.value(x), self.jac.copy()
-
-    def values_and_jacobians(self, points):
-        points = np.asarray(points, float)
-        return (self.drift + points @ self.jac.T,
-                np.broadcast_to(self.jac, (len(points), 3, 3)).copy())
+        value = self.value(x)
+        return value, np.broadcast_to(self.jac, value.shape + (3,)).copy()
 
     def jacobian(self, x):
         return self.jac.copy()
@@ -189,6 +187,7 @@ class TestOneIntegrator:
         records, stats = entry
         return [r.to_json_dict(include_trajectory=True) for r in records], stats
 
+    @pytest.mark.two_blas_threads
     def test_scan_seed_is_the_same_alone_and_among_lanes(self, monkeypatch):
         jet = FieldJet(abc_field(1.0, 0.7, 0.3))
         calls = self.spy(monkeypatch)
@@ -200,6 +199,7 @@ class TestOneIntegrator:
             alone = flow(jet, x0, T, tol=SCAN_TOL, n_samples=n_scan)
             np.testing.assert_array_equal(alone.points, lane)
 
+    @pytest.mark.two_blas_threads
     def test_each_jet_finds_its_orbits_alone_and_among_lanes(self):
         # three jets share one scan solve; each entry's records and stats
         # are those of the jet's own batch of one, bit for bit
@@ -213,6 +213,7 @@ class TestOneIntegrator:
             (alone,) = find_periodic_orbits_batch([jet], [x_seeds], 10.0)
             assert entry[0] and self.as_json(entry) == self.as_json(alone)
 
+    @pytest.mark.two_blas_threads
     def test_a_jet_named_twice_finds_its_orbits_among_lanes(self):
         # both entries' seeds ride the jet's one layer; each entry's records
         # and stats are those of its own batch of one
@@ -305,8 +306,8 @@ class NaNJacobianJet:
     def __getattr__(self, name):
         return getattr(self.jet, name)
 
-    def values_and_jacobians(self, points):
-        vals, jacs = self.jet.values_and_jacobians(points)
+    def value_and_jacobian(self, x):
+        vals, jacs = self.jet.value_and_jacobian(x)
         return vals, np.full_like(jacs, np.nan)
 
 
@@ -375,6 +376,9 @@ class CountingJet:
     def __init__(self, jet):
         self.jet = jet
         self.calls = 0
+
+    def value(self, x):
+        return self.jet.value(x)
 
     def value_and_jacobian(self, x):
         self.calls += 1

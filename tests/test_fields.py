@@ -406,6 +406,13 @@ class TestSerialization:
         # a non-finite entry used to load unchecked
         ({"coeffs": [[0, 0, 1, 0, float("nan"), 0.0]]}, ValueError, "not finite"),
         ({"coeffs": [[0, 0, 1, 0, 1.0, float("inf")]]}, ValueError, "not finite"),
+        # a non-integer or boolean N, index or component used to be truncated
+        # by int(): m = (0.5, 0, 0) loaded as m = 0, N = 1.9 and true as 1
+        ({"coeffs": [[0.5, 0, 0, 0, 1.0, 0.0]]}, ValueError, "must be integers"),
+        ({"coeffs": [[0, 0, 1, 0.7, 1.0, 0.0]]}, ValueError, "must be integers"),
+        ({"coeffs": [[0, True, 0, 0, 1.0, 0.0]]}, ValueError, "must be integers"),
+        ({"N": 1.9}, ValueError, "N must be an integer"),
+        ({"N": True}, ValueError, "N must be an integer"),
     ])
     def test_malformed_file_entries_are_refused(self, fields, error, match):
         # a negative index would otherwise wrap silently into the last
@@ -565,6 +572,7 @@ def full_point_sum(coeffs, x):
     return s.reshape(-1, L) @ p[0]
 
 
+@pytest.mark.two_blas_threads
 class TestHalfKernel:
     """The m_x >= 0 half block against the full contraction, to 1e-15 of
     each component's coefficient l1 norm."""
@@ -596,12 +604,13 @@ class TestHalfKernel:
         field = FourierField("vector", hermitian_coeffs(3, 4, 11))
         jet = FieldJet(field)
         points = rng.uniform(-50.0, 50.0, (9, 3))
-        vals, jacs = jet.values_and_jacobians(points)
+        vals, jacs = jet.value_and_jacobian(points)
+        np.testing.assert_array_equal(jet.value(points), vals)
         for k in (0, 4, 8):
             val, jac = jet.value_and_jacobian(points[k])
             np.testing.assert_array_equal(vals[k], val)
             np.testing.assert_array_equal(jacs[k], jac)
-            sub_vals, sub_jacs = jet.values_and_jacobians(points[k:k + 1])
+            sub_vals, sub_jacs = jet.value_and_jacobian(points[k:k + 1])
             np.testing.assert_array_equal(sub_vals[0], val)
             np.testing.assert_array_equal(sub_jacs[0], jac)
 
@@ -611,6 +620,7 @@ def vector_jets(n_jets, truncation, seed):
             for j in range(n_jets)]
 
 
+@pytest.mark.two_blas_threads
 class TestStackedKernel:
     """Every (jet, point) row of a stacked call is bit-identical to that
     jet's one-point call."""
@@ -719,6 +729,7 @@ class TestStackedKernel:
             np.testing.assert_array_equal(jacs[r], jac)
 
 
+@pytest.mark.two_blas_threads
 class TestOneBlock:
     """A field has one evaluation block, its half_block, which holds the
     values' coefficients only: derivatives come from the phase vectors. A
@@ -784,6 +795,14 @@ class TestMetricValueAndGradient:
                 dx[b] = h
                 fd = (bumpy.eval(np.add(x, dx)) - bumpy.eval(np.subtract(x, dx))) / (2 * h)
                 np.testing.assert_allclose(dg[b], fd, rtol=0, atol=1e-8)
+
+    def test_rows_match_one_point_calls(self, bumpy):
+        gs, dgs = bumpy.value_and_gradient(np.array(self.POINTS))
+        assert gs.shape == (3, 3, 3) and dgs.shape == (3, 3, 3, 3)
+        for x, g, dg in zip(self.POINTS, gs, dgs):
+            one_g, one_dg = bumpy.value_and_gradient(x)
+            np.testing.assert_array_equal(g, one_g)
+            np.testing.assert_array_equal(dg, one_dg)
 
     def test_symmetric(self, bumpy):
         g, dg = bumpy.value_and_gradient((1.3, 0.4, 2.2))

@@ -169,7 +169,8 @@ def packet_state(x0, xi0):
 
 
 class NonFiniteJet:
-    """A jet whose batched evaluation is NaN: lanes on it must fail."""
+    """A jet whose value_and_jacobian gives NaN values: wave-packet lanes
+    on it must fail."""
 
     def __init__(self, jet):
         self.jet = jet
@@ -177,8 +178,8 @@ class NonFiniteJet:
     def __getattr__(self, name):
         return getattr(self.jet, name)
 
-    def values_and_jacobians(self, points):
-        vals, jacs = self.jet.values_and_jacobians(points)
+    def value_and_jacobian(self, x):
+        vals, jacs = self.jet.value_and_jacobian(x)
         return np.full_like(vals, np.nan), jacs
 
 
@@ -207,6 +208,7 @@ def assert_same_result(a, b):
     np.testing.assert_array_equal(a.log_growth, b.log_growth)
 
 
+@pytest.mark.two_blas_threads
 class TestLanes:
     TOLS = {"rtol": 1e-8, "atol": 1e-10}  # certify's
 
@@ -288,6 +290,7 @@ def live_lanes_spy(monkeypatch, module):
     return calls
 
 
+@pytest.mark.two_blas_threads
 class TestSweepShapedLanes:
     """Six eigenpair jets of one metric, two packets each, as a sweep
     sample brings them: all ride one stacked kernel call per RHS."""
@@ -316,6 +319,7 @@ class TestSweepShapedLanes:
             assert_same_result(alone, result)
 
 
+@pytest.mark.two_blas_threads
 class TestOneKernelPerRHS:
     def test_sweep_sample_stacks_its_solves(self, monkeypatch):
         # one stacked kernel call per RHS evaluation of the wave-packet
@@ -656,16 +660,13 @@ class TestWitnessVerification:
     def test_only_a_saddle_verifies(self):
         # eigenvalues 7e-7 +- 1i and -1.4e-6: non-hyperbolic by the search's
         # rule (EIG_TOL 1e-6), yet verified as a saddle of exponent 7e-7
-        from curllab.dynamics import EIG_TOL, FixedPointRecord, _classify_fixed_point
+        from curllab.dynamics import FixedPointRecord
 
         a = 7e-7
         A = np.array([[a, -1.0, 0.0], [1.0, a, 0.0], [0.0, 0.0, -2 * a]])
         x0 = np.array([1.0, 2.0, 3.0])
-        eigs = np.linalg.eigvals(A)
-        assert _classify_fixed_point(eigs, EIG_TOL) == ("non-hyperbolic", True)
-        record = FixedPointRecord(location=x0 + 1e-3, jacobian=A,
-                                  eigenvalues=eigs,
-                                  classification="non-hyperbolic",
-                                  nondegenerate=True, residual=0.0)
+        record = FixedPointRecord.at(x0 + 1e-3, np.zeros(3), A)
+        assert (record.classification, record.nondegenerate) == (
+            "non-hyperbolic", True)
         assert instability._verify_fixed_point(FrozenJet(-A @ x0, A),
                                                record) is None
