@@ -49,8 +49,12 @@ Besides the closed block C^T G C = L L^T, the operator factors one
 dense matrix: S = R R^T, with R lower triangular (Cholesky). R turns
 the reduced pencil into the standard problem C y = lambda y, with
 C = R^{-1} d R^{-T} and x = R^{-T} y. With L and W = L^{-1} C^T G V, R
-also completes the block factor [[L, 0], [W^T, R]] of G. Every Gram
-solve, and so every pair check, runs through it.
+also completes the block factor [[L, 0], [W^T, R]] of G. The operator
+keeps L, W, S and R; the dense G is freed once the reduction has read
+it. Every Gram solve runs through the block factor. Every Gram
+application in a pair check (`_gram_mult`) runs through the grid
+quadrature instead, a route independent of both the dense assembly and
+the factor, so a check cannot agree with a wrong factor by construction.
 
 By Sylvester's law of inertia the reduced pencil has exactly 2K
 negative eigenvalues, as d has, so the k eigenvalues of smallest
@@ -193,30 +197,35 @@ class ModeBasis:
             a.flags.writeable = False
 
     def pack(self, coeffs: np.ndarray) -> np.ndarray:
-        """Frame coordinates of a 1-form's coefficient array."""
+        """Frame coordinates (..., dim) of a 1-form's coefficient array
+        (3, L, L, L), or of each array of a stack (..., 3, L, L, L)."""
         n, K = self.truncation, self.n_half
-        half = coeffs[:, self.half_index[0], self.half_index[1],
-                      self.half_index[2]].T * (_SQRT2 * _SCALE)  # (K_h, ncomp)
+        lead = coeffs.shape[:-4]
+        half = np.swapaxes(coeffs[(..., *self.half_index)], -1, -2) * (
+            _SQRT2 * _SCALE)  # (..., K_h, ncomp)
         local = np.matmul(self.rotation.transpose(0, 2, 1),
-                          np.hstack([half.real, half.imag]).reshape(K, 6, 1))
-        return np.concatenate([coeffs[:, n, n, n].real * _SCALE,
-                               local[:, :2].ravel(), local[:, 2:].ravel()])
+                          np.concatenate([half.real, half.imag],
+                                         axis=-1).reshape(lead + (K, 6, 1)))
+        return np.concatenate([coeffs[..., n, n, n].real * _SCALE,
+                               local[..., :2, 0].reshape(lead + (-1,)),
+                               local[..., 2:, 0].reshape(lead + (-1,))], axis=-1)
 
     def unpack(self, vector: np.ndarray) -> np.ndarray:
-        """Coefficient array of frame coordinates: the inverse of `pack`."""
+        """Coefficient array of frame coordinates, or a stack of them for
+        vectors (..., dim): the inverse of `pack`."""
         v = np.asarray(vector, dtype=float)
         n, K, nc = self.truncation, self.n_half, self.ncomp
-        L = 2 * n + 1
-        coeffs = np.zeros((nc, L, L, L), np.complex128)
-        coeffs[:, n, n, n] = v[:nc] / _SCALE
-        local = np.concatenate([v[nc:self.n_closed].reshape(K, 2, 1),
-                                v[self.n_closed:].reshape(K, 4, 1)], axis=1)
-        rest = np.matmul(self.rotation, local).reshape(K, 6)
-        half = ((rest[:, :nc] + 1j * rest[:, nc:]) / (_SQRT2 * _SCALE)).T
-        coeffs[:, self.half_index[0], self.half_index[1], self.half_index[2]] = half
-        coeffs[:, self.neg_index[0], self.neg_index[1], self.neg_index[2]] = (
-            half.conj()
-        )
+        L, lead = 2 * n + 1, v.shape[:-1]
+        coeffs = np.zeros(lead + (nc, L, L, L), np.complex128)
+        coeffs[..., n, n, n] = v[..., :nc] / _SCALE
+        local = np.concatenate([v[..., nc:self.n_closed].reshape(lead + (K, 2, 1)),
+                                v[..., self.n_closed:].reshape(lead + (K, 4, 1))],
+                               axis=-2)
+        rest = np.matmul(self.rotation, local).reshape(lead + (K, 6))
+        half = np.swapaxes((rest[..., :nc] + 1j * rest[..., nc:])
+                           / (_SQRT2 * _SCALE), -1, -2)
+        coeffs[(..., *self.half_index)] = half
+        coeffs[(..., *self.neg_index)] = half.conj()
         return coeffs
 
 
@@ -231,11 +240,14 @@ class EigenPair:
     """One curl eigenvalue with its normalized coexact eigenform."""
 
     eigenvalue: float
-    form: FourierField
+    form: FourierField  # unit weighted norm, G applied by the grid quadrature
+    # ||*d alpha - lambda alpha|| / ||alpha||: the quadrature's B v - lambda G v
+    # in the dual norm, measured with the block factor's Gram solve
     residual: float
     index: int
     cluster_id: int = 0
     cluster_size: int = 1
+    # weighted norm of the form's closed part, from the quadrature's G v
     coexact_residual: float = 0.0
 
     def to_json_dict(self, include_form: bool = True) -> dict:
@@ -252,16 +264,16 @@ class EigenPair:
         return record
 
 
-def _fix_sign(coeffs: np.ndarray) -> np.ndarray:
-    """Flip the overall sign so the largest coefficient has positive real part."""
+def _sign(coeffs: np.ndarray) -> float:
+    """The overall sign that gives the largest coefficient positive real part."""
     flatabs = np.abs(coeffs).ravel()
     i = int(np.argmax(flatabs))
     lead = coeffs.ravel()[i]
     if lead.real < -1e-12 * flatabs[i] or (
         abs(lead.real) <= 1e-12 * flatabs[i] and lead.imag < 0
     ):
-        return -coeffs
-    return coeffs
+        return -1.0
+    return 1.0
 
 
 class CurlOperator:
@@ -292,11 +304,30 @@ class CurlOperator:
         return out
 
     def gram_apply_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
-        """Quadrature Gram operator on a batch of coefficient arrays."""
-        ms = self.metric.samples(self.grid)
-        vals = self.grid.synthesize(coeffs)  # (b, 3, M, M, M)
-        weighted = np.einsum("xyzac,bcxyz->baxyz", ms.weight, vals)
-        return self.grid.analyze(weighted, self.truncation)
+        """Quadrature Gram operator on a stack of coefficient arrays
+        (..., 3, L, L, L): each form is sampled on the grid, weighted
+        pointwise by sqrt(det g) g^{-1} and integrated against every mode
+        by the grid's equal-weight quadrature, the sums that
+        `CollocationGrid.synthesize` and `analyze` take by FFT. Only
+        L = 2N + 1 of the grid's M modes per axis are in play, so each sum
+        runs one axis at a time as a partial DFT, a product with
+        E[x, i] = e^{i m_i x}, in real arithmetic where the data is real.
+        """
+        E = np.exp(1j * np.outer(self.grid.axis_points, mode_range(self.truncation)))
+        M, L = E.shape
+        # matrix axes first, contiguous: at N = 2 the einsum then runs about
+        # 8x faster than on the samples' (x, y, z, a, c) layout
+        weight = np.ascontiguousarray(
+            np.moveaxis(self.metric.samples(self.grid).weight, (3, 4), (0, 1)))
+        lead = coeffs.shape[:-3]
+        # values: sums over m_z and m_y, then over m_x, whose sum is real
+        v = (E @ (coeffs @ E.T)).reshape(lead + (L, M * M))
+        vals = (E.real @ v.real - E.imag @ v.imag).reshape(lead + (M, M, M))
+        weighted = np.einsum("acxyz,...cxyz->...axyz", weight, vals)
+        F = E.conj().T / M  # (L, M): the quadrature sum along one axis
+        w = weighted.reshape(lead + (M, M * M))
+        s = (F.real @ w + 1j * (F.imag @ w)).reshape(lead + (L, M, M))
+        return (F @ s) @ F.T
 
     # -- dense matrices -------------------------------------------------
 
@@ -317,6 +348,10 @@ class CurlOperator:
         `_weight_maps`. Each chunk of row modes is gathered against the
         modes from the chunk on, rotated by their frames, then by its own
         frames straight into G, and mirrored, so G is exactly symmetric.
+
+        Only `_reduction` needs it: it frees the cached value once it has
+        factored it, so a later read assembles G again. The pair checks
+        apply G by the grid quadrature (`_gram_mult`).
         """
         c = self._gram_scalar
         if c is not None:
@@ -412,9 +447,11 @@ class CurlOperator:
         slices of the frame Gram. L is the lower Cholesky factor of
         C^T G C, W = L^{-1} C^T G V and S is the Schur complement
         V^T G V - W^T W, which `_schur_factor` factors once for the
-        eigensolve and the Gram solves.
+        eigensolve and the Gram solves. The dense G is dropped from the
+        operator's cache here: nothing after the reduction reads it.
         """
         G, n = self.gram_matrix, self.basis.n_closed
+        del self.gram_matrix
         L = sla.cholesky(G[:n, :n], lower=True)
         W = sla.solve_triangular(L, G[:n, n:], lower=True)
         S = W.T @ W
@@ -424,7 +461,7 @@ class CurlOperator:
     @cached_property
     def _schur_factor(self) -> np.ndarray:
         """R, the lower Cholesky factor of S = R R^T, shared by `spectrum`
-        and `gram_solve` (so by the pair checks too)."""
+        and `gram_solve` (so by the dual norm of `residual` too)."""
         _, _, S = self._reduction
         return sla.cholesky(S, lower=True)
 
@@ -433,12 +470,18 @@ class CurlOperator:
         L, W, _ = self._reduction
         return np.concatenate([-_lower_solve(L, W @ x, trans="T"), x])
 
-    def coexact_residual_packed(self, v: np.ndarray) -> float:
+    def coexact_residual_packed(self, v: np.ndarray, *, Gv=None) -> float:
         """Weighted norm of the closed-form component of a packed vector,
-        the G-orthogonal projection C (C^T G C)^{-1} C^T G v: |L^{-1} C^T G v|."""
+        the G-orthogonal projection C (C^T G C)^{-1} C^T G v: |L^{-1} C^T G v|.
+
+        It measures how far v is from G-orthogonal to the closed forms.
+        G v comes from the grid quadrature (`_gram_mult`), or is the
+        caller's Gv, from that quadrature, in which case v is not read.
+        """
         L, _, _ = self._reduction
-        ctg = self.gram_matrix[:self.basis.n_closed] @ v
-        return float(np.linalg.norm(_lower_solve(L, ctg)))
+        if Gv is None:
+            Gv = self._gram_mult(v)
+        return float(np.linalg.norm(_lower_solve(L, Gv[:self.basis.n_closed])))
 
     def count_below(self, sigma: float) -> int:
         """Nonzero eigenvalues below sigma: the negative inertia of d - sigma S.
@@ -603,22 +646,35 @@ class CurlOperator:
         return (half - self.count_below(sigma),
                 int(np.count_nonzero((vals < 0) & (vals >= sigma))))
 
-    def residual(self, form: FourierField, eigenvalue: float) -> float:
-        """|| *d alpha - lambda alpha || / || alpha || in the weighted norm."""
+    def residual(self, form: FourierField, eigenvalue: float, *, Gv=None) -> float:
+        """|| *d alpha - lambda alpha || / || alpha || in the weighted norm.
+
+        With v the packed form, r = B v - lambda G v is the weak residual;
+        it lives in the dual, so its norm is sqrt(r^T G^{-1} r). G v and
+        the norm of v come from the grid quadrature (`_gram_mult`), or from
+        the caller's Gv, from that quadrature; G^{-1} r is the block
+        factor's solve (`gram_solve`).
+        """
         v = self.basis.pack(self._coerce(form).coeffs)
-        Gv = self._gram_mult(v)
+        if Gv is None:
+            Gv = self._gram_mult(v)
         nv = np.sqrt(float(v @ Gv))
         if nv == 0.0:
             raise ValueError("residual of the zero form is undefined")
         r = self.pairing_apply(v) - eigenvalue * Gv
-        # r lives in the dual: measure with the inverse Gram
         return float(np.sqrt(max(r @ self.gram_solve(r), 0.0)) / nv)
 
     def _gram_mult(self, v: np.ndarray) -> np.ndarray:
+        """G v for a packed vector, or for the columns of v, by the grid
+        quadrature: one batched `gram_apply_coeffs` call through
+        `basis.unpack` and `basis.pack`. It reads neither the dense G nor
+        its factor, so the pair checks hold the factor to an independent
+        G. A scalar Gram (constant metric) is applied exactly.
+        """
         c = self._gram_scalar
         if c is not None:
             return c * v
-        return self.gram_matrix @ v
+        return self.basis.pack(self.gram_apply_coeffs(self.basis.unpack(v.T))).T
 
 
 def _weight_maps(samples, reach: int):
@@ -793,14 +849,20 @@ def eigenpairs(
     if spec[0] == "count":
         sel = sel[:spec[1]]
 
+    # one quadrature for the window: each G v normalizes its vector and
+    # serves both of its checks
+    V = vecs[:, sel]
+    GV = op._gram_mult(V)
+    scale = 1.0 / np.sqrt(np.einsum("ip,ip->p", V, GV))
+    V, GV = V * scale, GV * scale
     pairs: list[EigenPair] = []
     for rank, i in enumerate(sel):
-        v = vecs[:, i]
-        v = v / np.sqrt(v @ op._gram_mult(v))
-        coeffs = _fix_sign(op.basis.unpack(v))
-        form = FourierField("one_form", coeffs)
-        res = op.residual(form, float(vals[i]))
-        coex = op.coexact_residual_packed(op.basis.pack(coeffs))
+        coeffs = op.basis.unpack(V[:, rank])
+        sign = _sign(coeffs)
+        form = FourierField("one_form", sign * coeffs)
+        Gv = sign * GV[:, rank]
+        res = op.residual(form, float(vals[i]), Gv=Gv)
+        coex = op.coexact_residual_packed(sign * V[:, rank], Gv=Gv)
         pairs.append(
             EigenPair(
                 eigenvalue=float(vals[i]),

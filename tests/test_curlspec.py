@@ -88,6 +88,16 @@ class TestModeBasis:
         for n in (1, 2, 3):
             assert ModeBasis(n).dim == 3 * (2 * n + 1) ** 3
 
+    def test_stacks_match_one_array_at_a_time(self, rng):
+        basis = ModeBasis(2)
+        v = rng.standard_normal((2, 3, basis.dim))
+        coeffs = basis.unpack(v)
+        assert coeffs.shape == (2, 3, 3, 5, 5, 5)
+        for i, j in itertools.product(range(2), range(3)):
+            np.testing.assert_array_equal(coeffs[i, j], basis.unpack(v[i, j]))
+            np.testing.assert_array_equal(basis.pack(coeffs)[i, j],
+                                          basis.pack(coeffs[i, j]))
+
 
 class TestApply:
     def test_helical_action_single_mode(self, flat, rng):
@@ -769,8 +779,9 @@ class TestIntervalWindows:
 
 @pytest.mark.two_blas_threads
 class TestOneFactorization:
-    """The Cholesky factor of the Schur complement S serves the eigensolve,
-    the Gram solves and the pair checks; the packed Gram is never factored."""
+    """The Cholesky factor of the Schur complement S serves the eigensolve
+    and the Gram solves, the residual's among them; the packed Gram is
+    never factored."""
 
     def test_pairs_are_checked_without_factoring_the_gram(
             self, bumpy, monkeypatch, rng):
@@ -820,9 +831,43 @@ class TestOneFactorization:
         np.testing.assert_allclose(vecs * signs, ref_vecs, rtol=0, atol=1e-13)
 
 
+@pytest.mark.two_blas_threads
+class TestPairChecks:
+    """The pair checks apply G by the grid quadrature, not by the dense
+    Gram or its factor, and agree with the dense-G formulas."""
+
+    @pytest.mark.parametrize("truncation", [2, 3])
+    def test_checks_match_their_dense_gram_formulas(self, bumpy, rng, truncation):
+        op = assemble(bumpy, truncation)
+        G, n = op.gram_matrix, op.basis.n_closed
+        V = rng.standard_normal((op.dim, 3))
+        for v in (V, V[:, 0]):
+            want = G @ v
+            assert np.linalg.norm(op._gram_mult(v) - want) <= (
+                1e-13 * np.linalg.norm(want))
+        Lc = sla.cholesky(G[:n, :n], lower=True)
+        for v in V.T:
+            form = FourierField("one_form", op.basis.unpack(v))
+            Gv = G @ v
+            r = pairing_matrix(op) @ v - 0.9 * Gv
+            want = np.sqrt(r @ np.linalg.solve(G, r) / (v @ Gv))
+            assert op.residual(form, 0.9) == pytest.approx(want, rel=1e-13)
+            want = np.linalg.norm(sla.solve_triangular(Lc, Gv[:n], lower=True))
+            assert op.coexact_residual_packed(v) == pytest.approx(want, rel=1e-13)
+
+    def test_a_wrong_schur_factor_fails_the_residual(self, bumpy):
+        # pairs from a perturbed factor solve a perturbed pencil; checks
+        # that applied G through that factor would pass them
+        op = assemble(bumpy, 2)
+        _, _, S = op._reduction
+        op._schur_factor = sla.cholesky(S + 1e-6 * np.eye(len(S)), lower=True)
+        pairs = eigenpairs(bumpy, 2, {"count": 6}, operator=op)
+        assert min(p.residual for p in pairs) > 1e-8
+
+
 class TestGramMatrix:
     def test_indexed_assembly_matches_quadrature_operator(self, bumpy, rng):
-        # the dense Gram must agree with the FFT-based quadrature applier
+        # the dense Gram must agree with the grid quadrature applier
         op = assemble(bumpy, 2)
         G = op.gram_matrix
         for _ in range(3):
@@ -831,6 +876,19 @@ class TestGramMatrix:
                 op.gram_apply_coeffs(op.basis.unpack(v)[None])[0]
             )
             np.testing.assert_allclose(G @ v, direct, atol=1e-10 * op.dim)
+
+    @pytest.mark.parametrize("truncation", [1, 2, 3])
+    def test_quadrature_matches_its_fft_form(self, bumpy, rng, truncation):
+        # gram_apply_coeffs takes the grid sums as partial DFTs; the
+        # reference takes them by FFT on the whole grid
+        op = assemble(bumpy, truncation)
+        coeffs = op.basis.unpack(rng.standard_normal((2, op.dim)))
+        vals = op.grid.synthesize(coeffs)
+        weight = bumpy.samples(op.grid).weight
+        want = op.grid.analyze(np.einsum("xyzac,bcxyz->baxyz", weight, vals),
+                               truncation)
+        got = op.gram_apply_coeffs(coeffs)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
     @settings(max_examples=12, deadline=None)
     @given(seed=seeds, amplitude=amplitudes, truncation=st.integers(1, 3))
@@ -869,6 +927,28 @@ class TestGramMatrix:
         finally:
             tracemalloc.stop()
         assert peak <= 3 * op.gram_matrix.nbytes
+
+    @pytest.mark.parametrize("truncation", [3, 4])
+    def test_operator_keeps_no_dense_gram_after_a_solve(self, truncation):
+        metric = random_metric(2.0, 1e-2, 5)
+        op = assemble(metric, truncation)
+        eigenpairs(metric, truncation, {"count": 6}, operator=op)
+        assert not [name for name, value in vars(op).items()
+                    if getattr(value, "shape", None) == (op.dim, op.dim)]
+
+    @pytest.mark.parametrize("truncation", [3, 4])
+    def test_solve_peak_memory_is_bounded_by_the_gram(self, truncation):
+        # the Gram, freed after the reduction, plus the factors the
+        # operator keeps: about 2.1 Grams (3.1 while the Gram was kept)
+        metric = random_metric(2.0, 1e-2, 5)
+        op = assemble(metric, truncation)
+        tracemalloc.start()
+        try:
+            eigenpairs(metric, truncation, {"count": 6}, operator=op)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * op.dim**2 * 8
 
     def test_matches_l2_inner(self, bumpy, rng):
         from curllab.fields import l2_inner
