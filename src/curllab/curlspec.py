@@ -41,20 +41,24 @@ Every vector is held in these frame coordinates ("packed" vectors,
 `ModeBasis.pack`): the constants, then the closed coordinates of every
 mode, then the helical ones, scaled so the flat inner product is the
 Euclidean dot product. In them B = diag(0, d), and G is assembled
-directly, so C^T G C, C^T G V and V^T G V are slices of it. The name
-`coexact_residual_packed` predates the frames; it stays because
-perfbench/tracing.py wraps it by name.
+directly as its three blocks C^T G C, C^T G V and V^T G V
+(`_gram_blocks`). The name `coexact_residual_packed` predates the
+frames; it stays because perfbench/tracing.py wraps it by name.
 
 Besides the closed block C^T G C = L L^T, the operator factors one
 dense matrix: S = R R^T, with R lower triangular (Cholesky). R turns
 the reduced pencil into the standard problem C y = lambda y, with
 C = R^{-1} d R^{-T} and x = R^{-T} y. With L and W = L^{-1} C^T G V, R
-also completes the block factor [[L, 0], [W^T, R]] of G. The operator
-keeps L, W, S and R; the dense G is freed once the reduction has read
-it. Every Gram solve runs through the block factor. Every Gram
-application in a pair check (`_gram_mult`) runs through the grid
-quadrature instead, a route independent of both the dense assembly and
-the factor, so a check cannot agree with a wrong factor by construction.
+also completes the block factor [[L, 0], [W^T, R]] of G. All of it is
+made in place in the three blocks' buffers (`_reduction`): L over
+C^T G C, W over C^T G V, and one buffer holds R in its lower triangle
+and S in its strict upper one, with diag(S) kept beside it. So no
+dim x dim array is made on any solve; the dense G (`gram_matrix`) is
+only the tests' reference. Every Gram solve runs through the block
+factor. Every Gram application in a pair check (`_gram_mult`) runs
+through the grid quadrature instead, a route independent of both the
+assembly and the factor, so a check cannot agree with a wrong factor by
+construction.
 
 By Sylvester's law of inertia the reduced pencil has exactly 2K
 negative eigenvalues, as d has, so the k eigenvalues of smallest
@@ -137,6 +141,7 @@ _EIGSH_TAKES_RNG = "rng" in inspect.signature(spla.eigsh).parameters
 _SCALE = TAU ** 1.5
 _SQRT2 = np.sqrt(2.0)
 _CHUNK_ROWS = 8  # row modes per chunk of the Gram assembly
+_MIRROR_TILE = 256  # rows per tile when S's triangle is mirrored
 
 
 class ModeBasis:
@@ -297,10 +302,11 @@ class CurlOperator:
     # -- matrix-free building blocks -----------------------------------
 
     def pairing_apply(self, v: np.ndarray) -> np.ndarray:
-        """B v, the exact wedge pairing against d(alpha): B = diag(0, d)."""
+        """B v, the exact wedge pairing against d(alpha): B = diag(0, d),
+        for a packed vector or the columns of v."""
         n = self.basis.n_closed
         out = np.zeros_like(v)
-        out[n:] = self.basis.d * v[n:]
+        out[n:] = (self.basis.d * v[n:].T).T
         return out
 
     def gram_apply_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
@@ -340,66 +346,71 @@ class CurlOperator:
         c = self.metric.constant_factor
         return None if c is None else float(np.sqrt(c))
 
-    @cached_property
-    def gram_matrix(self) -> np.ndarray:
-        """Dense quadrature Gram of the weighted 1-form inner product in
-        frame coordinates. The (Re, Im) block of half modes m, m' maps the
-        coefficients u' of m' to w(m - m') u' + w(m + m') conj(u'), w from
-        `_weight_maps`. Each chunk of row modes is gathered against the
-        modes from the chunk on, rotated by their frames, then by its own
-        frames straight into G, and mirrored, so G is exactly symmetric.
+    def _gram_blocks(self):
+        """(CC, CV, VV): the blocks C^T G C, C^T G V and V^T G V of the
+        quadrature Gram of the weighted 1-form inner product in frame
+        coordinates, each a C-ordered buffer. Of CC and VV only the upper
+        triangles are meant; nothing reads below them.
 
-        Only `_reduction` needs it: it frees the cached value once it has
-        factored it, so a later read assembles G again. The pair checks
-        apply G by the grid quadrature (`_gram_mult`).
+        The (Re, Im) block of half modes m, m' maps the coefficients u' of
+        m' to w(m - m') u' + w(m + m') conj(u'), w from `_weight_maps`.
+        Each chunk of row modes is gathered against the modes from the
+        chunk on and rotated by both frames straight into the blocks: its
+        closed and helical rows against the closed and helical columns
+        from the chunk on, its helical rows against closed columns into
+        CV transposed. So every entry of CV and of the upper triangles is
+        written (the chunk's own entries of CV twice, the second product
+        standing), and nothing is mirrored.
         """
+        basis = self.basis
+        K, nc, Q, n = basis.n_half, basis.ncomp, basis.rotation, basis.n_closed
         c = self._gram_scalar
         if c is not None:
-            return c * np.eye(self.dim)
-        basis = self.basis
-        K, nc, Q = basis.n_half, basis.ncomp, basis.rotation
+            return c * np.eye(n), np.zeros((n, 4 * K)), c * np.eye(4 * K)
         reach = 2 * self.truncation  # the largest |q_i| of q = m -+ m'
         linear, antilinear = _weight_maps(self.metric.samples(self.grid), reach)
         L = 2 * reach + 1
         key = basis.half_modes @ np.array([L * L, L, 1])
         center = reach * (L * L + L + 1)  # the tables' row of q is center + key(q)
-        G = np.empty((self.dim, self.dim))
-        # frame columns, first coordinate and width: closed, then helical
-        groups = ((slice(0, 2), nc, 2), (slice(2, 6), basis.n_closed, 4))
+        CC, CV, VV = np.empty((n, n)), np.empty((n, 4 * K)), np.empty((4 * K, 4 * K))
+        target = ((CC, CV), (CV.T, VV))  # by (row, column) group
+        # frame columns, first coordinate in the blocks and width: closed,
+        # then helical
+        groups = ((slice(0, 2), nc, 2), (slice(2, 6), 0, 4))
         for j0 in range(0, K, _CHUNK_ROWS):
-            j1, n = min(j0 + _CHUNK_ROWS, K), K - j0
-            own, later = ([slice(f + w * lo, f + w * hi) for _, f, w in groups]
-                          for lo, hi in ((j0, j1), (j1, K)))
+            j1, nk = min(j0 + _CHUNK_ROWS, K), K - j0
             # (Re, Im) blocks [k, (j, a), b] of row modes j0..j1 against j0..K
             m, m2 = key[None, j0:j1], key[j0:, None]
             blocks = (np.take(linear, center + m - m2, axis=0)
                       + np.take(antilinear, center + m + m2, axis=0))
-            for cols, first, width in groups:
+            for col, (cols, first, width) in enumerate(groups):
                 # Y[j, a, k] = block_jk Q_k[:, cols], batched over k
-                Y = np.empty((j1 - j0, 6, n, width))
-                np.matmul(blocks.reshape(n, -1, 6), Q[j0:, :, cols],
-                          out=Y.reshape(-1, n, width).transpose(1, 0, 2))
-                for (rcols, _, _), rows in zip(groups, own):  # Q_j[:, rcols]^T Y[j]
-                    out = G[rows, first + width * j0:first + width * K]
+                Y = np.empty((j1 - j0, 6, nk, width))
+                np.matmul(blocks.reshape(nk, -1, 6), Q[j0:, :, cols],
+                          out=Y.reshape(-1, nk, width).transpose(1, 0, 2))
+                for row, (rcols, rfirst, rwidth) in enumerate(groups):
+                    # Q_j[:, rcols]^T Y[j]
+                    out = target[row][col][rfirst + rwidth * j0:rfirst + rwidth * j1,
+                                           first + width * j0:first + width * K]
                     np.matmul(Q[j0:j1, :, rcols].transpose(0, 2, 1),
                               Y.reshape(j1 - j0, 6, -1),
-                              out=out.reshape(j1 - j0, -1, n * width))
-            # the chunk's pairs among themselves came out both ways: average
-            # them, then mirror the chunk's rows into its columns
-            a, b = own
-            for r, s in ((a, a), (b, b), (a, b)):
-                G[r, s] = (G[r, s] + G[s, r].T) * 0.5
-            for r, s in [(a, b)] + [(r, s) for r in own for s in later]:
-                G[s, r] = G[r, s].T
+                              out=out.reshape(j1 - j0, rwidth, nk * width))
         # the constants are closed and keep their coordinates; their rows
         # against mode m are sqrt(2) (Re w(m), Im w(m)) in m's frame
         modes = _SQRT2 * linear[center - key, :3].transpose(0, 2, 1)
         local = np.matmul(Q.transpose(0, 2, 1), modes)  # (K, 6, nc)
-        G[:nc, :nc] = linear[center, :3, :3]
-        G[:nc, nc:basis.n_closed] = local[:, :2].reshape(2 * K, nc).T
-        G[:nc, basis.n_closed:] = local[:, 2:].reshape(4 * K, nc).T
-        G[:, :nc] = G[:nc].T
-        return G
+        CC[:nc, :nc] = linear[center, :3, :3]
+        CC[:nc, nc:] = local[:, :2].reshape(2 * K, nc).T
+        CV[:nc] = local[:, 2:].reshape(4 * K, nc).T
+        return CC, CV, VV
+
+    @cached_property
+    def gram_matrix(self) -> np.ndarray:
+        """The dense frame Gram, mirrored from the upper triangles of
+        `_gram_blocks`: the reference that tests hold the factors and the
+        grid quadrature to. No solve reads it."""
+        CC, CV, VV = self._gram_blocks()
+        return np.block([[_symmetric(CC), CV], [CV.T, _symmetric(VV)]])
 
     def gram_solve(self, v: np.ndarray) -> np.ndarray:
         """G^{-1} v for a packed vector (or the columns of v): two forward
@@ -408,8 +419,7 @@ class CurlOperator:
         c = self._gram_scalar
         if c is not None:
             return v / c
-        L, W, _ = self._reduction
-        R = self._schur_factor
+        L, W, R, _ = self._reduction
         n = self.basis.n_closed
         y = _lower_solve(L, v[:n])
         x = _lower_solve(R, v[n:] - W.T @ y)
@@ -443,45 +453,57 @@ class CurlOperator:
 
     @cached_property
     def _reduction(self):
-        """(L, W, S): the closed coordinates eliminated from (B, G), with
-        slices of the frame Gram. L is the lower Cholesky factor of
-        C^T G C, W = L^{-1} C^T G V and S is the Schur complement
-        V^T G V - W^T W, which `_schur_factor` factors once for the
-        eigensolve and the Gram solves. The dense G is dropped from the
-        operator's cache here: nothing after the reduction reads it.
-        """
-        G, n = self.gram_matrix, self.basis.n_closed
-        del self.gram_matrix
-        L = sla.cholesky(G[:n, :n], lower=True)
-        W = sla.solve_triangular(L, G[:n, n:], lower=True)
-        S = W.T @ W
-        np.subtract(G[n:, n:], S, out=S)
-        return L, W, S
+        """(L, W, RS, s): the closed coordinates eliminated from (B, G)
+        and the Schur complement factored, in place in the buffers of
+        `_gram_blocks`, each handed to BLAS and LAPACK as its
+        Fortran-ordered transpose, so no dim x dim array is made.
 
-    @cached_property
-    def _schur_factor(self) -> np.ndarray:
-        """R, the lower Cholesky factor of S = R R^T, shared by `spectrum`
-        and `gram_solve` (so by the dual norm of `residual` too)."""
-        _, _, S = self._reduction
-        return sla.cholesky(S, lower=True)
+        L is the lower Cholesky factor of C^T G C (`dpotrf` over CC),
+        W = L^{-1} C^T G V (`dtrsm` over CV) and S = V^T G V - W^T W
+        (`dsyrk` over VV, a lower triangle in Fortran order). That
+        triangle is mirrored into the strict upper one by tiles, its
+        diagonal s is kept, and `dpotrf` writes R (S = R R^T) over it: RS
+        holds R in its lower triangle and S in its strict upper one. R
+        serves the eigensolve and the Gram solves, and every routine that
+        reads it reads only the lower triangle; S and s serve the
+        Sylvester counts (`count_below`).
+        """
+        CC, CV, VV = self._gram_blocks()
+        L = _cholesky_in_place(CC.T)
+        W = sla.blas.dtrsm(1.0, L, CV.T, side=1, lower=1, trans_a=1,
+                           overwrite_b=1).T
+        S = sla.blas.dsyrk(-1.0, W.T, beta=1.0, c=VV.T, lower=1,
+                           overwrite_c=1).T  # in its upper triangle
+        s = S.diagonal().copy()
+        n = len(s)
+        for i in range(0, n, _MIRROR_TILE):
+            j = min(i + _MIRROR_TILE, n)
+            S[i:j, i:j] = _symmetric(S[i:j, i:j])
+            S[j:, i:j] = S[i:j, j:].T
+        return L, W, _cholesky_in_place(S.T), s
 
     def _lift(self, x: np.ndarray) -> np.ndarray:
         """Packed v = V x - C (C^T G C)^{-1} C^T G V x for columns x."""
-        L, W, _ = self._reduction
+        L, W, _, _ = self._reduction
         return np.concatenate([-_lower_solve(L, W @ x, trans="T"), x])
 
-    def coexact_residual_packed(self, v: np.ndarray, *, Gv=None) -> float:
+    def coexact_residual_packed(self, v: np.ndarray, *, Gv=None):
         """Weighted norm of the closed-form component of a packed vector,
         the G-orthogonal projection C (C^T G C)^{-1} C^T G v: |L^{-1} C^T G v|.
+        For the columns of v it is an array of their norms, made by one
+        triangular solve.
 
         It measures how far v is from G-orthogonal to the closed forms.
         G v comes from the grid quadrature (`_gram_mult`), or is the
-        caller's Gv, from that quadrature, in which case v is not read.
+        caller's Gv (columns for columns), from that quadrature, in which
+        case v is not read: `eigenpairs` passes the quadrature that
+        normalized its window.
         """
-        L, _, _ = self._reduction
         if Gv is None:
             Gv = self._gram_mult(v)
-        return float(np.linalg.norm(_lower_solve(L, Gv[:self.basis.n_closed])))
+        L = self._reduction[0]
+        norms = np.linalg.norm(_lower_solve(L, Gv[:self.basis.n_closed]), axis=0)
+        return float(norms) if norms.ndim == 0 else norms
 
     def count_below(self, sigma: float) -> int:
         """Nonzero eigenvalues below sigma: the negative inertia of d - sigma S.
@@ -489,27 +511,29 @@ class CurlOperator:
         S is positive definite, so by Sylvester's law d - sigma S has as
         many negative eigenvalues as the pencil has eigenvalues below
         sigma. They are read from the 1 x 1 and 2 x 2 pivots of one
-        Bunch-Kaufman factorization (`dsytrf`), made in place in a
-        Fortran-ordered buffer. Counts are kept per sigma, so the guard of
-        a Lanczos window (`_lanczos`) and the count of an interval window
-        share them.
+        Bunch-Kaufman factorization (`dsytrf`) of the upper triangle, made
+        in place in a buffer laid out as `_reduction`'s RS: -sigma RS is
+        one contiguous pass, and its diagonal becomes d - sigma diag(S).
+        Counts are kept per sigma, so the guard of a Lanczos window
+        (`_lanczos`) and the count of an interval window share them.
         """
         if sigma in self._below:
             return self._below[sigma]
-        _, _, S = self._reduction
-        n = S.shape[0]
+        _, _, RS, s = self._reduction
+        n = s.size
         A = np.empty((n, n), order="F")
-        np.multiply(S.T, -sigma, out=A)  # S.T is S, laid out for LAPACK
-        A.reshape(-1, order="F")[:: n + 1] += self.basis.d
-        lwork = int(sla.lapack.dsytrf_lwork(n, lower=1)[0])
-        ldu, ipiv, info = sla.lapack.dsytrf(A, lower=1, lwork=lwork, overwrite_a=1)
+        np.multiply(RS, -sigma, out=A)  # S in the strict upper triangle
+        A.reshape(-1, order="F")[:: n + 1] = self.basis.d - sigma * s
+        lwork = int(sla.lapack.dsytrf_lwork(n, lower=0)[0])
+        ldu, ipiv, info = sla.lapack.dsytrf(A, lower=0, lwork=lwork, overwrite_a=1)
         if info < 0:
             raise ValueError(f"dsytrf rejected argument {-info}")
         diag = ldu.diagonal()
-        first = np.flatnonzero(ipiv < 0)[::2]  # 2 x 2 pivots: rows k, k + 1
+        # 2 x 2 pivots: rows k, k + 1, their off-diagonal entry at (k, k + 1)
+        first = np.flatnonzero(ipiv < 0)[::2]
         blocks = np.empty((first.size, 2, 2))
         blocks[:, 0, 0], blocks[:, 1, 1] = diag[first], diag[first + 1]
-        blocks[:, 0, 1] = blocks[:, 1, 0] = ldu[first + 1, first]
+        blocks[:, 0, 1] = blocks[:, 1, 0] = ldu[first, first + 1]
         count = int(np.count_nonzero(diag[ipiv > 0] < 0)
                     + np.count_nonzero(np.linalg.eigvalsh(blocks) < 0))
         self._below[sigma] = count
@@ -520,7 +544,7 @@ class CurlOperator:
         of B v = lambda G v and their packed eigenvectors; the full
         spectrum when lo and hi are omitted.
 
-        With S = R R^T (`_schur_factor`) the reduced pencil (d, S) is the
+        With S = R R^T (`_reduction`) the reduced pencil (d, S) is the
         standard problem C y = lambda y, C = R^{-1} d R^{-T}, x = R^{-T} y.
         A bracket that `_lanczos_sides` accepts is solved by `_lanczos` on
         C^{-1} = R^T d^{-1} R, whose extremes are the eigenvalues nearest
@@ -529,12 +553,12 @@ class CurlOperator:
         the bracket is solved densely instead and the reason is appended
         to `lanczos_fallbacks`. Every other bracket, and the full spectrum
         that tests use as the reference, takes the dense path: C by
-        `dsygst`, then one `evx` solve that computes only the bracket's
-        eigenvectors, the sequence LAPACK's `dsygvx` runs, with the factor
-        shared instead of hidden. The eigenvectors are G-normalized and
-        coexact.
+        `dsygst` over a Fortran-ordered diag(d), then one `evx` solve that
+        computes only the bracket's eigenvectors, the sequence LAPACK's
+        `dsygvx` runs, with the factor shared instead of hidden. The
+        eigenvectors are G-normalized and coexact.
         """
-        R = self._schur_factor
+        _, _, R, _ = self._reduction
         sides = None if lo is None else self._lanczos_sides(lo, hi)
         if sides is not None:
             try:
@@ -544,8 +568,12 @@ class CurlOperator:
                                                **err.diagnostics})
                 sides = None
         if sides is None:
-            C, _ = sla.lapack.dsygst(np.diag(self.basis.d), R, itype=1, lower=1)
+            n = self.basis.d.size
+            C = np.zeros((n, n), order="F")
+            C.reshape(-1, order="F")[:: n + 1] = self.basis.d
+            C, _ = sla.lapack.dsygst(C, R, itype=1, lower=1, overwrite_a=1)
             vals, y = sla.eigh(C, lower=True, driver="evx", overwrite_a=True,
+                               check_finite=False,
                                subset_by_index=None if lo is None else [lo, hi])
         return vals, self._lift(_lower_solve(R, y, trans="T"))
 
@@ -585,7 +613,7 @@ class CurlOperator:
         fixed (round r starts from default_rng(r)), so a solve is
         deterministic.
         """
-        R, d = self._schur_factor, self.basis.d
+        R, d = self._reduction[2], self.basis.d
         n = d.size
         trmv = sla.blas.dtrmv
         nev, which = _arpack_request(n_top, n_bottom)
@@ -646,23 +674,27 @@ class CurlOperator:
         return (half - self.count_below(sigma),
                 int(np.count_nonzero((vals < 0) & (vals >= sigma))))
 
-    def residual(self, form: FourierField, eigenvalue: float, *, Gv=None) -> float:
+    def residual(self, form: FourierField, eigenvalue: float) -> float:
         """|| *d alpha - lambda alpha || / || alpha || in the weighted norm.
 
         With v the packed form, r = B v - lambda G v is the weak residual;
         it lives in the dual, so its norm is sqrt(r^T G^{-1} r). G v and
-        the norm of v come from the grid quadrature (`_gram_mult`), or from
-        the caller's Gv, from that quadrature; G^{-1} r is the block
-        factor's solve (`gram_solve`).
+        the norm of v come from the grid quadrature (`_gram_mult`); G^{-1} r
+        is the block factor's solve (`gram_solve`).
         """
         v = self.basis.pack(self._coerce(form).coeffs)
-        if Gv is None:
-            Gv = self._gram_mult(v)
-        nv = np.sqrt(float(v @ Gv))
-        if nv == 0.0:
+        Gv = self._gram_mult(v)
+        if v @ Gv == 0.0:
             raise ValueError("residual of the zero form is undefined")
-        r = self.pairing_apply(v) - eigenvalue * Gv
-        return float(np.sqrt(max(r @ self.gram_solve(r), 0.0)) / nv)
+        return float(self._residuals(v, Gv, eigenvalue))
+
+    def _residuals(self, V: np.ndarray, GV: np.ndarray, vals) -> np.ndarray:
+        """`residual` of a packed vector v with its G v, or of each column
+        of V with its eigenvalue in vals, by one Gram solve."""
+        r = self.pairing_apply(V) - vals * GV
+        dual = np.einsum("i...,i...->...", r, self.gram_solve(r))
+        return (np.sqrt(np.maximum(dual, 0.0))
+                / np.sqrt(np.einsum("i...,i...->...", V, GV)))
 
     def _gram_mult(self, v: np.ndarray) -> np.ndarray:
         """G v for a packed vector, or for the columns of v, by the grid
@@ -700,9 +732,28 @@ def _arpack_request(n_top, n_bottom):
     return n_top + n_bottom, "LA" if n_top else "SA"
 
 
+def _symmetric(upper: np.ndarray) -> np.ndarray:
+    """The symmetric matrix whose upper triangle is that of `upper`."""
+    return np.triu(upper) + np.triu(upper, 1).T
+
+
+def _cholesky_in_place(a: np.ndarray) -> np.ndarray:
+    """The lower Cholesky factor of a Fortran-ordered SPD matrix, given
+    by its lower triangle, written over that triangle (`dpotrf`); the
+    strict upper triangle is left as it was."""
+    c, info = sla.lapack.dpotrf(a, lower=1, clean=0, overwrite_a=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"leading minor of order {info} is not positive definite")
+    if info < 0:
+        raise ValueError(f"dpotrf rejected argument {-info}")
+    return c
+
+
 def _lower_solve(factor: np.ndarray, b: np.ndarray, trans: str = "N") -> np.ndarray:
-    """factor^{-1} b, or factor^{-T} b, for a cached lower triangular factor;
-    the factor was checked finite when it was made."""
+    """factor^{-1} b, or factor^{-T} b, for a cached factor in the lower
+    triangle of `factor` (the upper one is not read); `dpotrf` refused
+    any NaN pivot when it made the factor."""
     return sla.solve_triangular(factor, b, lower=True, trans=trans,
                                 check_finite=False)
 
@@ -850,31 +901,28 @@ def eigenpairs(
         sel = sel[:spec[1]]
 
     # one quadrature for the window: each G v normalizes its vector and
-    # serves both of its checks
-    V = vecs[:, sel]
+    # serves both of its checks, and each check is one solve for the window
+    V, lams = vecs[:, sel], vals[sel]
     GV = op._gram_mult(V)
     scale = 1.0 / np.sqrt(np.einsum("ip,ip->p", V, GV))
-    V, GV = V * scale, GV * scale
-    pairs: list[EigenPair] = []
-    for rank, i in enumerate(sel):
-        coeffs = op.basis.unpack(V[:, rank])
-        sign = _sign(coeffs)
-        form = FourierField("one_form", sign * coeffs)
-        Gv = sign * GV[:, rank]
-        res = op.residual(form, float(vals[i]), Gv=Gv)
-        coex = op.coexact_residual_packed(sign * V[:, rank], Gv=Gv)
-        pairs.append(
-            EigenPair(
-                eigenvalue=float(vals[i]),
-                form=form,
-                residual=res,
-                index=rank,
-                coexact_residual=coex,
-            )
+    coeffs = op.basis.unpack((V * scale).T)
+    signs = np.array([_sign(c) for c in coeffs])
+    V, GV = V * (scale * signs), GV * (scale * signs)
+    residuals = op._residuals(V, GV, lams)
+    coexact = op.coexact_residual_packed(V, Gv=GV)
+    pairs = [
+        EigenPair(
+            eigenvalue=float(lam),
+            form=FourierField("one_form", sign * c),
+            residual=float(res),
+            index=rank,
+            coexact_residual=float(coex),
         )
+        for rank, (lam, sign, c, res, coex) in enumerate(
+            zip(lams, signs, coeffs, residuals, coexact))
+    ]
 
     # multiplicity clusters: a new cluster at each gap of at least tol
-    lams = np.array([pair.eigenvalue for pair in pairs])
     ids = np.cumsum(np.abs(np.diff(lams, prepend=np.inf)) >= tol) - 1
     for pair, cluster_id, size in zip(pairs, ids, np.bincount(ids)[ids]):
         pair.cluster_id, pair.cluster_size = int(cluster_id), int(size)

@@ -362,14 +362,16 @@ class TestReducedPencil:
             self, bumpy, monkeypatch):
         # the closed block's factor L, then the one factor R of S, which
         # reduces the pencil to standard form for one subset `evx` solve
-        # (below N = 5 every window takes the dense path)
-        calls = spy_on(monkeypatch, curlspec.sla, "cholesky", "eigh")
+        # (below N = 5 every window takes the dense path); both factors
+        # are made in place by dpotrf, with no copying `cholesky`
+        calls = spy_on(monkeypatch, curlspec.sla.lapack, "dpotrf")
+        spy_on(monkeypatch, curlspec.sla, "cholesky", "eigh", calls=calls)
         spy_on(monkeypatch, curlspec.spla, "eigsh", calls=calls)
         assert len(eigenpairs(bumpy, 3, {"count": 6})) == 6
         # N = 3: 171 half modes, so 2K + 3 = 345 closed coordinates and
         # 4K = 684 helical ones against 1029 packed dofs
         assert [(name, shape) for name, shape, _, _ in calls] == [
-            ("cholesky", (345, 345)), ("cholesky", (684, 684)),
+            ("dpotrf", (345, 345)), ("dpotrf", (684, 684)),
             ("eigh", (684, 684))]
         _, _, args, kwargs = calls[-1]
         assert args == () and "b" not in kwargs  # a standard problem
@@ -381,12 +383,13 @@ class TestReducedPencil:
         # 6 makes the same two Cholesky factors, then one eigsh on
         # R^T d^-1 R with its restarts capped: no dense eigh and no dsygst
         monkeypatch.setattr(curlspec, "LANCZOS_MIN_DIM", 684)
-        calls = spy_on(monkeypatch, curlspec.sla, "cholesky", "eigh")
+        calls = spy_on(monkeypatch, curlspec.sla.lapack, "dpotrf")
+        spy_on(monkeypatch, curlspec.sla, "cholesky", "eigh", calls=calls)
         spy_on(monkeypatch, curlspec.spla, "eigsh", calls=calls)
         spy_on(monkeypatch, curlspec.sla.lapack, "dsygst", calls=calls)
         assert len(eigenpairs(bumpy, 3, {"count": 6})) == 6
         assert [(name, shape) for name, shape, _, _ in calls] == [
-            ("cholesky", (345, 345)), ("cholesky", (684, 684)),
+            ("dpotrf", (345, 345)), ("dpotrf", (684, 684)),
             ("eigsh", (684, 684))]
         _, _, _, kwargs = calls[-1]
         assert kwargs["k"] == 12 and kwargs["which"] == "BE"
@@ -436,6 +439,14 @@ def spy_on(monkeypatch, owner, *names, calls=None):
 
         monkeypatch.setattr(owner, name, spy)
     return calls
+
+
+def schur_complement(op):
+    """S, rebuilt from the strict upper triangle of the operator's packed
+    buffer (R below it) and the diagonal kept beside it."""
+    _, _, RS, s = op._reduction
+    upper = np.triu(RS, 1)
+    return upper + upper.T + np.diag(s)
 
 
 def interval_bracket(op, a, b):
@@ -632,6 +643,31 @@ class TestLanczos:
         for sigma in np.linspace(-4.0, 4.0, 41) + 0.013:
             assert op.count_below(sigma) == np.count_nonzero(vals < sigma)
 
+    def test_count_below_reads_two_by_two_pivots_in_upper_storage(
+            self, bumpy, monkeypatch):
+        # a shift between two neighbouring eigenvalues leaves small diagonal
+        # entries next to their coupling, where Bunch-Kaufman takes 2 x 2
+        # pivots; dsytrf factors the upper triangle, so each block's
+        # off-diagonal entry is read at (k, k + 1). The oracle is the dense
+        # pencil (B, G), which reads neither the factor nor S.
+        op = assemble(bumpy, 2)
+        vals = sla.eigvalsh(pairing_matrix(op), op.gram_matrix)
+        vals = vals[np.abs(vals) > 1e-8]  # the closed forms' kernel
+        pivots = []
+        dsytrf = curlspec.sla.lapack.dsytrf
+
+        def spy(a, *args, **kwargs):
+            ldu, ipiv, info = dsytrf(a, *args, **kwargs)
+            pivots.append((kwargs["lower"], ipiv.copy()))
+            return ldu, ipiv, info
+
+        monkeypatch.setattr(curlspec.sla.lapack, "dsytrf", spy)
+        gaps = np.flatnonzero(np.diff(vals) > 1e-8)
+        for i in gaps:
+            assert op.count_below((vals[i] + vals[i + 1]) / 2) == i + 1
+        assert len(pivots) == len(gaps) and {lower for lower, _ in pivots} == {0}
+        assert sum(np.any(ipiv < 0) for _, ipiv in pivots) >= 10
+
 
 seeds = st.integers(0, 2**32 - 1)
 amplitudes = st.floats(1e-3, 0.15)
@@ -810,6 +846,18 @@ class TestOneFactorization:
             assert got.shape == want.shape
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
+    @pytest.mark.parametrize("truncation", [1, 2, 3])
+    def test_packed_buffer_holds_the_factor_and_the_complement(
+            self, bumpy, truncation):
+        # R below the diagonal, S above it and diag(S) beside the buffer,
+        # against the Schur complement of the dense reference Gram
+        op = assemble(bumpy, truncation)
+        G, n = op.gram_matrix, op.basis.n_closed
+        want = G[n:, n:] - G[n:, :n] @ np.linalg.solve(G[:n, :n], G[:n, n:])
+        R = np.tril(op._reduction[2])
+        for got in (schur_complement(op), R @ R.T):
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
     @pytest.mark.parametrize("subset", [
         [118, 129],  # the count window of 6 at N = 2
         {"interval": [0.7, 1.5]},  # solved as its index bracket
@@ -818,8 +866,8 @@ class TestOneFactorization:
         op = assemble(bumpy, 2)
         bracket = (subset if isinstance(subset, list)
                    else interval_bracket(op, *subset["interval"]))
-        _, _, S = op._reduction
-        ref_vals, x = sla.eigh(np.diag(op.basis.d), S, subset_by_index=bracket)
+        ref_vals, x = sla.eigh(np.diag(op.basis.d), schur_complement(op),
+                               subset_by_index=bracket)
         ref_vecs = op._lift(x)
         vals, vecs = op.spectrum(*bracket)
         assert len(vals) == len(ref_vals) > 0
@@ -859,8 +907,10 @@ class TestPairChecks:
         # pairs from a perturbed factor solve a perturbed pencil; checks
         # that applied G through that factor would pass them
         op = assemble(bumpy, 2)
-        _, _, S = op._reduction
-        op._schur_factor = sla.cholesky(S + 1e-6 * np.eye(len(S)), lower=True)
+        S = schur_complement(op)
+        R = sla.cholesky(S + 1e-6 * np.eye(len(S)), lower=True)
+        lower = np.tril_indices(len(S))
+        op._reduction[2][lower] = R[lower]  # R's place in the packed buffer
         pairs = eigenpairs(bumpy, 2, {"count": 6}, operator=op)
         assert min(p.residual for p in pairs) > 1e-8
 
@@ -917,8 +967,9 @@ class TestGramMatrix:
         np.testing.assert_allclose(v.T @ v, flat_l2, rtol=1e-14)
 
     def test_reduction_peak_memory_is_bounded_by_the_gram(self):
-        # the Gram is assembled in chunks and reduced through slices of
-        # itself, so no packed dim x dim Gram or rotated copy of it is alive
+        # the Gram's three blocks (0.78 of a dense G at N = 4, measured
+        # 0.93 with the assembly's chunks and the mirroring's tiles) are
+        # factored in place: no dim x dim Gram or copy of a block is alive
         op = assemble(random_metric(2.0, 1e-2, 5), 4)
         tracemalloc.start()
         try:
@@ -926,7 +977,7 @@ class TestGramMatrix:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * op.gram_matrix.nbytes
+        assert peak <= op.gram_matrix.nbytes
 
     @pytest.mark.parametrize("truncation", [3, 4])
     def test_operator_keeps_no_dense_gram_after_a_solve(self, truncation):
@@ -936,19 +987,36 @@ class TestGramMatrix:
         assert not [name for name, value in vars(op).items()
                     if getattr(value, "shape", None) == (op.dim, op.dim)]
 
-    @pytest.mark.parametrize("truncation", [3, 4])
-    def test_solve_peak_memory_is_bounded_by_the_gram(self, truncation):
-        # the Gram, freed after the reduction, plus the factors the
-        # operator keeps: about 2.1 Grams (3.1 while the Gram was kept)
+    @pytest.mark.parametrize("truncation, path, window", [
+        pytest.param(3, "auto", {"count": 6}, id="3"),
+        pytest.param(4, "auto", {"count": 6}, id="4"),
+        pytest.param(4, "lanczos", {"count": 6}, id="4-lanczos-count",
+                     marks=pytest.mark.two_blas_threads),
+        pytest.param(4, "dense", {"interval": [0.9, 1.1]}, id="4-dense-interval",
+                     marks=pytest.mark.two_blas_threads),
+        pytest.param(4, "lanczos", {"interval": [0.9, 1.1]},
+                     id="4-lanczos-interval", marks=pytest.mark.two_blas_threads),
+    ])
+    def test_solve_peak_memory_is_bounded_by_the_gram(self, truncation, path,
+                                                      window, monkeypatch):
+        # a whole solve: the blocks the operator keeps (0.78 Grams at
+        # N = 4) and one 4K x 4K buffer at a time, dsytrf's for a
+        # Sylvester count or the dense path's standard-form C (0.44):
+        # measured 1.24 to 1.26 Grams; a dim x dim array beside them would
+        # pass 1.78
+        if path != "auto":
+            monkeypatch.setattr(curlspec, "LANCZOS_MIN_DIM",
+                                {"lanczos": 0, "dense": np.inf}[path])
         metric = random_metric(2.0, 1e-2, 5)
         op = assemble(metric, truncation)
         tracemalloc.start()
         try:
-            eigenpairs(metric, truncation, {"count": 6}, operator=op)
+            pairs = eigenpairs(metric, truncation, window, operator=op)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * op.dim**2 * 8
+        assert len(pairs) >= 6 and op.lanczos_fallbacks == []
+        assert peak <= 1.35 * op.dim**2 * 8
 
     def test_matches_l2_inner(self, bumpy, rng):
         from curllab.fields import l2_inner
