@@ -39,11 +39,14 @@ and are built once per truncation (`mode_basis`).
 
 Every vector is held in these frame coordinates ("packed" vectors,
 `ModeBasis.pack`): the constants, then the closed coordinates of every
-mode, then the helical ones, scaled so the flat inner product is the
-Euclidean dot product. In them B = diag(0, d), and G is assembled
-directly as its three blocks C^T G C, C^T G V and V^T G V
-(`_gram_blocks`). The name `coexact_residual_packed` predates the
-frames; it stays because perfbench/tracing.py wraps it by name.
+mode, then the helical ones grouped by helicity sign, the two +|m|
+coordinates of every mode and then the two -|m| ones, scaled so the
+flat inner product is the Euclidean dot product. In them B = diag(0, d)
+with d = diag(D, -D), D > 0, and G is assembled directly as its three
+blocks C^T G C, C^T G V and V^T G V (`_gram_blocks`) in that order, so S
+splits into contiguous 2K x 2K quadrants S_{++}, S_{+-} and S_{--}. The
+name `coexact_residual_packed` predates the frames; it stays because
+perfbench/tracing.py wraps it by name.
 
 Besides the closed block C^T G C = L L^T, the operator factors one
 dense matrix: S = R R^T, with R lower triangular (Cholesky). R turns
@@ -52,7 +55,8 @@ C = R^{-1} d R^{-T} and x = R^{-T} y. With L and W = L^{-1} C^T G V, R
 also completes the block factor [[L, 0], [W^T, R]] of G. All of it is
 made in place in the three blocks' buffers (`_reduction`): L over
 C^T G C, W over C^T G V, and one buffer holds R in its lower triangle
-and S in its strict upper one, with diag(S) kept beside it. So no
+and S in its strict upper one, with diag(S) kept beside it; the
+quadrant S_{+-} lies wholly above the diagonal. So no
 dim x dim array is made on any solve; the dense G (`gram_matrix`) is
 only the tests' reference. Every Gram solve runs through the block
 factor. Every Gram application in a pair check (`_gram_mult`) runs
@@ -63,9 +67,14 @@ construction.
 By Sylvester's law of inertia the reduced pencil has exactly 2K
 negative eigenvalues, as d has, so the k eigenvalues of smallest
 magnitude lie among the 2k with indices 2K - k .. 2K + k - 1 in
-ascending order. The inertia of d - sigma S (a Bunch-Kaufman LDL^T
-factorization) counts the eigenvalues below any sigma (Parlett, *The
-Symmetric Eigenvalue Problem*). So every window is an index bracket
+ascending order. The inertia of d - sigma S counts the eigenvalues
+below any sigma (Parlett, *The Symmetric Eigenvalue Problem*). One of
+its diagonal quadrants is definite at sigma, -(D + sigma S_{--}) for
+sigma >= 0 and D - sigma S_{++} for sigma < 0; by Haynsworth's inertia
+additivity (Linear Algebra Appl. 1 (1968) 73) the count is that
+quadrant's (2K or 0) plus the negative inertia of its Schur complement,
+read from a Bunch-Kaufman LDL^T factorization of 2K x 2K
+(`count_below`). So every window is an index bracket
 lo..hi of the ascending nonzero spectrum before it is solved: a count
 window k is 2K - k .. 2K + k - 1, and an interval window [a, b] runs
 from the count below a to the count below the float just above b,
@@ -154,9 +163,11 @@ class ModeBasis:
     their orthogonal 6 x 6 frame [C_m | V_m]. A packed vector holds the
     three constants * TAU^1.5, then the closed coordinates
     (rotation[j]^T u_j)[:2] of every mode up to n_closed, then the helical
-    ones (rotation[j]^T u_j)[2:]. The scaling makes the flat L2 inner
-    product the Euclidean dot product. d is the helical diagonal, (|m|,
-    |m|, -|m|, -|m|) per mode. All arrays are read-only: `mode_basis`
+    ones by helicity sign: (rotation[j]^T u_j)[2:4], of eigenvalue |m|,
+    for every mode, then (rotation[j]^T u_j)[4:], of eigenvalue -|m|, for
+    every mode. The scaling makes the flat L2 inner product the
+    Euclidean dot product. d is the helical diagonal, (|m|, |m|) per mode
+    and then (-|m|, -|m|) per mode. All arrays are read-only: `mode_basis`
     shares one basis between the operators of every metric at a
     truncation, across threads too.
     """
@@ -196,7 +207,8 @@ class ModeBasis:
                    (h1, h2), (h2, -h1), (h1, -h2), (h2, h1)]
         self.rotation = np.stack([np.concatenate(c, axis=1) for c in columns],
                                  axis=2)  # (K_h, 6, 6)
-        self.d = np.outer(length, [1.0, 1.0, -1.0, -1.0]).ravel()
+        plus = np.repeat(length, 2)
+        self.d = np.concatenate([plus, -plus])
         for a in (*self.half_index, self.half_modes, *self.neg_index,
                   self.rotation, self.d):
             a.flags.writeable = False
@@ -211,9 +223,9 @@ class ModeBasis:
         local = np.matmul(self.rotation.transpose(0, 2, 1),
                           np.concatenate([half.real, half.imag],
                                          axis=-1).reshape(lead + (K, 6, 1)))
-        return np.concatenate([coeffs[..., n, n, n].real * _SCALE,
-                               local[..., :2, 0].reshape(lead + (-1,)),
-                               local[..., 2:, 0].reshape(lead + (-1,))], axis=-1)
+        return np.concatenate([coeffs[..., n, n, n].real * _SCALE]
+                              + [local[..., i:i + 2, 0].reshape(lead + (-1,))
+                                 for i in (0, 2, 4)], axis=-1)
 
     def unpack(self, vector: np.ndarray) -> np.ndarray:
         """Coefficient array of frame coordinates, or a stack of them for
@@ -223,9 +235,10 @@ class ModeBasis:
         L, lead = 2 * n + 1, v.shape[:-1]
         coeffs = np.zeros(lead + (nc, L, L, L), np.complex128)
         coeffs[..., n, n, n] = v[..., :nc] / _SCALE
-        local = np.concatenate([v[..., nc:self.n_closed].reshape(lead + (K, 2, 1)),
-                                v[..., self.n_closed:].reshape(lead + (K, 4, 1))],
-                               axis=-2)
+        # (closed, +|m|, -|m|) coordinate pairs of each mode, side by side
+        local = np.concatenate([part.reshape(lead + (K, 2))
+                                for part in np.split(v[..., nc:], 3, axis=-1)],
+                               axis=-1)[..., None]
         rest = np.matmul(self.rotation, local).reshape(lead + (K, 6))
         half = np.swapaxes((rest[..., :nc] + 1j * rest[..., nc:])
                            / (_SQRT2 * _SCALE), -1, -2)
@@ -349,18 +362,22 @@ class CurlOperator:
     def _gram_blocks(self):
         """(CC, CV, VV): the blocks C^T G C, C^T G V and V^T G V of the
         quadrature Gram of the weighted 1-form inner product in frame
-        coordinates, each a C-ordered buffer. Of CC and VV only the upper
+        coordinates, each a C-ordered buffer, in the packed order (the
+        helical coordinates by helicity sign). Of CC and VV only the upper
         triangles are meant; nothing reads below them.
 
         The (Re, Im) block of half modes m, m' maps the coefficients u' of
         m' to w(m - m') u' + w(m + m') conj(u'), w from `_weight_maps`.
         Each chunk of row modes is gathered against the modes from the
-        chunk on and rotated by both frames straight into the blocks: its
-        closed and helical rows against the closed and helical columns
-        from the chunk on, its helical rows against closed columns into
-        CV transposed. So every entry of CV and of the upper triangles is
-        written (the chunk's own entries of CV twice, the second product
-        standing), and nothing is mirrored.
+        chunk on and rotated by both frames straight into the blocks, one
+        frame group (closed, +|m|, -|m|) of rows against one of columns
+        at a time: rows against columns of their own group or a later
+        one in place, helical rows against closed columns into CV
+        transposed and -|m| rows against +|m| columns into VV
+        transposed. So every entry of CV, of VV's S_{+-} quadrant and of
+        the upper triangles is written (the chunk's own entries of CV and
+        S_{+-} twice, the second product standing), and nothing is
+        mirrored.
         """
         basis = self.basis
         K, nc, Q, n = basis.n_half, basis.ncomp, basis.rotation, basis.n_closed
@@ -373,35 +390,39 @@ class CurlOperator:
         key = basis.half_modes @ np.array([L * L, L, 1])
         center = reach * (L * L + L + 1)  # the tables' row of q is center + key(q)
         CC, CV, VV = np.empty((n, n)), np.empty((n, 4 * K)), np.empty((4 * K, 4 * K))
-        target = ((CC, CV), (CV.T, VV))  # by (row, column) group
-        # frame columns, first coordinate in the blocks and width: closed,
-        # then helical
-        groups = ((slice(0, 2), nc, 2), (slice(2, 6), 0, 4))
+        # by (row, column) group: closed, +|m| and -|m|
+        target = ((CC, CV, CV), (CV.T, VV, VV), (CV.T, VV.T, VV))
+        # each group's two frame columns and its first coordinate in the blocks
+        groups = ((slice(0, 2), nc), (slice(2, 4), 0), (slice(4, 6), 2 * K))
         for j0 in range(0, K, _CHUNK_ROWS):
             j1, nk = min(j0 + _CHUNK_ROWS, K), K - j0
             # (Re, Im) blocks [k, (j, a), b] of row modes j0..j1 against j0..K
             m, m2 = key[None, j0:j1], key[j0:, None]
             blocks = (np.take(linear, center + m - m2, axis=0)
                       + np.take(antilinear, center + m + m2, axis=0))
-            for col, (cols, first, width) in enumerate(groups):
+            for col, (cols, first) in enumerate(groups):
                 # Y[j, a, k] = block_jk Q_k[:, cols], batched over k
-                Y = np.empty((j1 - j0, 6, nk, width))
+                Y = np.empty((j1 - j0, 6, nk, 2))
                 np.matmul(blocks.reshape(nk, -1, 6), Q[j0:, :, cols],
-                          out=Y.reshape(-1, nk, width).transpose(1, 0, 2))
-                for row, (rcols, rfirst, rwidth) in enumerate(groups):
+                          out=Y.reshape(-1, nk, 2).transpose(1, 0, 2))
+                for row, (rcols, rfirst) in enumerate(groups):
                     # Q_j[:, rcols]^T Y[j]
-                    out = target[row][col][rfirst + rwidth * j0:rfirst + rwidth * j1,
-                                           first + width * j0:first + width * K]
-                    np.matmul(Q[j0:j1, :, rcols].transpose(0, 2, 1),
-                              Y.reshape(j1 - j0, 6, -1),
-                              out=out.reshape(j1 - j0, rwidth, nk * width))
+                    out = target[row][col][rfirst + 2 * j0:rfirst + 2 * j1,
+                                           first + 2 * j0:first + 2 * K]
+                    factors = (Q[j0:j1, :, rcols].transpose(0, 2, 1),
+                               Y.reshape(j1 - j0, 6, -1))
+                    if out.strides[0] > out.strides[1]:
+                        np.matmul(*factors, out=out.reshape(j1 - j0, 2, nk * 2))
+                    else:  # a transposed target: BLAS, then one strided copy
+                        out[...] = np.matmul(*factors).reshape(out.shape)
         # the constants are closed and keep their coordinates; their rows
         # against mode m are sqrt(2) (Re w(m), Im w(m)) in m's frame
         modes = _SQRT2 * linear[center - key, :3].transpose(0, 2, 1)
         local = np.matmul(Q.transpose(0, 2, 1), modes)  # (K, 6, nc)
         CC[:nc, :nc] = linear[center, :3, :3]
         CC[:nc, nc:] = local[:, :2].reshape(2 * K, nc).T
-        CV[:nc] = local[:, 2:].reshape(4 * K, nc).T
+        CV[:nc, :2 * K] = local[:, 2:4].reshape(2 * K, nc).T
+        CV[:nc, 2 * K:] = local[:, 4:].reshape(2 * K, nc).T
         return CC, CV, VV
 
     @cached_property
@@ -463,10 +484,11 @@ class CurlOperator:
         (`dsyrk` over VV, a lower triangle in Fortran order). That
         triangle is mirrored into the strict upper one by tiles, its
         diagonal s is kept, and `dpotrf` writes R (S = R R^T) over it: RS
-        holds R in its lower triangle and S in its strict upper one. R
-        serves the eigensolve and the Gram solves, and every routine that
-        reads it reads only the lower triangle; S and s serve the
-        Sylvester counts (`count_below`).
+        holds R in its lower triangle and S in its strict upper one; in
+        the packed order that is the upper triangles of S_{++} and S_{--}
+        and all of S_{+-}. R serves the eigensolve and the Gram solves,
+        and every routine that reads it reads only the lower triangle; S
+        and s serve the Sylvester counts (`count_below`).
         """
         CC, CV, VV = self._gram_blocks()
         L = _cholesky_in_place(CC.T)
@@ -510,21 +532,43 @@ class CurlOperator:
 
         S is positive definite, so by Sylvester's law d - sigma S has as
         many negative eigenvalues as the pencil has eigenvalues below
-        sigma. They are read from the 1 x 1 and 2 x 2 pivots of one
-        Bunch-Kaufman factorization (`dsytrf`) of the upper triangle, made
-        in place in a buffer laid out as `_reduction`'s RS: -sigma RS is
-        one contiguous pass, and its diagonal becomes d - sigma diag(S).
+        sigma. In the packed order d = diag(D, -D) and d - sigma S has
+        2K x 2K quadrants by helicity sign, of which one diagonal quadrant
+        E is definite: E = -(D + sigma S_{--}) for sigma >= 0 and
+        E = D + |sigma| S_{++} for sigma < 0; A is the other one. By
+        Haynsworth's inertia additivity the count is that of E (2K or 0)
+        plus the negative inertia of the Schur complement
+        A - sigma^2 S_{ab} E^{-1} S_{ba}. So E is eliminated with one
+        `dpotrf` (|E| = U^T U), one `dtrsm` (sigma S_{+-} against U) and
+        one `dsyrk`, and the complement's inertia is read from the 1 x 1
+        and 2 x 2 pivots of one Bunch-Kaufman factorization (`dsytrf`) of
+        its upper triangle. Each quadrant is
+        read from the strict upper triangle of `_reduction`'s RS and the
+        kept diag(S), so a count holds two 2K x 2K buffers: |E|'s, which
+        then takes the complement, and the solve's copy of S_{+-}.
         Counts are kept per sigma, so the guard of a Lanczos window
         (`_lanczos`) and the count of an interval window share them.
         """
         if sigma in self._below:
             return self._below[sigma]
         _, _, RS, s = self._reduction
-        n = s.size
-        A = np.empty((n, n), order="F")
-        np.multiply(RS, -sigma, out=A)  # S in the strict upper triangle
-        A.reshape(-1, order="F")[:: n + 1] = self.basis.d - sigma * s
-        lwork = int(sla.lapack.dsytrf_lwork(n, lower=0)[0])
+        h = s.size // 2
+        plus, minus = slice(0, h), slice(h, 2 * h)
+        a, b = (plus, minus) if sigma >= 0 else (minus, plus)
+        d = self.basis.d
+        P = np.empty((h, h), order="F")
+        np.multiply(RS[b, b], abs(sigma), out=P)  # S_bb in the strict upper triangle
+        _diagonal(P)[:] = np.abs(d[b]) + abs(sigma) * s[b]
+        U = _cholesky_in_place(P, lower=0)
+        # sigma^2 S_ab |E|^{-1} S_ba is Z Z^T with Z = sigma S_{+-} U^{-1}
+        # for sigma >= 0, Z^T Z with Z = sigma U^{-T} S_{+-} for sigma < 0
+        Z = sla.blas.dtrsm(sigma, U, RS[plus, minus], side=int(sigma >= 0),
+                           lower=0, trans_a=int(sigma < 0))
+        A = np.multiply(RS[a, a], -sigma, out=P)
+        _diagonal(A)[:] = d[a] - sigma * s[a]
+        A = sla.blas.dsyrk(1.0 if sigma >= 0 else -1.0, Z, beta=1.0, c=A,
+                           trans=int(sigma < 0), lower=0, overwrite_c=1)
+        lwork = int(sla.lapack.dsytrf_lwork(h, lower=0)[0])
         ldu, ipiv, info = sla.lapack.dsytrf(A, lower=0, lwork=lwork, overwrite_a=1)
         if info < 0:
             raise ValueError(f"dsytrf rejected argument {-info}")
@@ -536,6 +580,8 @@ class CurlOperator:
         blocks[:, 0, 1] = blocks[:, 1, 0] = ldu[first, first + 1]
         count = int(np.count_nonzero(diag[ipiv > 0] < 0)
                     + np.count_nonzero(np.linalg.eigvalsh(blocks) < 0))
+        if sigma >= 0:
+            count += h  # E is negative definite
         self._below[sigma] = count
         return count
 
@@ -570,7 +616,7 @@ class CurlOperator:
         if sides is None:
             n = self.basis.d.size
             C = np.zeros((n, n), order="F")
-            C.reshape(-1, order="F")[:: n + 1] = self.basis.d
+            _diagonal(C)[:] = self.basis.d
             C, _ = sla.lapack.dsygst(C, R, itype=1, lower=1, overwrite_a=1)
             vals, y = sla.eigh(C, lower=True, driver="evx", overwrite_a=True,
                                check_finite=False,
@@ -599,7 +645,10 @@ class CurlOperator:
         (`count_below`) of eigenvalues between 0 and sigma must equal the
         number returned there. sigma is a shift already counted whose
         count is the bracket's far end on that side (hi + 1 above 0, lo
-        below), as an interval window's end counts are; else a count is
+        below), as an interval window's end counts are; a returned value
+        up to GUARD_TOL * max|d| beyond such an end counts where the
+        end's count places it, inside, so a Ritz value a rounding past an
+        end that is itself an eigenvalue refutes nothing. Else a count is
         taken GUARD_TOL * max|d| inside the outermost returned value, so
         a bracket may end inside a cluster and any of its members will do.
         Lanczos from one start vector sees one direction of an
@@ -650,9 +699,13 @@ class CurlOperator:
             chosen = best[np.argsort(1.0 / mus[best], kind="stable")]
             vals = 1.0 / mus[chosen]
             counted = {count: sigma for sigma, count in self._below.items()}
-            shifts = ([counted.get(hi + 1, vals[-1] - margin)] if n_top else []) + (
-                [counted.get(lo, vals[0] + margin)] if n_bottom else [])
-            misses = [(sigma, *self._inside(vals, sigma)) for sigma in shifts]
+            # (shift, slack): a counted end, or a shift inside the outermost value
+            shifts = ([(counted[hi + 1], margin) if hi + 1 in counted
+                       else (vals[-1] - margin, 0.0)] if n_top else []) + (
+                [(counted[lo], margin) if lo in counted
+                 else (vals[0] + margin, 0.0)] if n_bottom else [])
+            misses = [(sigma, *self._inside(vals, sigma, slack))
+                      for sigma, slack in shifts]
             misses = [m for m in misses if m[1] != m[2]]
             if not misses:
                 window = slice(lo - first, hi + 1 - first)
@@ -665,14 +718,15 @@ class CurlOperator:
                          "returned": returned},
         )
 
-    def _inside(self, vals, sigma):
-        """(Sylvester count, returned count) of eigenvalues between 0 and sigma."""
+    def _inside(self, vals, sigma, slack):
+        """(Sylvester count, returned count) of eigenvalues between 0 and
+        sigma; a returned value up to slack beyond sigma counts as inside."""
         half = self.basis.d.size // 2
         if sigma > 0:
             return (self.count_below(sigma) - half,
-                    int(np.count_nonzero((vals > 0) & (vals < sigma))))
+                    int(np.count_nonzero((vals > 0) & (vals < sigma + slack))))
         return (half - self.count_below(sigma),
-                int(np.count_nonzero((vals < 0) & (vals >= sigma))))
+                int(np.count_nonzero((vals < 0) & (vals >= sigma - slack))))
 
     def residual(self, form: FourierField, eigenvalue: float) -> float:
         """|| *d alpha - lambda alpha || / || alpha || in the weighted norm.
@@ -737,17 +791,23 @@ def _symmetric(upper: np.ndarray) -> np.ndarray:
     return np.triu(upper) + np.triu(upper, 1).T
 
 
-def _cholesky_in_place(a: np.ndarray) -> np.ndarray:
+def _cholesky_in_place(a: np.ndarray, lower: int = 1) -> np.ndarray:
     """The lower Cholesky factor of a Fortran-ordered SPD matrix, given
     by its lower triangle, written over that triangle (`dpotrf`); the
-    strict upper triangle is left as it was."""
-    c, info = sla.lapack.dpotrf(a, lower=1, clean=0, overwrite_a=1)
+    strict upper triangle is left as it was. With lower=0 the same for
+    the upper factor U (a = U^T U) and the upper triangle."""
+    c, info = sla.lapack.dpotrf(a, lower=lower, clean=0, overwrite_a=1)
     if info > 0:
         raise np.linalg.LinAlgError(
             f"leading minor of order {info} is not positive definite")
     if info < 0:
         raise ValueError(f"dpotrf rejected argument {-info}")
     return c
+
+
+def _diagonal(a: np.ndarray) -> np.ndarray:
+    """A writable view of the diagonal of a Fortran-ordered square array."""
+    return a.reshape(-1, order="F")[:: a.shape[0] + 1]
 
 
 def _lower_solve(factor: np.ndarray, b: np.ndarray, trans: str = "N") -> np.ndarray:
@@ -861,12 +921,16 @@ def eigenpairs(
     fixed start vectors, so the result is deterministic, and every other
     bracket by the dense subset `evx`. A Lanczos answer is checked by
     one Sylvester count per side between 0 and a shift: an interval's
-    own end count beyond its far end, else GUARD_TOL * max|d| inside the
-    outermost returned value. A bracket that the counts refute, or on
-    which ARPACK does not converge, is solved by the dense path, and the
-    reason is recorded in the operator's `lanczos_fallbacks`. So both
-    paths return the same window, except that members of its edge
-    cluster closer than GUARD_TOL * max|d| may stand in for one another.
+    own end count beyond its far end, where a value up to GUARD_TOL *
+    max|d| past that end counts as inside, else GUARD_TOL * max|d| inside
+    the outermost returned value. Each count factors a 2K x 2K Schur
+    complement (`CurlOperator.count_below`). A bracket that the counts
+    refute, or on which ARPACK does not converge, is solved by the dense
+    path, and the reason is recorded in the operator's
+    `lanczos_fallbacks`. So both paths return the same window, except
+    that members of its edge cluster closer than GUARD_TOL * max|d|, or a
+    value that close past an interval's end, may stand in for one
+    another.
     """
     spec = parse_window(window)
     op = operator or assemble(metric, truncation)
