@@ -409,12 +409,9 @@ class CurlOperator:
                     # Q_j[:, rcols]^T Y[j]
                     out = target[row][col][rfirst + 2 * j0:rfirst + 2 * j1,
                                            first + 2 * j0:first + 2 * K]
-                    factors = (Q[j0:j1, :, rcols].transpose(0, 2, 1),
-                               Y.reshape(j1 - j0, 6, -1))
-                    if out.strides[0] > out.strides[1]:
-                        np.matmul(*factors, out=out.reshape(j1 - j0, 2, nk * 2))
-                    else:  # a transposed target: BLAS, then one strided copy
-                        out[...] = np.matmul(*factors).reshape(out.shape)
+                    np.matmul(Q[j0:j1, :, rcols].transpose(0, 2, 1),
+                              Y.reshape(j1 - j0, 6, -1),
+                              out=out.reshape(j1 - j0, 2, nk * 2))
         # the constants are closed and keep their coordinates; their rows
         # against mode m are sqrt(2) (Re w(m), Im w(m)) in m's frame
         modes = _SQRT2 * linear[center - key, :3].transpose(0, 2, 1)

@@ -1036,7 +1036,7 @@ class TestGramMatrix:
     def test_count_peak_memory_is_two_quarter_blocks(self):
         # a Sylvester count holds two 2K x 2K buffers (the definite block,
         # which then takes the Schur complement, and the solve's copy of
-        # S_{+-}): measured 0.223 Grams at N = 4, half of a 4K x 4K one
+        # S_{+-}): measured 0.231 Grams at N = 4, half of a 4K x 4K one
         op = assemble(random_metric(2.0, 1e-2, 5), 4)
         op._reduction
         for sigma in (0.95, -0.95):
@@ -1065,7 +1065,7 @@ class TestGramMatrix:
         # N = 4) and its largest working buffers. The dense path's
         # standard-form C is 4K x 4K (0.44): measured 1.23 to 1.24 Grams.
         # On the Lanczos path a Sylvester count holds two 2K x 2K buffers
-        # (0.22): measured 1.00 to 1.01. A dim x dim array beside the
+        # (0.23): measured 1.01 to 1.02. A dim x dim array beside the
         # blocks would pass 1.78
         if path != "auto":
             monkeypatch.setattr(curlspec, "LANCZOS_MIN_DIM",
