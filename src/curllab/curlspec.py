@@ -56,11 +56,17 @@ also completes the block factor [[L, 0], [W^T, R]] of G. All of it is
 made in place in the three blocks' buffers (`_reduction`): L over
 C^T G C, W over C^T G V, and one buffer holds R in its lower triangle
 and S in its strict upper one, with diag(S) kept beside it; the
-quadrant S_{+-} lies wholly above the diagonal. So no
-dim x dim array is made on any solve; the dense G (`gram_matrix`) is
-only the tests' reference. Every Gram solve runs through the block
-factor. Every Gram application in a pair check (`_gram_mult`) runs
-through the grid quadrature instead, a route independent of both the
+quadrant S_{+-} lies wholly above the diagonal. W's buffer is freed
+once S is formed, so an operator keeps L and that buffer (0.56 of a
+dense G at N = 4). No dim x dim array is made on any solve; the dense
+G (`gram_matrix`) is only the tests' reference.
+
+The products with W come from the grid quadrature (`_gram_mult`): W x
+is L^{-1} times the closed rows of G [0; x], and W^T y the helical rows
+of G [L^{-T} y; 0] (`_w`, `_wt`). So a Gram solve with the block
+factor takes two quadrature passes, an eigenvector's lift one and a
+residual's dual norm one. Every other Gram application in a pair check
+runs through that quadrature alone, a route independent of both the
 assembly and the factor, so a check cannot agree with a wrong factor by
 construction.
 
@@ -260,7 +266,7 @@ class EigenPair:
     eigenvalue: float
     form: FourierField  # unit weighted norm, G applied by the grid quadrature
     # ||*d alpha - lambda alpha|| / ||alpha||: the quadrature's B v - lambda G v
-    # in the dual norm, measured with the block factor's Gram solve
+    # in the dual norm, measured with the block factor's forward solve
     residual: float
     index: int
     cluster_id: int = 0
@@ -305,6 +311,11 @@ class CurlOperator:
         self.grid = CollocationGrid.for_truncation(max(truncation, metric.truncation))
         self.metric.samples(self.grid)  # SPD validation up front
         self.basis = mode_basis(truncation)
+        # s such that G = s * I, or None if the Gram is not scalar: for
+        # g = c I the weight sqrt(det g) g^{-1} is sqrt(c) I
+        c = metric.constant_factor
+        self._gram_scalar = None if c is None else float(np.sqrt(c))
+        self._factors = None  # `_reduction`, made on first use
         self._below: dict[float, int] = {}  # count_below by shift
         self.lanczos_fallbacks: list[dict] = []  # see `spectrum`
 
@@ -349,15 +360,6 @@ class CurlOperator:
         return (F @ s) @ F.T
 
     # -- dense matrices -------------------------------------------------
-
-    @cached_property
-    def _gram_scalar(self) -> float | None:
-        """s such that G = s * I, or None if the Gram is not scalar.
-
-        For g = c I the weight sqrt(det g) g^{-1} is sqrt(c) I.
-        """
-        c = self.metric.constant_factor
-        return None if c is None else float(np.sqrt(c))
 
     def _gram_blocks(self):
         """(CC, CV, VV): the blocks C^T G C, C^T G V and V^T G V of the
@@ -431,19 +433,43 @@ class CurlOperator:
         return np.block([[_symmetric(CC), CV], [CV.T, _symmetric(VV)]])
 
     def gram_solve(self, v: np.ndarray) -> np.ndarray:
-        """G^{-1} v for a packed vector (or the columns of v): two forward
-        and two backward triangular solves with the block factor
-        [[L, 0], [W^T, R]] of G."""
+        """G^{-1} v for a packed vector (or the columns of v): the forward
+        solve with the block factor F = [[L, 0], [W^T, R]] of G
+        (`_forward`) and then the backward one with F^T, with the W
+        products by the grid quadrature, so two quadrature passes."""
         c = self._gram_scalar
         if c is not None:
             return v / c
-        L, W, R, _ = self._reduction
+        L, R, _ = self._reduction
+        y, x = self._forward(v)
+        x = _lower_solve(R, x, trans="T")
+        y = _lower_solve(L, y - self._w(x), trans="T")
+        return np.concatenate([y, x])
+
+    def _forward(self, v: np.ndarray):
+        """F^{-1} v as its closed and helical parts (y, x), F = [[L, 0],
+        [W^T, R]] the lower block factor of G: y = L^{-1} v_c and
+        x = R^{-1} (v_v - W^T y), one quadrature pass. As G = F F^T,
+        v^T G^{-1} v = |y|^2 + |x|^2."""
+        L, R, _ = self._reduction
         n = self.basis.n_closed
         y = _lower_solve(L, v[:n])
-        x = _lower_solve(R, v[n:] - W.T @ y)
-        x = _lower_solve(R, x, trans="T")
-        y = _lower_solve(L, y - W @ x, trans="T")
-        return np.concatenate([y, x])
+        return y, _lower_solve(R, v[n:] - self._wt(y))
+
+    def _w(self, x: np.ndarray) -> np.ndarray:
+        """W x = L^{-1} C^T G V x for helical columns x: L^{-1} times the
+        closed rows of G [0; x], G by the grid quadrature."""
+        n = self.basis.n_closed
+        Gx = self._gram_mult(np.concatenate([np.zeros((n,) + x.shape[1:]), x]))
+        return _lower_solve(self._reduction[0], Gx[:n])
+
+    def _wt(self, y: np.ndarray) -> np.ndarray:
+        """W^T y = V^T G C L^{-T} y for closed columns y: the helical rows
+        of G [L^{-T} y; 0], G by the grid quadrature."""
+        n = self.basis.n_closed
+        z = _lower_solve(self._reduction[0], y, trans="T")
+        pad = np.zeros((self.dim - n,) + y.shape[1:])
+        return self._gram_mult(np.concatenate([z, pad]))[n:]
 
     # -- public operations ----------------------------------------------
 
@@ -469,42 +495,53 @@ class CurlOperator:
         out = self.gram_solve(self.pairing_apply(v))
         return FourierField("one_form", self.basis.unpack(out))
 
-    @cached_property
+    @property
     def _reduction(self):
-        """(L, W, RS, s): the closed coordinates eliminated from (B, G)
-        and the Schur complement factored, in place in the buffers of
+        """(L, RS, s): the closed coordinates eliminated from (B, G) and
+        the Schur complement factored, in place in the buffers of
         `_gram_blocks`, each handed to BLAS and LAPACK as its
         Fortran-ordered transpose, so no dim x dim array is made.
 
         L is the lower Cholesky factor of C^T G C (`dpotrf` over CC),
         W = L^{-1} C^T G V (`dtrsm` over CV) and S = V^T G V - W^T W
-        (`dsyrk` over VV, a lower triangle in Fortran order). That
-        triangle is mirrored into the strict upper one by tiles, its
-        diagonal s is kept, and `dpotrf` writes R (S = R R^T) over it: RS
-        holds R in its lower triangle and S in its strict upper one; in
-        the packed order that is the upper triangles of S_{++} and S_{--}
-        and all of S_{+-}. R serves the eigensolve and the Gram solves,
-        and every routine that reads it reads only the lower triangle; S
-        and s serve the Sylvester counts (`count_below`).
+        (`dsyrk` over VV, a lower triangle in Fortran order). W's buffer
+        is then freed: its products come from the grid quadrature (`_w`,
+        `_wt`). S's triangle is mirrored into the strict upper one by
+        tiles, its diagonal s is kept, and `dpotrf` writes R (S = R R^T)
+        over it: RS holds R in its lower triangle and S in its strict
+        upper one; in the packed order that is the upper triangles of
+        S_{++} and S_{--} and all of S_{+-}. R serves the eigensolve and
+        the Gram solves, and every routine that reads it reads only the
+        lower triangle; S and s serve the Sylvester counts
+        (`count_below`).
+
+        Made on first use and kept per operator. Not a
+        `functools.cached_property`: on Python 3.11 that holds one lock
+        per attribute across all instances, so operators factored on
+        several threads would wait for one another.
         """
-        CC, CV, VV = self._gram_blocks()
-        L = _cholesky_in_place(CC.T)
-        W = sla.blas.dtrsm(1.0, L, CV.T, side=1, lower=1, trans_a=1,
-                           overwrite_b=1).T
-        S = sla.blas.dsyrk(-1.0, W.T, beta=1.0, c=VV.T, lower=1,
-                           overwrite_c=1).T  # in its upper triangle
-        s = S.diagonal().copy()
-        n = len(s)
-        for i in range(0, n, _MIRROR_TILE):
-            j = min(i + _MIRROR_TILE, n)
-            S[i:j, i:j] = _symmetric(S[i:j, i:j])
-            S[j:, i:j] = S[i:j, j:].T
-        return L, W, _cholesky_in_place(S.T), s
+        if self._factors is None:
+            CC, CV, VV = self._gram_blocks()
+            L = _cholesky_in_place(CC.T)
+            W = sla.blas.dtrsm(1.0, L, CV.T, side=1, lower=1, trans_a=1,
+                               overwrite_b=1).T
+            S = sla.blas.dsyrk(-1.0, W.T, beta=1.0, c=VV.T, lower=1,
+                               overwrite_c=1).T  # in its upper triangle
+            del CV, W
+            s = S.diagonal().copy()
+            n = len(s)
+            for i in range(0, n, _MIRROR_TILE):
+                j = min(i + _MIRROR_TILE, n)
+                S[i:j, i:j] = _symmetric(S[i:j, i:j])
+                S[j:, i:j] = S[i:j, j:].T
+            self._factors = L, _cholesky_in_place(S.T), s
+        return self._factors
 
     def _lift(self, x: np.ndarray) -> np.ndarray:
-        """Packed v = V x - C (C^T G C)^{-1} C^T G V x for columns x."""
-        L, W, _, _ = self._reduction
-        return np.concatenate([-_lower_solve(L, W @ x, trans="T"), x])
+        """Packed v = V x - C (C^T G C)^{-1} C^T G V x for columns x:
+        the closed part is -L^{-T} W x, one quadrature pass (`_w`)."""
+        L = self._reduction[0]
+        return np.concatenate([-_lower_solve(L, self._w(x), trans="T"), x])
 
     def coexact_residual_packed(self, v: np.ndarray, *, Gv=None):
         """Weighted norm of the closed-form component of a packed vector,
@@ -548,7 +585,7 @@ class CurlOperator:
         """
         if sigma in self._below:
             return self._below[sigma]
-        _, _, RS, s = self._reduction
+        _, RS, s = self._reduction
         h = s.size // 2
         plus, minus = slice(0, h), slice(h, 2 * h)
         a, b = (plus, minus) if sigma >= 0 else (minus, plus)
@@ -601,7 +638,7 @@ class CurlOperator:
         `dsygvx` runs, with the factor shared instead of hidden. The
         eigenvectors are G-normalized and coexact.
         """
-        _, _, R, _ = self._reduction
+        _, R, _ = self._reduction
         sides = None if lo is None else self._lanczos_sides(lo, hi)
         if sides is not None:
             try:
@@ -618,6 +655,7 @@ class CurlOperator:
             vals, y = sla.eigh(C, lower=True, driver="evx", overwrite_a=True,
                                check_finite=False,
                                subset_by_index=None if lo is None else [lo, hi])
+            del C  # the lift's quadrature runs without the 4K x 4K buffer
         return vals, self._lift(_lower_solve(R, y, trans="T"))
 
     def _lanczos_sides(self, lo, hi):
@@ -659,7 +697,7 @@ class CurlOperator:
         fixed (round r starts from default_rng(r)), so a solve is
         deterministic.
         """
-        R, d = self._reduction[2], self.basis.d
+        R, d = self._reduction[1], self.basis.d
         n = d.size
         trmv = sla.blas.dtrmv
         nev, which = _arpack_request(n_top, n_bottom)
@@ -730,8 +768,9 @@ class CurlOperator:
 
         With v the packed form, r = B v - lambda G v is the weak residual;
         it lives in the dual, so its norm is sqrt(r^T G^{-1} r). G v and
-        the norm of v come from the grid quadrature (`_gram_mult`); G^{-1} r
-        is the block factor's solve (`gram_solve`).
+        the norm of v come from the grid quadrature (`_gram_mult`);
+        r^T G^{-1} r is |F^{-1} r|^2 with the block factor's forward
+        solve (`_forward`).
         """
         v = self.basis.pack(self._coerce(form).coeffs)
         Gv = self._gram_mult(v)
@@ -741,10 +780,14 @@ class CurlOperator:
 
     def _residuals(self, V: np.ndarray, GV: np.ndarray, vals) -> np.ndarray:
         """`residual` of a packed vector v with its G v, or of each column
-        of V with its eigenvalue in vals, by one Gram solve."""
+        of V with its eigenvalue in vals. The dual norm r^T G^{-1} r is
+        |L^{-1} r_c|^2 + |R^{-1} (r_v - W^T y)|^2 with y = L^{-1} r_c, the
+        block factor's forward solve (`_forward`): one quadrature pass
+        for W^T y and no backward solve."""
         r = self.pairing_apply(V) - vals * GV
-        dual = np.einsum("i...,i...->...", r, self.gram_solve(r))
-        return (np.sqrt(np.maximum(dual, 0.0))
+        dual = sum(np.einsum("i...,i...->...", part, part)
+                   for part in self._forward(r))
+        return (np.sqrt(dual)
                 / np.sqrt(np.einsum("i...,i...->...", V, GV)))
 
     def _gram_mult(self, v: np.ndarray) -> np.ndarray:
@@ -962,7 +1005,8 @@ def eigenpairs(
         sel = sel[:spec[1]]
 
     # one quadrature for the window: each G v normalizes its vector and
-    # serves both of its checks, and each check is one solve for the window
+    # serves both of its checks; the residuals' forward solve adds one
+    # quadrature pass for the window and the coexact check one L solve
     V, lams = vecs[:, sel], vals[sel]
     GV = op._gram_mult(V)
     scale = 1.0 / np.sqrt(np.einsum("ip,ip->p", V, GV))
