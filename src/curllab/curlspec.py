@@ -86,6 +86,23 @@ window k is 2K - k .. 2K + k - 1, and an interval window [a, b] runs
 from the count below a to the count below the float just above b,
 minus one.
 
+Many counts need no factorization. With a and b the smallest and
+largest eigenvalues of the sampled weight sqrt(det g) g^{-1} over the
+grid (`MetricSamples.weight_bounds`), discrete Parseval gives
+a I <= G <= b I, so a I <= S <= b I, and by Ostrowski's theorem (Horn &
+Johnson, *Matrix Analysis*, Thm 4.5.9) the eigenvalue of the pencil
+matched to d_k lies between d_k / b and d_k / a. So the shell |m| = s_i
+spreads at most over the band [s_i / b, s_i / a], and where that band
+ends below the next shell's, s_i / a < s_{i+1} / b, every shift between
+them counts 2K plus the n_i coordinates of +|m| with |m| <= s_i (minus
+them for the mirrored negative shift). Below the first shell (s_0 = 0)
+that holds for every metric; between two shells it needs b / a below
+s_{i+1} / s_i, so no such gap is proved from b / a >= sqrt(2) on. A
+count whose shift lies in a proved gap, its ends moved GUARD_TOL *
+max|d| inward against round-off, is taken from the bound, and only the
+other shifts are factored. A count window whose far ends close a shell
+is counted at such a shift first.
+
 A bracket takes one of two solvers. A small bracket on a large operator
 (at most LANCZOS_MAX_VALUES values, reduced dimension LANCZOS_MIN_DIM or
 more, so N >= 5) is solved by ARPACK's Lanczos (Lehoucq, Sorensen &
@@ -315,6 +332,8 @@ class CurlOperator:
         # g = c I the weight sqrt(det g) g^{-1} is sqrt(c) I
         c = metric.constant_factor
         self._gram_scalar = None if c is None else float(np.sqrt(c))
+        self._gaps = _shell_gaps(self.basis.d, *self.metric.samples(
+            self.grid).weight_bounds)  # see `count_below`
         self._factors = None  # `_reduction`, made on first use
         self._below: dict[float, int] = {}  # count_below by shift
         self.lanczos_fallbacks: list[dict] = []  # see `spectrum`
@@ -564,6 +583,27 @@ class CurlOperator:
     def count_below(self, sigma: float) -> int:
         """Nonzero eigenvalues below sigma: the negative inertia of d - sigma S.
 
+        Where |sigma| lies in one of the shell gaps that the weight's
+        bounds prove (`_shell_gaps`), the count is read from the gap: 2K
+        plus the gap's n for sigma > 0, 2K minus it for sigma < 0, with no
+        factorization. Every other shift is counted by `_sylvester_count`.
+        Counts are kept per sigma, so the guard of a Lanczos window
+        (`_lanczos`) and the count of an interval window share them.
+        """
+        if sigma in self._below:
+            return self._below[sigma]
+        lower, upper, n = self._gaps
+        i = np.searchsorted(lower, abs(sigma)) - 1
+        if i >= 0 and abs(sigma) < upper[i]:
+            count = self.basis.d.size // 2 + int(np.copysign(n[i], sigma))
+        else:
+            count = self._sylvester_count(sigma)
+        self._below[sigma] = count
+        return count
+
+    def _sylvester_count(self, sigma: float) -> int:
+        """The negative inertia of d - sigma S, from a factorization.
+
         S is positive definite, so by Sylvester's law d - sigma S has as
         many negative eigenvalues as the pencil has eigenvalues below
         sigma. In the packed order d = diag(D, -D) and d - sigma S has
@@ -580,11 +620,7 @@ class CurlOperator:
         read from the strict upper triangle of `_reduction`'s RS and the
         kept diag(S), so a count holds two 2K x 2K buffers: |E|'s, which
         then takes the complement, and the solve's copy of S_{+-}.
-        Counts are kept per sigma, so the guard of a Lanczos window
-        (`_lanczos`) and the count of an interval window share them.
         """
-        if sigma in self._below:
-            return self._below[sigma]
         _, RS, s = self._reduction
         h = s.size // 2
         plus, minus = slice(0, h), slice(h, 2 * h)
@@ -616,7 +652,6 @@ class CurlOperator:
                     + np.count_nonzero(np.linalg.eigvalsh(blocks) < 0))
         if sigma >= 0:
             count += h  # E is negative definite
-        self._below[sigma] = count
         return count
 
     def spectrum(self, lo=None, hi=None):
@@ -680,7 +715,9 @@ class CurlOperator:
         (`count_below`) of eigenvalues between 0 and sigma must equal the
         number returned there. sigma is a shift already counted whose
         count is the bracket's far end on that side (hi + 1 above 0, lo
-        below), as an interval window's end counts are; a returned value
+        below), as an interval window's end counts are and a count
+        window's are where its ends close a shell (`eigenpairs`), often
+        proved with no factorization; a returned value
         up to GUARD_TOL * max|d| beyond such an end counts where the
         end's count places it, inside, so a Ritz value a rounding past an
         end that is itself an eigenvalue refutes nothing. Else a count is
@@ -817,6 +854,28 @@ def _weight_maps(samples, reach: int):
     w = (w + w.transpose(0, 2, 1)) * 0.5
     re, im = w.real, w.imag
     return np.block([[re, -im], [im, re]]), np.block([[re, im], [im, -re]])
+
+
+def _shell_gaps(d, a, b):
+    """(lower, upper, n): the gaps of the reduced pencil's positive
+    spectrum that a I <= S <= b I proves, ascending, and the number of
+    eigenvalues below each (see the module docstring).
+
+    With shells s_1 < s_2 < ... the distinct entries of D, the first half
+    of d, and s_0 = 0, the eigenvalues of shell i lie in [s_i / b,
+    s_i / a], so (s_i / a, s_{i+1} / b) holds none of them, and n_i, the
+    number of entries of D up to s_i, lie below it. Each gap's ends are
+    moved GUARD_TOL * max|d| inward, far above the rounding of a, b and
+    S, and a gap is kept only where they have not met.
+    """
+    D = np.sort(d[:d.size // 2])
+    shells = np.unique(D)
+    inner = np.concatenate([[0.0], shells[:-1]])  # s_i, below gap i
+    margin = GUARD_TOL * D[-1]
+    lower, upper = inner / a + margin, shells / b - margin
+    proved = lower < upper
+    n = np.searchsorted(D, inner, side="right")
+    return lower[proved], upper[proved], n[proved]
 
 
 def _arpack_request(n_top, n_bottom):
@@ -963,8 +1022,13 @@ def eigenpairs(
     one Sylvester count per side between 0 and a shift: an interval's
     own end count beyond its far end, where a value up to GUARD_TOL *
     max|d| past that end counts as inside, else GUARD_TOL * max|d| inside
-    the outermost returned value. Each count factors a 2K x 2K Schur
-    complement (`CurlOperator.count_below`). A bracket that the counts
+    the outermost returned value. A count whose shift lies in a gap
+    between shells that the metric's weight bounds prove is read from
+    that gap; every other count factors a 2K x 2K Schur complement
+    (`CurlOperator.count_below`). A count window whose far ends close a
+    shell with a proved gap above it (a count of 6 closes the first
+    shell's 6 coordinates of each sign) is counted in that gap before it
+    is solved, so its guard factors nothing. A bracket that the counts
     refute, or on which ARPACK does not converge, is solved by the dense
     path, and the reason is recorded in the operator's
     `lanczos_fallbacks`. So both paths return the same window, except
@@ -985,6 +1049,10 @@ def eigenpairs(
             )
         half = n_reduced // 2  # negative eigenvalues, by Sylvester's law
         lo, hi = max(half - count, 0), min(half + count, n_reduced) - 1
+        lower, upper, n = op._gaps
+        for sigma in (lower + upper)[n == count] / 2:  # the ends close a shell
+            op.count_below(sigma)
+            op.count_below(-sigma)
     else:
         _, a, b = spec
         lo, hi = op.count_below(a), op.count_below(np.nextafter(b, np.inf)) - 1

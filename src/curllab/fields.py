@@ -378,12 +378,21 @@ def _symmetric(values: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MetricSamples:
-    """Pointwise metric data cached on one collocation grid."""
+    """Pointwise metric data cached on one collocation grid.
+
+    weight_bounds is (a, b), the smallest and the largest eigenvalue of
+    the weight sqrt(det g) g^{-1} over the grid's points: sqrt(det g)
+    over g's largest and over its smallest eigenvalue. By the discrete
+    Parseval identity, exact for forms of truncation N on a grid of
+    M >= 2N + 1 points per axis, a |v|^2 <= v^T G v <= b |v|^2 for the
+    quadrature Gram G of such forms (`curlspec.CurlOperator.count_below`).
+    """
 
     grid: CollocationGrid
     g: np.ndarray          # (M, M, M, 3, 3)
     inv: np.ndarray        # (M, M, M, 3, 3)
     sqrt_det: np.ndarray   # (M, M, M)
+    weight_bounds: tuple[float, float]
 
     @property
     def weight(self) -> np.ndarray:
@@ -444,11 +453,14 @@ class MetricField:
             loc = np.unravel_index(flat_idx, (M, M, M))
             point = [grid.axis_points[i] for i in loc]
             raise DegenerateMetricError(point, min_eig.min())
+        sqrt_det = np.sqrt(np.linalg.det(g))
         samples = MetricSamples(
             grid=grid,
             g=g,
             inv=np.linalg.inv(g),
-            sqrt_det=np.sqrt(np.linalg.det(g)),
+            sqrt_det=sqrt_det,
+            weight_bounds=(float((sqrt_det / eigs[..., -1]).min()),
+                           float((sqrt_det / min_eig).max())),
         )
         self._cache[grid.resolution] = samples
         return samples

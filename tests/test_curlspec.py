@@ -385,21 +385,49 @@ class TestReducedPencil:
         # on the Lanczos path (here moved down to N = 3) a count window of
         # 6 makes the same two Cholesky factors, then one eigsh on
         # R^T d^-1 R with its restarts capped: no dense eigh and no dsygst.
-        # Each of the guard's two Sylvester counts then factors its
-        # definite 2K x 2K block
+        # Its ends close the first shell, whose gap to the next one the
+        # metric's weight bounds prove, so the guard's counts factor
+        # nothing. A count of 3 closes no shell: each of the guard's two
+        # Sylvester counts then factors its definite 2K x 2K block
         monkeypatch.setattr(curlspec, "LANCZOS_MIN_DIM", 684)
         calls = spy_on(monkeypatch, curlspec.sla.lapack, "dpotrf")
         spy_on(monkeypatch, curlspec.sla, "cholesky", "eigh", calls=calls)
         spy_on(monkeypatch, curlspec.spla, "eigsh", calls=calls)
         spy_on(monkeypatch, curlspec.sla.lapack, "dsygst", calls=calls)
-        assert len(eigenpairs(bumpy, 3, {"count": 6})) == 6
-        assert [(name, shape) for name, shape, _, _ in calls] == [
-            ("dpotrf", (345, 345)), ("dpotrf", (684, 684)),
-            ("eigsh", (684, 684)), ("dpotrf", (342, 342)),
-            ("dpotrf", (342, 342))]
-        _, _, _, kwargs = calls[2]
-        assert kwargs["k"] == 12 and kwargs["which"] == "BE"
-        assert kwargs["maxiter"] == curlspec.LANCZOS_MAXITER
+        for count, guard in ((6, []), (3, [("dpotrf", (342, 342))] * 2)):
+            calls.clear()
+            assert len(eigenpairs(bumpy, 3, {"count": count})) == count
+            assert [(name, shape) for name, shape, _, _ in calls] == [
+                ("dpotrf", (345, 345)), ("dpotrf", (684, 684)),
+                ("eigsh", (684, 684))] + guard
+            _, _, _, kwargs = calls[2]
+            assert kwargs["k"] == 2 * count and kwargs["which"] == "BE"
+            assert kwargs["maxiter"] == curlspec.LANCZOS_MAXITER
+
+    def test_benchmark_count_window_factors_no_count(self, monkeypatch):
+        # the benchmark's solve, count 6 at N = 5: its ends close the first
+        # shell, so after eigsh the guard makes neither a 2K x 2K dpotrf
+        # nor a dsytrf, and its pairs are bit-identical to those of the
+        # factored guard, with the proved gaps taken away
+        metric = random_metric(2.0, 1e-2, 5)
+        calls = spy_on(monkeypatch, curlspec.sla.lapack, "dpotrf", "dsytrf")
+        spy_on(monkeypatch, curlspec.spla, "eigsh", calls=calls)
+        solves = []
+        for proved in (True, False):
+            if not proved:
+                monkeypatch.setattr(curlspec, "_shell_gaps",
+                                    lambda d, a, b: (np.empty(0),) * 3)
+            calls.clear()
+            op = assemble(metric, 5)
+            solves.append(eigenpairs(metric, 5, {"count": 6}, operator=op))
+            assert op.lanczos_fallbacks == []
+            names = [(name, shape) for name, shape, _, _ in calls]
+            guard = names[names.index(("eigsh", (2660, 2660))) + 1:]
+            assert guard == ([] if proved else [("dpotrf", (1330, 1330)),
+                                                ("dsytrf", (1330, 1330))] * 2)
+        for p, q in zip(*solves):
+            assert p.eigenvalue == q.eigenvalue
+            assert np.array_equal(p.form.coeffs, q.form.coeffs)
 
     @pytest.mark.parametrize("truncation, count, lanczos", [
         (2, 6, False), (3, 6, False), (4, 6, False),  # 4K = 248, 684, 1456
@@ -675,7 +703,9 @@ class TestLanczos:
         # entries next to their coupling, where Bunch-Kaufman takes 2 x 2
         # pivots; dsytrf factors the upper triangle, so each block's
         # off-diagonal entry is read at (k, k + 1). The oracle is the dense
-        # pencil (B, G), which reads neither the factor nor S.
+        # pencil (B, G), which reads neither the factor nor S. A midpoint
+        # in a gap between shells that the weight bounds prove is counted
+        # without dsytrf; every other one is factored
         op = assemble(bumpy, 2)
         vals = sla.eigvalsh(pairing_matrix(op), op.gram_matrix)
         vals = vals[np.abs(vals) > 1e-8]  # the closed forms' kernel
@@ -689,9 +719,14 @@ class TestLanczos:
 
         monkeypatch.setattr(curlspec.sla.lapack, "dsytrf", spy)
         gaps = np.flatnonzero(np.diff(vals) > 1e-8)
+        gap_lo, gap_hi, _ = op._gaps
+        factored = 0
         for i in gaps:
-            assert op.count_below((vals[i] + vals[i + 1]) / 2) == i + 1
-        assert len(pivots) == len(gaps) and {lower for lower, _ in pivots} == {0}
+            sigma = (vals[i] + vals[i + 1]) / 2
+            factored += not np.any((gap_lo < abs(sigma)) & (abs(sigma) < gap_hi))
+            assert op.count_below(sigma) == i + 1
+            assert len(pivots) == factored
+        assert 0 < factored < len(gaps) and {lower for lower, _ in pivots} == {0}
         assert sum(np.any(ipiv < 0) for _, ipiv in pivots) >= 10
 
 
@@ -719,6 +754,86 @@ def test_count_below_is_the_inertia_of_the_dense_pencil(seed, amplitude,
     top = 1.01 * np.abs(vals).max()
     assert [op.count_below(sigma) for sigma in (0.0, -top, top)] == [
         half, 0, 2 * half]
+
+
+def oracle_counts(op, shifts):
+    """Eigenvalues of the dense pencil (B, G) below each shift."""
+    vals = sla.eigvalsh(pairing_matrix(op), op.gram_matrix)
+    vals = vals[np.abs(vals) > 1e-8]  # the closed forms' kernel
+    return [int(np.count_nonzero(vals < sigma)) for sigma in shifts]
+
+
+def inside_gap_ends(op):
+    """Shifts 1e-9 of its width inside both ends of every proved gap, and
+    their negatives."""
+    lower, upper, _ = op._gaps
+    width = upper - lower
+    ends = np.concatenate([lower + 1e-9 * width, upper - 1e-9 * width])
+    return np.concatenate([ends, -ends])
+
+
+@pytest.mark.two_blas_threads
+@settings(max_examples=8, deadline=None)
+@given(seed=seeds, amplitude=st.floats(1e-3, 0.3), truncation=st.integers(1, 3))
+def test_proved_counts_are_the_inertia_of_the_dense_pencil(seed, amplitude,
+                                                           truncation):
+    # just inside the ends of every gap between shells that the weight
+    # bounds prove, the count read from the gap is the dense pencil's; no
+    # count is factored, so the reduction is never made
+    op = assemble(random_metric(2.0, amplitude, seed), truncation)
+    shifts = inside_gap_ends(op)
+    assert [op.count_below(sigma) for sigma in shifts] == oracle_counts(op, shifts)
+    assert op._factors is None
+
+
+class TestShellGaps:
+    """Counts read from the gaps between the shells' bands [s / b, s / a],
+    a and b the weight's bounds on the grid, against the dense pencil."""
+
+    def test_an_anisotropic_metric_proves_no_gap_between_shells(
+            self, monkeypatch):
+        # g = diag(4, 1, 1) has the weight diag(0.5, 2, 2), so b / a = 4:
+        # only the gap below the first shell is proved, and every midpoint
+        # between neighbouring eigenvalues is factored
+        metric = MetricField(FourierField.constant("metric", [4, 1, 1, 0, 0, 0]))
+        op = assemble(metric, 2)
+        np.testing.assert_allclose(metric.samples(op.grid).weight_bounds,
+                                   (0.5, 2.0), rtol=1e-15)
+        assert list(op._gaps[2]) == [0]
+        vals = sla.eigvalsh(pairing_matrix(op), op.gram_matrix)
+        vals = vals[np.abs(vals) > 1e-8]
+        gaps = np.flatnonzero(np.diff(vals) > 1e-8)
+        midpoints = (vals[gaps] + vals[gaps + 1]) / 2
+        calls = spy_on(monkeypatch, curlspec.sla.lapack, "dsytrf")
+        assert [op.count_below(sigma) for sigma in midpoints] == list(gaps + 1)
+        assert len(calls) == len(midpoints)
+
+    def test_a_scalar_gram_proves_every_gap(self, conformal2):
+        # g = 4 I has the weight 2 I, so G = 2 I and a = b = 2: each shell
+        # s is the eigenvalue s / 2 and every gap between shells is proved
+        op = assemble(conformal2, 2)
+        assert conformal2.samples(op.grid).weight_bounds == (2.0, 2.0)
+        shells = np.unique(op.basis.d)
+        assert len(op._gaps[0]) == np.count_nonzero(shells > 0)
+        shifts = inside_gap_ends(op)
+        assert [op.count_below(sigma) for sigma in shifts] == oracle_counts(op, shifts)
+        assert op._factors is None
+
+    @pytest.mark.parametrize("metric_name", ["bumpy", "conformal2"])
+    def test_a_shift_at_an_eigenvalue_is_never_proved(self, metric_name,
+                                                      request, monkeypatch):
+        # every eigenvalue lies in its shell's band, outside every gap, and
+        # so does a rounding to either side of it, also for the scalar
+        # Gram, whose bands shrink to the eigenvalues s / 2 themselves
+        metric = request.getfixturevalue(metric_name)
+        op = assemble(metric, 2)
+        vals = sla.eigvalsh(pairing_matrix(op), op.gram_matrix)
+        shifts = {np.nextafter(v, to) for v in vals[np.abs(vals) > 1e-8]
+                  for to in (-np.inf, v, np.inf)}
+        calls = spy_on(monkeypatch, curlspec.sla.lapack, "dsytrf")
+        for sigma in shifts:
+            op.count_below(sigma)
+        assert len(calls) == len(shifts)
 
 
 class TestReductionProperties:
@@ -848,7 +963,9 @@ class TestIntervalWindows:
     def test_pays_only_its_end_counts(self, path, interval, bumpy,
                                       monkeypatch):
         # the guard of a Lanczos interval window checks its far end against
-        # that end's own count: no dsytrf beyond the two end counts
+        # that end's own count: no dsytrf beyond the two end counts. Both
+        # ends lie in gaps that the weight bounds prove, below the first
+        # shell and between it and the next, so neither count factors
         truncation, min_dim = SYMMETRY_PATHS[path]
         monkeypatch.setattr(curlspec, "LANCZOS_MIN_DIM", min_dim)
         calls = spy_on(monkeypatch, curlspec.sla.lapack, "dsytrf", "dsygst")
@@ -858,7 +975,31 @@ class TestIntervalWindows:
                            operator=op)
         assert len(pairs) == 6 and op.lanczos_fallbacks == []
         solver = {"dense": "dsygst", "lanczos": "eigsh"}[path]
-        assert [name for name, _, _, _ in calls] == ["dsytrf", "dsytrf", solver]
+        assert [name for name, _, _, _ in calls] == [solver]
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_an_end_inside_a_shell_band_pays_its_count(self, path, sign,
+                                                        bumpy, monkeypatch):
+        # a window from the middle of the first shell's band [1/b, 1/a],
+        # between its third and fourth eigenvalues, to 1.1: the inner end
+        # is factored, the outer one proved, and the guard reads both
+        truncation, min_dim = SYMMETRY_PATHS[path]
+        monkeypatch.setattr(curlspec, "LANCZOS_MIN_DIM", min_dim)
+        reference = assemble(bumpy, truncation)
+        vals, _ = on_dense_path(reference.spectrum)
+        pos = np.sort(np.abs(vals[np.sign(vals) == sign]))
+        inner = (pos[2] + pos[3]) / 2
+        a, b = bumpy.samples(reference.grid).weight_bounds
+        assert 1 / b < inner < 1 / a
+        calls = spy_on(monkeypatch, curlspec.sla.lapack, "dsytrf", "dsygst")
+        spy_on(monkeypatch, curlspec.spla, "eigsh", calls=calls)
+        op = assemble(bumpy, truncation)
+        interval = sorted([sign * inner, sign * 1.1])
+        pairs = eigenpairs(bumpy, truncation, {"interval": interval},
+                           operator=op)
+        assert len(pairs) == 3 and op.lanczos_fallbacks == []
+        solver = {"dense": "dsygst", "lanczos": "eigsh"}[path]
+        assert [name for name, _, _, _ in calls] == ["dsytrf", solver]
 
 
 @pytest.mark.two_blas_threads
@@ -1104,17 +1245,25 @@ class TestGramMatrix:
     def test_count_peak_memory_is_two_quarter_blocks(self):
         # a Sylvester count holds two 2K x 2K buffers (the definite block,
         # which then takes the Schur complement, and the solve's copy of
-        # S_{+-}): measured 0.231 Grams at N = 4, half of a 4K x 4K one
-        op = assemble(random_metric(2.0, 1e-2, 5), 4)
+        # S_{+-}): measured 0.231 Grams at N = 4, half of a 4K x 4K one.
+        # The shifts lie in the middle of the first shell's band
+        # [1/b, 1/a], where no count is proved, so each one factors
+        metric = random_metric(2.0, 1e-2, 5)
+        op = assemble(metric, 4)
         op._reduction
-        for sigma in (0.95, -0.95):
-            tracemalloc.start()
-            try:
-                op.count_below(sigma)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert peak <= 0.25 * op.dim**2 * 8
+        a, b = metric.samples(op.grid).weight_bounds
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            spy_on(mp, curlspec.sla.lapack, "dsytrf", calls=calls)
+            for sigma in (0.5 / a + 0.5 / b, -0.5 / a - 0.5 / b):
+                tracemalloc.start()
+                try:
+                    op.count_below(sigma)
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                assert peak <= 0.25 * op.dim**2 * 8
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("truncation, path, window, bound", [
         pytest.param(3, "auto", {"count": 6}, 1.35, id="3"),
