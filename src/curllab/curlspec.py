@@ -100,21 +100,24 @@ that holds for every metric; between two shells it needs b / a below
 s_{i+1} / s_i, so no such gap is proved from b / a >= sqrt(2) on. A
 count whose shift lies in a proved gap, its ends moved GUARD_TOL *
 max|d| inward against round-off, is taken from the bound, and only the
-other shifts are factored. A count window whose far ends close a shell
-is counted at such a shift first.
+other shifts are factored.
 
-A bracket takes one of two solvers. A small bracket on a large operator
-(at most LANCZOS_MAX_VALUES values, reduced dimension LANCZOS_MIN_DIM or
-more, so N >= 5) is solved by ARPACK's Lanczos (Lehoucq, Sorensen &
-Yang, *ARPACK Users' Guide*, 1998) on C^{-1} = R^T d^{-1} R, whose
-extreme eigenvalues 1/lambda belong to the lambda nearest 0, from fixed
-start vectors, and every answer is checked by Sylvester counts
-(`CurlOperator._lanczos`). Every other bracket, the full spectrum, and a
-Lanczos bracket that does not converge or that the counts refute, is
-solved densely: C by `dsygst`, then one subset `evx` by index that
-computes only the bracket's eigenvectors. A solve that returns a
-different number of pairs than its bracket holds raises
-EigensolverError, so no window loses pairs silently.
+A bracket takes one of two solvers. On a large operator (reduced
+dimension LANCZOS_MIN_DIM or more, so N >= 5) each side of a bracket,
+its values of one sign, is widened to the nearest shell closure n_i
+below a proved gap; if both sides have one and the widened request
+holds at most LANCZOS_MAX_VALUES values, the bracket is solved by
+ARPACK's Lanczos (Lehoucq, Sorensen & Yang, *ARPACK Users' Guide*,
+1998) on C^{-1} = R^T d^{-1} R, whose extreme eigenvalues 1/lambda
+belong to the lambda nearest 0, from fixed start vectors. Each side's
+answer must hold the gap's proved n_i values between 0 and the gap's
+middle, so no count is factored (`CurlOperator._lanczos`). Every other
+bracket, the full spectrum, and a Lanczos bracket that does not
+converge or that the proved counts refute, is solved densely: C by
+`dsygst`, then one subset `evx` by index that computes only the
+bracket's eigenvectors. A solve that returns a different number of
+pairs than its bracket holds raises EigensolverError, so no window
+loses pairs silently.
 """
 
 from __future__ import annotations
@@ -148,22 +151,22 @@ GAP_TOL = 1e-6
 # from a reduced dimension 4K of 2660 (N = 5) on, Lanczos with its guard
 # won or tied on every measured window, of up to 48 values (24 of each
 # sign), flat and bumpy; at N = 3 and 4 the dense path was faster on 10
-# of 20. Smaller operators and larger windows stay dense.
+# of 20. Smaller operators, and brackets whose widened sides ask for
+# more, stay dense.
 LANCZOS_MIN_DIM = 2660
 LANCZOS_MAX_VALUES = 48
 
-# ARPACK restarts allowed per Lanczos round. The measured windows need 4
-# to 35 (the benchmark's count of 6: 6). A window that ends inside a
-# cluster split far below GAP_TOL needs hundreds or never converges; it
-# is solved densely once the cap is hit.
+# ARPACK restarts allowed per Lanczos round. A request ends in a proved
+# gap between shells, never inside a cluster: measured at N = 5, bumpy
+# windows of 1 to 36 values need 3 to 10 (the benchmark's count of 6:
+# 5) and the flat metric's multiple eigenvalues up to 21. A round that
+# hits the cap is solved densely.
 LANCZOS_MAXITER = 50
 
-# Where no shift is counted yet at a Lanczos bracket's far end (a count
-# window), its guard counts this far (relative to max|d|) inside the
-# outermost returned value of each sign: far above the rounding of the
-# counts and of the Ritz values (Lanczos and the dense path agree to
-# 5e-15 at N = 5), so only members of the window's edge cluster closer
-# than this may stand in for one another.
+# The inward margin, relative to max|d|, of every proved shell gap
+# (`_shell_gaps`): far above the rounding of the weight bounds, of S and
+# of the Ritz values (Lanczos and the dense path agree to 5e-15 at
+# N = 5), so no eigenvalue, computed or exact, lies inside a gap.
 GUARD_TOL = 1e-11
 
 # eigsh draws a random vector when ARPACK restarts from an invariant
@@ -335,7 +338,6 @@ class CurlOperator:
         self._gaps = _shell_gaps(self.basis.d, *self.metric.samples(
             self.grid).weight_bounds)  # see `count_below`
         self._factors = None  # `_reduction`, made on first use
-        self._below: dict[float, int] = {}  # count_below by shift
         self.lanczos_fallbacks: list[dict] = []  # see `spectrum`
 
     @property
@@ -532,7 +534,7 @@ class CurlOperator:
         S_{++} and S_{--} and all of S_{+-}. R serves the eigensolve and
         the Gram solves, and every routine that reads it reads only the
         lower triangle; S and s serve the Sylvester counts
-        (`count_below`).
+        (`_sylvester_count`).
 
         Made on first use and kept per operator. Not a
         `functools.cached_property`: on Python 3.11 that holds one lock
@@ -586,20 +588,15 @@ class CurlOperator:
         Where |sigma| lies in one of the shell gaps that the weight's
         bounds prove (`_shell_gaps`), the count is read from the gap: 2K
         plus the gap's n for sigma > 0, 2K minus it for sigma < 0, with no
-        factorization. Every other shift is counted by `_sylvester_count`.
-        Counts are kept per sigma, so the guard of a Lanczos window
-        (`_lanczos`) and the count of an interval window share them.
+        factorization. Every other shift is counted by `_sylvester_count`,
+        anew on each call: the solver asks only for an interval window's
+        two end counts.
         """
-        if sigma in self._below:
-            return self._below[sigma]
         lower, upper, n = self._gaps
         i = np.searchsorted(lower, abs(sigma)) - 1
         if i >= 0 and abs(sigma) < upper[i]:
-            count = self.basis.d.size // 2 + int(np.copysign(n[i], sigma))
-        else:
-            count = self._sylvester_count(sigma)
-        self._below[sigma] = count
-        return count
+            return self.basis.d.size // 2 + int(np.copysign(n[i], sigma))
+        return self._sylvester_count(sigma)
 
     def _sylvester_count(self, sigma: float) -> int:
         """The negative inertia of d - sigma S, from a factorization.
@@ -663,10 +660,11 @@ class CurlOperator:
         standard problem C y = lambda y, C = R^{-1} d R^{-T}, x = R^{-T} y.
         A bracket that `_lanczos_sides` accepts is solved by `_lanczos` on
         C^{-1} = R^T d^{-1} R, whose extremes are the eigenvalues nearest
-        0, and checked by Sylvester counts. Should ARPACK not converge
-        within LANCZOS_MAXITER restarts, or the counts refute its answer,
-        the bracket is solved densely instead and the reason is appended
-        to `lanczos_fallbacks`. Every other bracket, and the full spectrum
+        0, and checked by the counts of the proved gaps its widened sides
+        end in. Should ARPACK not converge within LANCZOS_MAXITER
+        restarts, or those counts refute its answer, the bracket is
+        solved densely instead and the reason is appended to
+        `lanczos_fallbacks`. Every other bracket, and the full spectrum
         that tests use as the reference, takes the dense path: C by
         `dsygst` over a Fortran-ordered diag(d), then one `evx` solve that
         computes only the bracket's eigenvectors, the sequence LAPACK's
@@ -694,51 +692,54 @@ class CurlOperator:
         return vals, self._lift(_lower_solve(R, y, trans="T"))
 
     def _lanczos_sides(self, lo, hi):
-        """(n_top, n_bottom) for a bracket that Lanczos takes, else None:
-        its positive eigenvalues are among the n_top nearest 0 and its
-        negative ones among the n_bottom nearest 0."""
+        """((n_top, n_bottom), (sigma_top, sigma_bottom)) for a bracket
+        that Lanczos takes, else None: each side of the bracket, its
+        values of one sign, widened to the nearest shell closure n with a
+        proved gap beyond it (`_shell_gaps`), and sigma the gap's middle
+        (negative below 0), so exactly n eigenvalues lie between 0 and
+        sigma. None below LANCZOS_MIN_DIM, for a side with no such
+        closure, or for more than LANCZOS_MAX_VALUES values requested."""
         half = self.basis.d.size // 2  # negative eigenvalues, by Sylvester
         if 2 * half < LANCZOS_MIN_DIM:
             return None
-        n_top, n_bottom = max(hi - half + 1, 0), max(half - lo, 0)
-        nev, _ = _arpack_request(n_top, n_bottom)
-        return (n_top, n_bottom) if 0 < nev <= LANCZOS_MAX_VALUES else None
+        lower, upper, n = self._gaps
+        i = np.searchsorted(n, [max(hi - half + 1, 0), max(half - lo, 0)])
+        if i.max() == n.size:
+            return None
+        sides = tuple(int(k) for k in n[i])
+        nev, _ = _arpack_request(*sides)
+        if not 0 < nev <= LANCZOS_MAX_VALUES:
+            return None
+        middle = (lower[i] + upper[i]) / 2
+        return sides, (float(middle[0]), float(-middle[1]))
 
-    def _lanczos(self, lo, hi, n_top, n_bottom):
+    def _lanczos(self, lo, hi, sides, shifts):
         """Eigenvalues lo..hi (ascending) and standard-form eigenvectors y,
         by ARPACK (`eigsh`) on C^{-1} = R^T d^{-1} R: two `dtrmv` with R
         per application, with no copy of R. Its n_top largest eigenvalues
         1/lambda are the positive lambda nearest 0 and its n_bottom
-        smallest the negative ones.
+        smallest the negative ones, (n_top, n_bottom) and the shifts from
+        `_lanczos_sides`.
 
-        The guard checks one shift sigma per side: the Sylvester count
-        (`count_below`) of eigenvalues between 0 and sigma must equal the
-        number returned there. sigma is a shift already counted whose
-        count is the bracket's far end on that side (hi + 1 above 0, lo
-        below), as an interval window's end counts are and a count
-        window's are where its ends close a shell (`eigenpairs`), often
-        proved with no factorization; a returned value
-        up to GUARD_TOL * max|d| beyond such an end counts where the
-        end's count places it, inside, so a Ritz value a rounding past an
-        end that is itself an eigenvalue refutes nothing. Else a count is
-        taken GUARD_TOL * max|d| inside the outermost returned value, so
-        a bracket may end inside a cluster and any of its members will do.
-        Lanczos from one start vector sees one direction of an
-        eigenspace, so a multiple eigenvalue (flat and constant metrics)
-        shows as a failed count. The solve then repeats on the complement
-        of every vector found so far, from the next start vector, until
-        the counts hold. A round that brings no value into the bracket
-        raises EigensolverError with diagnostics {sigma, expected,
-        returned}, and one that does not converge within LANCZOS_MAXITER
-        restarts raises it with {nev, which, round}. Start vectors are
-        fixed (round r starts from default_rng(r)), so a solve is
-        deterministic.
+        The answer stands when each side returns as many values between 0
+        and its shift as the weight bounds prove there, n; the bracket is
+        then sliced out of it. Lanczos from one start vector sees one
+        direction of an eigenspace, so a multiple eigenvalue (flat and
+        constant metrics) shows as a short count. The solve then repeats
+        on the complement of every vector found so far, from the next
+        start vector, asking each side only for its missing values, the
+        complement's extremes before the same gap. A round that brings
+        none of them raises EigensolverError with diagnostics {sigma,
+        expected, returned}, and one that does not converge within
+        LANCZOS_MAXITER restarts raises it with {nev, which, round}.
+        Start vectors are fixed (round r starts from default_rng(r)), so
+        a solve is deterministic.
         """
         R, d = self._reduction[1], self.basis.d
         n = d.size
         trmv = sla.blas.dtrmv
+        n_top, n_bottom = sides
         nev, which = _arpack_request(n_top, n_bottom)
-        margin = GUARD_TOL * np.abs(d).max()
         first = n // 2 - n_bottom  # the index of the bottom returned value
         mus, Y = np.empty(0), np.empty((n, 0))
         for start in itertools.count():
@@ -770,35 +771,22 @@ class CurlOperator:
                 break  # this round brought nothing new into the bracket
             chosen = best[np.argsort(1.0 / mus[best], kind="stable")]
             vals = 1.0 / mus[chosen]
-            counted = {count: sigma for sigma, count in self._below.items()}
-            # (shift, slack): a counted end, or a shift inside the outermost value
-            shifts = ([(counted[hi + 1], margin) if hi + 1 in counted
-                       else (vals[-1] - margin, 0.0)] if n_top else []) + (
-                [(counted[lo], margin) if lo in counted
-                 else (vals[0] + margin, 0.0)] if n_bottom else [])
-            misses = [(sigma, *self._inside(vals, sigma, slack))
-                      for sigma, slack in shifts]
-            misses = [m for m in misses if m[1] != m[2]]
-            if not misses:
+            # the values between 0 and each side's shift
+            found = tuple(int(np.count_nonzero((vals / sigma > 0)
+                                               & (vals / sigma < 1)))
+                          for sigma in shifts)
+            if found == sides:
                 window = slice(lo - first, hi + 1 - first)
                 return vals[window], Y[:, chosen[window]]
-        sigma, expected, returned = misses[0]
+            nev, which = _arpack_request(*np.subtract(sides, found).tolist())
+        sigma, expected, returned = next(
+            miss for miss in zip(shifts, sides, found) if miss[1] != miss[2])
         raise EigensolverError(
             f"Lanczos returned {returned} eigenvalues between 0 and {sigma:.17g}, "
-            f"Sylvester's law counts {expected}",
-            diagnostics={"sigma": float(sigma), "expected": expected,
+            f"the weight bounds prove {expected}",
+            diagnostics={"sigma": sigma, "expected": expected,
                          "returned": returned},
         )
-
-    def _inside(self, vals, sigma, slack):
-        """(Sylvester count, returned count) of eigenvalues between 0 and
-        sigma; a returned value up to slack beyond sigma counts as inside."""
-        half = self.basis.d.size // 2
-        if sigma > 0:
-            return (self.count_below(sigma) - half,
-                    int(np.count_nonzero((vals > 0) & (vals < sigma + slack))))
-        return (half - self.count_below(sigma),
-                int(np.count_nonzero((vals < 0) & (vals >= sigma - slack))))
 
     def residual(self, form: FourierField, eigenvalue: float) -> float:
         """|| *d alpha - lambda alpha || / || alpha || in the weighted norm.
@@ -1015,26 +1003,16 @@ def eigenpairs(
     nonzero eigenvalues. A given operator must be the one for this
     metric and truncation; another raises ValueError.
 
-    From N = 5 on, a count window of up to 24, or an interval with at
-    most 48 values between 0 and its far end, is solved by Lanczos from
-    fixed start vectors, so the result is deterministic, and every other
-    bracket by the dense subset `evx`. A Lanczos answer is checked by
-    one Sylvester count per side between 0 and a shift: an interval's
-    own end count beyond its far end, where a value up to GUARD_TOL *
-    max|d| past that end counts as inside, else GUARD_TOL * max|d| inside
-    the outermost returned value. A count whose shift lies in a gap
-    between shells that the metric's weight bounds prove is read from
-    that gap; every other count factors a 2K x 2K Schur complement
-    (`CurlOperator.count_below`). A count window whose far ends close a
-    shell with a proved gap above it (a count of 6 closes the first
-    shell's 6 coordinates of each sign) is counted in that gap before it
-    is solved, so its guard factors nothing. A bracket that the counts
-    refute, or on which ARPACK does not converge, is solved by the dense
-    path, and the reason is recorded in the operator's
-    `lanczos_fallbacks`. So both paths return the same window, except
-    that members of its edge cluster closer than GUARD_TOL * max|d|, or a
-    value that close past an interval's end, may stand in for one
-    another.
+    An end count whose shift lies in a gap between shells that the
+    weight bounds prove is read from the gap; any other factors a
+    2K x 2K Schur complement (`CurlOperator.count_below`). From N = 5 on,
+    each side of a bracket is widened to the shell closure at the
+    nearest proved gap (a count of 6 closes the first shell), and a
+    request of at most 48 values is solved by Lanczos from fixed start
+    vectors, so deterministically, and checked by the gaps' proved
+    counts; every other bracket, and one that those counts refute or on
+    which ARPACK does not converge, by the dense subset `evx`, the
+    reason recorded in `lanczos_fallbacks`. Both solve the same bracket.
     """
     spec = parse_window(window)
     op = operator or assemble(metric, truncation)
@@ -1049,10 +1027,6 @@ def eigenpairs(
             )
         half = n_reduced // 2  # negative eigenvalues, by Sylvester's law
         lo, hi = max(half - count, 0), min(half + count, n_reduced) - 1
-        lower, upper, n = op._gaps
-        for sigma in (lower + upper)[n == count] / 2:  # the ends close a shell
-            op.count_below(sigma)
-            op.count_below(-sigma)
     else:
         _, a, b = spec
         lo, hi = op.count_below(a), op.count_below(np.nextafter(b, np.inf)) - 1

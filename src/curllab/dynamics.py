@@ -230,17 +230,24 @@ def check_horizon(T, name: str):
 
 def parse_section(spec) -> tuple[int, float]:
     """(axis, offset) of a section plane {"axis": 0|1|2|"x"|"y"|"z" (or a
-    digit string; default 2), "offset": finite real (default 0)}; else
-    ValueError. The CLI parses --section with it too."""
+    digit string; default 2), "offset": finite real, not a bool, or its
+    decimal string (default 0)}; else ValueError. The CLI parses
+    --section with it too."""
     axis = spec.get("axis", 2)
     names = ("x", "y", "z")
     if isinstance(axis, (bool, float)) or axis not in (0, 1, 2, "0", "1", "2",
                                                        *names):
         raise ValueError(f"section axis must be 0, 1, 2, x, y or z, got {axis!r}")
-    offset = float(spec.get("offset", 0.0))
-    if not np.isfinite(offset):
-        raise ValueError(f"section offset must be finite, got {offset!r}")
-    return names.index(axis) if axis in names else int(axis), offset
+    offset = given = spec.get("offset", 0.0)
+    if isinstance(offset, str):
+        try:
+            offset = float(offset)
+        except ValueError:
+            pass
+    if (isinstance(offset, bool) or not isinstance(offset, numbers.Real)
+            or not np.isfinite(offset)):
+        raise ValueError(f"section offset must be a finite real, got {given!r}")
+    return names.index(axis) if axis in names else int(axis), float(offset)
 
 
 def solve_lanes(rhs, y0, T: float, n_samples: int, *, rtol: float,

@@ -56,11 +56,12 @@ class EigensolverError(CurlLabError):
     more pairs than the truncation has nonzero eigenvalues (4K for K half
     modes), or when a solve returns another number of pairs than its
     bracket holds, with diagnostics {window, expected, returned}. A
-    Lanczos solve also raises it when Sylvester's law counts another
-    number of eigenvalues between 0 and a shift sigma than it returned
-    there ({sigma, expected, returned}), or when ARPACK does not
-    converge; `CurlOperator.spectrum` then solves the bracket densely and
-    keeps the diagnostics in `lanczos_fallbacks`.
+    Lanczos solve also raises it when the weight bounds prove another
+    number of eigenvalues between 0 and a shift sigma, the middle of a
+    gap between shells, than its rounds returned there ({sigma,
+    expected, returned}), or when ARPACK does not converge;
+    `CurlOperator.spectrum` then solves the bracket densely and keeps
+    the diagnostics in `lanczos_fallbacks`.
     """
 
     def __init__(self, message, diagnostics=None):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 from scipy.sparse.linalg import ArpackNoConvergence
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from curllab import curlspec
@@ -386,31 +386,36 @@ class TestReducedPencil:
         # 6 makes the same two Cholesky factors, then one eigsh on
         # R^T d^-1 R with its restarts capped: no dense eigh and no dsygst.
         # Its ends close the first shell, whose gap to the next one the
-        # metric's weight bounds prove, so the guard's counts factor
-        # nothing. A count of 3 closes no shell: each of the guard's two
-        # Sylvester counts then factors its definite 2K x 2K block
+        # metric's weight bounds prove, so its answer is checked against
+        # that gap's count and nothing is factored after eigsh. A count of
+        # 3 closes no shell: each side widens to the first shell's closure,
+        # so it makes the same single eigsh with k = 12
         monkeypatch.setattr(curlspec, "LANCZOS_MIN_DIM", 684)
         calls = spy_on(monkeypatch, curlspec.sla.lapack, "dpotrf")
         spy_on(monkeypatch, curlspec.sla, "cholesky", "eigh", calls=calls)
         spy_on(monkeypatch, curlspec.spla, "eigsh", calls=calls)
         spy_on(monkeypatch, curlspec.sla.lapack, "dsygst", calls=calls)
-        for count, guard in ((6, []), (3, [("dpotrf", (342, 342))] * 2)):
+        for count in (6, 3):
             calls.clear()
             assert len(eigenpairs(bumpy, 3, {"count": count})) == count
             assert [(name, shape) for name, shape, _, _ in calls] == [
                 ("dpotrf", (345, 345)), ("dpotrf", (684, 684)),
-                ("eigsh", (684, 684))] + guard
+                ("eigsh", (684, 684))]
             _, _, _, kwargs = calls[2]
-            assert kwargs["k"] == 2 * count and kwargs["which"] == "BE"
+            assert kwargs["k"] == 12 and kwargs["which"] == "BE"
             assert kwargs["maxiter"] == curlspec.LANCZOS_MAXITER
 
     def test_benchmark_count_window_factors_no_count(self, monkeypatch):
         # the benchmark's solve, count 6 at N = 5: its ends close the first
-        # shell, so after eigsh the guard makes neither a 2K x 2K dpotrf
-        # nor a dsytrf, and its pairs are bit-identical to those of the
-        # factored guard, with the proved gaps taken away
+        # shell, so it is not widened: one eigsh round, k = 12 from
+        # default_rng(0)'s start vector, which fixes the answer's bits, and
+        # nothing is factored after it. The bits themselves depend on the
+        # BLAS build and thread count, so no digest is pinned here. With
+        # the proved gaps taken away no side closes, and the window goes
+        # dense
         metric = random_metric(2.0, 1e-2, 5)
-        calls = spy_on(monkeypatch, curlspec.sla.lapack, "dpotrf", "dsytrf")
+        calls = spy_on(monkeypatch, curlspec.sla.lapack, "dpotrf", "dsytrf",
+                       "dsygst")
         spy_on(monkeypatch, curlspec.spla, "eigsh", calls=calls)
         solves = []
         for proved in (True, False):
@@ -422,28 +427,47 @@ class TestReducedPencil:
             solves.append(eigenpairs(metric, 5, {"count": 6}, operator=op))
             assert op.lanczos_fallbacks == []
             names = [(name, shape) for name, shape, _, _ in calls]
-            guard = names[names.index(("eigsh", (2660, 2660))) + 1:]
-            assert guard == ([] if proved else [("dpotrf", (1330, 1330)),
-                                                ("dsytrf", (1330, 1330))] * 2)
+            assert names[:2] == [("dpotrf", (1333, 1333)),
+                                 ("dpotrf", (2660, 2660))]
+            if proved:
+                assert names[2:] == [("eigsh", (2660, 2660))]
+                kwargs = calls[2][3]
+                assert (kwargs["k"], kwargs["which"], kwargs["tol"]) == (
+                    12, "BE", 0)
+                assert np.array_equal(
+                    kwargs["v0"], np.random.default_rng(0).standard_normal(2660))
+            else:
+                assert names[2:] == [("dsygst", (2660, 2660))]
         for p, q in zip(*solves):
-            assert p.eigenvalue == q.eigenvalue
-            assert np.array_equal(p.form.coeffs, q.form.coeffs)
+            assert p.eigenvalue == pytest.approx(q.eigenvalue, abs=1e-13)
+            # simple eigenvalues: the same form, up to round-off
+            np.testing.assert_allclose(p.form.coeffs, q.form.coeffs, rtol=0,
+                                       atol=1e-10)
 
     @pytest.mark.parametrize("truncation, count, lanczos", [
         (2, 6, False), (3, 6, False), (4, 6, False),  # 4K = 248, 684, 1456
-        (5, 1, True), (5, 24, True), (5, 25, False),  # 4K = 2660
+        (5, 1, True), (5, 18, True), (5, 19, False),  # 4K = 2660
+        (5, 24, False), (5, 25, False),
     ])
     def test_lanczos_takes_small_windows_from_n5_on(self, flat, truncation,
-                                                    count, lanczos):
+                                                    count, lanczos,
+                                                    monkeypatch):
+        # each side widens to the flat shells' closures 6, 18, 26, ...: up
+        # to a count of 18 the request is k = 36, from 19 on it is 52, past
+        # LANCZOS_MAX_VALUES. The choice reads the gaps and factors nothing
+        calls = spy_on(monkeypatch, curlspec.sla.lapack, "dpotrf", "dsytrf")
         op = CurlOperator(flat, truncation)
         half = op.basis.d.size // 2
         sides = op._lanczos_sides(half - count, half + count - 1)
         assert (sides is not None) == lanczos
+        if lanczos:
+            closure = 6 if count <= 6 else 18
+            assert sides[0] == (closure, closure)
         # a one-sided bracket, as an interval window's, below N = 5 goes
-        # dense, and the choice makes no count
+        # dense
         if truncation < 5:
             assert op._lanczos_sides(half + 2, half + 7) is None
-            assert op._below == {}
+        assert calls == [] and op._factors is None
 
     @pytest.mark.parametrize("window, expected", [
         ({"count": 6}, 12),  # the index bracket holds 6 of each sign
@@ -496,12 +520,12 @@ def on_dense_path(call, *args, **kwargs):
         return call(*args, **kwargs)
 
 
-def skipping_eigsh(side, spare=1, rounds=None):
-    """eigsh that leaves out the wanted value nearest 0 on one side
-    (side = +1 or -1) and returns the next one in its place. It solves for
-    `spare` more values at each end of the spectrum it is asked for, to
-    convergence (such a window ends inside a cluster); from round `rounds`
-    on it passes through."""
+def skipping_eigsh(side, spare=1, rounds=None, outermost=False):
+    """eigsh that leaves out one wanted value on one side (side = +1 or
+    -1), the one nearest 0 or, if outermost, the one farthest from it, and
+    returns the next one beyond the wanted values in its place. It solves
+    for `spare` more values at each end of the spectrum it is asked for,
+    to convergence; from round `rounds` on it passes through."""
     eigsh = curlspec.spla.eigsh
     calls = itertools.count()
 
@@ -514,8 +538,12 @@ def skipping_eigsh(side, spare=1, rounds=None):
         # ascending mu = 1 / lambda: the negative lambda nearest 0 first,
         # the positive ones nearest 0 last
         top = {"BE": k // 2, "LA": k, "SA": 0}[which]
-        low = np.arange(k - top) + (side < 0)
-        high = len(mu) - top + np.arange(top) - (side > 0)
+        low, high = np.arange(k - top), len(mu) - top + np.arange(top)
+        if side < 0:
+            low = np.append(np.delete(low, -1 if outermost else 0), k - top)
+        else:
+            high = np.insert(np.delete(high, 0 if outermost else -1), 0,
+                             len(mu) - top - 1)
         keep = np.concatenate([low, high])
         return mu[keep], y[:, keep]
 
@@ -529,9 +557,18 @@ def constant_anisotropic_metric():
     return MetricField(FourierField.constant("metric", entries))
 
 
+def mild_constant_metric():
+    """A constant metric with exact pairs whose weight bounds, b / a =
+    1.16, prove the gaps above the first two shells."""
+    return MetricField(FourierField.constant(
+        "metric", [1.06, 0.95, 1.0, 0.02, 0.03, 0.04]))
+
+
 LANCZOS_METRICS = {
     "flat": flat_metric,  # exact 6-fold clusters
-    "constant": constant_anisotropic_metric,  # exact 2-fold clusters
+    # exact 2-fold clusters; b / a = 1.74 proves no gap between shells
+    "constant": constant_anisotropic_metric,
+    "mild_constant": mild_constant_metric,  # exact 2-fold clusters
     "random": lambda: random_metric(2.0, 1e-2, 11),  # simple eigenvalues
 }
 
@@ -548,17 +585,25 @@ class TestLanczos:
 
     @pytest.mark.parametrize("truncation", [3, 4])
     @pytest.mark.parametrize("metric_name", sorted(LANCZOS_METRICS))
-    def test_matches_the_dense_spectrum(self, metric_name, truncation):
+    def test_matches_the_dense_spectrum(self, metric_name, truncation,
+                                        monkeypatch):
+        # each bracket widens to the closure of the first or second shell;
+        # where the weight bounds prove no gap there (the anisotropic
+        # constant metric), it takes the dense route instead
         op = assemble(LANCZOS_METRICS[metric_name](), truncation)
+        lanczos = metric_name != "constant"
         half = op.basis.d.size // 2
         B, G = pairing_matrix(op), op.gram_matrix
+        calls = spy_on(monkeypatch, curlspec.spla, "eigsh")
         for bracket in ([half - 6, half + 5],  # count 6
                         [half + 2, half + 4],
                         interval_bracket(op, 0.7, 1.5),
                         interval_bracket(op, -1.1, -0.9)):
-            assert op._lanczos_sides(*bracket) is not None, bracket
+            assert (op._lanczos_sides(*bracket) is not None) == lanczos, bracket
+            calls.clear()
             vals, vecs = op.spectrum(*bracket)
-            assert op.lanczos_fallbacks == []  # Lanczos answered
+            assert bool(calls) == lanczos
+            assert op.lanczos_fallbacks == []  # the route chosen answered
             ref, _ = on_dense_path(op.spectrum, *bracket)
             assert len(vals) == len(ref) > 0
             np.testing.assert_allclose(vals, ref, rtol=0, atol=1e-13)
@@ -613,7 +658,7 @@ class TestLanczos:
         monkeypatch.setattr(curlspec.spla, "eigsh", skipping_eigsh(side))
         pairs = eigenpairs(bumpy, 3, window, operator=op)
         [info] = op.lanczos_fallbacks
-        assert "Sylvester's law counts" in info["error"]
+        assert "the weight bounds prove" in info["error"]
         assert info["expected"] - info["returned"] == 1
         assert np.sign(info["sigma"]) == side
         assert [p.eigenvalue for p in pairs] == [p.eigenvalue for p in dense]
@@ -622,16 +667,19 @@ class TestLanczos:
 
     def test_a_swap_inside_a_split_cluster_is_caught(self, monkeypatch):
         # the first shell of this metric is split by 1e-10 to 1e-8, far
-        # below the clustering tolerance GAP_TOL * max|d| = 5e-6. eigsh's
-        # first round returns the second to fourth positive values for the
-        # three nearest 0; the counts just inside the fourth refute it, and
-        # the next round finds the first
+        # below the clustering tolerance GAP_TOL * max|d| = 5e-6. A count
+        # of 3 widens to the shell's closure at 6. eigsh's first round
+        # leaves out the sixth positive value, the last one below the
+        # proved gap, and returns the seventh, beyond it: the gap's count
+        # refutes the round, and the next one, asked on the complement for
+        # the one missing value only, finds the sixth
         metric = random_metric(2.0, 1e-7, 1000)
         op = assemble(metric, 3)
         dense = on_dense_path(eigenpairs, metric, 3, {"count": 3}, operator=op)
         calls = []
         monkeypatch.setattr(curlspec.spla, "eigsh",
-                            skipping_eigsh(+1, spare=3, rounds=1))
+                            skipping_eigsh(+1, spare=12, rounds=1,
+                                           outermost=True))
         spy_on(monkeypatch, curlspec.spla, "eigsh", calls=calls)
         pairs = eigenpairs(metric, 3, {"count": 3}, operator=op)
         assert len(calls) == 2 and op.lanczos_fallbacks == []
@@ -640,21 +688,23 @@ class TestLanczos:
                                    rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("count", [3, 11])
-    def test_nearly_flat_metric_falls_back_to_dense(self, monkeypatch, count):
+    def test_nearly_flat_metric_is_one_lanczos_round(self, monkeypatch, count):
         # both windows end inside a cluster split by about 1e-10, which
-        # ARPACK does not resolve to its tolerance: after LANCZOS_MAXITER
-        # restarts the window is solved densely
+        # ARPACK does not resolve within LANCZOS_MAXITER restarts. Widened
+        # to the closures 6 and 18 they end in proved gaps instead, and
+        # one round answers
         metric = random_metric(2.0, 1e-10, 1000)
         op = assemble(metric, 3)
         calls = spy_on(monkeypatch, curlspec.spla, "eigsh")
         pairs = eigenpairs(metric, 3, {"count": count}, operator=op)
-        assert [kwargs["maxiter"] for _, _, _, kwargs in calls] == [
-            curlspec.LANCZOS_MAXITER]
-        [info] = op.lanczos_fallbacks
-        assert "did not converge" in info["error"]
+        assert [kwargs["k"] for _, _, _, kwargs in calls] == [
+            {3: 12, 11: 36}[count]]
+        assert op.lanczos_fallbacks == []
         dense = on_dense_path(eigenpairs, metric, 3, {"count": count},
                               operator=op)
-        assert [p.eigenvalue for p in pairs] == [p.eigenvalue for p in dense]
+        np.testing.assert_allclose([p.eigenvalue for p in pairs],
+                                   [p.eigenvalue for p in dense],
+                                   rtol=0, atol=1e-13)
 
     def test_no_convergence_falls_back_to_dense(self, bumpy, monkeypatch):
         def stalled(A, k, which, **kwargs):
@@ -670,13 +720,16 @@ class TestLanczos:
         assert (info["nev"], info["which"], info["round"]) == (12, "BE", 0)
         assert [p.eigenvalue for p in pairs] == [p.eigenvalue for p in dense]
 
-    def test_a_value_a_rounding_beyond_a_counted_end_is_not_refuted(self):
+    def test_a_value_a_rounding_beyond_a_counted_end_is_not_refuted(
+            self, monkeypatch):
         # interval windows of five values whose ends are computed
-        # eigenvalues: a Ritz value a rounding beyond a counted end counts
-        # where that end's count places it, so the guard refutes none of
-        # these 280 windows. Some of them end inside clusters that ARPACK
-        # does not resolve at N = 2; they still fall back as not converged
-        refuted = []
+        # eigenvalues, many inside a shell that the metric splits: ARPACK
+        # is asked for the window widened to the nearest proved gap, so a
+        # Ritz value a rounding beyond an end is inside the request. Each
+        # of these 280 windows is one Lanczos round, and none is refuted
+        # or fails to converge
+        calls = spy_on(monkeypatch, curlspec.spla, "eigsh")
+        fallbacks = []
         for seed in range(1, 11):
             metric = random_metric(2.0, 1e-2, seed)
             vals, _ = assemble(metric, 2).spectrum()
@@ -685,10 +738,9 @@ class TestLanczos:
                 for a, b in ((pos[i], pos[i + 4]), (neg[i + 4], neg[i])):
                     op = assemble(metric, 2)
                     eigenpairs(metric, 2, {"interval": [a, b]}, operator=op)
-                    refuted += [(seed, a, b, info["error"])
-                                for info in op.lanczos_fallbacks
-                                if "sigma" in info]
-        assert refuted == []
+                    fallbacks += [(seed, a, b, info["error"])
+                                  for info in op.lanczos_fallbacks]
+        assert fallbacks == [] and len(calls) == 280
 
     def test_count_below_matches_the_spectrum(self, bumpy):
         # the inertia read from dsytrf's 1 x 1 and 2 x 2 pivots
@@ -728,6 +780,39 @@ class TestLanczos:
             assert len(pivots) == factored
         assert 0 < factored < len(gaps) and {lower for lower, _ in pivots} == {0}
         assert sum(np.any(ipiv < 0) for _, ipiv in pivots) >= 10
+
+
+count_windows = st.integers(1, 24).map(lambda k: {"count": k})
+interval_windows = st.tuples(
+    st.sampled_from([1.0, -1.0]), st.floats(0.05, 2.4), st.floats(0.05, 2.4),
+).map(lambda t: {"interval": sorted([t[0] * t[1], t[0] * t[2]])})
+
+
+@pytest.mark.two_blas_threads
+@settings(max_examples=12, deadline=None)
+@given(window=st.one_of(count_windows, interval_windows))
+@example(window={"count": 3})
+@example(window={"count": 13})
+@example(window={"interval": [-1.45, -0.98]})
+def test_a_lanczos_answer_factors_no_count(bumpy, window):
+    # Lanczos forced at N = 3: an interval's end counts may factor before
+    # the solve, but after the first eigsh only eigsh runs, no dsytrf and
+    # no dpotrf, and the pairs are the dense path's
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(curlspec, "LANCZOS_MIN_DIM", 0)
+        calls = spy_on(mp, curlspec.sla.lapack, "dpotrf", "dsytrf")
+        spy_on(mp, curlspec.spla, "eigsh", calls=calls)
+        op = assemble(bumpy, 3)
+        pairs = eigenpairs(bumpy, 3, window, operator=op)
+    names = [name for name, _, _, _ in calls]
+    if "eigsh" in names:
+        after = calls[names.index("eigsh") + 1:]
+        assert [name for name, _, _, _ in after] == ["eigsh"] * len(after)
+    assert op.lanczos_fallbacks == []
+    dense = on_dense_path(eigenpairs, bumpy, 3, window, operator=op)
+    assert len(pairs) == len(dense)
+    np.testing.assert_allclose([p.eigenvalue for p in pairs],
+                               [p.eigenvalue for p in dense], rtol=0, atol=1e-13)
 
 
 seeds = st.integers(0, 2**32 - 1)
@@ -877,17 +962,25 @@ SYMMETRY_PATHS = {"dense": (2, np.inf), "lanczos": (3, 0)}  # N, LANCZOS_MIN_DIM
 
 
 def window_values(metric, path, interval):
-    """Sorted eigenvalues of an interval window on the dense path at N = 2
-    or on the Lanczos path at N = 3."""
+    """Sorted eigenvalues of a one-signed interval window on the dense path
+    at N = 2 or on the Lanczos path at N = 3. The latter takes Lanczos
+    only if the window's far side closes at a proved gap within
+    LANCZOS_MAX_VALUES values, else the dense route."""
     truncation, min_dim = SYMMETRY_PATHS[path]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(curlspec, "LANCZOS_MIN_DIM", min_dim)
+        calls = spy_on(mp, curlspec.spla, "eigsh")
         op = assemble(metric, truncation)
-        lanczos = op._lanczos_sides(*interval_bracket(op, *interval)) is not None
-        assert lanczos == (path == "lanczos")
+        lo, hi = interval_bracket(op, *interval)
+        half = op.basis.d.size // 2
+        closures = op._gaps[2]
+        lanczos = path == "lanczos" and np.any(
+            (closures >= max(hi + 1 - half, half - lo))
+            & (closures <= curlspec.LANCZOS_MAX_VALUES))
+        assert (op._lanczos_sides(lo, hi) is not None) == lanczos
         pairs = eigenpairs(metric, truncation, {"interval": interval},
                            operator=op)
-        assert op.lanczos_fallbacks == []
+        assert bool(calls) == lanczos and op.lanczos_fallbacks == []
     return np.sort([p.eigenvalue for p in pairs])
 
 
@@ -962,10 +1055,11 @@ class TestIntervalWindows:
     @pytest.mark.parametrize("interval", [[0.9, 1.1], [-1.1, -0.9]])
     def test_pays_only_its_end_counts(self, path, interval, bumpy,
                                       monkeypatch):
-        # the guard of a Lanczos interval window checks its far end against
-        # that end's own count: no dsytrf beyond the two end counts. Both
-        # ends lie in gaps that the weight bounds prove, below the first
-        # shell and between it and the next, so neither count factors
+        # a Lanczos interval window is checked against the proved count of
+        # the gap its far side widens to: no dsytrf beyond the two end
+        # counts. Both ends lie in gaps that the weight bounds prove, below
+        # the first shell and between it and the next, so neither count
+        # factors
         truncation, min_dim = SYMMETRY_PATHS[path]
         monkeypatch.setattr(curlspec, "LANCZOS_MIN_DIM", min_dim)
         calls = spy_on(monkeypatch, curlspec.sla.lapack, "dsytrf", "dsygst")
@@ -982,7 +1076,8 @@ class TestIntervalWindows:
                                                         bumpy, monkeypatch):
         # a window from the middle of the first shell's band [1/b, 1/a],
         # between its third and fourth eigenvalues, to 1.1: the inner end
-        # is factored, the outer one proved, and the guard reads both
+        # is factored, the outer one proved, and a Lanczos answer is
+        # checked in the proved gap above the shell, with no count
         truncation, min_dim = SYMMETRY_PATHS[path]
         monkeypatch.setattr(curlspec, "LANCZOS_MIN_DIM", min_dim)
         reference = assemble(bumpy, truncation)
@@ -1286,11 +1381,10 @@ class TestGramMatrix:
         # (0.56) and the largest working buffers. The dense path's
         # standard-form C is 4K x 4K (0.44): measured 1.01 at N = 4, and
         # freed before the lift, whose quadrature then peaks at 1.20 at
-        # N = 3 (1.65 with C alive). On the Lanczos path a Sylvester
-        # count holds two 2K x 2K buffers (0.23), measured 0.79, so the
-        # assembly sets the peak: 0.92 at N = 4 and 0.86 at N = 5 (the
-        # benchmark's solve). A dim x dim array beside the blocks would
-        # pass 1.78
+        # N = 3 (1.65 with C alive). On the Lanczos path these windows
+        # factor nothing after the reduction, so the assembly sets the peak:
+        # 0.92 at N = 4 and 0.86 at N = 5 (the benchmark's solve). A
+        # dim x dim array beside the blocks would pass 1.78
         if path != "auto":
             monkeypatch.setattr(curlspec, "LANCZOS_MIN_DIM",
                                 {"lanczos": 0, "dense": np.inf}[path])

@@ -274,6 +274,9 @@ class TestOrbitSearchArguments:
         ({"section_spec": {"axis": "xy"}}, "section axis"),
         ({"section_spec": {"axis": 1.0}}, "section axis"),
         ({"section_spec": {"axis": "z", "offset": np.inf}}, "section offset"),
+        # a bool is no offset, and None no number
+        ({"section_spec": {"axis": "z", "offset": True}}, "section offset"),
+        ({"section_spec": {"axis": "z", "offset": None}}, "section offset"),
     ])
     def test_bad_arguments_are_refused(self, kwargs, match):
         # each bad argument is named before any seed is drawn or flowed
@@ -285,6 +288,8 @@ class TestOrbitSearchArguments:
         assert parse_section({}) == (2, 0.0)
         assert parse_section({"axis": "y", "offset": 1.5}) == (1, 1.5)
         assert parse_section({"axis": "0", "offset": "-2"}) == (0, -2.0)
+        assert parse_section({"axis": "z", "offset": "1.5"}) == (2, 1.5)
+        assert parse_section({"offset": np.float32(0.5)}) == (2, 0.5)
         assert parse_section({"axis": np.int64(1)}) == (1, 0.0)
 
     def test_no_seeds_no_orbits(self):
